@@ -3,6 +3,9 @@
 Times each hot kernel on synthetic data with both implementations and
 prints a small table. The numba twins are compiled (or loaded from the
 on-disk cache) during a warm-up call that is excluded from the timings.
+A last table times 100 descents on cells of the demo shape (54 x 50): one
+logreg_descent_numpy call per cell against one logreg_descent_batched
+call for all of them. It needs numpy only.
 
 Run from the repository root:
 
@@ -91,6 +94,24 @@ def main() -> int:
         fn_nb(*call_args)  # warm-up: compile or load from cache
         t_nb = best_of(fn_nb, call_args, args.repeat)
         print(f"{name:<28} {t_np * 1e3:>10.3f} {t_nb * 1e3:>10.3f} {t_np / t_nb:>8.1f}x")
+
+    cells = 100
+    Xc = rng.standard_normal((cells, 54, 50)) / 7.0
+    yc = (rng.random((cells, 54)) < 0.5).astype(np.float64)
+    descent = (0.1, 1e-4, args.epochs, 0.0)
+
+    def per_cell():
+        for i in range(cells):
+            kernels.logreg_descent_numpy(Xc[i], yc[i], *descent)
+
+    t_cells = best_of(per_cell, (), args.repeat)
+    t_batch = best_of(kernels.logreg_descent_batched, (Xc, yc, *descent), args.repeat)
+    print()
+    header = f"{'kernel':<28} {'cells ms':>10} {'batch ms':>10} {'speedup':>9}"
+    print(header)
+    print("-" * len(header))
+    name = f"batched descent ({cells}x54x50)"
+    print(f"{name:<28} {t_cells * 1e3:>10.3f} {t_batch * 1e3:>10.3f} {t_cells / t_batch:>8.1f}x")
     return 0
 
 

@@ -10,15 +10,17 @@ per-facet means, an overall mean and a wins count per system.
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from . import kernels
 from .errors import ConfigError, FacetrecError, ValidationError
 from .features import realize_features
 from .inventory import FACET_NAMES
-from .models import ModelSpec, predict, train
-from .resample import ResampleConfig, smote
+from .models import ModelSpec, lr_model, lr_training_set, predict, train, train_majority
+from .resample import ResampleConfig, resampled_labels, smote
 from .seeding import STREAM_FOLDS, STREAM_SMOTE, check_seed, derive_seed, substream
 
 DEFAULT_FOLDS = 10
@@ -140,20 +142,64 @@ class EvaluationReport:
         return counts
 
 
+# Largest stacked float64 training set, in bytes, that one batched LR
+# descent takes. A demo cell (54x50, 22 KB) shares a descent with its facet's
+# other folds, which removes the per-epoch Python overhead that dominates
+# cells this small. A 432x501 bag-of-words cell (1.7 MB) already keeps the
+# arithmetic busy, and stacking two of them spills a 2 MiB per-core L2 cache
+# (on a 2-core Xeon VM one such matvec takes 33 us, two stacked 131 us), so
+# it trains on its own.
+LR_GROUP_BYTES = 1 << 20
+
+
 def _evaluate_facet(X, y, folds, n_folds, model_spec, resample_cfg, plan_seed, facet, facet_idx):
-    scores = []
-    for k in range(n_folds):
-        test = folds == k
-        train_rows = ~test
-        cell_seed = derive_seed(plan_seed, STREAM_SMOTE, facet_idx, k)
-        cfg = replace(resample_cfg, seed=cell_seed)
+    scores = [0.0] * n_folds
+    groups: dict[tuple[int, int], list] = {}  # LR cells by training-set shape
+
+    @contextmanager
+    def cell(k):
         try:
-            X_aug, y_aug = smote(X[train_rows], y[train_rows], cfg)
-            model = train(model_spec, X_aug, y_aug)
-            pred, _ = predict(model, X[test])
+            yield
         except FacetrecError as e:
             raise type(e)(f"facet {facet}, fold {k}: {e}") from e
-        scores.append(f1_macro(y[test], pred))
+
+    def score(k, model):
+        test = folds == k
+        pred, _ = predict(model, X[test])
+        scores[k] = f1_macro(y[test], pred)
+
+    def flush(shape):
+        group = groups.pop(shape)
+        hyper = model_spec.lr
+        W, B, losses, diverged = kernels.logreg_descent_batched(
+            np.stack([Xk for _, Xk, _ in group]),
+            np.stack([yk for _, _, yk in group]),
+            hyper.learning_rate, hyper.l2, hyper.max_epochs, hyper.tol,
+        )
+        for i, (k, _, _) in enumerate(group):
+            with cell(k):
+                score(k, lr_model(hyper, W[i], B[i], losses[i], diverged[i]))
+
+    for k in range(n_folds):
+        train_rows = folds != k
+        cfg = replace(resample_cfg, seed=derive_seed(plan_seed, STREAM_SMOTE, facet_idx, k))
+        with cell(k):
+            if model_spec.kind == "majority":
+                # The baseline reads only labels, so it skips SMOTE's rows.
+                y_aug = resampled_labels(y[train_rows], cfg)
+                score(k, train_majority(y_aug, feature_dim=X.shape[1]))
+                continue
+            X_aug, y_aug = smote(X[train_rows], y[train_rows], cfg)
+            if model_spec.kind != "logistic_regression" or X_aug.nbytes > LR_GROUP_BYTES:
+                score(k, train(model_spec, X_aug, y_aug))
+                continue
+            X_aug, y_aug = lr_training_set(X_aug, y_aug)
+        group = groups.setdefault(X_aug.shape, [])
+        group.append((k, X_aug, y_aug))
+        if (len(group) + 1) * X_aug.nbytes > LR_GROUP_BYTES:
+            flush(X_aug.shape)
+    for shape in list(groups):
+        flush(shape)
     return tuple(scores)
 
 

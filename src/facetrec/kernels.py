@@ -16,6 +16,10 @@ variable ``FACETREC_BACKEND``:
 Both paths implement identical update rules; results agree to floating-point
 roundoff (summation order differs). ``benchmarks/bench_kernels.py`` compares
 their throughput.
+
+``logreg_descent_batched`` has no numba twin: it trains a stack of
+same-shape cells in one numpy loop, bit-equal to ``logreg_descent_numpy``
+on each cell.
 """
 
 from __future__ import annotations
@@ -94,6 +98,65 @@ def logreg_descent_numpy(X, y, learning_rate, l2, max_epochs, tol):
     loss, _, _ = logreg_loss_grad_numpy(X, y, w, b, l2)
     losses[max_epochs] = loss
     return w, b, losses, not math.isfinite(loss)
+
+
+def _logreg_loss_grad_batched(X, y, w, b, l2):
+    # logreg_loss_grad_numpy for every cell of a (cells, rows, dim) stack.
+    # Each matmul slice is the same BLAS call the per-cell kernel makes, and
+    # each row reduction sums in the same order, so results are bit-equal.
+    n = X.shape[1]
+    z = (X @ w[:, :, None])[:, :, 0] + b[:, None]
+    e = np.exp(-np.abs(z))
+    loss = (np.maximum(z, 0.0) + np.log1p(e) - y * z).sum(axis=1) / n
+    loss += 0.5 * l2 * (w[:, None, :] @ w[:, :, None])[:, 0, 0]
+    p = np.where(z >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e))
+    r = (p - y) / n
+    gw = (X.transpose(0, 2, 1) @ r[:, :, None])[:, :, 0] + l2 * w
+    gb = r.sum(axis=1)
+    return loss, gw, gb
+
+
+def logreg_descent_batched(X, y, learning_rate, l2, max_epochs, tol):
+    """logreg_descent_numpy on every cell of a stack, in one loop.
+
+    ``X`` is (cells, rows, dim) and ``y`` is (cells, rows). Returns
+    (W, B, losses, diverged): (cells, dim) weights, (cells,) biases, a list
+    with each cell's loss history, and a (cells,) bool array. Every cell
+    stops by the per-cell rules, at the same epoch and with the same
+    history length as logreg_descent_numpy on that cell alone. A stopped
+    cell leaves the stack, so the rest carry on without it.
+    """
+    X = np.ascontiguousarray(np.asarray(X, dtype=np.float64))
+    y = np.ascontiguousarray(np.asarray(y, dtype=np.float64))
+    cells, _, d = X.shape
+    W = np.zeros((cells, d))
+    B = np.zeros(cells)
+    losses = np.empty((cells, max_epochs + 1))
+    lengths = np.empty(cells, dtype=np.int64)
+    diverged = np.zeros(cells, dtype=bool)
+    live = np.arange(cells)
+    w, b = W.copy(), B.copy()
+    for epoch in range(max_epochs + 1):
+        loss, gw, gb = _logreg_loss_grad_batched(X, y, w, b, l2)
+        losses[live, epoch] = loss
+        bad = ~np.isfinite(loss)
+        if epoch == max_epochs:
+            stop = np.ones(len(live), dtype=bool)
+        else:
+            gnorm = np.maximum(np.abs(gw).max(axis=1, initial=0.0), np.abs(gb))
+            stop = bad | (gnorm < tol)
+        if stop.any():
+            done = live[stop]
+            W[done], B[done] = w[stop], b[stop]
+            lengths[done] = epoch + 1
+            diverged[done] = bad[stop]
+            keep = ~stop
+            if not keep.any():
+                break
+            live, X, y, w, b, gw, gb = (a[keep] for a in (live, X, y, w, b, gw, gb))
+        w = w - learning_rate * gw
+        b = b - learning_rate * gb
+    return W, B, [losses[i, : lengths[i]] for i in range(cells)], diverged
 
 
 def _logreg_loss_grad_loops(X, y, w, b, l2):

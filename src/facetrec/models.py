@@ -173,16 +173,12 @@ def train_naive_bayes(X, y, alpha: float = 1.0) -> TrainedModel:
     )
 
 
-def train_logistic_regression(
-    X, y, hyper: LRHyperparams | None = None
-) -> TrainedModel:
-    """Fit weights by full-batch gradient descent from zero initialization.
+def lr_training_set(X, y) -> tuple[np.ndarray, np.ndarray]:
+    """Dense float64 features and int64 labels for logistic regression.
 
-    Objective: mean logistic loss + (l2/2) * ||w||^2, bias unregularized.
-    Stops at the gradient max-norm tolerance or max_epochs; a non-finite
-    loss raises TrainingError.
+    Raises ValidationError for a shape mismatch, non-finite features or a
+    single training class.
     """
-    hyper = hyper or LRHyperparams()
     y = _as_labels(y)
     if sp.issparse(X):
         X = X.toarray()
@@ -193,10 +189,11 @@ def train_logistic_regression(
         raise ValidationError("features contain non-finite values")
     if len(set(np.unique(y).tolist())) < 2:
         raise ValidationError("training labels contain a single class")
+    return X, y
 
-    w, b, losses, diverged = kernels.logreg_descent(
-        X, y, hyper.learning_rate, hyper.l2, hyper.max_epochs, hyper.tol
-    )
+
+def lr_model(hyper: LRHyperparams, w, b, losses, diverged) -> TrainedModel:
+    """The model one descent produced; a diverged descent raises TrainingError."""
     if diverged:
         raise TrainingError(
             f"loss became non-finite after {len(losses) - 1} updates; "
@@ -205,7 +202,7 @@ def train_logistic_regression(
     converged = len(losses) <= hyper.max_epochs
     return TrainedModel(
         kind="logistic_regression",
-        feature_dim=X.shape[1],
+        feature_dim=len(w),
         params=LogisticRegressionParams(
             weights=w,
             bias=float(b),
@@ -213,6 +210,23 @@ def train_logistic_regression(
             loss_history=tuple(float(v) for v in losses),
             converged=converged,
         ),
+    )
+
+
+def train_logistic_regression(
+    X, y, hyper: LRHyperparams | None = None
+) -> TrainedModel:
+    """Fit weights by full-batch gradient descent from zero initialization.
+
+    Objective: mean logistic loss + (l2/2) * ||w||^2, bias unregularized.
+    Stops at the gradient max-norm tolerance or max_epochs; a non-finite
+    loss raises TrainingError.
+    """
+    hyper = hyper or LRHyperparams()
+    X, y = lr_training_set(X, y)
+    return lr_model(
+        hyper,
+        *kernels.logreg_descent(X, y, hyper.learning_rate, hyper.l2, hyper.max_epochs, hyper.tol),
     )
 
 

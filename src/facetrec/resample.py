@@ -72,39 +72,59 @@ def nearest_minority_neighbors(X, y, i: int, k: int) -> np.ndarray:
     return members[nbr_pos]
 
 
+def resampled_labels(y, cfg: ResampleConfig) -> np.ndarray:
+    """The labels smote returns for training labels y, without the rows.
+
+    y as int64, then one minority label per synthetic row. Raises the errors
+    smote raises for these labels: a degenerate fold, or an imbalanced one
+    with fewer than 2 minority rows.
+    """
+    y = np.asarray(y, dtype=np.int64)
+    _check_labels(y)
+    if y.ndim != 1:
+        raise ValidationError("labels must be one per feature row")
+    n_pos = int(np.sum(y == 1))
+    n_neg = len(y) - n_pos
+    if n_pos == 0 or n_neg == 0:
+        raise ValidationError("cannot resample degenerate fold")
+    if n_pos == n_neg:
+        return y.copy()
+
+    minority = 1 if n_pos < n_neg else 0
+    n_min = min(n_pos, n_neg)
+    n_maj = len(y) - n_min
+    if n_min < 2:
+        raise ValidationError(
+            "minority class needs at least 2 samples to interpolate between"
+        )
+    n_synth = math.floor(float(cfg.target_ratio) * n_maj) - n_min
+    if n_synth <= 0:
+        return y.copy()
+    return np.concatenate([y, np.full(n_synth, minority, dtype=np.int64)])
+
+
 def smote(X, y, cfg: ResampleConfig):
     """Oversample the minority class of (X, y) with synthetic points.
 
     Returns (X_aug, y_aug) as dense float64 rows and int64 labels, the
-    original rows first and bit-for-bit untouched. Deterministic in
-    (X, y, cfg). Requires both classes present and, when the classes are
-    imbalanced, at least 2 minority rows to interpolate between.
+    original rows first and bit-for-bit untouched; y_aug is
+    resampled_labels(y, cfg). Deterministic in (X, y, cfg). Requires both
+    classes present and, when the classes are imbalanced, at least 2
+    minority rows to interpolate between.
     """
     y = np.asarray(y, dtype=np.int64)
     _check_labels(y)
     if y.ndim != 1 or len(y) != X.shape[0]:
         raise ValidationError("labels must be one per feature row")
     Xd = _dense(X)
+    y_aug = resampled_labels(y, cfg)
+    n_synth = len(y_aug) - len(y)
+    if n_synth == 0:
+        return Xd, y_aug
 
-    n_pos = int(np.sum(y == 1))
-    n_neg = len(y) - n_pos
-    if n_pos == 0 or n_neg == 0:
-        raise ValidationError("cannot resample degenerate fold")
-    if n_pos == n_neg:
-        return Xd, y.copy()
-
-    minority = 1 if n_pos < n_neg else 0
+    minority = int(y_aug[-1])
     min_idx = np.flatnonzero(y == minority)
     n_min = len(min_idx)
-    n_maj = len(y) - n_min
-    if n_min < 2:
-        raise ValidationError(
-            "minority class needs at least 2 samples to interpolate between"
-        )
-    target = math.floor(float(cfg.target_ratio) * n_maj)
-    n_synth = target - n_min
-    if n_synth <= 0:
-        return Xd, y.copy()
 
     # Fixed draw order so runs are reproducible: shuffle, neighbor picks,
     # interpolation coefficients.
@@ -120,6 +140,4 @@ def smote(X, y, cfg: ResampleConfig):
     nbr_pos = knn[seed_pos, picks]
     synth = kernels.interpolate_rows(M, seed_pos, nbr_pos, gammas)
 
-    X_aug = np.vstack([Xd, synth])
-    y_aug = np.concatenate([y, np.full(n_synth, minority, dtype=np.int64)])
-    return X_aug, y_aug
+    return np.vstack([Xd, synth]), y_aug

@@ -2,13 +2,18 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+import yaml
 from hypothesis import given
 from hypothesis import strategies as st
 
-from facetrec.errors import ConfigError, ValidationError
+from facetrec import eval as eval_module
+from facetrec import kernels
+from facetrec.cli import main
+from facetrec.errors import ConfigError, TrainingError, ValidationError
 from facetrec.eval import (
     EvaluationReport,
     SystemResult,
+    _evaluate_facet,
     combine_reports,
     f1_binary,
     f1_macro,
@@ -19,7 +24,7 @@ from facetrec.eval import (
 )
 from facetrec.features import BowSpec
 from facetrec.inventory import FACET_NAMES
-from facetrec.models import ModelSpec
+from facetrec.models import LRHyperparams, ModelSpec
 from facetrec.resample import ResampleConfig
 
 # --- F1 ---------------------------------------------------------------------
@@ -350,3 +355,142 @@ def test_parse_report_csv_errors():
     )
     with pytest.raises(ValidationError):
         parse_report_csv(truncated + "\n")
+
+
+# --- batched logistic regression inside a facet ------------------------------
+
+
+def _record_batched(monkeypatch):
+    """Record the stack shape of every batched descent the evaluation runs."""
+    shapes = []
+    real = kernels.logreg_descent_batched
+
+    def recording(X, y, *args):
+        shapes.append(X.shape)
+        return real(X, y, *args)
+
+    monkeypatch.setattr(kernels, "logreg_descent_batched", recording)
+    return shapes
+
+
+def _evaluate(X, y, folds, model_spec, facet="Anxiety"):
+    n_folds = int(folds.max()) + 1
+    return _evaluate_facet(
+        X, y, folds, n_folds, model_spec, ResampleConfig(seed=4), 4, facet,
+        FACET_NAMES.index(facet),
+    )
+
+
+def _two_balanced_folds(d=3):
+    # Even rows form fold 0 and odd rows fold 1; each fold holds 4 + 4
+    # labels, so both training splits are 8 x d and SMOTE adds nothing.
+    X = np.random.default_rng(1).normal(size=(16, d))
+    y = (np.arange(16) // 2) % 2
+    return X, y, np.arange(16) % 2
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.parametrize(
+    "value, error, message",
+    [
+        (1e200, TrainingError, "loss became non-finite"),
+        (np.nan, ValidationError, "features contain non-finite values"),
+    ],
+)
+def test_lr_cell_errors_name_their_own_fold(monkeypatch, value, error, message):
+    # Row 0 sits in fold 0's test split, so only fold 1 trains on it.
+    shapes = _record_batched(monkeypatch)
+    X, y, folds = _two_balanced_folds()
+    X[0] = value
+    with pytest.raises(error, match=rf"^facet Altruism, fold 1: {message}"):
+        _evaluate(X, y, folds, ModelSpec(kind="logistic_regression"), facet="Altruism")
+    assert shapes == ([(2, 8, 3)] if error is TrainingError else [])
+
+
+def test_single_class_lr_cell_names_its_own_fold(monkeypatch):
+    # Without SMOTE's own degenerate-fold check, fold 2's all-negative
+    # training split reaches the LR checks while folds 0 and 1 wait in its
+    # shape group.
+    monkeypatch.setattr(eval_module, "smote", lambda X, y, cfg: (X, y))
+    shapes = _record_batched(monkeypatch)
+    X = np.random.default_rng(2).normal(size=(12, 3))
+    y = np.array([0] * 8 + [1] * 4)
+    folds = np.repeat(np.arange(3), 4)
+    with pytest.raises(ValidationError, match=r"^facet Anxiety, fold 2: training labels contain a single class"):
+        _evaluate(X, y, folds, ModelSpec(kind="logistic_regression"))
+    assert shapes == []
+
+
+def test_lr_group_budget_does_not_change_scores(monkeypatch):
+    # Imbalanced labels give SMOTE'd training splits of several shapes. A
+    # zero budget sends every cell alone through train(), the per-cell
+    # path; a one-cell budget makes groups of one; the 1 MiB default groups
+    # the five cells by shape.
+    rng = np.random.default_rng(3)
+    X = rng.normal(size=(45, 6)) + (rng.random(45) < 0.3)[:, None]
+    y = (rng.random(45) < 0.3).astype(np.int64)
+    folds = make_folds({"Anxiety": y}, n_folds=5, seed=6).assignment["Anxiety"]
+    spec = ModelSpec(kind="logistic_regression", lr=LRHyperparams(max_epochs=60))
+    shapes = _record_batched(monkeypatch)
+    default = eval_module.LR_GROUP_BYTES
+
+    def scores(budget):
+        shapes.clear()
+        monkeypatch.setattr(eval_module, "LR_GROUP_BYTES", budget)
+        return _evaluate(X, y, folds, spec)
+
+    per_cell = scores(0)
+    assert shapes == []
+    assert scores(2 * 45 * 6 * 8) == per_cell  # SMOTE'd splits are under 90 rows
+    assert [s[0] for s in shapes] == [1] * 5
+    assert scores(default) == per_cell
+    assert sum(s[0] for s in shapes) == 5 and 1 < len(shapes) == len({s[1:] for s in shapes})
+
+
+def test_majority_trains_on_resampled_labels_without_smote(monkeypatch):
+    def no_smote(*args):
+        raise AssertionError("majority cells must not build SMOTE rows")
+
+    monkeypatch.setattr(eval_module, "smote", no_smote)
+    # 7 positives of 20: the training splits have minority rows to add, and
+    # with parity the tie sends the baseline negative.
+    y = np.array([1] * 7 + [0] * 13)
+    folds = np.arange(20) % 4
+    scores = _evaluate(np.zeros((20, 2)), y, folds, ModelSpec(kind="majority"))
+    for k, value in enumerate(scores):
+        assert value == f1_macro(y[folds == k], np.zeros(5, dtype=np.int64))
+
+
+def test_batched_lr_descends_monotonically_on_the_demo_corpus(tmp_path, monkeypatch):
+    # The README demo (synth --seed 7, 60 authors x 60 tokens): every LR
+    # cell takes the batched path. Averaged unit word vectors bound the
+    # curvature, L <= max_i(|x_i|^2 + 1) / 4 + l2, so the default step 0.1
+    # is below 2/L and every loss history must be finite and non-increasing.
+    assert main(["synth", "--out", str(tmp_path), "--seed", "7", "--authors", "60", "--tokens", "60"]) == 0
+    config = yaml.safe_load((tmp_path / "config.yaml").read_text(encoding="utf-8"))
+    config["systems"] = [s for s in config["systems"] if s["model"] == "logistic_regression"]
+    (tmp_path / "lr.yaml").write_text(yaml.safe_dump(config), encoding="utf-8")
+
+    groups = []
+    real = kernels.logreg_descent_batched
+
+    def recording(X, y, learning_rate, l2, max_epochs, tol):
+        result = real(X, y, learning_rate, l2, max_epochs, tol)
+        groups.append((X, learning_rate, l2, result[2]))
+        return result
+
+    def no_per_cell(*args):
+        raise AssertionError("a demo LR cell left the batched path")
+
+    monkeypatch.setattr(kernels, "logreg_descent_batched", recording)
+    monkeypatch.setattr(kernels, "logreg_descent", no_per_cell)
+    assert main(["run", "--config", str(tmp_path / "lr.yaml"), "--out", str(tmp_path / "out")]) == 0
+
+    assert sum(len(X) for X, *_ in groups) == 2 * 10 * 10
+    for X, learning_rate, l2, histories in groups:
+        for Xc, losses in zip(X, histories):
+            L = 0.25 * float(np.max(np.sum(Xc * Xc, axis=1) + 1.0)) + l2
+            assert learning_rate < 2.0 / L
+            assert np.all(np.isfinite(losses))
+            assert np.all(np.diff(losses) <= 1e-12)

@@ -66,6 +66,50 @@ def test_descent_flags_divergence():
     assert not np.isfinite(losses[-1])
 
 
+def _assert_batched_matches_per_cell(X, y, learning_rate, l2, max_epochs, tol):
+    W, B, losses, diverged = kernels.logreg_descent_batched(X, y, learning_rate, l2, max_epochs, tol)
+    assert W.shape == (len(X), X.shape[2]) and B.shape == diverged.shape == (len(X),)
+    for i in range(len(X)):
+        w, b, hist, div = kernels.logreg_descent_numpy(X[i], y[i], learning_rate, l2, max_epochs, tol)
+        assert len(losses[i]) == len(hist), i
+        assert np.allclose(W[i], w, rtol=0, atol=1e-12), i
+        assert abs(B[i] - b) <= 1e-12, i
+        assert np.allclose(losses[i], hist, rtol=0, atol=1e-12, equal_nan=True), i
+        assert diverged[i] == div, i
+    return losses, diverged
+
+
+def test_batched_descent_matches_per_cell_when_cells_stop_at_different_epochs():
+    # Wider feature scales curve the loss more, so those cells reach the
+    # tolerance sooner; the smallest scale runs to max_epochs.
+    rng = np.random.default_rng(7)
+    scales = np.array([0.05, 3.0, 0.5, 8.0, 1.0, 0.05])[:, None, None]
+    X = rng.normal(size=(6, 30, 4)) * scales
+    y = (rng.random((6, 30)) < 0.5).astype(np.float64)
+    losses, diverged = _assert_batched_matches_per_cell(X, y, 0.1, 1e-3, 400, 1e-3)
+    lengths = [len(h) for h in losses]
+    assert not diverged.any()
+    assert lengths[0] == lengths[-1] == 401
+    assert len(set(lengths)) >= 4 and min(lengths) < 401
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+def test_batched_descent_matches_per_cell_with_a_diverging_cell():
+    X, y = _problem(8, n=20, d=3)
+    X = np.stack([X, X * 1e200, X[::-1]])
+    y = np.stack([y, y, y[::-1]])
+    losses, diverged = _assert_batched_matches_per_cell(X, y, 0.1, 1e-4, 60, 0.0)
+    assert diverged.tolist() == [False, True, False]
+    assert len(losses[1]) < 61 and not np.isfinite(losses[1][-1])
+
+
+def test_batched_descent_handles_zero_width_cells():
+    X = np.zeros((2, 6, 0))
+    y = np.array([[0.0, 1.0] * 3, [1.0, 1.0, 0.0, 1.0, 0.0, 1.0]])
+    _assert_batched_matches_per_cell(X, y, 0.1, 1e-4, 40, 1e-6)
+
+
 def test_minority_knn_orders_by_distance():
     M = np.array([[0.0], [3.0], [1.0], [7.0]])
     nbrs = kernels.minority_knn(M, 2)

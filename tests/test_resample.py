@@ -9,7 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from facetrec.errors import ConfigError, ValidationError
-from facetrec.resample import ResampleConfig, nearest_minority_neighbors, smote
+from facetrec.resample import ResampleConfig, nearest_minority_neighbors, resampled_labels, smote
 
 
 def make_data(n_min=4, n_maj=10, d=3, seed=0, minority_class=1):
@@ -118,6 +118,18 @@ def test_smote_errors():
         smote(X, np.array([1, 0, 1]), ResampleConfig(seed=0))
 
 
+@pytest.mark.parametrize(
+    "labels, message",
+    [([1, 1, 1, 1], "degenerate"), ([1, 0, 0, 0], "at least 2"), ([1, 2, 0, 0], "binary")],
+)
+def test_resampled_labels_raise_what_smote_raises(labels, message):
+    cfg = ResampleConfig(seed=0)
+    with pytest.raises(ValidationError, match=message):
+        smote(np.zeros((4, 2)), np.array(labels), cfg)
+    with pytest.raises(ValidationError, match=message):
+        resampled_labels(np.array(labels), cfg)
+
+
 def test_smote_is_deterministic_and_seed_sensitive():
     X, y = make_data(n_min=4, n_maj=9, seed=2)
     a1, _ = smote(X, y, ResampleConfig(seed=5))
@@ -155,6 +167,7 @@ def test_smote_works_when_majority_is_class_one():
     X_aug, y_aug = smote(X, y, ResampleConfig(seed=4))
     assert int((y_aug == 0).sum()) == 8
     assert np.all(y_aug[11:] == 0)
+    assert np.array_equal(resampled_labels(y, ResampleConfig(seed=4)), y_aug)
 
 
 @given(
@@ -171,6 +184,8 @@ def test_smote_count_arithmetic(n_min, extra, d, seed, ratio):
     X_aug, y_aug = smote(X, y, cfg)
     expected_min = max(n_min, math.floor(ratio * n_maj))
     assert int((y_aug == 1).sum()) == expected_min
+    labels = resampled_labels(y, cfg)
+    assert labels.dtype == y_aug.dtype and np.array_equal(labels, y_aug)
     assert int((y_aug == 0).sum()) == n_maj
     assert np.array_equal(X_aug[: len(y)], X)
 
