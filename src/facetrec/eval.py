@@ -148,7 +148,7 @@ class EvaluationReport:
 # cells this small. A 432x501 bag-of-words cell (1.7 MB) already keeps the
 # arithmetic busy, and stacking two of them spills a 2 MiB per-core L2 cache
 # (on a 2-core Xeon VM one such matvec takes 33 us, two stacked 131 us), so
-# it trains on its own.
+# it trains as a stack of one, which costs the same as the per-cell kernel.
 LR_GROUP_BYTES = 1 << 20
 
 
@@ -190,7 +190,7 @@ def _evaluate_facet(X, y, folds, n_folds, model_spec, resample_cfg, plan_seed, f
                 score(k, train_majority(y_aug, feature_dim=X.shape[1]))
                 continue
             X_aug, y_aug = smote(X[train_rows], y[train_rows], cfg)
-            if model_spec.kind != "logistic_regression" or X_aug.nbytes > LR_GROUP_BYTES:
+            if model_spec.kind != "logistic_regression":
                 score(k, train(model_spec, X_aug, y_aug))
                 continue
             X_aug, y_aug = lr_training_set(X_aug, y_aug)

@@ -113,11 +113,10 @@ def smote(X, y, cfg: ResampleConfig):
     minority rows to interpolate between.
     """
     y = np.asarray(y, dtype=np.int64)
-    _check_labels(y)
-    if y.ndim != 1 or len(y) != X.shape[0]:
+    if y.shape[:1] != X.shape[:1]:
         raise ValidationError("labels must be one per feature row")
-    Xd = _dense(X)
     y_aug = resampled_labels(y, cfg)
+    Xd = _dense(X)
     n_synth = len(y_aug) - len(y)
     if n_synth == 0:
         return Xd, y_aug

@@ -423,15 +423,30 @@ def test_single_class_lr_cell_names_its_own_fold(monkeypatch):
 
 
 def test_lr_group_budget_does_not_change_scores(monkeypatch):
-    # Imbalanced labels give SMOTE'd training splits of several shapes. A
-    # zero budget sends every cell alone through train(), the per-cell
-    # path; a one-cell budget makes groups of one; the 1 MiB default groups
-    # the five cells by shape.
+    # Imbalanced labels give SMOTE'd training splits of several shapes. The
+    # reference trains every cell alone with the per-cell numpy kernel. A
+    # zero budget makes stacks of one, as a 1.7 MB bag-of-words cell gets;
+    # the 1 MiB default groups the five cells by shape. Neither calls the
+    # per-cell kernel.
     rng = np.random.default_rng(3)
     X = rng.normal(size=(45, 6)) + (rng.random(45) < 0.3)[:, None]
     y = (rng.random(45) < 0.3).astype(np.int64)
     folds = make_folds({"Anxiety": y}, n_folds=5, seed=6).assignment["Anxiety"]
     spec = ModelSpec(kind="logistic_regression", lr=LRHyperparams(max_epochs=60))
+
+    def per_cell(X, y, *hyper):
+        fits = [kernels.logreg_descent_numpy(Xc, yc, *hyper) for Xc, yc in zip(X, y)]
+        W, B, losses, diverged = zip(*fits)
+        return np.stack(W), np.array(B), list(losses), np.array(diverged)
+
+    def no_per_cell(*args):
+        raise AssertionError("an LR cell left the batched path")
+
+    real = kernels.logreg_descent_batched
+    monkeypatch.setattr(kernels, "logreg_descent_batched", per_cell)
+    oracle = _evaluate(X, y, folds, spec)
+    monkeypatch.setattr(kernels, "logreg_descent_batched", real)
+    monkeypatch.setattr(kernels, "logreg_descent", no_per_cell)
     shapes = _record_batched(monkeypatch)
     default = eval_module.LR_GROUP_BYTES
 
@@ -440,11 +455,9 @@ def test_lr_group_budget_does_not_change_scores(monkeypatch):
         monkeypatch.setattr(eval_module, "LR_GROUP_BYTES", budget)
         return _evaluate(X, y, folds, spec)
 
-    per_cell = scores(0)
-    assert shapes == []
-    assert scores(2 * 45 * 6 * 8) == per_cell  # SMOTE'd splits are under 90 rows
+    assert scores(0) == oracle
     assert [s[0] for s in shapes] == [1] * 5
-    assert scores(default) == per_cell
+    assert scores(default) == oracle
     assert sum(s[0] for s in shapes) == 5 and 1 < len(shapes) == len({s[1:] for s in shapes})
 
 
