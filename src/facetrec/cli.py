@@ -304,6 +304,31 @@ def _model_desc(spec: ModelSpec) -> dict:
     return desc
 
 
+def _file_sha256(path: str | None) -> str:
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest() if path else "builtin-default"
+
+
+def _config_digest(cfg: ExperimentConfig, systems: list[dict]) -> str:
+    """sha256 over what determines a run's results.
+
+    Files enter by content, so the working directory and the paths used to
+    reach them do not matter, and neither do ``out`` and ``jobs``.
+    """
+    determinants = {
+        "corpus": _file_sha256(cfg.corpus),
+        "scoring_key": _file_sha256(cfg.scoring_key),
+        "normalization": _file_sha256(cfg.normalization),
+        "seed": cfg.seed,
+        "folds": cfg.folds,
+        "smote": {"k_neighbors": cfg.smote_k, "target_ratio": cfg.smote_ratio},
+        "systems": [
+            dict(s, features={k: v for k, v in s["features"].items() if k != "path"})
+            for s in systems
+        ],
+    }
+    return hashlib.sha256(json.dumps(determinants, sort_keys=True).encode("utf-8")).hexdigest()
+
+
 def cmd_run(args) -> int:
     config_path = Path(args.config)
     try:
@@ -354,6 +379,14 @@ def cmd_run(args) -> int:
             )
         )
     merged = combine_reports(reports)
+    systems = [
+        {
+            "name": sysres.name,
+            "model": _model_desc(syscfg.model_spec),
+            "features": sysres.feature_ref,
+        }
+        for syscfg, sysres in zip(cfg.systems, merged.systems)
+    ]
 
     config_section = {
         "corpus": cfg.corpus,
@@ -365,9 +398,7 @@ def cmd_run(args) -> int:
         "smote": {"k_neighbors": cfg.smote_k, "target_ratio": cfg.smote_ratio},
         "out": cfg.out,
     }
-    digest = hashlib.sha256(
-        json.dumps(config_section, sort_keys=True).encode("utf-8")
-    ).hexdigest()
+    digest = _config_digest(cfg, systems)
     merged.provenance.update(seed=cfg.seed, config_digest=digest)
 
     wins = merged.wins()
@@ -380,14 +411,7 @@ def cmd_run(args) -> int:
             "degenerate_facets": list(corpus.degenerate),
             "label_thresholds": {k: float(v) for k, v in corpus.label_thresholds.items()},
         },
-        "systems": [
-            {
-                "name": sysres.name,
-                "model": _model_desc(syscfg.model_spec),
-                "features": sysres.feature_ref,
-            }
-            for syscfg, sysres in zip(cfg.systems, merged.systems)
-        ],
+        "systems": systems,
         "results": {
             "overall": {s.name: merged.overall(s) for s in merged.systems},
             "wins": {name: int(n) for name, n in wins.items()},

@@ -123,6 +123,41 @@ def test_rerun_is_byte_identical(bundle, run_dir, tmp_path, capsys):
         assert (out / name).read_bytes() == (run_dir / name).read_bytes()
 
 
+def _digest(out: Path) -> str:
+    return yaml.safe_load((out / "manifest.yaml").read_text(encoding="utf-8"))["config_digest"]
+
+
+def test_config_digest_ignores_cwd_out_and_jobs(bundle, tmp_path, monkeypatch, capsys):
+    # The first run reaches every file by a path relative to the bundle; the
+    # others by absolute paths, the last in two worker processes.
+    runs = [(bundle, "config.yaml", "1"), (tmp_path, str(bundle / "config.yaml"), "1")]
+    runs.append((tmp_path, str(bundle / "config.yaml"), "2"))
+    digests = []
+    for i, (cwd, config, jobs) in enumerate(runs):
+        monkeypatch.chdir(cwd)
+        out = tmp_path / f"run{i}"
+        assert main(["run", "--config", config, "--folds", "3", "--jobs", jobs, "--out", str(out)]) == 0
+        digests.append(_digest(out))
+    assert (tmp_path / "run0" / "report.csv").read_bytes() == (tmp_path / "run2" / "report.csv").read_bytes()
+    assert len(digests[0]) == 64 and digests[0] == digests[1] == digests[2]
+
+
+def test_config_digest_covers_the_system_list(bundle, tmp_path, capsys):
+    data = yaml.safe_load((bundle / "config.yaml").read_text(encoding="utf-8"))
+    baseline, bow_nb = data["systems"][:2]
+    smoothed = dict(bow_nb, model={"kind": "naive_bayes", "alpha": 0.5})
+    # Only the system list changes between the runs, not even `out`.
+    out = tmp_path / "run"
+    args = ["--corpus", str(bundle / "corpus.jsonl"), "--folds", "3", "--out", str(out)]
+    digests = set()
+    for systems in ([baseline], [baseline, bow_nb], [baseline, smoothed]):
+        cfg = tmp_path / "systems.yaml"
+        cfg.write_text(yaml.safe_dump(dict(data, systems=systems)), encoding="utf-8")
+        assert main(["run", "--config", str(cfg), *args]) == 0
+        digests.add(_digest(out))
+    assert len(digests) == 3
+
+
 def test_report_rerenders_both_formats(run_dir, capsys):
     rc = main(["report", "--csv", str(run_dir / "report.csv")])
     assert rc == 0

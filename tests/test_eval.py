@@ -435,7 +435,7 @@ def test_lr_group_budget_does_not_change_scores(monkeypatch):
     spec = ModelSpec(kind="logistic_regression", lr=LRHyperparams(max_epochs=60))
 
     def per_cell(X, y, *hyper):
-        fits = [kernels.logreg_descent_numpy(Xc, yc, *hyper) for Xc, yc in zip(X, y)]
+        fits = [kernels.logreg_descent(Xc, yc, *hyper) for Xc, yc in zip(X, y)]
         W, B, losses, diverged = zip(*fits)
         return np.stack(W), np.array(B), list(losses), np.array(diverged)
 

@@ -1,10 +1,13 @@
 from __future__ import annotations
 
-import subprocess
-import sys
-
 import numpy as np
 import pytest
+from loop_oracles import (
+    interpolate_rows_loops,
+    logreg_descent_loops,
+    logreg_loss_grad_loops,
+    minority_knn_loops,
+)
 
 from facetrec import kernels
 
@@ -21,8 +24,8 @@ def test_loss_grad_paths_agree():
     X, y = _problem(1)
     w = np.random.default_rng(2).normal(size=X.shape[1])
     b = 0.37
-    l_np, gw_np, gb_np = kernels.logreg_loss_grad_numpy(X, y, w, b, 1e-3)
-    l_lp, gw_lp, gb_lp = kernels._logreg_loss_grad_loops(X, y, w, b, 1e-3)
+    l_np, gw_np, gb_np = kernels.logreg_loss_grad(X, y, w, b, 1e-3)
+    l_lp, gw_lp, gb_lp = logreg_loss_grad_loops(X, y, w, b, 1e-3)
     assert l_np == pytest.approx(l_lp, rel=1e-12)
     assert np.allclose(gw_np, gw_lp, rtol=1e-12, atol=1e-14)
     assert gb_np == pytest.approx(gb_lp, rel=1e-12, abs=1e-14)
@@ -31,8 +34,8 @@ def test_loss_grad_paths_agree():
 def test_descent_paths_agree():
     X, y = _problem(3)
     args = (X, y, 0.1, 1e-4, 80, 0.0)
-    w1, b1, losses1, div1 = kernels.logreg_descent_numpy(*args)
-    w2, b2, losses2, count, div2 = kernels._logreg_descent_loops(*args)
+    w1, b1, losses1, div1 = kernels.logreg_descent(*args)
+    w2, b2, losses2, count, div2 = logreg_descent_loops(*args)
     assert div1 is False and not div2
     assert count == len(losses1)
     assert np.allclose(w1, w2, rtol=1e-10, atol=1e-12)
@@ -70,7 +73,7 @@ def _assert_batched_matches_per_cell(X, y, learning_rate, l2, max_epochs, tol):
     W, B, losses, diverged = kernels.logreg_descent_batched(X, y, learning_rate, l2, max_epochs, tol)
     assert W.shape == (len(X), X.shape[2]) and B.shape == diverged.shape == (len(X),)
     for i in range(len(X)):
-        w, b, hist, div = kernels.logreg_descent_numpy(X[i], y[i], learning_rate, l2, max_epochs, tol)
+        w, b, hist, div = kernels.logreg_descent(X[i], y[i], learning_rate, l2, max_epochs, tol)
         assert len(losses[i]) == len(hist), i
         assert np.allclose(W[i], w, rtol=0, atol=1e-12), i
         assert abs(B[i] - b) <= 1e-12, i
@@ -122,8 +125,18 @@ def test_minority_knn_breaks_ties_toward_lower_index():
     M = np.array([[0.0], [1.0], [-1.0], [1.0]])
     nbrs = kernels.minority_knn(M, 3)
     assert nbrs[0].tolist() == [1, 2, 3]
-    assert np.array_equal(kernels.minority_knn_numpy(M, 3), nbrs)
-    assert np.array_equal(kernels._minority_knn_loops(M, 3), nbrs)
+    assert np.array_equal(minority_knn_loops(M, 3), nbrs)
+
+
+@pytest.mark.parametrize("grid", [False, True])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_minority_knn_matches_loop_oracle_with_ties(seed, grid):
+    # Duplicated rows tie at distance 0; small-integer coordinates ("grid")
+    # also tie at equal nonzero distances. Ties must break the same way.
+    rng = np.random.default_rng(seed)
+    M = rng.integers(0, 3, size=(30, 7)).astype(np.float64) if grid else rng.normal(size=(30, 7))
+    M[[4, 17, 23, 29]] = M[[9, 9, 2, 11]]
+    assert np.array_equal(kernels.minority_knn(M, 5), minority_knn_loops(M, 5))
 
 
 def test_minority_knn_clips_k():
@@ -146,48 +159,14 @@ def test_interpolate_paths_agree_exactly():
     n = rng.integers(0, 7, size=11)
     g = rng.random(11)
     assert np.array_equal(
-        kernels.interpolate_rows_numpy(M, s, n, g),
-        kernels._interpolate_rows_loops(M, s, n, g),
+        kernels.interpolate_rows(M, s, n, g),
+        interpolate_rows_loops(M, s, n, g),
     )
 
 
-def _run_probe(child_env, env_value):
-    code = (
-        "from facetrec import kernels; "
-        "print(kernels.BACKEND, kernels.logreg_loss_grad_numba is not None)"
-    )
-    return subprocess.run(
-        [sys.executable, "-c", code],
-        capture_output=True,
-        text=True,
-        env=child_env(FACETREC_BACKEND=env_value),
-    )
-
-
-def test_env_flag_selects_numpy_backend(child_env):
-    proc = _run_probe(child_env, "numpy")
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["numpy", "False"]
-
-
-def test_env_flag_selects_numba_backend(child_env):
-    pytest.importorskip("numba")
-    proc = _run_probe(child_env, "numba")
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["numba", "True"]
-
-
-def test_env_flag_rejects_unknown_backend(child_env):
-    proc = _run_probe(child_env, "bogus")
-    assert proc.returncode != 0
-    assert "FACETREC_BACKEND" in proc.stderr
-
-
-def test_dispatchers_accept_lists_and_sparse():
-    import scipy.sparse as sp
-
-    X = sp.csr_matrix(np.array([[1.0, 0.0], [0.0, 2.0], [1.0, 1.0], [2.0, 0.0]]))
+def test_descent_accepts_list_labels_and_dense_rows():
+    X = np.array([[1.0, 0.0], [0.0, 2.0], [1.0, 1.0], [2.0, 0.0]])
     y = [0, 1, 0, 1]
-    w, b, losses, diverged = kernels.logreg_descent(X.toarray(), y, 0.1, 0.0, 5, 0.0)
+    w, b, losses, diverged = kernels.logreg_descent(X, y, 0.1, 0.0, 5, 0.0)
     assert w.shape == (2,)
     assert not diverged
