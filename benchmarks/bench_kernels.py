@@ -1,8 +1,9 @@
-"""Per-cell against batched logistic-regression descent.
+"""One-cell stacks against one stack of logistic-regression descents.
 
-Times 100 descents on cells of the demo shape (54 x 50): one
-logreg_descent call per cell against one logreg_descent_batched call for
-all of them, and prints the best-of wall times.
+Times 100 descents on cells of the demo shape (54 x 50): 100
+logreg_descent calls, each training its cell as a batched stack of one,
+against one logreg_descent_batched call that stacks all of them, and
+prints the best-of wall times.
 
 Run from the repository root:
 
@@ -42,13 +43,13 @@ def main() -> int:
     yc = (rng.random((cells, 54)) < 0.5).astype(np.float64)
     descent = (0.1, 1e-4, args.epochs, 0.0)
 
-    def per_cell():
+    def one_cell_stacks():
         for i in range(cells):
             kernels.logreg_descent(Xc[i], yc[i], *descent)
 
-    t_cells = best_of(per_cell, (), args.repeat)
+    t_cells = best_of(one_cell_stacks, (), args.repeat)
     t_batch = best_of(kernels.logreg_descent_batched, (Xc, yc, *descent), args.repeat)
-    header = f"{'kernel':<28} {'cells ms':>10} {'batch ms':>10} {'speedup':>9}"
+    header = f"{'kernel':<28} {'1-cell ms':>10} {'stack ms':>10} {'speedup':>9}"
     print(header)
     print("-" * len(header))
     name = f"batched descent ({cells}x54x50)"

@@ -43,10 +43,8 @@ from .features import (
     Vocabulary,
     avg_vectorize,
     bow_matrix,
-    bow_vectorize,
     build_vocabulary,
     embedding_matrix,
-    generate_synthetic_embeddings,
     load_embeddings,
     realize_features,
     write_embeddings,
@@ -74,7 +72,7 @@ from .models import (
     train_majority,
     train_naive_bayes,
 )
-from .resample import ResampleConfig, nearest_minority_neighbors, smote
+from .resample import ResampleConfig, smote
 from .synth import SynthSpec, write_bundle
 
 __version__ = "0.1.0"
@@ -110,7 +108,6 @@ __all__ = [
     "assign_labels",
     "avg_vectorize",
     "bow_matrix",
-    "bow_vectorize",
     "build_documents",
     "build_vocabulary",
     "combine_reports",
@@ -119,14 +116,12 @@ __all__ = [
     "embedding_matrix",
     "f1_binary",
     "f1_macro",
-    "generate_synthetic_embeddings",
     "load_corpus",
     "load_embeddings",
     "load_model",
     "load_normalization_table",
     "load_scoring_key",
     "make_folds",
-    "nearest_minority_neighbors",
     "normalize",
     "parse_report_csv",
     "predict",

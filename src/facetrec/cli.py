@@ -104,23 +104,29 @@ def _require_int(value, name: str) -> int:
     return value
 
 
+def _require_number(value, name: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{name} must be a number, got {value!r}")
+    return float(value)
+
+
 def _parse_model(raw) -> ModelSpec:
     if isinstance(raw, str):
         return ModelSpec(kind=raw)
     if not isinstance(raw, dict) or "kind" not in raw:
         raise ConfigError(f"model must be a kind name or a mapping with 'kind', got {raw!r}")
     kind = raw["kind"]
-    alpha = raw.get("alpha", 1.0)
+    alpha = _require_number(raw.get("alpha", 1.0), "alpha")
     lr = LRHyperparams(
-        learning_rate=float(raw.get("learning_rate", 0.1)),
-        l2=float(raw.get("l2", 1e-4)),
+        learning_rate=_require_number(raw.get("learning_rate", 0.1), "learning_rate"),
+        l2=_require_number(raw.get("l2", 1e-4), "l2"),
         max_epochs=_require_int(raw.get("max_epochs", 500), "max_epochs"),
-        tol=float(raw.get("tol", 1e-5)),
+        tol=_require_number(raw.get("tol", 1e-5), "tol"),
     )
     unknown = set(raw) - {"kind", "alpha", "learning_rate", "l2", "max_epochs", "tol"}
     if unknown:
         raise ConfigError(f"unknown model options: {', '.join(sorted(unknown))}")
-    return ModelSpec(kind=kind, alpha=float(alpha), lr=lr)
+    return ModelSpec(kind=kind, alpha=alpha, lr=lr)
 
 
 def _parse_features(raw, base_dir: Path, default_vocab: int):
@@ -131,9 +137,12 @@ def _parse_features(raw, base_dir: Path, default_vocab: int):
         unknown = set(raw) - {"kind", "vocab_size", "binary"}
         if unknown:
             raise ConfigError(f"unknown bow options: {', '.join(sorted(unknown))}")
+        binary = raw.get("binary", False)
+        if not isinstance(binary, bool):
+            raise ConfigError(f"binary must be true or false, got {binary!r}")
         return BowSpec(
             vocab_size=_require_int(raw.get("vocab_size", default_vocab), "vocab_size"),
-            binary=bool(raw.get("binary", False)),
+            binary=binary,
         )
     if kind == "embeddings":
         unknown = set(raw) - {"kind", "path", "flavor"}
@@ -264,7 +273,7 @@ def parse_experiment_config(data: dict, base_dir: Path, overrides: dict) -> Expe
         folds=_require_int(folds, "folds"),
         jobs=_require_int(jobs, "jobs"),
         smote_k=_require_int(smote_k, "smote_k"),
-        smote_ratio=float(smote_ratio),
+        smote_ratio=_require_number(smote_ratio, "smote.target_ratio"),
         out=out,
         systems=tuple(systems),
     )
@@ -399,7 +408,6 @@ def cmd_run(args) -> int:
         "out": cfg.out,
     }
     digest = _config_digest(cfg, systems)
-    merged.provenance.update(seed=cfg.seed, config_digest=digest)
 
     wins = merged.wins()
     manifest = {
@@ -560,11 +568,17 @@ def cmd_predict(args) -> int:
     records = load_corpus(args.corpus)
     docs = build_documents(records, table)
     token_seqs = [tokens for _, tokens in docs]
+
+    def ref_field(key):
+        if key not in ref:
+            raise ConfigError(f"model file's {ref['kind']} feature reference lacks {key!r}")
+        return ref[key]
+
     if ref["kind"] == "bow":
-        vocab = Vocabulary(entries=tuple((str(t), int(f)) for t, f in ref["vocab"]))
+        vocab = Vocabulary(entries=tuple((str(t), int(f)) for t, f in ref_field("vocab")))
         X = bow_matrix(token_seqs, vocab, binary=bool(ref.get("binary", False)))
     elif ref["kind"] == "embeddings":
-        store = load_embeddings(ref["path"], ref["flavor"])
+        store = load_embeddings(ref_field("path"), ref_field("flavor"))
         if store.fingerprint != ref.get("file_sha256"):
             raise ConfigError(
                 f"embedding file {ref['path']} changed since training "

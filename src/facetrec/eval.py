@@ -11,7 +11,8 @@ from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
@@ -106,23 +107,17 @@ class SystemResult:
     """Per-fold macro-F1 of one (features, model) system, keyed by facet."""
 
     name: str
-    model_kind: str
     feature_ref: dict
     fold_f1: dict[str, tuple[float, ...]]
 
 
 @dataclass
 class EvaluationReport:
-    """Fold scores for one or more systems over the same facets and folds.
-
-    provenance carries run metadata (seed, config digest and similar); it is
-    in-memory context and is not written into report files.
-    """
+    """Fold scores for one or more systems over the same facets and folds."""
 
     facets: tuple[str, ...]
     n_folds: int
     systems: tuple[SystemResult, ...]
-    provenance: dict = field(default_factory=dict)
 
     def facet_mean(self, system: SystemResult, facet: str) -> float:
         return float(np.mean(system.fold_f1[facet]))
@@ -148,11 +143,12 @@ class EvaluationReport:
 # cells this small. A 432x501 bag-of-words cell (1.7 MB) already keeps the
 # arithmetic busy, and stacking two of them spills a 2 MiB per-core L2 cache
 # (on a 2-core Xeon VM one such matvec takes 33 us, two stacked 131 us), so
-# it trains as a stack of one, which costs the same as the per-cell kernel.
+# it trains as a stack of one.
 LR_GROUP_BYTES = 1 << 20
 
 
-def _evaluate_facet(X, y, folds, n_folds, model_spec, resample_cfg, plan_seed, facet, facet_idx):
+def _evaluate_facet(X, n_folds, model_spec, resample_cfg, plan_seed, facet, y, folds):
+    facet_idx = FACET_NAMES.index(facet)
     scores = [0.0] * n_folds
     groups: dict[tuple[int, int], list] = {}  # LR cells by training-set shape
 
@@ -203,14 +199,6 @@ def _evaluate_facet(X, y, folds, n_folds, model_spec, resample_cfg, plan_seed, f
     return tuple(scores)
 
 
-def _facet_task(payload):
-    # Top-level so it can cross a process boundary when jobs > 1.
-    return payload[7], _evaluate_facet(
-        payload[0], payload[1], payload[2], payload[3],
-        payload[4], payload[5], payload[6], payload[7], payload[8],
-    )
-
-
 def run_experiment(
     corpus,
     feature_spec,
@@ -241,36 +229,16 @@ def run_experiment(
     X, ref, _ = realize_features(feature_spec, corpus)
     name = system_name or model_spec.kind
 
-    payloads = [
-        (
-            X,
-            corpus.labels(facet),
-            plan.assignment[facet],
-            plan.n_folds,
-            model_spec,
-            resample_cfg,
-            plan.seed,
-            facet,
-            FACET_NAMES.index(facet),
-        )
-        for facet in facets
-    ]
+    task = partial(_evaluate_facet, X, plan.n_folds, model_spec, resample_cfg, plan.seed)
+    args = (facets, [corpus.labels(f) for f in facets], [plan.assignment[f] for f in facets])
     if jobs == 1:
-        fold_f1 = {p[7]: _evaluate_facet(*p) for p in payloads}
+        scores = list(map(task, *args))
     else:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            done = dict(pool.map(_facet_task, payloads))
-        fold_f1 = {facet: done[facet] for facet in facets}
+            scores = list(pool.map(task, *args))
 
-    result = SystemResult(
-        name=name, model_kind=model_spec.kind, feature_ref=ref, fold_f1=fold_f1
-    )
-    return EvaluationReport(
-        facets=facets,
-        n_folds=plan.n_folds,
-        systems=(result,),
-        provenance={"seed": plan.seed},
-    )
+    result = SystemResult(name=name, feature_ref=ref, fold_f1=dict(zip(facets, scores)))
+    return EvaluationReport(facets=facets, n_folds=plan.n_folds, systems=(result,))
 
 
 def combine_reports(reports) -> EvaluationReport:
@@ -289,12 +257,7 @@ def combine_reports(reports) -> EvaluationReport:
                 raise ValidationError(f"duplicate system name {system.name!r}")
             names.add(system.name)
             systems.append(system)
-    return EvaluationReport(
-        facets=first.facets,
-        n_folds=first.n_folds,
-        systems=tuple(systems),
-        provenance=dict(first.provenance),
-    )
+    return EvaluationReport(facets=first.facets, n_folds=first.n_folds, systems=tuple(systems))
 
 
 def render_report(report: EvaluationReport, fmt: str = "text") -> str:
@@ -361,7 +324,6 @@ def parse_report_csv(text: str) -> EvaluationReport:
     fold_rows: dict[str, dict[str, dict[int, float]]] = {}
     system_order: list[str] = []
     facet_order: list[str] = []
-    kinds: dict[str, str] = {}
     max_fold = -1
     for ln_no, line in enumerate(lines[1:], start=2):
         parts = line.split(",")
@@ -400,14 +362,7 @@ def parse_report_csv(text: str) -> EvaluationReport:
                     f"report CSV: system {name!r} facet {facet!r} has incomplete folds"
                 )
             per_facet[facet] = tuple(folds[k] for k in range(n_folds))
-        systems.append(
-            SystemResult(
-                name=name,
-                model_kind=kinds.get(name, "unknown"),
-                feature_ref={},
-                fold_f1=per_facet,
-            )
-        )
+        systems.append(SystemResult(name=name, feature_ref={}, fold_f1=per_facet))
     return EvaluationReport(
         facets=tuple(facet_order), n_folds=n_folds, systems=tuple(systems)
     )

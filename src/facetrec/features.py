@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import hashlib
 import logging
-import math
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -18,7 +17,6 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import ConfigError, ValidationError
-from .seeding import STREAM_SYNTH, check_seed, substream
 
 log = logging.getLogger(__name__)
 
@@ -68,20 +66,6 @@ def build_vocabulary(corpus, vocab_size: int = DEFAULT_VOCAB_SIZE) -> Vocabulary
         raise ValidationError("cannot build a vocabulary from an empty corpus")
     ordered = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
     return Vocabulary(entries=tuple(ordered[:vocab_size]))
-
-
-def bow_vectorize(tokens, vocab: Vocabulary, binary: bool = False) -> sp.csr_matrix:
-    """Sparse 1-row count vector; out-of-vocabulary tokens are ignored."""
-    counts: Counter[int] = Counter()
-    for tok in tokens:
-        j = vocab.index.get(tok)
-        if j is not None:
-            counts[j] += 1
-    cols = sorted(counts)
-    data = [1.0 if binary else float(counts[j]) for j in cols]
-    return sp.csr_matrix(
-        (data, cols, [0, len(cols)]), shape=(1, len(vocab)), dtype=np.float64
-    )
 
 
 def bow_matrix(token_seqs, vocab: Vocabulary, binary: bool = False) -> sp.csr_matrix:
@@ -241,42 +225,6 @@ def embedding_matrix(token_seqs, store: EmbeddingStore) -> np.ndarray:
     if total:
         log.debug("embedding OOV rate: %.4f (%d of %d tokens)", misses / total, misses, total)
     return X
-
-
-def generate_synthetic_embeddings(
-    tokens, dim: int, seed: int, flavor: str = "skip"
-) -> EmbeddingStore:
-    """Deterministic pseudo-random unit vectors, one per token.
-
-    Reproducible from (seed, token order); useful as a stand-in where real
-    pre-trained vectors are not available.
-    """
-    _check_flavor(flavor)
-    check_seed(seed)
-    if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
-        raise ConfigError(f"dimension must be a positive integer, got {dim!r}")
-    rng = substream(seed, STREAM_SYNTH)
-    vectors: dict[str, np.ndarray] = {}
-    for token in tokens:
-        if token in vectors:
-            raise ValidationError(f"duplicate token {token!r}")
-        vec = rng.standard_normal(dim)
-        norm = math.sqrt(float(vec @ vec))
-        while norm == 0.0:  # vanishing draws are all but impossible, retry anyway
-            vec = rng.standard_normal(dim)
-            norm = math.sqrt(float(vec @ vec))
-        vectors[token] = vec / norm
-    h = hashlib.sha256()
-    for token in vectors:
-        h.update(token.encode("utf-8"))
-        h.update(b"\n")
-    return EmbeddingStore(
-        dim=dim,
-        vectors=vectors,
-        flavor=flavor,
-        source=f"synthetic(seed={seed}, dim={dim})",
-        fingerprint="synth-" + h.hexdigest(),
-    )
 
 
 @dataclass(frozen=True)

@@ -4,15 +4,13 @@ Each kernel has one vectorized numpy implementation. The public functions
 coerce their inputs to contiguous float64 (int64 for row positions) once
 and then run the numpy code, so lists and other array-likes are accepted.
 
-``logreg_descent_batched`` trains a stack of same-shape cells in one numpy
-loop, with the update rules of ``logreg_descent``; the tests hold each cell
-to that kernel's result within 1e-12. The tests also keep plain-Python loop
-versions of the kernels as reference implementations.
+Logistic regression has one loss/gradient and one descent loop, both over
+a stack of same-shape cells; ``logreg_loss_grad`` and ``logreg_descent``
+run them on a stack of one. The tests keep a per-cell numpy descent and
+plain-Python loop versions of the kernels as reference implementations.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -30,22 +28,12 @@ def _f64(a):
 # overflow-safe form max(z, 0) + log1p(exp(-|z|)).
 
 
-def _logreg_loss_grad(X, y, w, b, l2):
-    n = X.shape[0]
-    z = X @ w + b
-    e = np.exp(-np.abs(z))
-    loss = float(np.mean(np.maximum(z, 0.0) + np.log1p(e) - y * z))
-    loss += 0.5 * l2 * float(w @ w)
-    p = np.where(z >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e))
-    r = (p - y) / n
-    gw = X.T @ r + l2 * w
-    gb = float(r.sum())
-    return loss, gw, gb
-
-
 def logreg_loss_grad(X, y, w, b, l2):
     """Loss, weight gradient and bias gradient at (w, b)."""
-    return _logreg_loss_grad(_f64(X), _f64(y), _f64(w), float(b), float(l2))
+    loss, gw, gb = _logreg_loss_grad_batched(
+        _f64(X)[None], _f64(y)[None], _f64(w)[None], np.array([float(b)]), float(l2)
+    )
+    return float(loss[0]), gw[0], float(gb[0])
 
 
 def logreg_descent(X, y, learning_rate, l2, max_epochs, tol):
@@ -56,29 +44,15 @@ def logreg_descent(X, y, learning_rate, l2, max_epochs, tol):
     Stops early when the gradient max-norm over (w, b) drops below ``tol``
     or the loss becomes non-finite (``diverged=True``).
     """
-    X, y = _f64(X), _f64(y)
-    learning_rate, l2, max_epochs, tol = float(learning_rate), float(l2), int(max_epochs), float(tol)
-    n, d = X.shape
-    w = np.zeros(d)
-    b = 0.0
-    losses = np.empty(max_epochs + 1)
-    for epoch in range(max_epochs):
-        loss, gw, gb = _logreg_loss_grad(X, y, w, b, l2)
-        losses[epoch] = loss
-        if not math.isfinite(loss):
-            return w, b, losses[: epoch + 1], True
-        gnorm = max(float(np.max(np.abs(gw))) if d else 0.0, abs(gb))
-        if gnorm < tol:
-            return w, b, losses[: epoch + 1], False
-        w = w - learning_rate * gw
-        b = b - learning_rate * gb
-    loss, _, _ = _logreg_loss_grad(X, y, w, b, l2)
-    losses[max_epochs] = loss
-    return w, b, losses, not math.isfinite(loss)
+    W, B, losses, diverged = logreg_descent_batched(
+        _f64(X)[None], _f64(y)[None], learning_rate, l2, max_epochs, tol
+    )
+    return W[0], float(B[0]), losses[0], bool(diverged[0])
 
 
 def _logreg_loss_grad_batched(X, y, w, b, l2):
-    # _logreg_loss_grad for every cell of a (cells, rows, dim) stack.
+    # Loss, weight and bias gradients of every cell of a (cells, rows, dim)
+    # stack, at that cell's (w, b).
     n = X.shape[1]
     z = (X @ w[:, :, None])[:, :, 0] + b[:, None]
     e = np.exp(-np.abs(z))
@@ -92,16 +66,16 @@ def _logreg_loss_grad_batched(X, y, w, b, l2):
 
 
 def logreg_descent_batched(X, y, learning_rate, l2, max_epochs, tol):
-    """logreg_descent on every cell of a stack, in one loop.
+    """Gradient descent from zero init on every cell of a stack, in one loop.
 
     ``X`` is (cells, rows, dim) and ``y`` is (cells, rows). Returns
     (W, B, losses, diverged): (cells, dim) weights, (cells,) biases, a list
-    with each cell's loss history, and a (cells,) bool array. Every cell
-    stops by the per-cell rules, at the same epoch and with the same
-    history length as logreg_descent on that cell alone. A stopped
-    cell leaves the stack, so the rest carry on without it.
+    with each cell's loss history, and a (cells,) bool array. Each cell
+    stops by the rules of ``logreg_descent``, at the epoch it would stop at
+    alone. A stopped cell leaves the stack, so the rest carry on without it.
     """
     X, y = _f64(X), _f64(y)
+    learning_rate, l2, max_epochs, tol = float(learning_rate), float(l2), int(max_epochs), float(tol)
     cells, _, d = X.shape
     W = np.zeros((cells, d))
     B = np.zeros(cells)

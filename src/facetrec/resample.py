@@ -51,27 +51,6 @@ def _check_labels(y: np.ndarray) -> None:
         raise ValidationError(f"labels must be binary 0/1, got values {sorted(vals)}")
 
 
-def nearest_minority_neighbors(X, y, i: int, k: int) -> np.ndarray:
-    """Indices of the k minority rows nearest row i (itself minority).
-
-    Euclidean distance; ties resolve toward the lower original index. When
-    fewer than k other minority rows exist, all of them are returned.
-    """
-    y = np.asarray(y)
-    _check_labels(y)
-    if k < 1:
-        raise ConfigError(f"k must be at least 1, got {k}")
-    if not 0 <= i < len(y):
-        raise ValidationError(f"row {i} out of range")
-    members = np.flatnonzero(y == y[i])
-    if len(members) < 2:
-        raise ValidationError("row has no same-class neighbor")
-    Xd = _dense(X)
-    pos = int(np.flatnonzero(members == i)[0])
-    nbr_pos = kernels.minority_knn(Xd[members], k)[pos]
-    return members[nbr_pos]
-
-
 def resampled_labels(y, cfg: ResampleConfig) -> np.ndarray:
     """The labels smote returns for training labels y, without the rows.
 

@@ -1,10 +1,14 @@
-"""Plain-Python loop versions of the numeric kernels in ``facetrec.kernels``.
+"""Reference versions of the numeric kernels in ``facetrec.kernels``.
 
-Every sum runs element by element in a fixed order, so these are slow but
-easy to check by eye. ``test_kernels.py`` holds the vectorized kernels to
-them: exactly for neighbour search and interpolation, within stated
-tolerances for the logistic-regression arithmetic, whose summation order
-differs.
+The ``_loops`` functions run every sum element by element in a fixed order,
+so they are slow but easy to check by eye. ``test_kernels.py`` holds the
+vectorized kernels to them: exactly for neighbour search and interpolation,
+within stated tolerances for the logistic-regression arithmetic, whose
+summation order differs.
+
+``logreg_descent_numpy`` is gradient descent on one cell with numpy
+vectors, with no stacking. The tests hold every cell of a batched descent
+to it within 1e-12.
 """
 
 from __future__ import annotations
@@ -74,6 +78,41 @@ def logreg_descent_loops(X, y, learning_rate, l2, max_epochs, tol):
     count = max_epochs + 1
     diverged = not math.isfinite(loss)
     return w, b, losses, count, diverged
+
+
+def logreg_loss_grad_numpy(X, y, w, b, l2):
+    n = X.shape[0]
+    z = X @ w + b
+    e = np.exp(-np.abs(z))
+    loss = float(np.mean(np.maximum(z, 0.0) + np.log1p(e) - y * z))
+    loss += 0.5 * l2 * float(w @ w)
+    p = np.where(z >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e))
+    r = (p - y) / n
+    gw = X.T @ r + l2 * w
+    gb = float(r.sum())
+    return loss, gw, gb
+
+
+def logreg_descent_numpy(X, y, learning_rate, l2, max_epochs, tol):
+    """Returns (w, b, losses, diverged) as kernels.logreg_descent does."""
+    X, y = np.asarray(X, dtype=np.float64), np.asarray(y, dtype=np.float64)
+    n, d = X.shape
+    w = np.zeros(d)
+    b = 0.0
+    losses = np.empty(max_epochs + 1)
+    for epoch in range(max_epochs):
+        loss, gw, gb = logreg_loss_grad_numpy(X, y, w, b, l2)
+        losses[epoch] = loss
+        if not math.isfinite(loss):
+            return w, b, losses[: epoch + 1], True
+        gnorm = max(float(np.max(np.abs(gw))) if d else 0.0, abs(gb))
+        if gnorm < tol:
+            return w, b, losses[: epoch + 1], False
+        w = w - learning_rate * gw
+        b = b - learning_rate * gb
+    loss, _, _ = logreg_loss_grad_numpy(X, y, w, b, l2)
+    losses[max_epochs] = loss
+    return w, b, losses, not math.isfinite(loss)
 
 
 def minority_knn_loops(M, k):

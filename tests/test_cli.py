@@ -220,6 +220,35 @@ def test_config_rejects_duplicate_system_names(bundle, tmp_path, capsys):
     assert "duplicate name" in err
 
 
+@pytest.mark.parametrize(
+    "section, key, value, message",
+    [
+        ("model", "learning_rate", "fast", "learning_rate must be a number, got 'fast'"),
+        ("model", "l2", "fast", "l2 must be a number, got 'fast'"),
+        ("model", "tol", "fast", "tol must be a number, got 'fast'"),
+        ("model", "alpha", "fast", "alpha must be a number, got 'fast'"),
+        ("smote", "target_ratio", "fast", "smote.target_ratio must be a number, got 'fast'"),
+        ("features", "binary", "false", "binary must be true or false, got 'false'"),
+    ],
+    ids=["learning_rate", "l2", "tol", "alpha", "smote.target_ratio", "binary"],
+)
+def test_config_values_of_the_wrong_type_name_their_key(bundle, tmp_path, capsys, section, key, value, message):
+    data = yaml.safe_load((bundle / "config.yaml").read_text(encoding="utf-8"))
+    system = {"name": "s", "model": {"kind": "logistic_regression"}, "features": {"kind": "bow"}}
+    if section == "smote":
+        data["smote"] = {key: value}
+    else:
+        system[section][key] = value
+    data["systems"] = [system]
+    cfg = tmp_path / "typed.yaml"
+    cfg.write_text(yaml.safe_dump(data), encoding="utf-8")
+    rc = main(["run", "--config", str(cfg), "--out", str(tmp_path / "r")])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("facetrec: ConfigError:")
+    assert message in err
+
+
 def test_train_then_predict_round_trip(bundle, tmp_path, capsys):
     model_path = tmp_path / "anxiety-nb.json"
     rc = main(
@@ -323,6 +352,34 @@ def test_predict_needs_a_feature_reference(bundle, tmp_path, capsys):
     err = capsys.readouterr().err
     assert rc == 1
     assert "lacks a feature reference" in err
+
+
+@pytest.mark.parametrize(
+    "features, key", [("bow", "vocab"), ("embeddings", "path"), ("embeddings", "flavor")]
+)
+def test_predict_names_a_missing_feature_reference_field(bundle, tmp_path, capsys, features, key):
+    model_path = tmp_path / "m.json"
+    rc = main(
+        [
+            "train",
+            "--corpus", str(bundle / "corpus.jsonl"),
+            "--facet", "Anxiety",
+            "--model", "majority",
+            "--features", features,
+            "--embeddings", str(bundle / "embeddings-skip.vec"),
+            "--seed", "1",
+            "--out", str(model_path),
+        ]
+    )
+    assert rc == 0
+    payload = json.loads(model_path.read_text(encoding="utf-8"))
+    del payload["feature_ref"][key]
+    model_path.write_text(json.dumps(payload), encoding="utf-8")
+    capsys.readouterr()
+    rc = main(["predict", "--model", str(model_path), "--corpus", str(bundle / "corpus.jsonl")])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith(f"facetrec: ConfigError: model file's {features} feature reference lacks '{key}'")
 
 
 def test_bad_flag_choices_exit_2(run_dir):

@@ -5,6 +5,7 @@ import pytest
 import yaml
 from hypothesis import given
 from hypothesis import strategies as st
+from loop_oracles import logreg_descent_numpy
 
 from facetrec import eval as eval_module
 from facetrec import kernels
@@ -167,7 +168,6 @@ def test_run_experiment_majority_on_balanced_labels_is_one_third(corpus_factory)
         assert len(system.fold_f1[facet]) == 4
         for v in system.fold_f1[facet]:
             assert v == pytest.approx(1 / 3)
-    assert report.provenance["seed"] == 3
 
 
 def test_run_experiment_parallel_matches_sequential(corpus_factory):
@@ -235,7 +235,6 @@ def test_run_experiment_validates_plan_and_jobs(corpus_factory):
 def _system(name, value_by_facet, n_folds=2, facets=FACET_NAMES):
     return SystemResult(
         name=name,
-        model_kind="majority",
         feature_ref={"kind": "bow"},
         fold_f1={f: tuple([value_by_facet[f]] * n_folds) for f in facets},
     )
@@ -247,7 +246,7 @@ def _report(systems, facets=FACET_NAMES, n_folds=2):
 
 def test_report_means_and_overall():
     sys_a = SystemResult(
-        name="a", model_kind="majority", feature_ref={},
+        name="a", feature_ref={},
         fold_f1={f: (0.25, 0.75) for f in FACET_NAMES},
     )
     report = _report([sys_a])
@@ -322,11 +321,11 @@ def test_render_rejects_unknown_format():
 def test_csv_round_trip_preserves_fold_values():
     rng = np.random.default_rng(9)
     a = SystemResult(
-        name="a", model_kind="majority", feature_ref={},
+        name="a", feature_ref={},
         fold_f1={f: tuple(rng.random(3).tolist()) for f in FACET_NAMES},
     )
     b = SystemResult(
-        name="b", model_kind="naive_bayes", feature_ref={},
+        name="b", feature_ref={},
         fold_f1={f: tuple(rng.random(3).tolist()) for f in FACET_NAMES},
     )
     report = EvaluationReport(facets=FACET_NAMES, n_folds=3, systems=(a, b))
@@ -375,10 +374,7 @@ def _record_batched(monkeypatch):
 
 def _evaluate(X, y, folds, model_spec, facet="Anxiety"):
     n_folds = int(folds.max()) + 1
-    return _evaluate_facet(
-        X, y, folds, n_folds, model_spec, ResampleConfig(seed=4), 4, facet,
-        FACET_NAMES.index(facet),
-    )
+    return _evaluate_facet(X, n_folds, model_spec, ResampleConfig(seed=4), 4, facet, y, folds)
 
 
 def _two_balanced_folds(d=3):
@@ -424,10 +420,10 @@ def test_single_class_lr_cell_names_its_own_fold(monkeypatch):
 
 def test_lr_group_budget_does_not_change_scores(monkeypatch):
     # Imbalanced labels give SMOTE'd training splits of several shapes. The
-    # reference trains every cell alone with the per-cell numpy kernel. A
+    # reference trains every cell alone with the per-cell numpy oracle. A
     # zero budget makes stacks of one, as a 1.7 MB bag-of-words cell gets;
-    # the 1 MiB default groups the five cells by shape. Neither calls the
-    # per-cell kernel.
+    # the 1 MiB default groups the five cells by shape. Neither goes through
+    # kernels.logreg_descent.
     rng = np.random.default_rng(3)
     X = rng.normal(size=(45, 6)) + (rng.random(45) < 0.3)[:, None]
     y = (rng.random(45) < 0.3).astype(np.int64)
@@ -435,7 +431,7 @@ def test_lr_group_budget_does_not_change_scores(monkeypatch):
     spec = ModelSpec(kind="logistic_regression", lr=LRHyperparams(max_epochs=60))
 
     def per_cell(X, y, *hyper):
-        fits = [kernels.logreg_descent(Xc, yc, *hyper) for Xc, yc in zip(X, y)]
+        fits = [logreg_descent_numpy(Xc, yc, *hyper) for Xc, yc in zip(X, y)]
         W, B, losses, diverged = zip(*fits)
         return np.stack(W), np.array(B), list(losses), np.array(diverged)
 

@@ -16,10 +16,8 @@ from facetrec.features import (
     Vocabulary,
     avg_vectorize,
     bow_matrix,
-    bow_vectorize,
     build_vocabulary,
     embedding_matrix,
-    generate_synthetic_embeddings,
     load_embeddings,
     realize_features,
     write_embeddings,
@@ -79,7 +77,7 @@ def test_vocabulary_rejects_duplicates_and_fingerprints_content():
 
 def test_bow_vectorize_counts_and_oov():
     vocab = Vocabulary(entries=(("a", 3), ("b", 2), ("c", 1)))
-    row = bow_vectorize(["a", "b", "a", "z"], vocab)
+    row = bow_matrix([["a", "b", "a", "z"]], vocab)
     assert isinstance(row, sp.csr_matrix)
     assert row.shape == (1, 3)
     assert row.toarray().tolist() == [[2.0, 1.0, 0.0]]
@@ -87,7 +85,7 @@ def test_bow_vectorize_counts_and_oov():
 
 def test_bow_vectorize_binary_mode():
     vocab = Vocabulary(entries=(("a", 3), ("b", 2)))
-    row = bow_vectorize(["a", "a", "a"], vocab, binary=True)
+    row = bow_matrix([["a", "a", "a"]], vocab, binary=True)
     assert row.toarray().tolist() == [[1.0, 0.0]]
 
 
@@ -101,7 +99,7 @@ def test_bow_matrix_stacks_rows():
 @given(st.lists(st.sampled_from(["a", "b", "c", "z", "q"]), max_size=30))
 def test_bow_row_sum_counts_in_vocab_tokens(tokens):
     vocab = Vocabulary(entries=(("a", 3), ("b", 2), ("c", 1)))
-    row = bow_vectorize(tokens, vocab)
+    row = bow_matrix([tokens], vocab)
     expected = sum(1 for t in tokens if t in {"a", "b", "c"})
     assert row.sum() == expected
 
@@ -206,29 +204,6 @@ def test_embedding_matrix_rows_match_avg_vectorize():
     assert X.shape == (3, 2)
     for i, seq in enumerate(seqs):
         assert np.array_equal(X[i], avg_vectorize(seq, store))
-
-
-# --- synthetic embeddings --------------------------------------------------
-
-
-def test_generate_synthetic_embeddings_unit_norm_and_deterministic():
-    tokens = ["a", "b", "c"]
-    s1 = generate_synthetic_embeddings(tokens, dim=8, seed=5)
-    s2 = generate_synthetic_embeddings(tokens, dim=8, seed=5)
-    s3 = generate_synthetic_embeddings(tokens, dim=8, seed=6)
-    assert s1.dim == 8
-    for t in tokens:
-        assert np.linalg.norm(s1.vectors[t]) == pytest.approx(1.0)
-        assert np.array_equal(s1.vectors[t], s2.vectors[t])
-    assert not np.array_equal(s1.vectors["a"], s3.vectors["a"])
-    assert s1.fingerprint == s2.fingerprint
-
-
-def test_generate_synthetic_embeddings_validation():
-    with pytest.raises(ValidationError, match="duplicate"):
-        generate_synthetic_embeddings(["a", "a"], dim=4, seed=0)
-    with pytest.raises(ConfigError, match="dimension"):
-        generate_synthetic_embeddings(["a"], dim=0, seed=0)
 
 
 # --- feature realization ----------------------------------------------------

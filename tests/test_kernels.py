@@ -5,6 +5,7 @@ import pytest
 from loop_oracles import (
     interpolate_rows_loops,
     logreg_descent_loops,
+    logreg_descent_numpy,
     logreg_loss_grad_loops,
     minority_knn_loops,
 )
@@ -73,7 +74,7 @@ def _assert_batched_matches_per_cell(X, y, learning_rate, l2, max_epochs, tol):
     W, B, losses, diverged = kernels.logreg_descent_batched(X, y, learning_rate, l2, max_epochs, tol)
     assert W.shape == (len(X), X.shape[2]) and B.shape == diverged.shape == (len(X),)
     for i in range(len(X)):
-        w, b, hist, div = kernels.logreg_descent(X[i], y[i], learning_rate, l2, max_epochs, tol)
+        w, b, hist, div = logreg_descent_numpy(X[i], y[i], learning_rate, l2, max_epochs, tol)
         assert len(losses[i]) == len(hist), i
         assert np.allclose(W[i], w, rtol=0, atol=1e-12), i
         assert abs(B[i] - b) <= 1e-12, i

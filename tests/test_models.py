@@ -8,6 +8,7 @@ import scipy.sparse as sp
 from hypothesis import given
 from hypothesis import strategies as st
 
+from facetrec import kernels
 from facetrec.errors import ConfigError, TrainingError, ValidationError
 from facetrec.models import (
     LogisticRegressionParams,
@@ -196,6 +197,25 @@ def test_logreg_loss_history_is_monotone():
     assert np.all(np.diff(losses) <= 1e-12)
 
 
+@pytest.mark.parametrize("tol", [1e-5, 5e-2])
+def test_logreg_matches_a_one_cell_batched_stack(tol):
+    # `facetrec train` and `run` share their arithmetic: a model is the
+    # batched kernel's result on its cell stacked alone, bit for bit, both
+    # when the cell runs all epochs and when it stops at the tolerance.
+    rng = np.random.default_rng(5)
+    X = rng.normal(size=(54, 50)) / 7.0
+    y = (rng.random(54) < 0.5).astype(np.int64)
+    hyper = LRHyperparams(max_epochs=80, tol=tol)
+    p = train_logistic_regression(X, y, hyper).params
+    W, B, losses, _ = kernels.logreg_descent_batched(
+        X[None], y[None], hyper.learning_rate, hyper.l2, hyper.max_epochs, hyper.tol
+    )
+    assert np.array_equal(p.weights, W[0])
+    assert p.bias == B[0]
+    assert np.array_equal(p.loss_history, losses[0])
+    assert p.converged == (len(losses[0]) <= hyper.max_epochs)
+
+
 def test_logreg_convergence_flag_and_history_length():
     X = np.array([[-1.0], [1.0]])
     y = np.array([0, 1])
@@ -208,6 +228,7 @@ def test_logreg_convergence_flag_and_history_length():
     assert loose.params.converged
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_logreg_divergence_raises_training_error():
     rng = np.random.default_rng(4)
     X = rng.normal(size=(10, 3)) * 5

@@ -9,7 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from facetrec.errors import ConfigError, ValidationError
-from facetrec.resample import ResampleConfig, nearest_minority_neighbors, resampled_labels, smote
+from facetrec.resample import ResampleConfig, resampled_labels, smote
 
 
 def make_data(n_min=4, n_maj=10, d=3, seed=0, minority_class=1):
@@ -204,29 +204,3 @@ def test_resample_config_validation():
     cfg = ResampleConfig()
     assert cfg.k_neighbors == 5
     assert cfg.target_ratio == 1.0
-
-
-def test_nearest_minority_neighbors_returns_global_indices():
-    X = np.array([[0.0], [10.0], [1.0], [11.0], [3.0]])
-    y = np.array([1, 0, 1, 0, 1])
-    nbrs = nearest_minority_neighbors(X, y, 0, k=2)
-    assert nbrs.tolist() == [2, 4]
-    nbrs = nearest_minority_neighbors(X, y, 1, k=1)
-    assert nbrs.tolist() == [3]
-
-
-def test_nearest_minority_neighbors_ties_break_low():
-    X = np.array([[0.0], [1.0], [-1.0], [9.0]])
-    y = np.array([1, 1, 1, 0])
-    assert nearest_minority_neighbors(X, y, 0, k=2).tolist() == [1, 2]
-
-
-def test_nearest_minority_neighbors_errors():
-    X = np.zeros((3, 1))
-    y = np.array([1, 0, 0])
-    with pytest.raises(ValidationError, match="no same-class"):
-        nearest_minority_neighbors(X, y, 0, k=1)
-    with pytest.raises(ValidationError, match="out of range"):
-        nearest_minority_neighbors(X, y, 5, k=1)
-    with pytest.raises(ConfigError, match="k must be"):
-        nearest_minority_neighbors(X, y, 1, k=0)
