@@ -28,7 +28,6 @@ from .eval import (
     EvaluationReport,
     FoldPlan,
     SystemResult,
-    combine_reports,
     f1_binary,
     f1_macro,
     make_folds,
@@ -110,7 +109,6 @@ __all__ = [
     "bow_matrix",
     "build_documents",
     "build_vocabulary",
-    "combine_reports",
     "default_normalization_table",
     "default_scoring_key",
     "embedding_matrix",

@@ -14,7 +14,7 @@ import json
 import logging
 import re
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import yaml
@@ -28,7 +28,8 @@ from .corpus import (
 )
 from .errors import ConfigError, FacetrecError, ValidationError
 from .eval import (
-    combine_reports,
+    EvaluationReport,
+    SystemResult,
     make_folds,
     parse_report_csv,
     render_report,
@@ -117,11 +118,12 @@ def _parse_model(raw) -> ModelSpec:
         raise ConfigError(f"model must be a kind name or a mapping with 'kind', got {raw!r}")
     kind = raw["kind"]
     alpha = _require_number(raw.get("alpha", 1.0), "alpha")
+    default = LRHyperparams()
     lr = LRHyperparams(
-        learning_rate=_require_number(raw.get("learning_rate", 0.1), "learning_rate"),
-        l2=_require_number(raw.get("l2", 1e-4), "l2"),
-        max_epochs=_require_int(raw.get("max_epochs", 500), "max_epochs"),
-        tol=_require_number(raw.get("tol", 1e-5), "tol"),
+        learning_rate=_require_number(raw.get("learning_rate", default.learning_rate), "learning_rate"),
+        l2=_require_number(raw.get("l2", default.l2), "l2"),
+        max_epochs=_require_int(raw.get("max_epochs", default.max_epochs), "max_epochs"),
+        tol=_require_number(raw.get("tol", default.tol), "tol"),
     )
     unknown = set(raw) - {"kind", "alpha", "learning_rate", "l2", "max_epochs", "tol"}
     if unknown:
@@ -304,12 +306,7 @@ def _model_desc(spec: ModelSpec) -> dict:
     if spec.kind == "naive_bayes":
         desc["alpha"] = spec.alpha
     elif spec.kind == "logistic_regression":
-        desc.update(
-            learning_rate=spec.lr.learning_rate,
-            l2=spec.lr.l2,
-            max_epochs=spec.lr.max_epochs,
-            tol=spec.lr.tol,
-        )
+        desc.update(asdict(spec.lr))
     return desc
 
 
@@ -373,29 +370,24 @@ def cmd_run(args) -> int:
     )
     rcfg = ResampleConfig(k_neighbors=cfg.smote_k, target_ratio=cfg.smote_ratio, seed=cfg.seed)
 
-    reports = []
+    spaces = {}  # feature spec -> (X, ref), realized when a system first needs it
+    results = []
+    systems = []
     for system in cfg.systems:
         log.info("evaluating system %s", system.name)
-        reports.append(
-            run_experiment(
-                corpus,
-                system.feature_spec,
-                system.model_spec,
-                rcfg,
-                plan,
-                system_name=system.name,
-                jobs=cfg.jobs,
-            )
+        if system.feature_spec not in spaces:
+            spaces[system.feature_spec] = realize_features(system.feature_spec, corpus)[:2]
+        X, ref = spaces[system.feature_spec]
+        fold_f1 = run_experiment(corpus, X, system.model_spec, rcfg, plan, jobs=cfg.jobs)
+        results.append(SystemResult(name=system.name, fold_f1=fold_f1))
+        # Each entry gets its own mapping: a shared one would be written as
+        # a YAML anchor and alias.
+        systems.append(
+            {"name": system.name, "model": _model_desc(system.model_spec), "features": dict(ref)}
         )
-    merged = combine_reports(reports)
-    systems = [
-        {
-            "name": sysres.name,
-            "model": _model_desc(syscfg.model_spec),
-            "features": sysres.feature_ref,
-        }
-        for syscfg, sysres in zip(cfg.systems, merged.systems)
-    ]
+    report = EvaluationReport(
+        facets=corpus.active_facets, n_folds=plan.n_folds, systems=tuple(results)
+    )
 
     config_section = {
         "corpus": cfg.corpus,
@@ -409,7 +401,7 @@ def cmd_run(args) -> int:
     }
     digest = _config_digest(cfg, systems)
 
-    wins = merged.wins()
+    wins = report.wins()
     manifest = {
         "config": config_section,
         "config_digest": digest,
@@ -421,16 +413,16 @@ def cmd_run(args) -> int:
         },
         "systems": systems,
         "results": {
-            "overall": {s.name: merged.overall(s) for s in merged.systems},
+            "overall": {s.name: report.overall(s) for s in report.systems},
             "wins": {name: int(n) for name, n in wins.items()},
         },
     }
 
     out_dir = Path(cfg.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    text = render_report(merged, "text")
+    text = render_report(report, "text")
     (out_dir / "report.txt").write_text(text, encoding="utf-8")
-    (out_dir / "report.csv").write_text(render_report(merged, "csv"), encoding="utf-8")
+    (out_dir / "report.csv").write_text(render_report(report, "csv"), encoding="utf-8")
     with open(out_dir / "manifest.yaml", "w", encoding="utf-8", newline="\n") as fh:
         yaml.safe_dump(manifest, fh, sort_keys=True)
 
@@ -671,10 +663,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--embeddings")
     p.add_argument("--flavor", choices=["skip", "cbow"], default="skip")
     p.add_argument("--alpha", type=float, default=1.0)
-    p.add_argument("--learning-rate", type=float, default=0.1, dest="learning_rate")
-    p.add_argument("--l2", type=float, default=1e-4)
-    p.add_argument("--max-epochs", type=int, default=500, dest="max_epochs")
-    p.add_argument("--tol", type=float, default=1e-5)
+    lr = LRHyperparams()
+    p.add_argument("--learning-rate", type=float, default=lr.learning_rate, dest="learning_rate")
+    p.add_argument("--l2", type=float, default=lr.l2)
+    p.add_argument("--max-epochs", type=int, default=lr.max_epochs, dest="max_epochs")
+    p.add_argument("--tol", type=float, default=lr.tol)
     p.add_argument("--smote", action=argparse.BooleanOptionalAction, default=True)
     p.add_argument("--smote-k", type=int, default=5, dest="smote_k")
     p.add_argument("--smote-ratio", type=float, default=1.0, dest="smote_ratio")

@@ -1,10 +1,11 @@
 """Stratified cross-validation, macro-F1 scoring and Table-style reporting.
 
 Fold plans are built per facet (stratification keeps each fold's class mix
-within one document of proportional). For every facet and fold the training
-split is resampled, a model is trained and the held-out split is scored
-with macro-F1 over both classes. Reports aggregate fold scores into
-per-facet means, an overall mean and a wins count per system.
+within one document of proportional). Given a realized feature matrix, for
+every facet and fold the training split is resampled, a model is trained
+and the held-out split is scored with macro-F1 over both classes. Reports
+aggregate fold scores into per-facet means, an overall mean and a wins
+count per system.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ import numpy as np
 
 from . import kernels
 from .errors import ConfigError, FacetrecError, ValidationError
-from .features import realize_features
 from .inventory import FACET_NAMES
 from .models import ModelSpec, lr_model, lr_training_set, predict, train, train_majority
 from .resample import ResampleConfig, resampled_labels, smote
@@ -107,7 +107,6 @@ class SystemResult:
     """Per-fold macro-F1 of one (features, model) system, keyed by facet."""
 
     name: str
-    feature_ref: dict
     fold_f1: dict[str, tuple[float, ...]]
 
 
@@ -201,15 +200,15 @@ def _evaluate_facet(X, n_folds, model_spec, resample_cfg, plan_seed, facet, y, f
 
 def run_experiment(
     corpus,
-    feature_spec,
+    X,
     model_spec: ModelSpec,
     resample_cfg: ResampleConfig,
     plan: FoldPlan,
-    system_name: str | None = None,
     jobs: int = 1,
-) -> EvaluationReport:
-    """Cross-validate one system: vectorize, resample each training split,
-    train, and score every held-out split with macro-F1.
+) -> dict[str, tuple[float, ...]]:
+    """Cross-validate one model on a realized feature matrix (one row per
+    corpus document): resample each training split, train, and score every
+    held-out split with macro-F1. Returns the fold scores keyed by facet.
 
     Facets flagged degenerate by the corpus are skipped. Facet cells are
     independent; jobs > 1 evaluates facets in worker processes, and results
@@ -220,14 +219,13 @@ def run_experiment(
     facets = corpus.active_facets
     if not facets:
         raise ValidationError("all facets are degenerate; nothing to evaluate")
+    if X.shape[0] != len(corpus.documents):
+        raise ValidationError("feature matrix does not match corpus size")
     for facet in facets:
         if facet not in plan.assignment:
             raise ValidationError(f"fold plan is missing facet {facet!r}")
         if len(plan.assignment[facet]) != len(corpus.documents):
             raise ValidationError("fold plan does not match corpus size")
-
-    X, ref, _ = realize_features(feature_spec, corpus)
-    name = system_name or model_spec.kind
 
     task = partial(_evaluate_facet, X, plan.n_folds, model_spec, resample_cfg, plan.seed)
     args = (facets, [corpus.labels(f) for f in facets], [plan.assignment[f] for f in facets])
@@ -236,28 +234,7 @@ def run_experiment(
     else:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             scores = list(pool.map(task, *args))
-
-    result = SystemResult(name=name, feature_ref=ref, fold_f1=dict(zip(facets, scores)))
-    return EvaluationReport(facets=facets, n_folds=plan.n_folds, systems=(result,))
-
-
-def combine_reports(reports) -> EvaluationReport:
-    """Merge single-system reports that share facets and fold counts."""
-    reports = list(reports)
-    if not reports:
-        raise ValidationError("no reports to combine")
-    first = reports[0]
-    systems: list[SystemResult] = []
-    names = set()
-    for rep in reports:
-        if rep.facets != first.facets or rep.n_folds != first.n_folds:
-            raise ValidationError("reports cover different facets or fold counts")
-        for system in rep.systems:
-            if system.name in names:
-                raise ValidationError(f"duplicate system name {system.name!r}")
-            names.add(system.name)
-            systems.append(system)
-    return EvaluationReport(facets=first.facets, n_folds=first.n_folds, systems=tuple(systems))
+    return dict(zip(facets, scores))
 
 
 def render_report(report: EvaluationReport, fmt: str = "text") -> str:
@@ -362,7 +339,7 @@ def parse_report_csv(text: str) -> EvaluationReport:
                     f"report CSV: system {name!r} facet {facet!r} has incomplete folds"
                 )
             per_facet[facet] = tuple(folds[k] for k in range(n_folds))
-        systems.append(SystemResult(name=name, feature_ref={}, fold_f1=per_facet))
+        systems.append(SystemResult(name=name, fold_f1=per_facet))
     return EvaluationReport(
         facets=tuple(facet_order), n_folds=n_folds, systems=tuple(systems)
     )

@@ -84,26 +84,29 @@ def logreg_descent_batched(X, y, learning_rate, l2, max_epochs, tol):
     diverged = np.zeros(cells, dtype=bool)
     live = np.arange(cells)
     w, b = W.copy(), B.copy()
-    for epoch in range(max_epochs + 1):
-        loss, gw, gb = _logreg_loss_grad_batched(X, y, w, b, l2)
-        losses[live, epoch] = loss
-        bad = ~np.isfinite(loss)
-        if epoch == max_epochs:
-            stop = np.ones(len(live), dtype=bool)
-        else:
-            gnorm = np.maximum(np.abs(gw).max(axis=1, initial=0.0), np.abs(gb))
-            stop = bad | (gnorm < tol)
-        if stop.any():
-            done = live[stop]
-            W[done], B[done] = w[stop], b[stop]
-            lengths[done] = epoch + 1
-            diverged[done] = bad[stop]
-            keep = ~stop
-            if not keep.any():
-                break
-            live, X, y, w, b, gw, gb = (a[keep] for a in (live, X, y, w, b, gw, gb))
-        w = w - learning_rate * gw
-        b = b - learning_rate * gb
+    # A diverging cell overflows on its way to a non-finite loss; that is
+    # reported through ``diverged``, so numpy's warnings are silenced.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(max_epochs + 1):
+            loss, gw, gb = _logreg_loss_grad_batched(X, y, w, b, l2)
+            losses[live, epoch] = loss
+            bad = ~np.isfinite(loss)
+            if epoch == max_epochs:
+                stop = np.ones(len(live), dtype=bool)
+            else:
+                gnorm = np.maximum(np.abs(gw).max(axis=1, initial=0.0), np.abs(gb))
+                stop = bad | (gnorm < tol)
+            if stop.any():
+                done = live[stop]
+                W[done], B[done] = w[stop], b[stop]
+                lengths[done] = epoch + 1
+                diverged[done] = bad[stop]
+                keep = ~stop
+                if not keep.any():
+                    break
+                live, X, y, w, b, gw, gb = (a[keep] for a in (live, X, y, w, b, gw, gb))
+            w = w - learning_rate * gw
+            b = b - learning_rate * gb
     return W, B, [losses[i, : lengths[i]] for i in range(cells)], diverged
 
 

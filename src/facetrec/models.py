@@ -9,7 +9,7 @@ deterministic functions of their training data and hyperparameters.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
@@ -292,12 +292,7 @@ def save_model(model: TrainedModel, path) -> None:
         params = {
             "weights": p.weights.tolist(),
             "bias": p.bias,
-            "hyper": {
-                "learning_rate": p.hyper.learning_rate,
-                "l2": p.hyper.l2,
-                "max_epochs": p.hyper.max_epochs,
-                "tol": p.hyper.tol,
-            },
+            "hyper": asdict(p.hyper),
             "loss_history": list(p.loss_history),
             "converged": p.converged,
         }

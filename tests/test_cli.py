@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 import yaml
 
+from facetrec import features
 from facetrec.cli import main
 from facetrec.features import load_embeddings, write_embeddings
 from facetrec.inventory import FACET_NAMES
@@ -96,6 +97,33 @@ def test_run_writes_reports(bundle, run_dir, capsys):
     assert text.splitlines()[0].split()[:3] == ["system", "overall", "wins"]
     csv_text = (run_dir / "report.csv").read_text(encoding="utf-8")
     assert csv_text.splitlines()[0] == "section,model,facet,fold,f1"
+
+
+def test_run_realizes_each_feature_space_once(bundle, tmp_path, monkeypatch, capsys):
+    # The demo config's baseline and bow-nb share one bag-of-words spec;
+    # skip-lr and cbow-lr each read their own embedding file.
+    real = features.realize_features
+    specs = []
+
+    def counting(spec, corpus):
+        specs.append(spec)
+        return real(spec, corpus)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("facetrec") and getattr(module, "realize_features", None) is real:
+            monkeypatch.setattr(module, "realize_features", counting)
+    assert main(["run", "--config", str(bundle / "config.yaml"), "--folds", "3", "--out", str(tmp_path)]) == 0
+    assert len(specs) == 3 and len(set(specs)) == 3
+
+
+def test_manifest_gives_each_system_its_own_features_mapping(run_dir):
+    text = (run_dir / "manifest.yaml").read_text(encoding="utf-8")
+    assert "&id" not in text and "*id" not in text
+    systems = {s["name"]: s for s in yaml.safe_load(text)["systems"]}
+    keys = {"kind", "vocab_size", "binary", "actual_size", "vocab_sha256"}
+    for name in ("baseline", "bow-nb"):
+        assert set(systems[name]["features"]) == keys
+    assert systems["baseline"]["features"] == systems["bow-nb"]["features"]
 
 
 def test_run_flag_overrides_config(bundle, tmp_path, capsys):
@@ -218,6 +246,17 @@ def test_config_rejects_duplicate_system_names(bundle, tmp_path, capsys):
     err = capsys.readouterr().err
     assert rc == 1
     assert "duplicate name" in err
+
+
+def test_config_rejects_an_empty_system_list(bundle, tmp_path, capsys):
+    data = yaml.safe_load((bundle / "config.yaml").read_text(encoding="utf-8"))
+    data["systems"] = []
+    cfg = tmp_path / "none.yaml"
+    cfg.write_text(yaml.safe_dump(data), encoding="utf-8")
+    rc = main(["run", "--config", str(cfg)])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert "ConfigError" in err and "non-empty list" in err
 
 
 @pytest.mark.parametrize(

@@ -15,7 +15,6 @@ from facetrec.eval import (
     EvaluationReport,
     SystemResult,
     _evaluate_facet,
-    combine_reports,
     f1_binary,
     f1_macro,
     make_folds,
@@ -23,7 +22,7 @@ from facetrec.eval import (
     render_report,
     run_experiment,
 )
-from facetrec.features import BowSpec
+from facetrec.features import BowSpec, realize_features
 from facetrec.inventory import FACET_NAMES
 from facetrec.models import LRHyperparams, ModelSpec
 from facetrec.resample import ResampleConfig
@@ -148,40 +147,33 @@ def _tiny_tokens(n, vocab=("red", "blue", "green", "gold")):
     return [[vocab[i % len(vocab)], vocab[(i + 1) % len(vocab)]] for i in range(n)]
 
 
+def _bow(corpus):
+    X, _, _ = realize_features(BowSpec(vocab_size=8), corpus)
+    return X
+
+
 def test_run_experiment_majority_on_balanced_labels_is_one_third(corpus_factory):
     # 24 alternating labels over 4 folds: every fold holds exactly 3 of each
     # class, so the constant-negative baseline lands on 1/3 in every cell.
     corpus = corpus_factory(_tiny_tokens(24))
     plan = make_folds({f: corpus.labels(f) for f in corpus.active_facets}, n_folds=4, seed=3)
-    report = run_experiment(
-        corpus,
-        BowSpec(vocab_size=8),
-        ModelSpec(kind="majority"),
-        ResampleConfig(seed=3),
-        plan,
+    fold_f1 = run_experiment(
+        corpus, _bow(corpus), ModelSpec(kind="majority"), ResampleConfig(seed=3), plan
     )
-    assert report.facets == FACET_NAMES
-    assert report.n_folds == 4
-    (system,) = report.systems
-    assert system.name == "majority"
+    assert tuple(fold_f1) == FACET_NAMES
     for facet in FACET_NAMES:
-        assert len(system.fold_f1[facet]) == 4
-        for v in system.fold_f1[facet]:
+        assert len(fold_f1[facet]) == 4
+        for v in fold_f1[facet]:
             assert v == pytest.approx(1 / 3)
 
 
 def test_run_experiment_parallel_matches_sequential(corpus_factory):
     corpus = corpus_factory(_tiny_tokens(12))
     plan = make_folds({f: corpus.labels(f) for f in corpus.active_facets}, n_folds=3, seed=5)
-    seq = run_experiment(
-        corpus, BowSpec(vocab_size=8), ModelSpec(kind="naive_bayes"),
-        ResampleConfig(seed=5), plan, jobs=1,
-    )
-    par = run_experiment(
-        corpus, BowSpec(vocab_size=8), ModelSpec(kind="naive_bayes"),
-        ResampleConfig(seed=5), plan, jobs=2,
-    )
-    assert seq.systems[0].fold_f1 == par.systems[0].fold_f1
+    X = _bow(corpus)
+    seq = run_experiment(corpus, X, ModelSpec(kind="naive_bayes"), ResampleConfig(seed=5), plan, jobs=1)
+    par = run_experiment(corpus, X, ModelSpec(kind="naive_bayes"), ResampleConfig(seed=5), plan, jobs=2)
+    assert seq == par
 
 
 def test_run_experiment_wraps_cell_errors_with_context(corpus_factory):
@@ -191,10 +183,7 @@ def test_run_experiment_wraps_cell_errors_with_context(corpus_factory):
     corpus = corpus_factory(_tiny_tokens(8), positives={"Anxiety": {0}})
     plan = make_folds({f: corpus.labels(f) for f in corpus.active_facets}, n_folds=2, seed=1)
     with pytest.raises(ValidationError, match=r"facet Anxiety, fold \d+:"):
-        run_experiment(
-            corpus, BowSpec(vocab_size=8), ModelSpec(kind="majority"),
-            ResampleConfig(seed=1), plan,
-        )
+        run_experiment(corpus, _bow(corpus), ModelSpec(kind="majority"), ResampleConfig(seed=1), plan)
 
 
 def test_run_experiment_skips_degenerate_facets(corpus_factory):
@@ -205,39 +194,32 @@ def test_run_experiment_skips_degenerate_facets(corpus_factory):
         degenerate=("Anxiety",),
     )
     plan = make_folds({f: corpus.labels(f) for f in corpus.active_facets}, n_folds=2, seed=2)
-    report = run_experiment(
-        corpus, BowSpec(vocab_size=8), ModelSpec(kind="majority"),
-        ResampleConfig(seed=2), plan,
+    fold_f1 = run_experiment(
+        corpus, _bow(corpus), ModelSpec(kind="majority"), ResampleConfig(seed=2), plan
     )
-    assert "Anxiety" not in report.facets
-    assert len(report.facets) == 9
+    assert "Anxiety" not in fold_f1
+    assert len(fold_f1) == 9
 
 
 def test_run_experiment_validates_plan_and_jobs(corpus_factory):
     corpus = corpus_factory(_tiny_tokens(8))
+    X = _bow(corpus)
+    majority, rcfg = ModelSpec(kind="majority"), ResampleConfig(seed=2)
     plan = make_folds({"Anxiety": corpus.labels("Anxiety")}, n_folds=2, seed=2)
     with pytest.raises(ValidationError, match="missing facet"):
-        run_experiment(
-            corpus, BowSpec(vocab_size=8), ModelSpec(kind="majority"),
-            ResampleConfig(seed=2), plan,
-        )
+        run_experiment(corpus, X, majority, rcfg, plan)
     full = make_folds({f: corpus.labels(f) for f in corpus.active_facets}, n_folds=2, seed=2)
     with pytest.raises(ConfigError, match="jobs"):
-        run_experiment(
-            corpus, BowSpec(vocab_size=8), ModelSpec(kind="majority"),
-            ResampleConfig(seed=2), full, jobs=0,
-        )
+        run_experiment(corpus, X, majority, rcfg, full, jobs=0)
+    with pytest.raises(ValidationError, match="feature matrix does not match corpus size"):
+        run_experiment(corpus, X[:7], majority, rcfg, full)
 
 
 # --- report aggregation -----------------------------------------------------
 
 
 def _system(name, value_by_facet, n_folds=2, facets=FACET_NAMES):
-    return SystemResult(
-        name=name,
-        feature_ref={"kind": "bow"},
-        fold_f1={f: tuple([value_by_facet[f]] * n_folds) for f in facets},
-    )
+    return SystemResult(name=name, fold_f1={f: tuple([value_by_facet[f]] * n_folds) for f in facets})
 
 
 def _report(systems, facets=FACET_NAMES, n_folds=2):
@@ -245,10 +227,7 @@ def _report(systems, facets=FACET_NAMES, n_folds=2):
 
 
 def test_report_means_and_overall():
-    sys_a = SystemResult(
-        name="a", feature_ref={},
-        fold_f1={f: (0.25, 0.75) for f in FACET_NAMES},
-    )
+    sys_a = SystemResult(name="a", fold_f1={f: (0.25, 0.75) for f in FACET_NAMES})
     report = _report([sys_a])
     assert report.facet_mean(sys_a, "Anxiety") == 0.5
     assert report.overall(sys_a) == 0.5
@@ -262,20 +241,6 @@ def test_wins_award_all_tied_systems():
     c = _system("c", {f: (0.9 if f == "Ideas" else 0.1) for f in FACET_NAMES})
     report = _report([a, c])
     assert report.wins() == {"a": 9, "c": 1}
-
-
-def test_combine_reports_merges_and_validates():
-    a = _report([_system("a", {f: 0.5 for f in FACET_NAMES})])
-    b = _report([_system("b", {f: 0.6 for f in FACET_NAMES})])
-    merged = combine_reports([a, b])
-    assert [s.name for s in merged.systems] == ["a", "b"]
-    with pytest.raises(ValidationError, match="duplicate"):
-        combine_reports([a, a])
-    c = _report([_system("c", {f: 0.5 for f in FACET_NAMES[:9]}, facets=FACET_NAMES[:9])], facets=FACET_NAMES[:9])
-    with pytest.raises(ValidationError):
-        combine_reports([a, c])
-    with pytest.raises(ValidationError):
-        combine_reports([])
 
 
 # --- rendering and parsing --------------------------------------------------
@@ -320,14 +285,8 @@ def test_render_rejects_unknown_format():
 
 def test_csv_round_trip_preserves_fold_values():
     rng = np.random.default_rng(9)
-    a = SystemResult(
-        name="a", feature_ref={},
-        fold_f1={f: tuple(rng.random(3).tolist()) for f in FACET_NAMES},
-    )
-    b = SystemResult(
-        name="b", feature_ref={},
-        fold_f1={f: tuple(rng.random(3).tolist()) for f in FACET_NAMES},
-    )
+    a = SystemResult(name="a", fold_f1={f: tuple(rng.random(3).tolist()) for f in FACET_NAMES})
+    b = SystemResult(name="b", fold_f1={f: tuple(rng.random(3).tolist()) for f in FACET_NAMES})
     report = EvaluationReport(facets=FACET_NAMES, n_folds=3, systems=(a, b))
     parsed = parse_report_csv(render_report(report, "csv"))
     assert parsed.n_folds == 3
@@ -385,8 +344,6 @@ def _two_balanced_folds(d=3):
     return X, y, np.arange(16) % 2
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
 @pytest.mark.parametrize(
     "value, error, message",
     [

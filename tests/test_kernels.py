@@ -61,7 +61,7 @@ def test_descent_stops_at_zero_gradient():
     assert np.all(w == 0.0) and b == 0.0
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("error")
 def test_descent_flags_divergence():
     X, y = _problem(5)
     w, b, losses, diverged = kernels.logreg_descent(X, y, 1e3, 1e3, 200, 0.0)

@@ -228,7 +228,7 @@ def test_logreg_convergence_flag_and_history_length():
     assert loose.params.converged
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("error")
 def test_logreg_divergence_raises_training_error():
     rng = np.random.default_rng(4)
     X = rng.normal(size=(10, 3)) * 5
