@@ -1,9 +1,9 @@
 """Document featurization: bag-of-words counts and averaged word vectors.
 
 Feature matrices keep one row per document, aligned with corpus document
-order. Bag-of-words matrices are sparse CSR with raw counts over the most
-frequent tokens; embedding matrices are dense rows of averaged word vectors
-read from word2vec text files.
+order, as dense float64 arrays. Bag-of-words rows hold raw counts over the
+most frequent tokens; embedding rows are averaged word vectors read from
+word2vec text files.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import ConfigError, ValidationError
 
@@ -68,25 +67,14 @@ def build_vocabulary(corpus, vocab_size: int = DEFAULT_VOCAB_SIZE) -> Vocabulary
     return Vocabulary(entries=tuple(ordered[:vocab_size]))
 
 
-def bow_matrix(token_seqs, vocab: Vocabulary, binary: bool = False) -> sp.csr_matrix:
+def bow_matrix(token_seqs, vocab: Vocabulary, binary: bool = False) -> np.ndarray:
     """Stacked bag-of-words rows for a sequence of token sequences."""
-    indptr = [0]
-    indices: list[int] = []
-    data: list[float] = []
+    rows = []
     for tokens in token_seqs:
-        counts: Counter[int] = Counter()
-        for tok in tokens:
-            j = vocab.index.get(tok)
-            if j is not None:
-                counts[j] += 1
-        cols = sorted(counts)
-        indices.extend(cols)
-        data.extend(1.0 if binary else float(counts[j]) for j in cols)
-        indptr.append(len(indices))
-    return sp.csr_matrix(
-        (np.array(data, dtype=np.float64), np.array(indices, dtype=np.int64), np.array(indptr, dtype=np.int64)),
-        shape=(len(indptr) - 1, len(vocab)),
-    )
+        cols = [j for j in map(vocab.index.get, tokens) if j is not None]
+        rows.append(np.bincount(cols, minlength=len(vocab)))
+    X = np.array(rows, dtype=np.float64).reshape(len(rows), len(vocab))
+    return np.minimum(X, 1.0) if binary else X
 
 
 @dataclass
@@ -246,10 +234,9 @@ class EmbeddingSpec:
 def realize_features(spec, corpus):
     """Vectorize a labeled corpus per spec.
 
-    Returns (X, ref, space): the feature matrix (CSR for bag-of-words, dense
-    for embeddings), a compact reference dict identifying the feature space
-    (for manifests and model files), and the realized Vocabulary or
-    EmbeddingStore itself.
+    Returns (X, ref, space): the dense float64 feature matrix, a compact
+    reference dict identifying the feature space (for manifests and model
+    files), and the realized Vocabulary or EmbeddingStore itself.
     """
     docs = [doc.tokens for doc in corpus.documents]
     if isinstance(spec, BowSpec):

@@ -12,7 +12,6 @@ import json
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import kernels
 from .errors import ConfigError, TrainingError, ValidationError
@@ -136,32 +135,20 @@ def train_naive_bayes(X, y, alpha: float = 1.0) -> TrainedModel:
     if not alpha > 0:
         raise ConfigError(f"alpha must be positive, got {alpha}")
     y = _as_labels(y)
+    X = np.asarray(X, dtype=np.float64)
     if X.shape[0] != len(y):
         raise ValidationError("labels must be one per feature row")
     if len(set(np.unique(y).tolist())) < 2:
         raise ValidationError("training labels contain a single class")
     n_features = X.shape[1]
-    if sp.issparse(X):
-        if X.nnz and X.data.min() < 0:
-            raise ValidationError("count features must be nonnegative")
-
-        def sums(mask):
-            return np.asarray(X[mask].sum(axis=0)).ravel().astype(np.float64)
-
-    else:
-        X = np.asarray(X, dtype=np.float64)
-        if X.size and X.min() < 0:
-            raise ValidationError("count features must be nonnegative")
-
-        def sums(mask):
-            return X[mask].sum(axis=0)
-
+    if X.size and X.min() < 0:
+        raise ValidationError("count features must be nonnegative")
     log_priors = np.empty(2)
     log_likelihoods = np.empty((2, n_features))
     for c in (0, 1):
         mask = y == c
         log_priors[c] = np.log(np.sum(mask) / len(y))
-        class_sums = sums(mask)
+        class_sums = X[mask].sum(axis=0)
         denom = class_sums.sum() + alpha * n_features
         log_likelihoods[c] = np.log((class_sums + alpha) / denom)
     return TrainedModel(
@@ -180,8 +167,6 @@ def lr_training_set(X, y) -> tuple[np.ndarray, np.ndarray]:
     single training class.
     """
     y = _as_labels(y)
-    if sp.issparse(X):
-        X = X.toarray()
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[0] != len(y):
         raise ValidationError("features must be a 2-d array with one row per label")
@@ -264,13 +249,12 @@ def predict(model: TrainedModel, X):
         return labels, scores
     if model.kind == "naive_bayes":
         p = model.params
-        joint = X @ p.log_likelihoods.T  # (n_rows, 2)
-        joint = np.asarray(joint) + p.log_priors
+        joint = X @ p.log_likelihoods.T + p.log_priors  # (n_rows, 2)
         scores = joint[:, 1] - joint[:, 0]
         return (scores > 0).astype(np.int64), scores
     if model.kind == "logistic_regression":
         p = model.params
-        z = np.asarray(X @ p.weights).ravel() + p.bias
+        z = X @ p.weights + p.bias
         scores = _stable_sigmoid(z)
         return (scores > 0.5).astype(np.int64), scores
     raise ConfigError(f"unknown model kind {model.kind!r}")

@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import kernels
 from .errors import ConfigError, ValidationError
@@ -37,12 +36,6 @@ class ResampleConfig:
         if not 0.0 < float(ratio) <= 1.0:
             raise ConfigError(f"target_ratio must be in (0, 1], got {ratio}")
         check_seed(self.seed)
-
-
-def _dense(X) -> np.ndarray:
-    if sp.issparse(X):
-        return X.toarray().astype(np.float64, copy=False)
-    return np.array(X, dtype=np.float64, copy=True)
 
 
 def _check_labels(y: np.ndarray) -> None:
@@ -85,20 +78,21 @@ def resampled_labels(y, cfg: ResampleConfig) -> np.ndarray:
 def smote(X, y, cfg: ResampleConfig):
     """Oversample the minority class of (X, y) with synthetic points.
 
-    Returns (X_aug, y_aug) as dense float64 rows and int64 labels, the
+    X is a 2-d array-like of numbers; it is copied as float64 and never
+    modified. Returns (X_aug, y_aug) as float64 rows and int64 labels, the
     original rows first and bit-for-bit untouched; y_aug is
     resampled_labels(y, cfg). Deterministic in (X, y, cfg). Requires both
     classes present and, when the classes are imbalanced, at least 2
     minority rows to interpolate between.
     """
+    X = np.array(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
     if y.shape[:1] != X.shape[:1]:
         raise ValidationError("labels must be one per feature row")
     y_aug = resampled_labels(y, cfg)
-    Xd = _dense(X)
     n_synth = len(y_aug) - len(y)
     if n_synth == 0:
-        return Xd, y_aug
+        return X, y_aug
 
     minority = int(y_aug[-1])
     min_idx = np.flatnonzero(y == minority)
@@ -112,10 +106,10 @@ def smote(X, y, cfg: ResampleConfig):
     picks = rng.integers(0, k_eff, size=n_synth)
     gammas = rng.random(n_synth)
 
-    M = Xd[min_idx]
+    M = X[min_idx]
     knn = kernels.minority_knn(M, cfg.k_neighbors)
     seed_pos = perm[np.arange(n_synth) % n_min]
     nbr_pos = knn[seed_pos, picks]
     synth = kernels.interpolate_rows(M, seed_pos, nbr_pos, gammas)
 
-    return np.vstack([Xd, synth]), y_aug
+    return np.vstack([X, synth]), y_aug

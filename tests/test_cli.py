@@ -444,3 +444,25 @@ def test_module_entry_point_help(tmp_path, child_env):
     assert proc.returncode == 0
     for word in ("facetrec", "synth", "run", "train", "predict"):
         assert word in proc.stdout
+
+
+def test_cli_import_loads_only_numpy_and_pyyaml(tmp_path, child_env):
+    # Feature matrices are dense numpy arrays, so the CLI needs no other
+    # installed package; each one it imported would add its start-up time
+    # and memory to every command.
+    code = (
+        "import json, sys\n"
+        "before = set(sys.modules)\n"
+        "import facetrec.cli\n"
+        "files = {m: getattr(sys.modules[m], '__file__', None) or '' for m in set(sys.modules) - before}\n"
+        "print(json.dumps(sorted({m.split('.')[0] for m, f in files.items() if 'packages' in f})))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        cwd=tmp_path,
+        env=child_env(),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert set(json.loads(proc.stdout)) <= {"facetrec", "numpy", "yaml"}

@@ -4,7 +4,6 @@ import hashlib
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -78,22 +77,22 @@ def test_vocabulary_rejects_duplicates_and_fingerprints_content():
 def test_bow_vectorize_counts_and_oov():
     vocab = Vocabulary(entries=(("a", 3), ("b", 2), ("c", 1)))
     row = bow_matrix([["a", "b", "a", "z"]], vocab)
-    assert isinstance(row, sp.csr_matrix)
-    assert row.shape == (1, 3)
-    assert row.toarray().tolist() == [[2.0, 1.0, 0.0]]
+    assert isinstance(row, np.ndarray) and row.dtype == np.float64
+    assert row.tolist() == [[2.0, 1.0, 0.0]]
 
 
 def test_bow_vectorize_binary_mode():
     vocab = Vocabulary(entries=(("a", 3), ("b", 2)))
     row = bow_matrix([["a", "a", "a"]], vocab, binary=True)
-    assert row.toarray().tolist() == [[1.0, 0.0]]
+    assert row.dtype == np.float64
+    assert row.tolist() == [[1.0, 0.0]]
 
 
 def test_bow_matrix_stacks_rows():
     vocab = Vocabulary(entries=(("a", 3), ("b", 2)))
     X = bow_matrix([["a"], ["b", "b"], []], vocab)
-    assert X.shape == (3, 2)
-    assert X.toarray().tolist() == [[1.0, 0.0], [0.0, 2.0], [0.0, 0.0]]
+    assert isinstance(X, np.ndarray) and X.dtype == np.float64
+    assert X.tolist() == [[1.0, 0.0], [0.0, 2.0], [0.0, 0.0]]
 
 
 @given(st.lists(st.sampled_from(["a", "b", "c", "z", "q"]), max_size=30))
@@ -212,8 +211,8 @@ def test_embedding_matrix_rows_match_avg_vectorize():
 def test_realize_features_bow(corpus_factory):
     corpus = corpus_factory([["a", "b"], ["b", "b"]])
     X, ref, vocab = realize_features(BowSpec(vocab_size=5), corpus)
-    assert sp.issparse(X)
-    assert X.shape == (2, 2)
+    assert isinstance(X, np.ndarray) and X.dtype == np.float64
+    assert X.tolist() == [[1.0, 1.0], [2.0, 0.0]]  # columns: b, a
     assert ref["kind"] == "bow"
     assert ref["actual_size"] == 2
     assert ref["vocab_sha256"] == vocab.fingerprint()

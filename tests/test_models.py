@@ -4,7 +4,6 @@ import json
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -90,8 +89,8 @@ def test_naive_bayes_exact_tie_is_negative():
     assert labels.tolist() == [0, 0]
 
 
-def test_naive_bayes_accepts_fractional_counts_and_sparse():
-    X = sp.csr_matrix(np.array([[0.5, 1.5], [2.5, 0.0], [0.0, 2.0]]))
+def test_naive_bayes_accepts_fractional_counts():
+    X = np.array([[0.5, 1.5], [2.5, 0.0], [0.0, 2.0]])
     y = np.array([1, 1, 0])
     model = train_naive_bayes(X, y)
     lik = np.exp(model.params.log_likelihoods)
@@ -248,14 +247,6 @@ def test_logreg_errors():
         LRHyperparams(learning_rate=0.0)
     with pytest.raises(ConfigError, match="max_epochs"):
         LRHyperparams(max_epochs=0)
-
-
-def test_logreg_accepts_sparse_features():
-    X = sp.csr_matrix(np.array([[-2.0], [-1.0], [1.0], [2.0]]))
-    y = np.array([0, 0, 1, 1])
-    model = train_logistic_regression(X, y)
-    labels, _ = predict(model, X.toarray())
-    assert labels.tolist() == [0, 0, 1, 1]
 
 
 # --- dispatcher and shared behavior ----------------------------------------

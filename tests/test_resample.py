@@ -4,7 +4,6 @@ import math
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -23,7 +22,7 @@ def make_data(n_min=4, n_maj=10, d=3, seed=0, minority_class=1):
 
 def replay_synthetic_rows(X, y, cfg):
     """Independent reconstruction of the documented sampling procedure."""
-    Xd = X.toarray() if sp.issparse(X) else np.asarray(X, dtype=np.float64)
+    Xd = np.asarray(X, dtype=np.float64)
     n_pos = int((y == 1).sum())
     minority = 1 if n_pos < len(y) - n_pos else 0
     min_idx = np.flatnonzero(y == minority)
@@ -137,14 +136,6 @@ def test_smote_is_deterministic_and_seed_sensitive():
     b, _ = smote(X, y, ResampleConfig(seed=6))
     assert np.array_equal(a1, a2)
     assert not np.array_equal(a1, b)
-
-
-def test_smote_accepts_sparse_input():
-    X, y = make_data(n_min=3, n_maj=7)
-    X_aug, y_aug = smote(sp.csr_matrix(X), y, ResampleConfig(seed=2))
-    assert isinstance(X_aug, np.ndarray)
-    assert np.array_equal(X_aug[: len(y)], X)
-    assert len(y_aug) == 14
 
 
 def test_smote_majority_rows_never_contribute():
