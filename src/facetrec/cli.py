@@ -9,7 +9,9 @@ reproduce output files byte for byte.
 from __future__ import annotations
 
 import argparse
+import csv
 import hashlib
+import io
 import json
 import logging
 import re
@@ -71,11 +73,9 @@ _CONFIG_KEYS = {
     "jobs",
     "out",
     "smote",
-    "vocab_size",
-    "embeddings",
-    "flavor",
     "systems",
 }
+_PATH_KEYS = {"corpus", "scoring_key", "normalization", "out"}
 
 
 @dataclass(frozen=True)
@@ -131,7 +131,7 @@ def _parse_model(raw) -> ModelSpec:
     return ModelSpec(kind=kind, alpha=alpha, lr=lr)
 
 
-def _parse_features(raw, base_dir: Path, default_vocab: int):
+def _parse_features(raw, base_dir: Path):
     if not isinstance(raw, dict) or "kind" not in raw:
         raise ConfigError(f"features must be a mapping with 'kind', got {raw!r}")
     kind = raw["kind"]
@@ -143,7 +143,7 @@ def _parse_features(raw, base_dir: Path, default_vocab: int):
         if not isinstance(binary, bool):
             raise ConfigError(f"binary must be true or false, got {binary!r}")
         return BowSpec(
-            vocab_size=_require_int(raw.get("vocab_size", default_vocab), "vocab_size"),
+            vocab_size=_require_int(raw.get("vocab_size", DEFAULT_VOCAB_SIZE), "vocab_size"),
             binary=binary,
         )
     if kind == "embeddings":
@@ -159,94 +159,44 @@ def _parse_features(raw, base_dir: Path, default_vocab: int):
     raise ConfigError(f"feature kind must be 'bow' or 'embeddings', got {kind!r}")
 
 
-def _default_systems(vocab_size: int, embeddings: str | None, flavor: str) -> list[dict]:
-    systems = [
-        {"name": "baseline", "model": "majority", "features": {"kind": "bow", "vocab_size": vocab_size}},
-        {"name": "bow-nb", "model": "naive_bayes", "features": {"kind": "bow", "vocab_size": vocab_size}},
-    ]
-    if embeddings:
-        systems.append(
-            {
-                "name": f"{flavor}-lr",
-                "model": "logistic_regression",
-                "features": {"kind": "embeddings", "path": embeddings, "flavor": flavor},
-            }
-        )
-    return systems
+def parse_experiment_config(data: dict, base_dir: Path, flags: dict | None = None) -> ExperimentConfig:
+    """Lay flag values over a config mapping (flags win) and check the result.
 
-
-def parse_experiment_config(data: dict, base_dir: Path, overrides: dict) -> ExperimentConfig:
-    """Merge a config mapping with flag overrides (overrides win).
-
-    Paths in the mapping resolve relative to the config file's directory;
-    override paths resolve against the caller's working directory.
+    Paths in the mapping resolve relative to ``base_dir``, the config
+    file's directory; flag paths stay as given. Flags whose value is None
+    were not set. ``smote_k`` and ``smote_ratio`` override the ``smote``
+    mapping's ``k_neighbors`` and ``target_ratio``.
     """
     if not isinstance(data, dict):
         raise ConfigError("config must be a mapping")
     unknown = set(data) - _CONFIG_KEYS
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(sorted(unknown))}")
+    cfg = {
+        k: str(base_dir / str(v)) if k in _PATH_KEYS else v
+        for k, v in data.items()
+        if v is not None
+    }
+    cfg.update((k, v) for k, v in (flags or {}).items() if v is not None)
 
-    def pick(key, default=None):
-        if overrides.get(key) is not None:
-            return overrides[key], False
-        if data.get(key) is not None:
-            return data[key], True
-        return default, False
-
-    corpus, rel = pick("corpus")
-    if corpus is None:
+    if "corpus" not in cfg:
         raise ConfigError("a corpus path is required (config 'corpus' or --corpus)")
-    corpus = str(base_dir / corpus) if rel else str(corpus)
-
-    key_path, rel = pick("scoring_key")
-    if key_path is not None:
-        key_path = str(base_dir / key_path) if rel else str(key_path)
-    norm_path, rel = pick("normalization")
-    if norm_path is not None:
-        norm_path = str(base_dir / norm_path) if rel else str(norm_path)
-
-    seed, _ = pick("seed")
-    if seed is None:
+    if "seed" not in cfg:
         raise ConfigError("a seed is required (config 'seed' or --seed); there is no default")
-    check_seed(seed)
-
-    folds, _ = pick("folds", 10)
-    jobs, _ = pick("jobs", 1)
-    out, rel = pick("out")
-    if out is None:
+    check_seed(cfg["seed"])
+    if "out" not in cfg:
         raise ConfigError("an output directory is required (config 'out' or --out)")
-    out = str(base_dir / out) if rel else str(out)
 
-    smote_raw = data.get("smote") or {}
+    smote_raw = cfg.get("smote") or {}
     if not isinstance(smote_raw, dict):
         raise ConfigError("smote config must be a mapping")
     unknown = set(smote_raw) - {"k_neighbors", "target_ratio"}
     if unknown:
         raise ConfigError(f"unknown smote options: {', '.join(sorted(unknown))}")
-    smote_k = overrides.get("smote_k")
-    if smote_k is None:
-        smote_k = smote_raw.get("k_neighbors", 5)
-    smote_ratio = overrides.get("smote_ratio")
-    if smote_ratio is None:
-        smote_ratio = smote_raw.get("target_ratio", 1.0)
 
-    vocab_size, _ = pick("vocab_size", DEFAULT_VOCAB_SIZE)
-    vocab_size = _require_int(vocab_size, "vocab_size")
-    embeddings, rel = pick("embeddings")
-    if embeddings is not None:
-        embeddings = str(base_dir / embeddings) if rel else str(embeddings)
-    flavor, _ = pick("flavor", "skip")
-
-    raw_systems = data.get("systems")
-    if raw_systems is None:
-        raw_systems = _default_systems(vocab_size, embeddings, flavor)
-        base_for_systems = Path(".")
-    else:
-        base_for_systems = base_dir
+    raw_systems = cfg.get("systems")
     if not isinstance(raw_systems, list) or not raw_systems:
         raise ConfigError("systems must be a non-empty list")
-
     systems = []
     names = set()
     for i, raw in enumerate(raw_systems):
@@ -264,19 +214,21 @@ def parse_experiment_config(data: dict, base_dir: Path, overrides: dict) -> Expe
         if name in names:
             raise ConfigError(f"system {i}: duplicate name {name!r}")
         names.add(name)
-        feature_spec = _parse_features(raw["features"], base_for_systems, vocab_size)
+        feature_spec = _parse_features(raw["features"], base_dir)
         systems.append(SystemConfig(name=name, feature_spec=feature_spec, model_spec=model_spec))
 
     return ExperimentConfig(
-        corpus=corpus,
-        scoring_key=key_path,
-        normalization=norm_path,
-        seed=seed,
-        folds=_require_int(folds, "folds"),
-        jobs=_require_int(jobs, "jobs"),
-        smote_k=_require_int(smote_k, "smote_k"),
-        smote_ratio=_require_number(smote_ratio, "smote.target_ratio"),
-        out=out,
+        corpus=cfg["corpus"],
+        scoring_key=cfg.get("scoring_key"),
+        normalization=cfg.get("normalization"),
+        seed=cfg["seed"],
+        folds=_require_int(cfg.get("folds", 10), "folds"),
+        jobs=_require_int(cfg.get("jobs", 1), "jobs"),
+        smote_k=_require_int(cfg.get("smote_k", smote_raw.get("k_neighbors", 5)), "smote_k"),
+        smote_ratio=_require_number(
+            cfg.get("smote_ratio", smote_raw.get("target_ratio", 1.0)), "smote.target_ratio"
+        ),
+        out=cfg["out"],
         systems=tuple(systems),
     )
 
@@ -344,21 +296,7 @@ def cmd_run(args) -> int:
         raise ConfigError(f"cannot read config: {e}") from e
     except yaml.YAMLError as e:
         raise ConfigError(f"{config_path}: invalid YAML: {e}") from e
-    overrides = {
-        "corpus": args.corpus,
-        "scoring_key": args.key,
-        "normalization": args.normalization,
-        "seed": args.seed,
-        "folds": args.folds,
-        "jobs": args.jobs,
-        "out": args.out,
-        "smote_k": args.smote_k,
-        "smote_ratio": args.smote_ratio,
-        "vocab_size": args.vocab_size,
-        "embeddings": args.embeddings,
-        "flavor": args.flavor,
-    }
-    cfg = parse_experiment_config(data or {}, config_path.parent, overrides)
+    cfg = parse_experiment_config(data or {}, config_path.parent, vars(args))
 
     key = _load_key(cfg.scoring_key)
     table = _load_table(cfg.normalization)
@@ -433,6 +371,17 @@ def cmd_run(args) -> int:
     return 0
 
 
+def _write_csv(rows: list[list], out: str | None) -> None:
+    """Write rows as CSV to the file ``out``, or to stdout when it is None."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    if out:
+        Path(out).write_text(buf.getvalue(), encoding="utf-8")
+        print(f"wrote {out}")
+    else:
+        sys.stdout.write(buf.getvalue())
+
+
 def cmd_validate(args) -> int:
     key = _load_key(args.key)
     table = _load_table(args.normalization)
@@ -460,7 +409,7 @@ def cmd_score(args) -> int:
     key = _load_key(args.key)
     records = load_corpus(args.corpus)
     domains = list(key.domains)
-    lines = ["author_id," + ",".join(domains + list(FACET_NAMES))]
+    rows = [["author_id", *domains, *FACET_NAMES]]
     for rec in records:
         try:
             sc = score_inventory(rec.inventory, key)
@@ -468,13 +417,8 @@ def cmd_score(args) -> int:
             raise ValidationError(f"author {rec.author_id}: {e}") from e
         cells = [repr(sc.domains[d]) for d in domains]
         cells += [repr(sc.facets[f]) for f in FACET_NAMES]
-        lines.append(rec.author_id + "," + ",".join(cells))
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
-        print(f"wrote {args.out}")
-    else:
-        sys.stdout.write(text)
+        rows.append([rec.author_id, *cells])
+    _write_csv(rows, args.out)
     return 0
 
 
@@ -514,37 +458,32 @@ def cmd_train(args) -> int:
         raise ValidationError(f"facet {args.facet} is degenerate in this corpus")
 
     if args.features == "bow":
-        feature_spec = BowSpec(vocab_size=args.vocab_size)
+        features = {"kind": "bow", "vocab_size": args.vocab_size}
     else:
         if not args.embeddings:
             raise ConfigError("--embeddings is required with --features embeddings")
-        feature_spec = EmbeddingSpec(
-            path=str(Path(args.embeddings).resolve()), flavor=args.flavor
-        )
-    model_spec = ModelSpec(
-        kind=args.model,
-        alpha=args.alpha,
-        lr=LRHyperparams(
-            learning_rate=args.learning_rate,
-            l2=args.l2,
-            max_epochs=args.max_epochs,
-            tol=args.tol,
-        ),
-    )
+        path = str(Path(args.embeddings).resolve())
+        features = {"kind": "embeddings", "path": path, "flavor": args.flavor}
+    feature_spec = _parse_features(features, Path("."))
+    hyper = ("alpha", "learning_rate", "l2", "max_epochs", "tol")
+    model_spec = _parse_model({"kind": args.model, **{k: getattr(args, k) for k in hyper}})
 
     X, ref, space = realize_features(feature_spec, corpus)
     if isinstance(feature_spec, BowSpec):
         ref = {**ref, "vocab": [[t, f] for t, f in space.entries]}
     ref["facet"] = args.facet
     y = corpus.labels(args.facet)
-    if args.smote:
-        rcfg = ResampleConfig(
-            k_neighbors=args.smote_k,
-            target_ratio=args.smote_ratio,
-            seed=derive_seed(args.seed, STREAM_SMOTE, FACET_NAMES.index(args.facet)),
-        )
-        X, y = smote(X, y, rcfg)
-    model = train(model_spec, X, y)
+    try:
+        if args.smote:
+            rcfg = ResampleConfig(
+                k_neighbors=args.smote_k,
+                target_ratio=args.smote_ratio,
+                seed=derive_seed(args.seed, STREAM_SMOTE, FACET_NAMES.index(args.facet)),
+            )
+            X, y = smote(X, y, rcfg)
+        model = train(model_spec, X, y)
+    except FacetrecError as e:
+        raise type(e)(f"facet {args.facet}: {e}") from e
     model = replace(model, feature_ref=ref)
     save_model(model, args.out)
     print(f"wrote {args.out}")
@@ -581,16 +520,10 @@ def cmd_predict(args) -> int:
         raise ConfigError(f"unknown feature kind {ref['kind']!r} in model file")
 
     labels, scores = predict(model, X)
-    facet = ref.get("facet", "label")
-    lines = [f"author_id,{facet},score"]
+    rows = [["author_id", ref.get("facet", "label"), "score"]]
     for (aid, _), lab, sc in zip(docs, labels, scores):
-        lines.append(f"{aid},{int(lab)},{float(sc)!r}")
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
-        print(f"wrote {args.out}")
-    else:
-        sys.stdout.write(text)
+        rows.append([aid, int(lab), repr(float(sc))])
+    _write_csv(rows, args.out)
     return 0
 
 
@@ -630,13 +563,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("run", help="run the configured experiment and write reports")
     p.add_argument("--config", required=True, help="experiment config YAML")
     p.add_argument("--corpus")
-    p.add_argument("--key")
+    p.add_argument("--key", dest="scoring_key")
     p.add_argument("--normalization")
     p.add_argument("--seed", type=int)
     p.add_argument("--folds", type=int)
-    p.add_argument("--vocab-size", type=int, dest="vocab_size")
-    p.add_argument("--embeddings", help="embedding file for the default systems")
-    p.add_argument("--flavor", choices=["skip", "cbow"])
     p.add_argument("--smote-k", type=int, dest="smote_k")
     p.add_argument("--smote-ratio", type=float, dest="smote_ratio")
     p.add_argument("--jobs", type=int)

@@ -64,13 +64,11 @@ def make_folds(labels: dict[str, np.ndarray], n_folds: int = DEFAULT_FOLDS, seed
             raise ValidationError("facet label vectors differ in length")
         rng = substream(seed, STREAM_FOLDS, FACET_NAMES.index(facet))
         perm = rng.permutation(n_docs)
+        order = np.concatenate([perm[y[perm] == 1], perm[y[perm] == 0]])
+        if order.size != n_docs:
+            raise ValidationError(f"facet {facet}: labels must be 0 or 1")
         fold = np.empty(n_docs, dtype=np.int64)
-        counter = 0
-        for cls in (1, 0):
-            for idx in perm:
-                if y[idx] == cls:
-                    fold[idx] = counter % n_folds
-                    counter += 1
+        fold[order] = np.arange(n_docs) % n_folds
         assignment[facet] = fold
     return FoldPlan(n_folds=n_folds, seed=seed, assignment=assignment)
 

@@ -1,10 +1,13 @@
-"""Reference versions of the numeric kernels in ``facetrec.kernels``.
+"""Reference versions of the numeric kernels and of fold dealing.
 
 The ``_loops`` functions run every sum element by element in a fixed order,
 so they are slow but easy to check by eye. ``test_kernels.py`` holds the
 vectorized kernels to them: exactly for neighbour search and interpolation,
 within stated tolerances for the logistic-regression arithmetic, whose
 summation order differs.
+
+``fold_assignment_loops`` deals shuffled documents to folds one at a time,
+positives first, as ``eval.make_folds`` does in one vectorized step.
 
 ``logreg_descent_numpy`` is gradient descent on one cell with numpy
 vectors, with no stacking. The tests hold every cell of a batched descent
@@ -146,3 +149,14 @@ def interpolate_rows_loops(M, seed_pos, nbr_pos, gammas):
             sv = M[s, c]
             out[i, c] = sv + g * (M[nb, c] - sv)
     return out
+
+
+def fold_assignment_loops(y, perm, n_folds):
+    fold = np.empty(len(y), dtype=np.int64)
+    counter = 0
+    for cls in (1, 0):
+        for idx in perm:
+            if y[idx] == cls:
+                fold[idx] = counter % n_folds
+                counter += 1
+    return fold

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import csv
 import json
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -13,9 +15,9 @@ import pytest
 import yaml
 
 from facetrec import features
-from facetrec.cli import main
+from facetrec.cli import build_parser, main, parse_experiment_config
 from facetrec.features import load_embeddings, write_embeddings
-from facetrec.inventory import FACET_NAMES
+from facetrec.inventory import FACET_NAMES, default_scoring_key
 from facetrec.models import ModelSpec, save_model, train
 
 
@@ -77,6 +79,25 @@ def test_score_writes_csv(bundle, capsys, tmp_path):
     rc = main(["score", "--corpus", str(bundle / "corpus.jsonl"), "--out", str(dest)])
     assert rc == 0
     assert dest.read_text(encoding="utf-8") == out
+
+
+def test_score_and_predict_quote_csv_fields(bundle, tmp_path, capsys):
+    odd = 'smith, "j"'
+    rows = [json.loads(line) for line in (bundle / "corpus.jsonl").read_text(encoding="utf-8").splitlines()]
+    rows[0]["author_id"] = odd
+    corpus = tmp_path / "odd.jsonl"
+    corpus.write_text("".join(json.dumps(r) + "\n" for r in rows), encoding="utf-8")
+    model = tmp_path / "m.json"
+    common = ["--corpus", str(corpus)]
+    assert main(["score", *common, "--out", str(tmp_path / "scores.csv")]) == 0
+    assert main(["train", *common, "--facet", "Anxiety", "--model", "majority", "--seed", "1", "--out", str(model)]) == 0
+    assert main(["predict", *common, "--model", str(model), "--out", str(tmp_path / "pred.csv")]) == 0
+    for name, width in (("scores.csv", 1 + 5 + 10), ("pred.csv", 3)):
+        with open(tmp_path / name, encoding="utf-8", newline="") as fh:
+            table = list(csv.reader(fh))
+        assert len(table) == 41
+        assert {len(row) for row in table} == {width}
+        assert table[1][0] == odd
 
 
 def test_run_writes_reports(bundle, run_dir, capsys):
@@ -226,6 +247,49 @@ def test_config_requires_a_seed(bundle, tmp_path, capsys):
     assert "seed is required" in err
 
 
+@pytest.mark.parametrize(
+    "key, value",
+    [("systems", None), ("vocab_size", 3000), ("embeddings", "embeddings-skip.vec"), ("flavor", "cbow")],
+)
+def test_config_has_no_implicit_system_list(bundle, tmp_path, capsys, key, value):
+    # Systems are always listed; no top-level key builds a default list.
+    data = yaml.safe_load((bundle / "config.yaml").read_text(encoding="utf-8"))
+    if value is None:
+        del data[key]
+    else:
+        data[key] = value
+    cfg = tmp_path / "implicit.yaml"
+    cfg.write_text(yaml.safe_dump(data), encoding="utf-8")
+    rc = main(["run", "--config", str(cfg), "--folds", "3", "--out", str(tmp_path / "r")])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("facetrec: ConfigError:") and key in err
+
+
+def test_every_run_flag_reaches_the_config(tmp_path):
+    # cmd_run lays vars(args) over the config, so a flag the parser does not
+    # read would be ignored without a word. 2 is a valid value for each
+    # numeric flag and differs from every default; flag paths stay as given.
+    system = {"model": "majority", "features": {"kind": "bow"}}
+    data = {"corpus": "c.jsonl", "seed": 7, "out": "results", "systems": [system]}
+    base = parse_experiment_config(data, tmp_path)
+    args = vars(build_parser().parse_args(["run", "--config", "c.yaml"]))
+    flags = set(args) - {"command", "config", "func", "verbose"}
+    assert flags
+    for dest in flags:
+        assert parse_experiment_config(data, tmp_path, {dest: 2}) != base, dest
+
+
+def test_readme_configuration_block_parses(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Configuration\n", 1)[1].split("\n## ", 1)[0]
+    block = re.search(r"```yaml\n(.*?)```", section, re.S).group(1)
+    cfg = parse_experiment_config(yaml.safe_load(block), tmp_path)
+    assert cfg.corpus == str(tmp_path / "corpus.jsonl") and cfg.seed == 7
+    assert [s.name for s in cfg.systems] == ["baseline", "bow-nb", "skip-lr"]
+    assert cfg.systems[2].feature_spec.path == str(tmp_path / "embeddings-skip.vec")
+
+
 def test_config_rejects_unknown_keys(bundle, tmp_path, capsys):
     data = yaml.safe_load((bundle / "config.yaml").read_text(encoding="utf-8"))
     data["sneed"] = 1
@@ -365,6 +429,20 @@ def test_train_refuses_a_degenerate_facet(tmp_path, capsys):
     assert rc == 1
     assert "facetrec: ValidationError:" in err
     assert "degenerate" in err
+
+
+def test_train_errors_name_their_facet(tmp_path, capsys):
+    # One author scores above the mean on Anxiety, too few for SMOTE.
+    corpus = _degenerate_corpus(tmp_path / "one.jsonl")
+    rows = [json.loads(line) for line in corpus.read_text(encoding="utf-8").splitlines()]
+    for idx, reverse in default_scoring_key().facets["Anxiety"]:
+        rows[0]["bfi44"][idx] = 1 if reverse else 5
+    corpus.write_text("".join(json.dumps(r) + "\n" for r in rows), encoding="utf-8")
+    args = ["train", "--corpus", str(corpus), "--facet", "Anxiety", "--model", "naive_bayes"]
+    rc = main([*args, "--seed", "3", "--out", str(tmp_path / "m.json")])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert "facetrec: ValidationError: facet Anxiety: minority class needs at least 2" in err
 
 
 def test_train_rejects_an_unknown_facet(bundle, tmp_path, capsys):

@@ -5,7 +5,7 @@ import pytest
 import yaml
 from hypothesis import given
 from hypothesis import strategies as st
-from loop_oracles import logreg_descent_numpy
+from loop_oracles import fold_assignment_loops, logreg_descent_numpy
 
 from facetrec import eval as eval_module
 from facetrec import kernels
@@ -26,6 +26,7 @@ from facetrec.features import BowSpec, realize_features
 from facetrec.inventory import FACET_NAMES
 from facetrec.models import LRHyperparams, ModelSpec
 from facetrec.resample import ResampleConfig
+from facetrec.seeding import STREAM_FOLDS, substream
 
 # --- F1 ---------------------------------------------------------------------
 
@@ -125,6 +126,19 @@ def test_make_folds_is_deterministic_and_facet_specific():
     )
 
 
+@given(
+    st.lists(st.integers(0, 1), min_size=12, max_size=80),
+    st.integers(2, 12),
+    st.integers(0, 2**64 - 1),
+    st.sampled_from(FACET_NAMES),
+)
+def test_make_folds_matches_the_dealing_loop(labels, n_folds, seed, facet):
+    y = np.array(labels, dtype=np.int64)
+    plan = make_folds({facet: y}, n_folds=n_folds, seed=seed)
+    perm = substream(seed, STREAM_FOLDS, FACET_NAMES.index(facet)).permutation(len(y))
+    assert np.array_equal(plan.assignment[facet], fold_assignment_loops(y, perm, n_folds))
+
+
 def test_make_folds_validation():
     with pytest.raises(ConfigError, match="n_folds"):
         make_folds(_labels(10, 5), n_folds=1)
@@ -138,6 +152,8 @@ def test_make_folds_validation():
     bad["Anxiety"] = bad["Anxiety"][:5]
     with pytest.raises(ValidationError, match="length"):
         make_folds(bad, n_folds=2)
+    with pytest.raises(ValidationError, match="Anxiety: labels must be 0 or 1"):
+        make_folds({"Anxiety": np.array([0, 1, 2, 0, 1, 2])}, n_folds=2)
 
 
 # --- experiment loop --------------------------------------------------------
