@@ -316,7 +316,7 @@ def cmd_run(args) -> int:
         if system.feature_spec not in spaces:
             spaces[system.feature_spec] = realize_features(system.feature_spec, corpus)[:2]
         X, ref = spaces[system.feature_spec]
-        fold_f1 = run_experiment(corpus, X, system.model_spec, rcfg, plan, jobs=cfg.jobs)
+        fold_f1 = run_experiment(corpus, X, system.model_spec, rcfg, plan, cfg.jobs, system.name)
         results.append(SystemResult(name=system.name, fold_f1=fold_f1))
         # Each entry gets its own mapping: a shared one would be written as
         # a YAML anchor and alias.

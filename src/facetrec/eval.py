@@ -10,6 +10,7 @@ count per system.
 
 from __future__ import annotations
 
+import logging
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
@@ -21,10 +22,12 @@ from . import kernels
 from .errors import ConfigError, FacetrecError, ValidationError
 from .inventory import FACET_NAMES
 from .models import ModelSpec, lr_model, lr_training_set, predict, train, train_majority
-from .resample import ResampleConfig, resampled_labels, smote
+from .resample import ResampleConfig, resampled_labels, smote, smote_triples
 from .seeding import STREAM_FOLDS, STREAM_SMOTE, check_seed, derive_seed, substream
 
 DEFAULT_FOLDS = 10
+
+log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -134,66 +137,42 @@ class EvaluationReport:
         return counts
 
 
-# Largest stacked float64 training set, in bytes, that one batched LR
-# descent takes. A demo cell (54x50, 22 KB) shares a descent with its facet's
-# other folds, which removes the per-epoch Python overhead that dominates
-# cells this small. A 432x501 bag-of-words cell (1.7 MB) already keeps the
-# arithmetic busy, and stacking two of them spills a 2 MiB per-core L2 cache
-# (on a 2-core Xeon VM one such matvec takes 33 us, two stacked 131 us), so
-# it trains as a stack of one.
-LR_GROUP_BYTES = 1 << 20
+@contextmanager
+def _cell(facet, k):
+    # Prefix an error of one facet x fold cell with where it happened.
+    try:
+        yield
+    except FacetrecError as e:
+        raise type(e)(f"facet {facet}, fold {k}: {e}") from e
 
 
 def _evaluate_facet(X, n_folds, model_spec, resample_cfg, plan_seed, facet, y, folds):
+    # One facet's folds in order: the macro-F1 of a majority or naive Bayes
+    # model, or a logistic-regression cell, checked before any descent runs.
+    # Models are scored as they are trained, not held, and X_aug stays bound
+    # until the next fold's SMOTE rows exist. On a 600 x 3000 bag of words,
+    # holding the models or freeing X_aug early let the allocator return
+    # pages and fault them in again: 3 and 5 times the page faults.
     facet_idx = FACET_NAMES.index(facet)
-    scores = [0.0] * n_folds
-    groups: dict[tuple[int, int], list] = {}  # LR cells by training-set shape
-
-    @contextmanager
-    def cell(k):
-        try:
-            yield
-        except FacetrecError as e:
-            raise type(e)(f"facet {facet}, fold {k}: {e}") from e
-
-    def score(k, model):
-        test = folds == k
-        pred, _ = predict(model, X[test])
-        scores[k] = f1_macro(y[test], pred)
-
-    def flush(shape):
-        group = groups.pop(shape)
-        hyper = model_spec.lr
-        W, B, losses, diverged = kernels.logreg_descent_batched(
-            np.stack([Xk for _, Xk, _ in group]),
-            np.stack([yk for _, _, yk in group]),
-            hyper.learning_rate, hyper.l2, hyper.max_epochs, hyper.tol,
-        )
-        for i, (k, _, _) in enumerate(group):
-            with cell(k):
-                score(k, lr_model(hyper, W[i], B[i], losses[i], diverged[i]))
-
+    out = []
     for k in range(n_folds):
         train_rows = folds != k
         cfg = replace(resample_cfg, seed=derive_seed(plan_seed, STREAM_SMOTE, facet_idx, k))
-        with cell(k):
+        with _cell(facet, k):
+            if model_spec.kind == "logistic_regression":
+                rows = np.flatnonzero(train_rows)
+                seeds, nbrs, gammas, y_aug = smote_triples(*lr_training_set(X[rows], y[rows]), cfg)
+                out.append(kernels.LRCell(rows, y[rows], rows[seeds], rows[nbrs], gammas, int(y_aug[-1])))
+                continue
             if model_spec.kind == "majority":
                 # The baseline reads only labels, so it skips SMOTE's rows.
-                y_aug = resampled_labels(y[train_rows], cfg)
-                score(k, train_majority(y_aug, feature_dim=X.shape[1]))
-                continue
-            X_aug, y_aug = smote(X[train_rows], y[train_rows], cfg)
-            if model_spec.kind != "logistic_regression":
-                score(k, train(model_spec, X_aug, y_aug))
-                continue
-            X_aug, y_aug = lr_training_set(X_aug, y_aug)
-        group = groups.setdefault(X_aug.shape, [])
-        group.append((k, X_aug, y_aug))
-        if (len(group) + 1) * X_aug.nbytes > LR_GROUP_BYTES:
-            flush(X_aug.shape)
-    for shape in list(groups):
-        flush(shape)
-    return tuple(scores)
+                model = train_majority(resampled_labels(y[train_rows], cfg), feature_dim=X.shape[1])
+            else:
+                X_aug, y_aug = smote(X[train_rows], y[train_rows], cfg)
+                model = train(model_spec, X_aug, y_aug)
+            pred, _ = predict(model, X[folds == k])
+        out.append(f1_macro(y[folds == k], pred))
+    return out
 
 
 def run_experiment(
@@ -203,14 +182,19 @@ def run_experiment(
     resample_cfg: ResampleConfig,
     plan: FoldPlan,
     jobs: int = 1,
+    name: str = "system",
 ) -> dict[str, tuple[float, ...]]:
     """Cross-validate one model on a realized feature matrix (one row per
     corpus document): resample each training split, train, and score every
     held-out split with macro-F1. Returns the fold scores keyed by facet.
 
     Facets flagged degenerate by the corpus are skipped. Facet cells are
-    independent; jobs > 1 evaluates facets in worker processes, and results
-    are merged in facet order regardless of completion order.
+    independent; jobs > 1 evaluates facets (for logistic regression: plans
+    their cells) in worker processes, and results are merged in facet order
+    regardless of completion order. All logistic-regression cells, in facet
+    then fold order, then train in one ``kernels.logreg_descent_cells``
+    descent over X, and an info log line headed ``name`` sums up their
+    epochs.
     """
     if not isinstance(jobs, int) or isinstance(jobs, bool) or jobs < 1:
         raise ConfigError(f"jobs must be a positive integer, got {jobs!r}")
@@ -228,11 +212,33 @@ def run_experiment(
     task = partial(_evaluate_facet, X, plan.n_folds, model_spec, resample_cfg, plan.seed)
     args = (facets, [corpus.labels(f) for f in facets], [plan.assignment[f] for f in facets])
     if jobs == 1:
-        scores = list(map(task, *args))
+        results = list(map(task, *args))
     else:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            scores = list(pool.map(task, *args))
-    return dict(zip(facets, scores))
+            results = list(pool.map(task, *args))
+    if model_spec.kind != "logistic_regression":
+        return {facet: tuple(fold_f1) for facet, fold_f1 in zip(facets, results)}
+
+    hyper = model_spec.lr
+    fits = kernels.logreg_descent_cells(
+        X, [cell for cells in results for cell in cells],
+        hyper.learning_rate, hyper.l2, hyper.max_epochs, hyper.tol,
+    )
+    epochs = [len(losses) - 1 for losses in fits[2]]
+    converged = sum(e < hyper.max_epochs and not bad for e, bad in zip(epochs, fits[3]))
+    log.info("%s: LR converged in %d/%d cells (epochs %d-%d)",
+             name, converged, len(epochs), min(epochs), max(epochs))
+    fits = iter(zip(*fits))
+    scores = {}
+    for facet in facets:
+        y, folds = corpus.labels(facet), plan.assignment[facet]
+        fold_f1 = []
+        for k in range(plan.n_folds):
+            with _cell(facet, k):
+                pred, _ = predict(lr_model(hyper, *next(fits)), X[folds == k])
+            fold_f1.append(f1_macro(y[folds == k], pred))
+        scores[facet] = tuple(fold_f1)
+    return scores
 
 
 def render_report(report: EvaluationReport, fmt: str = "text") -> str:

@@ -75,27 +75,25 @@ def resampled_labels(y, cfg: ResampleConfig) -> np.ndarray:
     return np.concatenate([y, np.full(n_synth, minority, dtype=np.int64)])
 
 
-def smote(X, y, cfg: ResampleConfig):
-    """Oversample the minority class of (X, y) with synthetic points.
+def smote_triples(X, y, cfg: ResampleConfig):
+    """SMOTE's synthetic rows for (X, y), as interpolation triples.
 
-    X is a 2-d array-like of numbers; it is copied as float64 and never
-    modified. Returns (X_aug, y_aug) as float64 rows and int64 labels, the
-    original rows first and bit-for-bit untouched; y_aug is
-    resampled_labels(y, cfg). Deterministic in (X, y, cfg). Requires both
-    classes present and, when the classes are imbalanced, at least 2
-    minority rows to interpolate between.
+    Returns (seeds, nbrs, gammas, y_aug): synthetic row i is
+    X[seeds[i]] + gammas[i] * (X[nbrs[i]] - X[seeds[i]]), seeds and nbrs
+    are int64 positions of minority rows of X, and y_aug is
+    resampled_labels(y, cfg), whose errors it raises. Deterministic.
     """
-    X = np.array(X, dtype=np.float64)
+    X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
     if y.shape[:1] != X.shape[:1]:
         raise ValidationError("labels must be one per feature row")
     y_aug = resampled_labels(y, cfg)
     n_synth = len(y_aug) - len(y)
     if n_synth == 0:
-        return X, y_aug
+        none = np.empty(0, dtype=np.int64)
+        return none, none, np.empty(0), y_aug
 
-    minority = int(y_aug[-1])
-    min_idx = np.flatnonzero(y == minority)
+    min_idx = np.flatnonzero(y == y_aug[-1])
     n_min = len(min_idx)
 
     # Fixed draw order so runs are reproducible: shuffle, neighbor picks,
@@ -106,10 +104,19 @@ def smote(X, y, cfg: ResampleConfig):
     picks = rng.integers(0, k_eff, size=n_synth)
     gammas = rng.random(n_synth)
 
-    M = X[min_idx]
-    knn = kernels.minority_knn(M, cfg.k_neighbors)
+    knn = kernels.minority_knn(X[min_idx], cfg.k_neighbors)
     seed_pos = perm[np.arange(n_synth) % n_min]
-    nbr_pos = knn[seed_pos, picks]
-    synth = kernels.interpolate_rows(M, seed_pos, nbr_pos, gammas)
+    return min_idx[seed_pos], min_idx[knn[seed_pos, picks]], gammas, y_aug
 
-    return np.vstack([X, synth]), y_aug
+
+def smote(X, y, cfg: ResampleConfig):
+    """Oversample the minority class of (X, y) with synthetic points.
+
+    X is a 2-d array-like of numbers; it is never modified. Returns
+    (X_aug, y_aug) as a new array of float64 rows and int64 labels, the
+    original rows first and bit-for-bit untouched, then the rows of
+    smote_triples(X, y, cfg); y_aug is resampled_labels(y, cfg).
+    """
+    X = np.asarray(X, dtype=np.float64)
+    seeds, nbrs, gammas, y_aug = smote_triples(X, y, cfg)
+    return np.vstack([X, kernels.interpolate_rows(X, seeds, nbrs, gammas)]), y_aug

@@ -10,8 +10,8 @@ summation order differs.
 positives first, as ``eval.make_folds`` does in one vectorized step.
 
 ``logreg_descent_numpy`` is gradient descent on one cell with numpy
-vectors, with no stacking. The tests hold every cell of a batched descent
-to it within 1e-12.
+vectors, over the cell's materialized rows (SMOTE rows included). The
+tests hold every cell of the many-cell descent to it within 1e-12.
 """
 
 from __future__ import annotations

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import json
+import logging
 import re
 import subprocess
 import sys
@@ -170,6 +171,24 @@ def test_rerun_is_byte_identical(bundle, run_dir, tmp_path, capsys):
     assert rc == 0
     for name in ("report.csv", "report.txt"):
         assert (out / name).read_bytes() == (run_dir / name).read_bytes()
+
+
+def test_verbose_run_logs_lr_convergence_without_touching_artifacts(bundle, tmp_path, caplog, capsys):
+    # Each LR system sums up its cells' descent in one info line; -v shows
+    # it, and report.csv and manifest.yaml do not change.
+    args = ["run", "--config", str(bundle / "config.yaml"), "--out", str(tmp_path)]
+    assert main(args) == 0
+    quiet = {name: (tmp_path / name).read_bytes() for name in ("report.csv", "manifest.yaml")}
+    caplog.set_level(logging.INFO, logger="facetrec")
+    assert main(["-v", *args]) == 0
+    lines = [r.getMessage() for r in caplog.records if "LR converged" in r.getMessage()]
+    assert [line.split(":")[0] for line in lines] == ["skip-lr", "cbow-lr"]
+    for line in lines:
+        converged, cells, low, high = map(int, re.fullmatch(
+            r"[\w-]+: LR converged in (\d+)/(\d+) cells \(epochs (\d+)-(\d+)\)", line).groups())
+        assert cells == 100 and converged <= cells and 0 <= low <= high <= 500
+    for name, data in quiet.items():
+        assert (tmp_path / name).read_bytes() == data
 
 
 def _digest(out: Path) -> str:

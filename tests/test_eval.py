@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 import yaml
@@ -13,8 +15,8 @@ from facetrec.cli import main
 from facetrec.errors import ConfigError, TrainingError, ValidationError
 from facetrec.eval import (
     EvaluationReport,
+    FoldPlan,
     SystemResult,
-    _evaluate_facet,
     f1_binary,
     f1_macro,
     make_folds,
@@ -24,7 +26,7 @@ from facetrec.eval import (
 )
 from facetrec.features import BowSpec, realize_features
 from facetrec.inventory import FACET_NAMES
-from facetrec.models import LRHyperparams, ModelSpec
+from facetrec.models import LRHyperparams, ModelSpec, lr_model, predict
 from facetrec.resample import ResampleConfig
 from facetrec.seeding import STREAM_FOLDS, substream
 
@@ -187,9 +189,10 @@ def test_run_experiment_parallel_matches_sequential(corpus_factory):
     corpus = corpus_factory(_tiny_tokens(12))
     plan = make_folds({f: corpus.labels(f) for f in corpus.active_facets}, n_folds=3, seed=5)
     X = _bow(corpus)
-    seq = run_experiment(corpus, X, ModelSpec(kind="naive_bayes"), ResampleConfig(seed=5), plan, jobs=1)
-    par = run_experiment(corpus, X, ModelSpec(kind="naive_bayes"), ResampleConfig(seed=5), plan, jobs=2)
-    assert seq == par
+    for kind in ("naive_bayes", "logistic_regression"):
+        seq = run_experiment(corpus, X, ModelSpec(kind=kind), ResampleConfig(seed=5), plan, jobs=1)
+        par = run_experiment(corpus, X, ModelSpec(kind=kind), ResampleConfig(seed=5), plan, jobs=2)
+        assert seq == par
 
 
 def test_run_experiment_wraps_cell_errors_with_context(corpus_factory):
@@ -331,25 +334,28 @@ def test_parse_report_csv_errors():
         parse_report_csv(truncated + "\n")
 
 
-# --- batched logistic regression inside a facet ------------------------------
+# --- logistic regression: every cell of a run in one descent ---------------
 
 
-def _record_batched(monkeypatch):
-    """Record the stack shape of every batched descent the evaluation runs."""
-    shapes = []
-    real = kernels.logreg_descent_batched
+def _record_descents(monkeypatch):
+    """Record the cells and results of every many-cell descent a run makes."""
+    calls = []
+    real = kernels.logreg_descent_cells
 
-    def recording(X, y, *args):
-        shapes.append(X.shape)
-        return real(X, y, *args)
+    def recording(X, cells, *hyper):
+        result = real(X, cells, *hyper)
+        calls.append((X, list(cells), hyper, result))
+        return result
 
-    monkeypatch.setattr(kernels, "logreg_descent_batched", recording)
-    return shapes
+    monkeypatch.setattr(kernels, "logreg_descent_cells", recording)
+    return calls
 
 
 def _evaluate(X, y, folds, model_spec, facet="Anxiety"):
-    n_folds = int(folds.max()) + 1
-    return _evaluate_facet(X, n_folds, model_spec, ResampleConfig(seed=4), 4, facet, y, folds)
+    # One facet's fold scores, through run_experiment on a stand-in corpus.
+    corpus = SimpleNamespace(active_facets=(facet,), documents=range(len(y)), labels=lambda f: y)
+    plan = FoldPlan(n_folds=int(folds.max()) + 1, seed=4, assignment={facet: folds})
+    return run_experiment(corpus, X, model_spec, ResampleConfig(seed=4), plan)[facet]
 
 
 def _two_balanced_folds(d=3):
@@ -368,66 +374,84 @@ def _two_balanced_folds(d=3):
     ],
 )
 def test_lr_cell_errors_name_their_own_fold(monkeypatch, value, error, message):
-    # Row 0 sits in fold 0's test split, so only fold 1 trains on it.
-    shapes = _record_batched(monkeypatch)
+    # Row 0 sits in fold 0's test split, so only fold 1 trains on it. A
+    # non-finite feature is caught before any descent runs.
+    calls = _record_descents(monkeypatch)
     X, y, folds = _two_balanced_folds()
     X[0] = value
     with pytest.raises(error, match=rf"^facet Altruism, fold 1: {message}"):
         _evaluate(X, y, folds, ModelSpec(kind="logistic_regression"), facet="Altruism")
-    assert shapes == ([(2, 8, 3)] if error is TrainingError else [])
+    assert [len(cells) for _, cells, _, _ in calls] == ([2] if error is TrainingError else [])
+
+
+@pytest.mark.parametrize("value", [1e200, -1e200])
+def test_held_out_rows_never_reach_a_cells_loss(monkeypatch, value):
+    # Row 0 is in fold 0's test split only. Fold 0's cell shares the one
+    # matrix with it, yet must train as if the row were 0: a held-out row
+    # that reached its loss or gradient would make it diverge as well.
+    # Only fold 1, which trains on the row, diverges.
+    spec = ModelSpec(kind="logistic_regression", lr=LRHyperparams(max_epochs=60))
+    X, y, folds = _two_balanced_folds()
+    calls = _record_descents(monkeypatch)
+    reference = _evaluate(X.copy(), y, folds, spec)
+    X_big = X.copy()
+    X_big[0, 1] = value
+    with pytest.raises(TrainingError, match=r"^facet Anxiety, fold 1: loss became non-finite"):
+        _evaluate(X_big, y, folds, spec)
+    (_, _, _, (W0, B0, losses0, div0)), (_, _, _, (W, B, losses, div)) = calls
+    assert div0.tolist() == [False, False] and div.tolist() == [False, True]
+    assert len(losses[0]) == len(losses0[0]) and np.all(np.isfinite(losses[0]))
+    assert np.allclose(W[0], W0[0], rtol=0, atol=1e-12) and abs(B[0] - B0[0]) <= 1e-12
+    model = lr_model(spec.lr, W[0], B[0], losses[0], div[0])
+    pred, _ = predict(model, X[folds == 0])
+    assert f1_macro(y[folds == 0], pred) == reference[0]
 
 
 def test_single_class_lr_cell_names_its_own_fold(monkeypatch):
-    # Without SMOTE's own degenerate-fold check, fold 2's all-negative
-    # training split reaches the LR checks while folds 0 and 1 wait in its
-    # shape group.
-    monkeypatch.setattr(eval_module, "smote", lambda X, y, cfg: (X, y))
-    shapes = _record_batched(monkeypatch)
+    # The LR checks run before SMOTE's draws: fold 2's all-negative
+    # training split fails them after folds 0 and 1 are planned, and no
+    # descent runs.
+    calls = _record_descents(monkeypatch)
     X = np.random.default_rng(2).normal(size=(12, 3))
     y = np.array([0] * 8 + [1] * 4)
     folds = np.repeat(np.arange(3), 4)
     with pytest.raises(ValidationError, match=r"^facet Anxiety, fold 2: training labels contain a single class"):
         _evaluate(X, y, folds, ModelSpec(kind="logistic_regression"))
-    assert shapes == []
+    assert calls == []
 
 
-def test_lr_group_budget_does_not_change_scores(monkeypatch):
-    # Imbalanced labels give SMOTE'd training splits of several shapes. The
-    # reference trains every cell alone with the per-cell numpy oracle. A
-    # zero budget makes stacks of one, as a 1.7 MB bag-of-words cell gets;
-    # the 1 MiB default groups the five cells by shape. Neither goes through
-    # kernels.logreg_descent.
+def test_lr_cells_score_as_the_per_cell_oracle(monkeypatch):
+    # Imbalanced labels make SMOTE add rows to every training split. The
+    # reference trains every cell alone with the per-cell numpy oracle on
+    # its materialized rows. The run trains all five cells in one descent
+    # over the shared matrix, and none through kernels.logreg_descent.
     rng = np.random.default_rng(3)
     X = rng.normal(size=(45, 6)) + (rng.random(45) < 0.3)[:, None]
     y = (rng.random(45) < 0.3).astype(np.int64)
     folds = make_folds({"Anxiety": y}, n_folds=5, seed=6).assignment["Anxiety"]
     spec = ModelSpec(kind="logistic_regression", lr=LRHyperparams(max_epochs=60))
 
-    def per_cell(X, y, *hyper):
-        fits = [logreg_descent_numpy(Xc, yc, *hyper) for Xc, yc in zip(X, y)]
+    def per_cell(X, cells, *hyper):
+        fits = []
+        for c in cells:
+            rows = np.vstack([X[c.rows], kernels.interpolate_rows(X, c.seeds, c.nbrs, c.gammas)])
+            labels = np.concatenate([c.y, np.full(len(c.seeds), c.minority)])
+            fits.append(logreg_descent_numpy(rows, labels, *hyper))
         W, B, losses, diverged = zip(*fits)
         return np.stack(W), np.array(B), list(losses), np.array(diverged)
 
     def no_per_cell(*args):
-        raise AssertionError("an LR cell left the batched path")
+        raise AssertionError("an LR cell left the many-cell descent")
 
-    real = kernels.logreg_descent_batched
-    monkeypatch.setattr(kernels, "logreg_descent_batched", per_cell)
+    real = kernels.logreg_descent_cells
+    monkeypatch.setattr(kernels, "logreg_descent_cells", per_cell)
     oracle = _evaluate(X, y, folds, spec)
-    monkeypatch.setattr(kernels, "logreg_descent_batched", real)
+    monkeypatch.setattr(kernels, "logreg_descent_cells", real)
     monkeypatch.setattr(kernels, "logreg_descent", no_per_cell)
-    shapes = _record_batched(monkeypatch)
-    default = eval_module.LR_GROUP_BYTES
-
-    def scores(budget):
-        shapes.clear()
-        monkeypatch.setattr(eval_module, "LR_GROUP_BYTES", budget)
-        return _evaluate(X, y, folds, spec)
-
-    assert scores(0) == oracle
-    assert [s[0] for s in shapes] == [1] * 5
-    assert scores(default) == oracle
-    assert sum(s[0] for s in shapes) == 5 and 1 < len(shapes) == len({s[1:] for s in shapes})
+    calls = _record_descents(monkeypatch)
+    assert _evaluate(X, y, folds, spec) == oracle
+    [(_, cells, _, _)] = calls
+    assert len(cells) == 5 and all(len(c.seeds) > 0 for c in cells)
 
 
 def test_majority_trains_on_resampled_labels_without_smote(monkeypatch):
@@ -445,34 +469,28 @@ def test_majority_trains_on_resampled_labels_without_smote(monkeypatch):
 
 
 def test_batched_lr_descends_monotonically_on_the_demo_corpus(tmp_path, monkeypatch):
-    # The README demo (synth --seed 7, 60 authors x 60 tokens): every LR
-    # cell takes the batched path. Averaged unit word vectors bound the
-    # curvature, L <= max_i(|x_i|^2 + 1) / 4 + l2, so the default step 0.1
-    # is below 2/L and every loss history must be finite and non-increasing.
+    # The README demo (synth --seed 7, 60 authors x 60 tokens): each LR
+    # system trains its 100 cells in one descent. Averaged unit word vectors
+    # bound the curvature, L <= max_i(|x_i|^2 + 1) / 4 + l2 over a cell's
+    # rows; a synthetic row is a convex combination of two training rows,
+    # so the max over the training rows bounds it. The default step 0.1 is
+    # below 2/L, and every loss history must be finite and non-increasing.
     assert main(["synth", "--out", str(tmp_path), "--seed", "7", "--authors", "60", "--tokens", "60"]) == 0
     config = yaml.safe_load((tmp_path / "config.yaml").read_text(encoding="utf-8"))
     config["systems"] = [s for s in config["systems"] if s["model"] == "logistic_regression"]
     (tmp_path / "lr.yaml").write_text(yaml.safe_dump(config), encoding="utf-8")
 
-    groups = []
-    real = kernels.logreg_descent_batched
-
-    def recording(X, y, learning_rate, l2, max_epochs, tol):
-        result = real(X, y, learning_rate, l2, max_epochs, tol)
-        groups.append((X, learning_rate, l2, result[2]))
-        return result
-
     def no_per_cell(*args):
-        raise AssertionError("a demo LR cell left the batched path")
+        raise AssertionError("a demo LR cell left the many-cell descent")
 
-    monkeypatch.setattr(kernels, "logreg_descent_batched", recording)
+    calls = _record_descents(monkeypatch)
     monkeypatch.setattr(kernels, "logreg_descent", no_per_cell)
     assert main(["run", "--config", str(tmp_path / "lr.yaml"), "--out", str(tmp_path / "out")]) == 0
 
-    assert sum(len(X) for X, *_ in groups) == 2 * 10 * 10
-    for X, learning_rate, l2, histories in groups:
-        for Xc, losses in zip(X, histories):
-            L = 0.25 * float(np.max(np.sum(Xc * Xc, axis=1) + 1.0)) + l2
+    assert [len(cells) for _, cells, _, _ in calls] == [10 * 10, 10 * 10]
+    for X, cells, (learning_rate, l2, _, _), (_, _, histories, _) in calls:
+        for cell, losses in zip(cells, histories):
+            L = 0.25 * float(np.max(np.sum(X[cell.rows] ** 2, axis=1) + 1.0)) + l2
             assert learning_rate < 2.0 / L
             assert np.all(np.isfinite(losses))
             assert np.all(np.diff(losses) <= 1e-12)

@@ -199,15 +199,18 @@ def test_logreg_loss_history_is_monotone():
 @pytest.mark.parametrize("tol", [1e-5, 5e-2])
 def test_logreg_matches_a_one_cell_batched_stack(tol):
     # `facetrec train` and `run` share their arithmetic: a model is the
-    # batched kernel's result on its cell stacked alone, bit for bit, both
-    # when the cell runs all epochs and when it stops at the tolerance.
+    # many-cell descent's result on its rows as the only cell, with no
+    # synthetic rows, bit for bit, both when the cell runs all epochs and
+    # when it stops at the tolerance.
     rng = np.random.default_rng(5)
     X = rng.normal(size=(54, 50)) / 7.0
     y = (rng.random(54) < 0.5).astype(np.int64)
     hyper = LRHyperparams(max_epochs=80, tol=tol)
     p = train_logistic_regression(X, y, hyper).params
-    W, B, losses, _ = kernels.logreg_descent_batched(
-        X[None], y[None], hyper.learning_rate, hyper.l2, hyper.max_epochs, hyper.tol
+    none = np.empty(0, dtype=np.int64)
+    cell = kernels.LRCell(np.arange(54), y, none, none, np.empty(0))
+    W, B, losses, _ = kernels.logreg_descent_cells(
+        X, [cell], hyper.learning_rate, hyper.l2, hyper.max_epochs, hyper.tol
     )
     assert np.array_equal(p.weights, W[0])
     assert p.bias == B[0]

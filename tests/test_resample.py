@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from facetrec import kernels
 from facetrec.errors import ConfigError, ValidationError
-from facetrec.resample import ResampleConfig, resampled_labels, smote
+from facetrec.resample import ResampleConfig, resampled_labels, smote, smote_triples
 
 
 def make_data(n_min=4, n_maj=10, d=3, seed=0, minority_class=1):
@@ -69,6 +70,26 @@ def test_smote_synthetic_rows_match_replay():
     expected, minority = replay_synthetic_rows(X, y, cfg)
     assert np.array_equal(X_aug[len(y):], expected)
     assert np.all(y_aug[len(y):] == minority)
+
+
+@pytest.mark.parametrize("minority_class", [0, 1])
+@pytest.mark.parametrize("k", [1, 5, 12])
+@pytest.mark.parametrize("ratio", [0.3, 0.6, 1.0])
+@pytest.mark.parametrize("seed", [0, 11, 2024])
+def test_smote_is_its_triples_interpolated(seed, ratio, k, minority_class):
+    # One set of draws: smote's rows are the triples' rows, bit for bit,
+    # and the triples name minority rows of X.
+    X, y = make_data(n_min=7, n_maj=19, d=4, seed=seed, minority_class=minority_class)
+    X = X[np.random.default_rng(seed).permutation(len(y))]
+    y = y[np.random.default_rng(seed).permutation(len(y))]
+    cfg = ResampleConfig(k_neighbors=k, target_ratio=ratio, seed=seed)
+    X_aug, y_aug = smote(X, y, cfg)
+    seeds, nbrs, gammas, labels = smote_triples(X, y, cfg)
+    rows = kernels.interpolate_rows(X, seeds, nbrs, gammas)
+    assert np.array_equal(X_aug, np.vstack([X, rows])) and len(rows) == len(y_aug) - len(y)
+    assert np.array_equal(labels, y_aug)
+    assert np.all(y[seeds] == minority_class) and np.all(y[nbrs] == minority_class)
+    assert np.all(seeds != nbrs)
 
 
 def test_smote_interpolates_on_segments():
