@@ -1,12 +1,19 @@
-"""The many-cell operator descent against materialized one-cell descents.
+"""Two kernel cases, each timed against the per-cell way of doing it.
 
-Builds a bag-of-words-shaped case (300 documents x 501 columns, 100 cells,
-each training on 270 of the rows plus about 130 SMOTE triples) and trains
-it twice: once with one logreg_descent_cells call over the shared matrix,
-and once as 100 logreg_descent calls, each on its cell's materialized rows
-(own rows, then the interpolated SMOTE rows). Prints the best-of wall
-times, the floating-point operations and bytes of one epoch on each side,
-and the largest weight gap between the two.
+Logistic regression: builds a bag-of-words-shaped case (300 documents x
+501 columns, 100 cells, each training on 270 of the rows plus about 130
+SMOTE triples) and trains it twice: once with one logreg_descent_cells
+call over the shared matrix, and once as 100 logreg_descent calls, each on
+its cell's materialized rows (own rows, then the interpolated SMOTE rows).
+Prints the best-of wall times, the floating-point operations and bytes of
+one epoch on each side, and the largest weight gap between the two.
+
+SMOTE's neighbours: one facet shaped like the smote-nb workload's (600
+documents x 501 count columns, 120 minority rows, 10 folds). Per fold,
+minority_knn on the fold's own minority rows, against one sq_distances
+matrix over all 120 rows that each fold slices with knn_from_distances.
+Prints the best-of wall times and exits 1 if any fold's neighbour lists
+differ between the two.
 
 Run from the repository root:
 
@@ -23,6 +30,7 @@ import numpy as np
 from facetrec import kernels
 
 DOCS, DIM, CELLS, OWN, SYNTH = 300, 501, 100, 270, 130
+KNN_DOCS, KNN_MINORITY, KNN_FOLDS, KNN_K = 600, 120, 10, 5
 
 
 def best_of(fn, repeat: int):
@@ -69,6 +77,34 @@ def epoch_cost(X, cells):
     return (op_flops, op_bytes), (mat_flops, mat_bytes)
 
 
+def knn_case(rng, repeat: int) -> bool:
+    """Time per-fold searches against one sliced matrix; True if every
+    fold's neighbour lists are equal."""
+    X = rng.poisson(0.5, size=(KNN_DOCS, DIM)).astype(np.float64)
+    members = np.sort(rng.choice(KNN_DOCS, size=KNN_MINORITY, replace=False))
+    folds = rng.permutation(np.arange(KNN_DOCS) % KNN_FOLDS)
+    # Each fold's minority rows, as documents and as positions in members.
+    fold_docs = [members[folds[members] != k] for k in range(KNN_FOLDS)]
+    fold_at = [np.searchsorted(members, docs) for docs in fold_docs]
+
+    def per_fold():
+        return [kernels.minority_knn(X[docs], KNN_K) for docs in fold_docs]
+
+    def sliced():
+        D = kernels.sq_distances(X[members])
+        return [kernels.knn_from_distances(D[np.ix_(at, at)], KNN_K) for at in fold_at]
+
+    t_fold, want = best_of(per_fold, repeat)
+    t_sliced, got = best_of(sliced, repeat)
+    same = all(np.array_equal(a, b) for a, b in zip(want, got))
+    print(f"SMOTE neighbours: {KNN_MINORITY} minority rows of {KNN_DOCS} x {DIM}, "
+          f"{KNN_FOLDS} folds, k={KNN_K}; matrix {KNN_MINORITY ** 2 * 8 / 1e3:.0f} KB")
+    print(f"{'per-fold minority_knn':<26} {t_fold * 1e3:>10.1f} ms")
+    print(f"{'one matrix, sliced':<26} {t_sliced * 1e3:>10.1f} ms")
+    print(f"speedup {t_fold / t_sliced:.1f}x; neighbour lists {'identical' if same else 'DIFFER'}")
+    return same
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--epochs", type=int, default=100, help="descent epochs")
@@ -96,7 +132,8 @@ def main() -> int:
     print(f"{'operator (1 call)':<26} {t_op * 1e3:>10.1f} {op_flops / 1e6:>12.1f} {op_bytes / 1e6:>10.2f}")
     print(f"{'materialized (1 per cell)':<26} {t_mat * 1e3:>10.1f} {mat_flops / 1e6:>12.1f} {mat_bytes / 1e6:>10.2f}")
     print(f"speedup {t_mat / t_op:.1f}x; largest weight gap {gap:.3g}")
-    return 0
+    print()
+    return 0 if knn_case(np.random.default_rng(args.seed), args.repeat) else 1
 
 
 if __name__ == "__main__":

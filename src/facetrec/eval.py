@@ -3,9 +3,10 @@
 Fold plans are built per facet (stratification keeps each fold's class mix
 within one document of proportional). Given a realized feature matrix, for
 every facet and fold the training split is resampled, a model is trained
-and the held-out split is scored with macro-F1 over both classes. Reports
-aggregate fold scores into per-facet means, an overall mean and a wins
-count per system.
+and the held-out split is scored with macro-F1 over both classes. SMOTE's
+squared distances are computed once per facet and minority class, and each
+fold slices its training rows' block out of them. Reports aggregate fold
+scores into per-facet means, an overall mean and a wins count per system.
 """
 
 from __future__ import annotations
@@ -154,21 +155,37 @@ def _evaluate_facet(X, n_folds, model_spec, resample_cfg, plan_seed, facet, y, f
     # holding the models or freeing X_aug early let the allocator return
     # pages and fault them in again: 3 and 5 times the page faults.
     facet_idx = FACET_NAMES.index(facet)
+    # SMOTE's squared distances, computed once per class over the facet's
+    # rows of that class, and only for a class that some fold oversamples.
+    # A fold with training rows ``rows`` slices the block of its minority
+    # rows, rows[pos], out of that matrix.
+    by_class = {}
+
+    def distances(rows, pos):
+        docs = rows[pos]
+        cls = int(y[docs[0]])
+        if cls not in by_class:
+            members = np.flatnonzero(y == cls)
+            by_class[cls] = members, kernels.sq_distances(X[members])
+        members, d2 = by_class[cls]
+        at = np.searchsorted(members, docs)
+        return d2[np.ix_(at, at)]
+
     out = []
     for k in range(n_folds):
-        train_rows = folds != k
+        rows = np.flatnonzero(folds != k)
         cfg = replace(resample_cfg, seed=derive_seed(plan_seed, STREAM_SMOTE, facet_idx, k))
+        fold_distances = partial(distances, rows)
         with _cell(facet, k):
             if model_spec.kind == "logistic_regression":
-                rows = np.flatnonzero(train_rows)
-                seeds, nbrs, gammas, y_aug = smote_triples(*lr_training_set(X[rows], y[rows]), cfg)
+                seeds, nbrs, gammas, y_aug = smote_triples(*lr_training_set(X[rows], y[rows]), cfg, fold_distances)
                 out.append(kernels.LRCell(rows, y[rows], rows[seeds], rows[nbrs], gammas, int(y_aug[-1])))
                 continue
             if model_spec.kind == "majority":
                 # The baseline reads only labels, so it skips SMOTE's rows.
-                model = train_majority(resampled_labels(y[train_rows], cfg), feature_dim=X.shape[1])
+                model = train_majority(resampled_labels(y[rows], cfg), feature_dim=X.shape[1])
             else:
-                X_aug, y_aug = smote(X[train_rows], y[train_rows], cfg)
+                X_aug, y_aug = smote(X[rows], y[rows], cfg, fold_distances)
                 model = train(model_spec, X_aug, y_aug)
             pred, _ = predict(model, X[folds == k])
         out.append(f1_macro(y[folds == k], pred))

@@ -10,6 +10,13 @@ SMOTE rows given as interpolation triples; ``logreg_loss_grad`` and
 ``logreg_descent`` run them on one cell of all rows. The tests keep a
 per-cell numpy descent and plain-Python loop versions of the kernels as
 reference implementations.
+
+SMOTE's neighbour search has two pieces: ``sq_distances`` (the
+squared-distance matrix of some rows, in the exact diff form, one row at a
+time) and ``knn_from_distances`` (the k nearest per row of a square block
+of it). ``minority_knn`` is their composition on one block of rows; a
+caller that searches many overlapping blocks, as the folds of one facet
+are, computes the matrix once and slices each block out of it.
 """
 
 from __future__ import annotations
@@ -159,28 +166,58 @@ def logreg_descent_cells(X, cells, learning_rate, l2, max_epochs, tol):
 # ---------------------------------------------------------------------------
 
 
-def minority_knn(M, k):
-    """Per row of M: positions of its k nearest other rows (Euclidean).
+def sq_distances(M):
+    """Squared Euclidean distances between the rows of M, as an (n, n)
+    float64 array.
 
-    Distance ties break toward the lower row position (stable sort).
-    k is clipped to n-1. Returns an (n, k_eff) int64 array.
+    Row i is ((M - M[i]) ** 2).sum(axis=1): one row at a time, so an entry
+    depends only on its two rows, never on the other rows of M. A distance
+    block sliced from the matrix of a larger M therefore equals, bit for
+    bit, the matrix of that block's rows alone.
     """
     M = _f64(M)
-    n = M.shape[0]
-    k_eff = min(int(k), n - 1)
-    out = np.empty((n, k_eff), dtype=np.int64)
-    for i in range(n):
-        diff = M - M[i]
-        d2 = (diff * diff).sum(axis=1)
-        d2[i] = np.inf
-        order = np.argsort(d2, kind="stable")
-        out[i] = order[:k_eff]
+    out = np.empty((M.shape[0], M.shape[0]))
+    diff = np.empty_like(M)  # one buffer, squared in place, for every row
+    for i in range(M.shape[0]):
+        np.subtract(M, M[i], out=diff)
+        np.multiply(diff, diff, out=diff)
+        diff.sum(axis=1, out=out[i])
     return out
 
 
+def knn_from_distances(D, k):
+    """Per row of the square distance block D: positions of its k nearest
+    other rows.
+
+    The diagonal is ignored (a copy of D gets inf there). Distance ties
+    break toward the lower row position (stable sort). k is clipped to
+    n-1. Returns an (n, k_eff) int64 array.
+    """
+    D = np.array(D, dtype=np.float64)
+    np.fill_diagonal(D, np.inf)
+    k_eff = min(int(k), D.shape[0] - 1)
+    return np.ascontiguousarray(np.argsort(D, axis=1, kind="stable")[:, :k_eff], dtype=np.int64)
+
+
+def minority_knn(M, k):
+    """Per row of M: positions of its k nearest other rows (Euclidean).
+
+    The composition knn_from_distances(sq_distances(M), k): distance ties
+    break toward the lower row position and k is clipped to n-1. Returns an
+    (n, k_eff) int64 array.
+    """
+    return knn_from_distances(sq_distances(M), k)
+
+
 def interpolate_rows(M, seed_pos, nbr_pos, gammas):
-    """Rows M[s] + gamma * (M[n] - M[s]) for each (s, n, gamma) triple."""
+    """Rows M[s] + gamma * (M[n] - M[s]) for each (s, n, gamma) triple.
+
+    Built in place in the gathered M[n] rows, with one temporary (M[s]).
+    """
     M = _f64(M)
     S = M[np.asarray(seed_pos, dtype=np.int64)]
-    N = M[np.asarray(nbr_pos, dtype=np.int64)]
-    return S + _f64(gammas)[:, None] * (N - S)
+    out = M[np.asarray(nbr_pos, dtype=np.int64)]
+    out -= S
+    out *= _f64(gammas)[:, None]
+    out += S
+    return out

@@ -5,6 +5,13 @@ sample and one of its k nearest minority neighbors. Seeds cycle round-robin
 over a seeded shuffle of the minority rows; generation stops when the
 minority count reaches floor(target_ratio * majority count). Original rows
 are preserved, in order, ahead of the synthetic block.
+
+Neighbours come from the squared distances among the minority rows
+(``kernels.knn_from_distances``). By default those are computed from the
+rows given; a caller that oversamples many overlapping row sets, as the
+training folds of one facet are, passes ``distances`` to slice them out of
+one matrix it computed once (``eval`` does, per facet and class). Either
+way the neighbour lists are the same, bit for bit.
 """
 
 from __future__ import annotations
@@ -75,13 +82,18 @@ def resampled_labels(y, cfg: ResampleConfig) -> np.ndarray:
     return np.concatenate([y, np.full(n_synth, minority, dtype=np.int64)])
 
 
-def smote_triples(X, y, cfg: ResampleConfig):
+def smote_triples(X, y, cfg: ResampleConfig, distances=None):
     """SMOTE's synthetic rows for (X, y), as interpolation triples.
 
     Returns (seeds, nbrs, gammas, y_aug): synthetic row i is
     X[seeds[i]] + gammas[i] * (X[nbrs[i]] - X[seeds[i]]), seeds and nbrs
     are int64 positions of minority rows of X, and y_aug is
     resampled_labels(y, cfg), whose errors it raises. Deterministic.
+
+    ``distances``, if given, maps the minority rows' ascending positions in
+    X to their (n_min, n_min) block of squared distances, which must equal
+    ``kernels.sq_distances`` of those rows. It is called only when
+    synthetic rows are drawn. Without it the block is computed from X.
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
@@ -104,19 +116,22 @@ def smote_triples(X, y, cfg: ResampleConfig):
     picks = rng.integers(0, k_eff, size=n_synth)
     gammas = rng.random(n_synth)
 
-    knn = kernels.minority_knn(X[min_idx], cfg.k_neighbors)
+    if distances is None:
+        knn = kernels.minority_knn(X[min_idx], cfg.k_neighbors)
+    else:
+        knn = kernels.knn_from_distances(distances(min_idx), cfg.k_neighbors)
     seed_pos = perm[np.arange(n_synth) % n_min]
     return min_idx[seed_pos], min_idx[knn[seed_pos, picks]], gammas, y_aug
 
 
-def smote(X, y, cfg: ResampleConfig):
+def smote(X, y, cfg: ResampleConfig, distances=None):
     """Oversample the minority class of (X, y) with synthetic points.
 
     X is a 2-d array-like of numbers; it is never modified. Returns
     (X_aug, y_aug) as a new array of float64 rows and int64 labels, the
     original rows first and bit-for-bit untouched, then the rows of
-    smote_triples(X, y, cfg); y_aug is resampled_labels(y, cfg).
+    smote_triples(X, y, cfg, distances); y_aug is resampled_labels(y, cfg).
     """
     X = np.asarray(X, dtype=np.float64)
-    seeds, nbrs, gammas, y_aug = smote_triples(X, y, cfg)
+    seeds, nbrs, gammas, y_aug = smote_triples(X, y, cfg, distances)
     return np.vstack([X, kernels.interpolate_rows(X, seeds, nbrs, gammas)]), y_aug

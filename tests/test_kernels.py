@@ -197,6 +197,38 @@ def test_minority_knn_clips_k():
     assert kernels.minority_knn(M, 10).shape == (3, 2)
 
 
+@pytest.mark.parametrize("kind", ["counts", "gaussian", "duplicated"])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_a_sliced_distance_block_is_the_blocks_own_matrix(seed, kind):
+    # Each entry is the diff-form reduction of its two rows alone, so a
+    # block sliced from the matrix of all rows equals, bit for bit, the
+    # matrix of the block's rows, and so do the neighbour lists drawn from
+    # it. The Gaussian columns span six orders of magnitude, where a Gram
+    # form (|a|^2 + |b|^2 - 2ab) would not match.
+    rng = np.random.default_rng(seed)
+    if kind == "counts":
+        M = rng.poisson(0.4, size=(60, 300)).astype(np.float64)
+    elif kind == "gaussian":
+        M = rng.normal(size=(60, 50)) * 10.0 ** rng.uniform(-3, 3, size=50)
+    else:
+        M = rng.normal(size=(12, 20))[rng.integers(0, 12, size=60)]
+    D = kernels.sq_distances(M)
+    assert np.array_equal(D, np.array([((M - m) ** 2).sum(axis=1) for m in M]))
+    for _ in range(10):
+        sub = np.sort(rng.choice(60, size=int(rng.integers(2, 60)), replace=False))
+        block = D[np.ix_(sub, sub)]
+        assert np.array_equal(block, kernels.sq_distances(M[sub]))
+        assert np.array_equal(kernels.knn_from_distances(block, 5), kernels.minority_knn(M[sub], 5))
+
+
+def test_knn_from_distances_leaves_its_block_alone():
+    D = np.array([[0.0, 4.0, 1.0], [4.0, 0.0, 9.0], [1.0, 9.0, 0.0]])
+    before = D.copy()
+    nbrs = kernels.knn_from_distances(D, 10)
+    assert nbrs.dtype == np.int64 and nbrs.tolist() == [[2, 1], [0, 2], [0, 1]]
+    assert np.array_equal(D, before)
+
+
 def test_interpolate_rows_exact():
     M = np.array([[0.0, 0.0], [2.0, 4.0]])
     out = kernels.interpolate_rows(M, np.array([0]), np.array([1]), np.array([0.25]))
