@@ -1,13 +1,14 @@
 """Stratified cross-validation, macro-F1 scoring and Table-style reporting.
 
 Fold plans are built per facet (stratification keeps each fold's class mix
-within one document of proportional). Given a realized feature matrix, for
-every facet and fold the training split is resampled, a model is trained
-and the held-out split is scored with macro-F1 over both classes. SMOTE's
-squared distances are computed once per facet and minority class, and each
-fold slices its training rows' block out of them. Reports aggregate fold
-scores into per-facet means, an overall mean and a wins count per system.
-"""
+within one document of proportional). Given a realized feature matrix, each
+facet x fold cell is planned once: its training rows and, for naive Bayes
+and logistic regression, SMOTE's rows as interpolation triples of rows of
+the matrix, whose neighbours come from one squared-distance matrix per
+facet and minority class. Every model trains from those cells without
+copying rows, and each held-out split is scored with macro-F1 over both
+classes. Reports aggregate fold scores into per-facet means, an overall
+mean and a wins count per system."""
 
 from __future__ import annotations
 
@@ -22,8 +23,8 @@ import numpy as np
 from . import kernels
 from .errors import ConfigError, FacetrecError, ValidationError
 from .inventory import FACET_NAMES
-from .models import ModelSpec, lr_model, lr_training_set, predict, train, train_majority
-from .resample import ResampleConfig, resampled_labels, smote, smote_triples
+from .models import ModelSpec, lr_model, nb_model, predict, train_majority, training_labels, unusable_rows
+from .resample import ResampleConfig, resampled_labels, smote_triples
 from .seeding import STREAM_FOLDS, STREAM_SMOTE, check_seed, derive_seed, substream
 
 DEFAULT_FOLDS = 10
@@ -147,21 +148,15 @@ def _cell(facet, k):
         raise type(e)(f"facet {facet}, fold {k}: {e}") from e
 
 
-def _evaluate_facet(X, n_folds, model_spec, resample_cfg, plan_seed, facet, y, folds):
-    # One facet's folds in order: the macro-F1 of a majority or naive Bayes
-    # model, or a logistic-regression cell, checked before any descent runs.
-    # Models are scored as they are trained, not held, and X_aug stays bound
-    # until the next fold's SMOTE rows exist. On a 600 x 3000 bag of words,
-    # holding the models or freeing X_aug early let the allocator return
-    # pages and fault them in again: 3 and 5 times the page faults.
-    facet_idx = FACET_NAMES.index(facet)
-    # SMOTE's squared distances, computed once per class over the facet's
-    # rows of that class, and only for a class that some fold oversamples.
-    # A fold with training rows ``rows`` slices the block of its minority
-    # rows, rows[pos], out of that matrix.
-    by_class = {}
+def _plan_facet(X, unusable, message, n_folds, kind, resample_cfg, plan_seed, facet, y, folds):
+    # One facet's cells, fold by fold (see run_experiment). Each cell's
+    # checks run here, so an error names its fold before any model trains.
+    facet_idx, by_class, out = FACET_NAMES.index(facet), {}, []
 
     def distances(rows, pos):
+        # SMOTE's squared distances: one matrix per class over the facet's
+        # rows of that class, built when a fold first oversamples the class.
+        # Each fold slices the block of its minority rows, rows[pos].
         docs = rows[pos]
         cls = int(y[docs[0]])
         if cls not in by_class:
@@ -171,25 +166,52 @@ def _evaluate_facet(X, n_folds, model_spec, resample_cfg, plan_seed, facet, y, f
         at = np.searchsorted(members, docs)
         return d2[np.ix_(at, at)]
 
-    out = []
     for k in range(n_folds):
         rows = np.flatnonzero(folds != k)
-        cfg = replace(resample_cfg, seed=derive_seed(plan_seed, STREAM_SMOTE, facet_idx, k))
-        fold_distances = partial(distances, rows)
         with _cell(facet, k):
-            if model_spec.kind == "logistic_regression":
-                seeds, nbrs, gammas, y_aug = smote_triples(*lr_training_set(X[rows], y[rows]), cfg, fold_distances)
-                out.append(kernels.LRCell(rows, y[rows], rows[seeds], rows[nbrs], gammas, int(y_aug[-1])))
+            if unusable[rows].any():
+                raise ValidationError(message)
+            if kind == "majority":  # the baseline reads only labels
+                out.append(kernels.LRCell(rows, y[rows]))
                 continue
-            if model_spec.kind == "majority":
-                # The baseline reads only labels, so it skips SMOTE's rows.
-                model = train_majority(resampled_labels(y[rows], cfg), feature_dim=X.shape[1])
-            else:
-                X_aug, y_aug = smote(X[rows], y[rows], cfg, fold_distances)
-                model = train(model_spec, X_aug, y_aug)
-            pred, _ = predict(model, X[folds == k])
-        out.append(f1_macro(y[folds == k], pred))
+            if kind == "logistic_regression":
+                training_labels(y[rows])
+            cfg = replace(resample_cfg, seed=derive_seed(plan_seed, STREAM_SMOTE, facet_idx, k))
+            seeds, nbrs, gammas, y_aug = smote_triples(X[rows], y[rows], cfg, partial(distances, rows))
+            out.append(kernels.LRCell(rows, y[rows], rows[seeds], rows[nbrs], gammas, int(y_aug[-1])))
     return out
+
+
+def _class_sums(X, cells):
+    # Per cell, its (2, dim) feature sums and its counts by class, from one
+    # product of a (2 * cells, docs) weight matrix with X. An own row weighs
+    # 1 in its class; a SMOTE row (s, n, g), 1 - g at s and g at n.
+    n, at, w = len(X), [], []
+    for i, c in enumerate(cells):
+        at += [(2 * i + c.y) * n + c.rows, (2 * i + c.minority) * n + np.concatenate([c.seeds, c.nbrs])]
+        w += [np.ones(len(c.rows)), 1.0 - c.gammas, c.gammas]
+    W = np.bincount(np.concatenate(at), np.concatenate(w), minlength=2 * len(cells) * n).reshape(-1, n)
+    counts = [np.bincount(c.y, minlength=2) + len(c.seeds) * (np.arange(2) == c.minority) for c in cells]
+    return (W @ X).reshape(len(cells), 2, -1), counts
+
+
+def _models(X, spec, resample_cfg, plans, name):
+    # Every cell's model, in facet then fold order, built lazily so that its
+    # errors surface in its own cell.
+    cells = [cell for facet_cells in plans for cell in facet_cells]
+    if spec.kind == "majority":
+        return (train_majority(resampled_labels(c.y, resample_cfg), X.shape[1]) for c in cells)
+    log.info("%s: SMOTE added %d rows to %d cells", name, sum(len(c.seeds) for c in cells), len(cells))
+    if spec.kind == "naive_bayes":
+        return (nb_model(sums, counts, spec.alpha)
+                for facet_cells in plans for sums, counts in zip(*_class_sums(X, facet_cells)))
+    hyper = spec.lr
+    fits = kernels.logreg_descent_cells(X, cells, hyper.learning_rate, hyper.l2, hyper.max_epochs, hyper.tol)
+    epochs = [len(losses) - 1 for losses in fits[2]]
+    converged = sum(e < hyper.max_epochs and not bad for e, bad in zip(epochs, fits[3]))
+    log.info("%s: LR converged in %d/%d cells (epochs %d-%d)",
+             name, converged, len(epochs), min(epochs), max(epochs))
+    return (lr_model(hyper, *fit) for fit in zip(*fits))
 
 
 def run_experiment(
@@ -205,13 +227,13 @@ def run_experiment(
     corpus document): resample each training split, train, and score every
     held-out split with macro-F1. Returns the fold scores keyed by facet.
 
-    Facets flagged degenerate by the corpus are skipped. Facet cells are
-    independent; jobs > 1 evaluates facets (for logistic regression: plans
-    their cells) in worker processes, and results are merged in facet order
-    regardless of completion order. All logistic-regression cells, in facet
-    then fold order, then train in one ``kernels.logreg_descent_cells``
-    descent over X, and an info log line headed ``name`` sums up their
-    epochs.
+    Facets flagged degenerate by the corpus are skipped. jobs > 1 plans
+    facets' cells (kernels.LRCell: training rows and labels, and unless the
+    model is majority SMOTE's triples) in worker processes, merged in facet
+    order. Every model then trains from its cell here: majority from label
+    counts, naive Bayes from one weighted product with X per facet, and
+    logistic regression in one ``kernels.logreg_descent_cells`` descent.
+    Info log lines headed ``name`` sum up SMOTE's rows and LR's epochs.
     """
     if not isinstance(jobs, int) or isinstance(jobs, bool) or jobs < 1:
         raise ConfigError(f"jobs must be a positive integer, got {jobs!r}")
@@ -226,33 +248,23 @@ def run_experiment(
         if len(plan.assignment[facet]) != len(corpus.documents):
             raise ValidationError("fold plan does not match corpus size")
 
-    task = partial(_evaluate_facet, X, plan.n_folds, model_spec, resample_cfg, plan.seed)
+    unusable, message = unusable_rows(model_spec.kind, X)
+    task = partial(_plan_facet, X, unusable, message, plan.n_folds, model_spec.kind, resample_cfg, plan.seed)
     args = (facets, [corpus.labels(f) for f in facets], [plan.assignment[f] for f in facets])
     if jobs == 1:
-        results = list(map(task, *args))
+        plans = list(map(task, *args))
     else:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(task, *args))
-    if model_spec.kind != "logistic_regression":
-        return {facet: tuple(fold_f1) for facet, fold_f1 in zip(facets, results)}
+            plans = list(pool.map(task, *args))
 
-    hyper = model_spec.lr
-    fits = kernels.logreg_descent_cells(
-        X, [cell for cells in results for cell in cells],
-        hyper.learning_rate, hyper.l2, hyper.max_epochs, hyper.tol,
-    )
-    epochs = [len(losses) - 1 for losses in fits[2]]
-    converged = sum(e < hyper.max_epochs and not bad for e, bad in zip(epochs, fits[3]))
-    log.info("%s: LR converged in %d/%d cells (epochs %d-%d)",
-             name, converged, len(epochs), min(epochs), max(epochs))
-    fits = iter(zip(*fits))
+    models = _models(X, model_spec, resample_cfg, plans, name)
     scores = {}
     for facet in facets:
         y, folds = corpus.labels(facet), plan.assignment[facet]
         fold_f1 = []
         for k in range(plan.n_folds):
             with _cell(facet, k):
-                pred, _ = predict(lr_model(hyper, *next(fits)), X[folds == k])
+                pred, _ = predict(next(models), X[folds == k])
             fold_f1.append(f1_macro(y[folds == k], pred))
         scores[facet] = tuple(fold_f1)
     return scores
@@ -270,33 +282,17 @@ def render_report(report: EvaluationReport, fmt: str = "text") -> str:
 
 def _render_text(report: EvaluationReport) -> str:
     wins = report.wins()
-    headers = ["system", "overall", "wins", *FACET_NAMES]
-    rows = []
+    rows = [["system", "overall", "wins", *FACET_NAMES]]
     for system in report.systems:
-        cells = [system.name, f"{report.overall(system):.2f}", str(wins[system.name])]
-        for facet in FACET_NAMES:
-            if facet in report.facets:
-                cells.append(f"{report.facet_mean(system, facet):.2f}")
-            else:
-                cells.append("-")
-        rows.append(cells)
-    widths = [len(h) for h in headers]
-    for row in rows:
-        for i, cell in enumerate(row):
-            widths[i] = max(widths[i], len(cell))
-    lines = []
-    header_line = "  ".join(
-        h.ljust(widths[i]) if i == 0 else h.rjust(widths[i]) for i, h in enumerate(headers)
+        means = [f"{report.facet_mean(system, f):.2f}" if f in report.facets else "-" for f in FACET_NAMES]
+        rows.append([system.name, f"{report.overall(system):.2f}", str(wins[system.name]), *means])
+    widths = [max(len(row[i]) for row in rows) for i in range(len(rows[0]))]
+    rows.insert(1, ["-" * w for w in widths])
+    # The system name is left-aligned, every other column right-aligned.
+    return "".join(
+        "  ".join(c.rjust(w) if i else c.ljust(w) for i, (c, w) in enumerate(zip(row, widths))) + "\n"
+        for row in rows
     )
-    lines.append(header_line)
-    lines.append("  ".join("-" * w for w in widths))
-    for row in rows:
-        lines.append(
-            "  ".join(
-                c.ljust(widths[i]) if i == 0 else c.rjust(widths[i]) for i, c in enumerate(row)
-            )
-        )
-    return "\n".join(lines) + "\n"
 
 
 def _render_csv(report: EvaluationReport) -> str:

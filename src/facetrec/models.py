@@ -4,6 +4,10 @@ Majority baseline (constant prediction, ties negative), multinomial Naive
 Bayes with Laplace smoothing over nonnegative count features, and binary
 logistic regression fit by full-batch gradient descent. All three are
 deterministic functions of their training data and hyperparameters.
+
+`eval` trains many cells of one feature matrix without copying their rows:
+it checks features once per matrix (``unusable_rows``), and ``nb_model``
+and ``lr_model`` build a model from its cell's class sums or descent.
 """
 
 from __future__ import annotations
@@ -110,9 +114,8 @@ def _as_labels(y) -> np.ndarray:
     y = np.asarray(y)
     if y.ndim != 1 or len(y) == 0:
         raise ValidationError("labels must be a non-empty 1-d sequence")
-    vals = set(np.unique(y).tolist())
-    if not vals <= {0, 1}:
-        raise ValidationError(f"labels must be binary 0/1, got values {sorted(vals)}")
+    if not np.all((y == 0) | (y == 1)):
+        raise ValidationError(f"labels must be binary 0/1, got values {sorted(set(y.tolist()))}")
     return y.astype(np.int64)
 
 
@@ -126,55 +129,59 @@ def train_majority(y, feature_dim: int | None = None) -> TrainedModel:
     )
 
 
-def train_naive_bayes(X, y, alpha: float = 1.0) -> TrainedModel:
-    """Multinomial Naive Bayes over nonnegative (possibly fractional) counts.
-
-    likelihood(j | c) = (sum of j-counts in c + alpha) / (all counts in c +
-    alpha * n_features); priors are class fractions. Stored as logs.
-    """
-    if not alpha > 0:
-        raise ConfigError(f"alpha must be positive, got {alpha}")
+def training_labels(y) -> np.ndarray:
+    """y as int64 labels; ValidationError unless both classes are present."""
     y = _as_labels(y)
-    X = np.asarray(X, dtype=np.float64)
-    if X.shape[0] != len(y):
-        raise ValidationError("labels must be one per feature row")
-    if len(set(np.unique(y).tolist())) < 2:
+    if y.min() == y.max():
         raise ValidationError("training labels contain a single class")
-    n_features = X.shape[1]
-    if X.size and X.min() < 0:
-        raise ValidationError("count features must be nonnegative")
+    return y
+
+
+def unusable_rows(kind: str, X) -> tuple[np.ndarray, str]:
+    """Per row of the 2-d float X, whether a ``kind`` model cannot train on
+    it, and the message of a training set that holds such a row: naive
+    Bayes needs nonnegative counts, logistic regression finite features."""
+    if kind == "naive_bayes":
+        return ~np.all(X >= 0, axis=1), "count features must be nonnegative"
+    if kind == "logistic_regression":
+        return ~np.all(np.isfinite(X), axis=1), "features contain non-finite values"
+    return np.zeros(len(X), dtype=bool), ""
+
+
+def _training_set(kind: str, X, y) -> tuple[np.ndarray, np.ndarray]:
+    # Float64 rows and int64 labels a ``kind`` model can train on.
+    y = training_labels(y)
+    X = np.asarray(X, dtype=np.float64)
+    if X.ndim != 2 or X.shape[0] != len(y):
+        raise ValidationError("labels must be one per feature row")
+    bad, message = unusable_rows(kind, X)
+    if bad.any():
+        raise ValidationError(message)
+    return X, y
+
+
+def nb_model(class_sums, class_counts, alpha: float) -> TrainedModel:
+    """Naive Bayes from per-class feature sums (2, n_features) and row counts:
+    likelihood(j | c) = (sum of j-counts in c + alpha) / (all counts in c +
+    alpha * n_features), and priors are class fractions. Stored as logs."""
+    n_features = class_sums.shape[1]
     log_priors = np.empty(2)
     log_likelihoods = np.empty((2, n_features))
     for c in (0, 1):
-        mask = y == c
-        log_priors[c] = np.log(np.sum(mask) / len(y))
-        class_sums = X[mask].sum(axis=0)
-        denom = class_sums.sum() + alpha * n_features
-        log_likelihoods[c] = np.log((class_sums + alpha) / denom)
-    return TrainedModel(
-        kind="naive_bayes",
-        feature_dim=n_features,
-        params=NaiveBayesParams(
-            alpha=float(alpha), log_priors=log_priors, log_likelihoods=log_likelihoods
-        ),
-    )
+        log_priors[c] = np.log(class_counts[c] / (class_counts[0] + class_counts[1]))
+        denom = class_sums[c].sum() + alpha * n_features
+        log_likelihoods[c] = np.log((class_sums[c] + alpha) / denom)
+    params = NaiveBayesParams(alpha=float(alpha), log_priors=log_priors, log_likelihoods=log_likelihoods)
+    return TrainedModel(kind="naive_bayes", feature_dim=n_features, params=params)
 
 
-def lr_training_set(X, y) -> tuple[np.ndarray, np.ndarray]:
-    """Dense float64 features and int64 labels for logistic regression.
-
-    Raises ValidationError for a shape mismatch, non-finite features or a
-    single training class.
-    """
-    y = _as_labels(y)
-    X = np.asarray(X, dtype=np.float64)
-    if X.ndim != 2 or X.shape[0] != len(y):
-        raise ValidationError("features must be a 2-d array with one row per label")
-    if not np.all(np.isfinite(X)):
-        raise ValidationError("features contain non-finite values")
-    if len(set(np.unique(y).tolist())) < 2:
-        raise ValidationError("training labels contain a single class")
-    return X, y
+def train_naive_bayes(X, y, alpha: float = 1.0) -> TrainedModel:
+    """Multinomial Naive Bayes over nonnegative (possibly fractional)
+    counts: ``nb_model`` of the class sums and counts of (X, y)."""
+    if not alpha > 0:
+        raise ConfigError(f"alpha must be positive, got {alpha}")
+    X, y = _training_set("naive_bayes", X, y)
+    return nb_model(np.stack([X[y == c].sum(axis=0) for c in (0, 1)]), np.bincount(y, minlength=2), alpha)
 
 
 def lr_model(hyper: LRHyperparams, w, b, losses, diverged) -> TrainedModel:
@@ -208,11 +215,9 @@ def train_logistic_regression(
     loss raises TrainingError.
     """
     hyper = hyper or LRHyperparams()
-    X, y = lr_training_set(X, y)
-    return lr_model(
-        hyper,
-        *kernels.logreg_descent(X, y, hyper.learning_rate, hyper.l2, hyper.max_epochs, hyper.tol),
-    )
+    X, y = _training_set("logistic_regression", X, y)
+    fit = kernels.logreg_descent(X, y, hyper.learning_rate, hyper.l2, hyper.max_epochs, hyper.tol)
+    return lr_model(hyper, *fit)
 
 
 def train(spec: ModelSpec, X, y) -> TrainedModel:

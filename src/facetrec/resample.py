@@ -7,11 +7,13 @@ minority count reaches floor(target_ratio * majority count). Original rows
 are preserved, in order, ahead of the synthetic block.
 
 Neighbours come from the squared distances among the minority rows
-(``kernels.knn_from_distances``). By default those are computed from the
-rows given; a caller that oversamples many overlapping row sets, as the
-training folds of one facet are, passes ``distances`` to slice them out of
-one matrix it computed once (``eval`` does, per facet and class). Either
-way the neighbour lists are the same, bit for bit.
+(``kernels.knn_from_distances``). ``smote_triples`` draws the synthetic
+rows as (seed, neighbour, gamma) triples; by default it computes those
+distances from the rows it is given, and `eval`, which oversamples the
+overlapping training folds of one facet, passes ``distances`` to slice them
+out of one matrix per facet and class. Either way the neighbour lists are
+the same, bit for bit. `eval` trains every model from the triples; only
+``smote`` (used by ``facetrec train --smote``) materializes the rows.
 """
 
 from __future__ import annotations
@@ -45,12 +47,6 @@ class ResampleConfig:
         check_seed(self.seed)
 
 
-def _check_labels(y: np.ndarray) -> None:
-    vals = set(np.unique(y).tolist())
-    if not vals <= {0, 1}:
-        raise ValidationError(f"labels must be binary 0/1, got values {sorted(vals)}")
-
-
 def resampled_labels(y, cfg: ResampleConfig) -> np.ndarray:
     """The labels smote returns for training labels y, without the rows.
 
@@ -59,7 +55,8 @@ def resampled_labels(y, cfg: ResampleConfig) -> np.ndarray:
     with fewer than 2 minority rows.
     """
     y = np.asarray(y, dtype=np.int64)
-    _check_labels(y)
+    if not np.all((y == 0) | (y == 1)):
+        raise ValidationError(f"labels must be binary 0/1, got values {sorted(set(y.ravel().tolist()))}")
     if y.ndim != 1:
         raise ValidationError("labels must be one per feature row")
     n_pos = int(np.sum(y == 1))
@@ -124,14 +121,14 @@ def smote_triples(X, y, cfg: ResampleConfig, distances=None):
     return min_idx[seed_pos], min_idx[knn[seed_pos, picks]], gammas, y_aug
 
 
-def smote(X, y, cfg: ResampleConfig, distances=None):
+def smote(X, y, cfg: ResampleConfig):
     """Oversample the minority class of (X, y) with synthetic points.
 
     X is a 2-d array-like of numbers; it is never modified. Returns
     (X_aug, y_aug) as a new array of float64 rows and int64 labels, the
     original rows first and bit-for-bit untouched, then the rows of
-    smote_triples(X, y, cfg, distances); y_aug is resampled_labels(y, cfg).
+    smote_triples(X, y, cfg); y_aug is resampled_labels(y, cfg).
     """
     X = np.asarray(X, dtype=np.float64)
-    seeds, nbrs, gammas, y_aug = smote_triples(X, y, cfg, distances)
+    seeds, nbrs, gammas, y_aug = smote_triples(X, y, cfg)
     return np.vstack([X, kernels.interpolate_rows(X, seeds, nbrs, gammas)]), y_aug

@@ -17,9 +17,12 @@ import yaml
 
 from facetrec import features
 from facetrec.cli import build_parser, main, parse_experiment_config
+from facetrec.corpus import assign_labels, build_documents, default_normalization_table, load_corpus
+from facetrec.eval import make_folds
 from facetrec.features import load_embeddings, write_embeddings
-from facetrec.inventory import FACET_NAMES, default_scoring_key
+from facetrec.inventory import FACET_NAMES, default_scoring_key, score_inventory
 from facetrec.models import ModelSpec, save_model, train
+from facetrec.resample import ResampleConfig, resampled_labels
 
 
 @pytest.fixture(scope="module")
@@ -173,22 +176,47 @@ def test_rerun_is_byte_identical(bundle, run_dir, tmp_path, capsys):
         assert (out / name).read_bytes() == (run_dir / name).read_bytes()
 
 
+def _smote_rows(source: Path) -> int:
+    # The rows SMOTE adds to one system's cells on a bundle, from its labels
+    # and fold plan alone.
+    config = yaml.safe_load((source / "config.yaml").read_text(encoding="utf-8"))
+    records = load_corpus(source / "corpus.jsonl")
+    scores = {r.author_id: score_inventory(r.inventory, default_scoring_key()) for r in records}
+    corpus = assign_labels(build_documents(records, default_normalization_table()), scores)
+    labels = {f: corpus.labels(f) for f in corpus.active_facets}
+    plan = make_folds(labels, n_folds=config["folds"], seed=config["seed"])
+    cfg = ResampleConfig(k_neighbors=config["smote"]["k_neighbors"], target_ratio=config["smote"]["target_ratio"])
+    return sum(len(resampled_labels(y[plan.assignment[f] != k], cfg)) - int(np.sum(plan.assignment[f] != k))
+               for f, y in labels.items() for k in range(plan.n_folds))
+
+
 def test_verbose_run_logs_lr_convergence_without_touching_artifacts(bundle, tmp_path, caplog, capsys):
-    # Each LR system sums up its cells' descent in one info line; -v shows
-    # it, and report.csv and manifest.yaml do not change.
-    args = ["run", "--config", str(bundle / "config.yaml"), "--out", str(tmp_path)]
-    assert main(args) == 0
-    quiet = {name: (tmp_path / name).read_bytes() for name in ("report.csv", "manifest.yaml")}
+    # Each naive Bayes or LR system sums up SMOTE's rows in one info line,
+    # and each LR system its cells' descent in another; -v shows them, and
+    # report.csv and manifest.yaml do not change. The module's bundle has
+    # balanced folds; on the second input, at 20% positives, SMOTE draws.
+    imbalanced = tmp_path / "imbalanced"
+    synth = ["synth", "--out", str(imbalanced), "--seed", "99", "--authors", "40", "--tokens", "40"]
+    assert main([*synth, "--pos-rate", "0.2"]) == 0
     caplog.set_level(logging.INFO, logger="facetrec")
-    assert main(["-v", *args]) == 0
-    lines = [r.getMessage() for r in caplog.records if "LR converged" in r.getMessage()]
-    assert [line.split(":")[0] for line in lines] == ["skip-lr", "cbow-lr"]
-    for line in lines:
-        converged, cells, low, high = map(int, re.fullmatch(
-            r"[\w-]+: LR converged in (\d+)/(\d+) cells \(epochs (\d+)-(\d+)\)", line).groups())
-        assert cells == 100 and converged <= cells and 0 <= low <= high <= 500
-    for name, data in quiet.items():
-        assert (tmp_path / name).read_bytes() == data
+    for source in (bundle, imbalanced):
+        args = ["run", "--config", str(source / "config.yaml"), "--out", str(tmp_path / "out")]
+        assert main(args) == 0
+        quiet = {name: (tmp_path / "out" / name).read_bytes() for name in ("report.csv", "manifest.yaml")}
+        caplog.clear()
+        assert main(["-v", *args]) == 0
+        lines = [r.getMessage() for r in caplog.records if "LR converged" in r.getMessage()]
+        assert [line.split(":")[0] for line in lines] == ["skip-lr", "cbow-lr"]
+        for line in lines:
+            converged, cells, low, high = map(int, re.fullmatch(
+                r"[\w-]+: LR converged in (\d+)/(\d+) cells \(epochs (\d+)-(\d+)\)", line).groups())
+            assert cells == 100 and converged <= cells and 0 <= low <= high <= 500
+        lines = [r.getMessage() for r in caplog.records if "SMOTE added" in r.getMessage()]
+        rows = _smote_rows(source)
+        assert lines == [f"{name}: SMOTE added {rows} rows to 100 cells" for name in ("bow-nb", "skip-lr", "cbow-lr")]
+        assert (rows > 0) == (source == imbalanced)
+        for name, data in quiet.items():
+            assert (tmp_path / "out" / name).read_bytes() == data
 
 
 def _digest(out: Path) -> str:
@@ -543,23 +571,29 @@ def test_module_entry_point_help(tmp_path, child_env):
         assert word in proc.stdout
 
 
-def test_cli_import_loads_only_numpy_and_pyyaml(tmp_path, child_env):
+def test_cli_import_loads_only_numpy_and_pyyaml(bundle, tmp_path, child_env):
     # Feature matrices are dense numpy arrays, so the CLI needs no other
     # installed package; each one it imported would add its start-up time
-    # and memory to every command.
+    # and memory to every command. A whole run imports no more: `numpy.ma`,
+    # which np.unique pulls in on numpy 2, would add about 1 MiB to its
+    # peak RSS (numpy 1 imports it with numpy itself).
     code = (
         "import json, sys\n"
         "before = set(sys.modules)\n"
         "import facetrec.cli\n"
+        "assert facetrec.cli.main(['run', '--config', sys.argv[1], '--out', 'out']) == 0\n"
         "files = {m: getattr(sys.modules[m], '__file__', None) or '' for m in set(sys.modules) - before}\n"
         "print(json.dumps(sorted({m.split('.')[0] for m, f in files.items() if 'packages' in f})))\n"
+        "import numpy\n"
+        "print(json.dumps('numpy.ma' in sys.modules and not numpy.__version__.startswith('1.')))\n"
     )
     proc = subprocess.run(
-        [sys.executable, "-c", code],
+        [sys.executable, "-c", code, str(bundle / "config.yaml")],
         capture_output=True,
         text=True,
         cwd=tmp_path,
         env=child_env(),
     )
     assert proc.returncode == 0, proc.stderr
-    assert set(json.loads(proc.stdout)) <= {"facetrec", "numpy", "yaml"}
+    packages, masked = map(json.loads, proc.stdout.splitlines()[-2:])
+    assert set(packages) <= {"facetrec", "numpy", "yaml"} and not masked

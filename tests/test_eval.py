@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from loop_oracles import fold_assignment_loops, logreg_descent_numpy
 
 from facetrec import eval as eval_module
-from facetrec import kernels
+from facetrec import kernels, resample
 from facetrec.cli import main
 from facetrec.errors import ConfigError, TrainingError, ValidationError
 from facetrec.eval import (
@@ -26,9 +26,9 @@ from facetrec.eval import (
 )
 from facetrec.features import BowSpec, realize_features
 from facetrec.inventory import FACET_NAMES
-from facetrec.models import LRHyperparams, ModelSpec, lr_model, predict
-from facetrec.resample import ResampleConfig
-from facetrec.seeding import STREAM_FOLDS, substream
+from facetrec.models import LRHyperparams, ModelSpec, lr_model, predict, train_naive_bayes
+from facetrec.resample import ResampleConfig, smote
+from facetrec.seeding import STREAM_FOLDS, STREAM_SMOTE, derive_seed, substream
 
 # --- F1 ---------------------------------------------------------------------
 
@@ -454,11 +454,60 @@ def test_lr_cells_score_as_the_per_cell_oracle(monkeypatch):
     assert len(cells) == 5 and all(len(c.seeds) > 0 for c in cells)
 
 
+def _imbalanced_fractional(minority):
+    # 45 rows of fractional counts, about 30% of them `minority`, whose
+    # odd features run higher; 5 stratified folds, each with SMOTE rows.
+    rng = np.random.default_rng(5)
+    y = (rng.random(45) < 0.3).astype(np.int64)
+    y = y if minority == 1 else 1 - y
+    X = 2.5 * rng.random((45, 6)) + 0.7 * (y == minority)[:, None] * (np.arange(6) % 2)
+    return X, y, make_folds({"Anxiety": y}, n_folds=5, seed=6).assignment["Anxiety"]
+
+
+@pytest.mark.parametrize("minority", [1, 0])
+def test_naive_bayes_cells_score_as_materialized_smote(monkeypatch, minority):
+    # The reference trains each fold with train_naive_bayes on the rows
+    # resample.smote materializes for it. The run takes its class sums from
+    # one weighted product with X, so the fractional SMOTE rows add up in
+    # another order: log-likelihoods may differ in the last bits only.
+    X, y, folds = _imbalanced_fractional(minority)
+    planned = []
+    real = eval_module.nb_model
+    monkeypatch.setattr(eval_module, "nb_model", lambda *args: planned.append(real(*args)) or planned[-1])
+    scores = _evaluate(X, y, folds, ModelSpec(kind="naive_bayes"))
+    assert len(planned) == 5
+    for k, model in enumerate(planned):
+        train = folds != k
+        cfg = ResampleConfig(seed=derive_seed(4, STREAM_SMOTE, FACET_NAMES.index("Anxiety"), k))
+        X_aug, y_aug = smote(X[train], y[train], cfg)
+        assert np.sum(y_aug == minority) > np.sum(y[train] == minority)
+        oracle = train_naive_bayes(X_aug, y_aug)
+        assert np.array_equal(model.params.log_priors, oracle.params.log_priors)
+        assert np.allclose(model.params.log_likelihoods, oracle.params.log_likelihoods, rtol=1e-12, atol=0)
+        pred, _ = predict(oracle, X[folds == k])
+        assert scores[k] == f1_macro(y[folds == k], pred)
+
+
+def test_no_model_materializes_smote_rows(monkeypatch):
+    # Majority, naive Bayes and logistic regression all train from the
+    # planned cells: none builds SMOTE's rows, though every fold draws them.
+    def no_rows(*args):
+        raise AssertionError("a cell materialized SMOTE rows")
+
+    monkeypatch.setattr(resample, "smote", no_rows)
+    monkeypatch.setattr(kernels, "interpolate_rows", no_rows)
+    X, y, folds = _imbalanced_fractional(1)
+    for spec in (ModelSpec(kind="majority"), ModelSpec(kind="naive_bayes"),
+                 ModelSpec(kind="logistic_regression", lr=LRHyperparams(max_epochs=20))):
+        assert len(_evaluate(X, y, folds, spec)) == 5
+
+
 def test_majority_trains_on_resampled_labels_without_smote(monkeypatch):
     def no_smote(*args):
-        raise AssertionError("majority cells must not build SMOTE rows")
+        raise AssertionError("majority cells must not draw SMOTE triples or distances")
 
-    monkeypatch.setattr(eval_module, "smote", no_smote)
+    monkeypatch.setattr(eval_module, "smote_triples", no_smote)
+    monkeypatch.setattr(kernels, "sq_distances", no_smote)
     # 7 positives of 20: the training splits have minority rows to add, and
     # with parity the tie sends the baseline negative.
     y = np.array([1] * 7 + [0] * 13)

@@ -61,8 +61,7 @@ def _record_smote(monkeypatch):
         return call["triples"]
 
     monkeypatch.setattr(kernels, "knn_from_distances", knn)
-    monkeypatch.setattr(resample, "smote_triples", recording)  # naive Bayes, through smote
-    monkeypatch.setattr(eval_module, "smote_triples", recording)  # logistic-regression cells
+    monkeypatch.setattr(eval_module, "smote_triples", recording)  # the cell planner
     return calls
 
 
