@@ -2,11 +2,13 @@
 
 Logistic regression: builds a bag-of-words-shaped case (300 documents x
 501 columns, 100 cells, each training on 270 of the rows plus about 130
-SMOTE triples) and trains it twice: once with one logreg_descent_cells
-call over the shared matrix, and once as 100 logreg_descent calls, each on
-its cell's materialized rows (own rows, then the interpolated SMOTE rows).
-Prints the best-of wall times, the floating-point operations and bytes of
-one epoch on each side, and the largest weight gap between the two.
+SMOTE triples) and fits it twice by truncated Newton: once with one
+logreg_descent_cells call over the shared matrix, and once as 100
+logreg_descent calls, each on its cell's materialized rows (own rows, then
+the interpolated SMOTE rows). Prints the best-of wall times, the matrix
+products each side makes (one pass over its rows each), their
+floating-point operations and bytes, the Newton iterations, and the
+largest weight gap between the two.
 
 SMOTE's neighbours: one facet shaped like the smote-nb workload's (600
 documents x 501 count columns, 120 minority rows, 10 folds). Per fold,
@@ -57,24 +59,36 @@ def make_cells(rng):
     return X, cells
 
 
-def epoch_cost(X, cells):
-    """(flops, bytes) of one epoch: operator, then materialized cells.
+class Products:
+    """Counts the matrix products of every fit: each forward or adjoint
+    map is one product with its matrix, one pass over its rows."""
 
-    Counted are the two matrix products of an epoch (z = Xw and the
-    gradient), which hold all but a few percent of the arithmetic. Bytes
-    are the float64 operands each product reads and writes once; the
-    operator also gathers and scatters one logit per own row and two per
-    SMOTE row.
-    """
-    n, d = X.shape
-    entries = sum(len(c.rows) + len(c.seeds) for c in cells)
-    ends = sum(len(c.rows) + 2 * len(c.seeds) for c in cells)
-    op_flops = 2 * 2 * n * d * len(cells)
-    op_bytes = 8 * 2 * (n * d + len(cells) * d + n * len(cells)) + 8 * 2 * ends
-    # One matrix-vector product each way over a cell's materialized rows.
-    mat_flops = 2 * 2 * d * entries
-    mat_bytes = 8 * 2 * (d * entries + entries + d * len(cells))
-    return (op_flops, op_bytes), (mat_flops, mat_bytes)
+    def __init__(self):
+        self.count = self.flops = self.bytes = 0
+        self._forward, self._adjoint = kernels._Operator.forward, kernels._Operator.adjoint
+
+    def _tally(self, op, width):
+        n, d = op.X.shape
+        self.count += 1
+        self.flops += 2 * n * d * width
+        self.bytes += 8 * (n * d + width * d + width * n)
+
+    def __enter__(self):
+        counter = self
+
+        def forward(op, W, B):
+            counter._tally(op, len(W))
+            return counter._forward(op, W, B)
+
+        def adjoint(op, r):
+            counter._tally(op, len(op.n))
+            return counter._adjoint(op, r)
+
+        kernels._Operator.forward, kernels._Operator.adjoint = forward, adjoint
+        return self
+
+    def __exit__(self, *exc):
+        kernels._Operator.forward, kernels._Operator.adjoint = self._forward, self._adjoint
 
 
 def knn_case(rng, repeat: int) -> bool:
@@ -107,30 +121,36 @@ def knn_case(rng, repeat: int) -> bool:
 
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--epochs", type=int, default=100, help="descent epochs")
+    ap.add_argument("--epochs", type=int, default=500, help="cap on Newton iterations (max_epochs)")
     ap.add_argument("--repeat", type=int, default=3, help="timed calls per side (best-of)")
     ap.add_argument("--seed", type=int, default=0)
     args = ap.parse_args()
 
     X, cells = make_cells(np.random.default_rng(args.seed))
-    descent = (0.1, 1e-4, args.epochs, 0.0)
+    fit = (1e-4, args.epochs, 1e-5)  # the default l2 and tol
     materialized = [
         (np.vstack([X[c.rows], kernels.interpolate_rows(X, c.seeds, c.nbrs, c.gammas)]),
          np.concatenate([c.y, np.full(len(c.seeds), c.minority)]))
         for c in cells
     ]
 
-    t_op, (W, _, _, _) = best_of(lambda: kernels.logreg_descent_cells(X, cells, *descent), args.repeat)
-    t_mat, fits = best_of(lambda: [kernels.logreg_descent(Xc, yc, *descent) for Xc, yc in materialized], args.repeat)
-    gap = max(float(np.max(np.abs(W[i] - w))) for i, (w, _, _, _) in enumerate(fits))
+    with Products() as op_products:
+        t_op, (W, _, losses, converged, _) = best_of(lambda: kernels.logreg_descent_cells(X, cells, *fit), args.repeat)
+    with Products() as mat_products:
+        t_mat, fits = best_of(lambda: [kernels.logreg_descent(Xc, yc, *fit) for Xc, yc in materialized], args.repeat)
+    gap = max(float(np.max(np.abs(W[i] - w))) for i, (w, *_) in enumerate(fits))
+    iterations = [len(h) - 1 for h in losses]
 
-    (op_flops, op_bytes), (mat_flops, mat_bytes) = epoch_cost(X, cells)
-    print(f"{CELLS} cells over {DOCS} x {DIM}, {OWN} own rows and ~{SYNTH} SMOTE rows each, {args.epochs} epochs")
-    header = f"{'side':<26} {'ms':>10} {'MFLOP/epoch':>12} {'MB/epoch':>10}"
+    print(f"{CELLS} cells over {DOCS} x {DIM}, {OWN} own rows and ~{SYNTH} SMOTE rows each; "
+          f"Newton iterations {min(iterations)}-{max(iterations)}, {int(converged.sum())} converged "
+          f"(cap {args.epochs})")
+    header = f"{'side':<26} {'ms':>10} {'passes':>9} {'MFLOP':>9} {'MB read':>9}"
     print(header)
     print("-" * len(header))
-    print(f"{'operator (1 call)':<26} {t_op * 1e3:>10.1f} {op_flops / 1e6:>12.1f} {op_bytes / 1e6:>10.2f}")
-    print(f"{'materialized (1 per cell)':<26} {t_mat * 1e3:>10.1f} {mat_flops / 1e6:>12.1f} {mat_bytes / 1e6:>10.2f}")
+    for name, t, counted in (("one batched fit", t_op, op_products), ("materialized (1 per cell)", t_mat, mat_products)):
+        calls = counted.count // args.repeat
+        print(f"{name:<26} {t * 1e3:>10.1f} {calls:>9} {counted.flops / args.repeat / 1e6:>9.1f} "
+              f"{counted.bytes / args.repeat / 1e6:>9.1f}")
     print(f"speedup {t_mat / t_op:.1f}x; largest weight gap {gap:.3g}")
     print()
     return 0 if knn_case(np.random.default_rng(args.seed), args.repeat) else 1

@@ -120,12 +120,11 @@ def _parse_model(raw) -> ModelSpec:
     alpha = _require_number(raw.get("alpha", 1.0), "alpha")
     default = LRHyperparams()
     lr = LRHyperparams(
-        learning_rate=_require_number(raw.get("learning_rate", default.learning_rate), "learning_rate"),
         l2=_require_number(raw.get("l2", default.l2), "l2"),
         max_epochs=_require_int(raw.get("max_epochs", default.max_epochs), "max_epochs"),
         tol=_require_number(raw.get("tol", default.tol), "tol"),
     )
-    unknown = set(raw) - {"kind", "alpha", "learning_rate", "l2", "max_epochs", "tol"}
+    unknown = set(raw) - {"kind", "alpha", "l2", "max_epochs", "tol"}
     if unknown:
         raise ConfigError(f"unknown model options: {', '.join(sorted(unknown))}")
     return ModelSpec(kind=kind, alpha=alpha, lr=lr)
@@ -465,7 +464,7 @@ def cmd_train(args) -> int:
         path = str(Path(args.embeddings).resolve())
         features = {"kind": "embeddings", "path": path, "flavor": args.flavor}
     feature_spec = _parse_features(features, Path("."))
-    hyper = ("alpha", "learning_rate", "l2", "max_epochs", "tol")
+    hyper = ("alpha", "l2", "max_epochs", "tol")
     model_spec = _parse_model({"kind": args.model, **{k: getattr(args, k) for k in hyper}})
 
     X, ref, space = realize_features(feature_spec, corpus)
@@ -594,9 +593,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--flavor", choices=["skip", "cbow"], default="skip")
     p.add_argument("--alpha", type=float, default=1.0)
     lr = LRHyperparams()
-    p.add_argument("--learning-rate", type=float, default=lr.learning_rate, dest="learning_rate")
     p.add_argument("--l2", type=float, default=lr.l2)
-    p.add_argument("--max-epochs", type=int, default=lr.max_epochs, dest="max_epochs")
+    p.add_argument("--max-epochs", type=int, default=lr.max_epochs, dest="max_epochs",
+                   help="cap on logistic regression's Newton iterations")
     p.add_argument("--tol", type=float, default=lr.tol)
     p.add_argument("--smote", action=argparse.BooleanOptionalAction, default=True)
     p.add_argument("--smote-k", type=int, default=5, dest="smote_k")

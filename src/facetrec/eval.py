@@ -177,7 +177,7 @@ def _plan_facet(X, unusable, message, n_folds, kind, resample_cfg, plan_seed, fa
             if kind == "logistic_regression":
                 training_labels(y[rows])
             cfg = replace(resample_cfg, seed=derive_seed(plan_seed, STREAM_SMOTE, facet_idx, k))
-            seeds, nbrs, gammas, y_aug = smote_triples(X[rows], y[rows], cfg, partial(distances, rows))
+            seeds, nbrs, gammas, y_aug = smote_triples(y[rows], cfg, partial(distances, rows))
             out.append(kernels.LRCell(rows, y[rows], rows[seeds], rows[nbrs], gammas, int(y_aug[-1])))
     return out
 
@@ -195,7 +195,7 @@ def _class_sums(X, cells):
     return (W @ X).reshape(len(cells), 2, -1), counts
 
 
-def _models(X, spec, resample_cfg, plans, name):
+def _models(X, spec, resample_cfg, facets, plans, name):
     # Every cell's model, in facet then fold order, built lazily so that its
     # errors surface in its own cell.
     cells = [cell for facet_cells in plans for cell in facet_cells]
@@ -206,11 +206,14 @@ def _models(X, spec, resample_cfg, plans, name):
         return (nb_model(sums, counts, spec.alpha)
                 for facet_cells in plans for sums, counts in zip(*_class_sums(X, facet_cells)))
     hyper = spec.lr
-    fits = kernels.logreg_descent_cells(X, cells, hyper.learning_rate, hyper.l2, hyper.max_epochs, hyper.tol)
-    epochs = [len(losses) - 1 for losses in fits[2]]
-    converged = sum(e < hyper.max_epochs and not bad for e, bad in zip(epochs, fits[3]))
-    log.info("%s: LR converged in %d/%d cells (epochs %d-%d)",
-             name, converged, len(epochs), min(epochs), max(epochs))
+    fits = kernels.logreg_descent_cells(X, cells, hyper.l2, hyper.max_epochs, hyper.tol)
+    iterations = [len(losses) - 1 for losses in fits[2]]
+    log.info("%s: LR converged in %d/%d cells (iterations %d-%d)",
+             name, fits[3].sum(), len(cells), min(iterations), max(iterations))
+    n_folds = len(plans[0])
+    for i in np.flatnonzero(~fits[3] & ~fits[4]):  # a diverged cell raises in its own cell
+        log.warning("%s: facet %s, fold %d: LR stopped after %d Newton iterations without converging",
+                    name, facets[i // n_folds], i % n_folds, iterations[i])
     return (lr_model(hyper, *fit) for fit in zip(*fits))
 
 
@@ -232,8 +235,9 @@ def run_experiment(
     model is majority SMOTE's triples) in worker processes, merged in facet
     order. Every model then trains from its cell here: majority from label
     counts, naive Bayes from one weighted product with X per facet, and
-    logistic regression in one ``kernels.logreg_descent_cells`` descent.
-    Info log lines headed ``name`` sum up SMOTE's rows and LR's epochs.
+    logistic regression in one ``kernels.logreg_descent_cells`` Newton fit.
+    Info log lines headed ``name`` sum up SMOTE's rows and LR's iterations;
+    each LR cell that stops without converging logs a warning.
     """
     if not isinstance(jobs, int) or isinstance(jobs, bool) or jobs < 1:
         raise ConfigError(f"jobs must be a positive integer, got {jobs!r}")
@@ -257,7 +261,7 @@ def run_experiment(
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             plans = list(pool.map(task, *args))
 
-    models = _models(X, model_spec, resample_cfg, plans, name)
+    models = _models(X, model_spec, resample_cfg, facets, plans, name)
     scores = {}
     for facet in facets:
         y, folds = corpus.labels(facet), plan.assignment[facet]

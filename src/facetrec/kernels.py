@@ -1,15 +1,15 @@
-"""Hot numeric kernels: logistic-regression descent and SMOTE's geometry.
+"""Hot numeric kernels: logistic-regression fits and SMOTE's geometry.
 
 Each kernel has one vectorized numpy implementation. The public functions
 coerce their inputs to contiguous float64 (int64 for row positions) once
 and then run the numpy code, so lists and other array-likes are accepted.
 
-Logistic regression has one loss/gradient and one descent loop, both over
-many cells that share one feature matrix, each cell a set of its rows plus
-SMOTE rows given as interpolation triples; ``logreg_loss_grad`` and
-``logreg_descent`` run them on one cell of all rows. The tests keep a
-per-cell numpy descent and plain-Python loop versions of the kernels as
-reference implementations.
+Logistic regression has one objective, gradient and Hessian-vector
+product and one truncated-Newton loop, all over many cells that share one
+feature matrix, each cell a set of its rows plus SMOTE rows given as
+interpolation triples; ``logreg_loss_grad`` and ``logreg_descent`` run them
+on one cell of all rows. The tests keep a per-cell dense Newton solver and
+plain-Python loop versions of the kernels as reference implementations.
 
 SMOTE's neighbour search has two pieces: ``sq_distances`` (the
 squared-distance matrix of some rows, in the exact diff form, one row at a
@@ -31,18 +31,29 @@ def _f64(a):
 
 
 # ---------------------------------------------------------------------------
-# logistic regression: full-batch gradient descent
+# logistic regression: truncated Newton over the interpolation operator
 # ---------------------------------------------------------------------------
 #
 # Loss: mean_i [ softplus(z_i) - y_i * z_i ] + (l2/2) * ||w||^2,  z = Xw + b,
 # with y in {0, 1}. The bias is not regularized. softplus is evaluated in the
 # overflow-safe form max(z, 0) + log1p(exp(-|z|)).
+#
+# Each Newton iteration solves H d = -g by conjugate gradients, stopped by
+# the forcing term ||H d + g|| <= min(0.5, sqrt(||g||)) ||g|| (Eisenstat &
+# Walker 1996) or after _CG_MAX Hessian products, then backtracks from the
+# full step, halving it until f(x + t d) <= f(x) + _ARMIJO_C t g.d. This is
+# the Newton-CG family of liblinear's logistic regression (Lin, Weng &
+# Keerthi 2008), with a line search in place of its trust region.
+
+_CG_MAX = 50  # Hessian products per Newton iteration
+_ARMIJO_C = 1e-4  # sufficient decrease of the line search
+_MAX_HALVINGS = 30  # a cell whose step 2**-30 still fails Armijo stops there
 
 
 class LRCell(NamedTuple):
-    """One cell's training set: rows of the shared matrix X with labels y,
-    plus a row X[s] + g * (X[n] - X[s]) labelled ``minority`` for each
-    SMOTE triple (s, n, g) of seeds, nbrs and gammas."""
+    """One cell's training set: rows of the shared matrix X with labels y
+    (0 or 1), plus a row X[s] + g * (X[n] - X[s]) labelled ``minority``
+    for each SMOTE triple (s, n, g) of seeds, nbrs and gammas."""
 
     rows: np.ndarray
     y: np.ndarray
@@ -55,110 +66,229 @@ class LRCell(NamedTuple):
 def logreg_loss_grad(X, y, w, b, l2):
     """Loss, weight gradient and bias gradient at (w, b)."""
     X = _f64(X)
-    loss_grad = _operator(X, [LRCell(np.arange(len(X)), y)])
-    loss, gw, gb = loss_grad(_f64(w)[None], np.array([float(b)]), float(l2))
-    return float(loss[0]), gw[0], float(gb[0])
+    op = _Operator(X, [LRCell(np.arange(len(X)), y)])
+    W = _f64(w)[None]
+    z = op.forward(W, np.array([float(b)]))
+    gw, gb, _ = op.gradient(z, W, float(l2))
+    return float(op.objective(z, W, float(l2))[0]), gw[0], float(gb[0])
 
 
-def logreg_descent(X, y, learning_rate, l2, max_epochs, tol):
-    """Gradient descent from zero init. Returns (w, b, losses, diverged).
+def logreg_descent(X, y, l2, max_iter, tol):
+    """Truncated-Newton fit of one cell of all rows of X, from zero init.
 
-    ``losses`` holds the objective at every visited parameter state (initial
-    state included), so it has one more entry than the number of updates.
-    Stops early when the gradient max-norm over (w, b) drops below ``tol``
-    or the loss becomes non-finite (``diverged=True``).
+    Returns (w, b, losses, converged, diverged) by the rules of
+    ``logreg_descent_cells``.
     """
     X = _f64(X)
-    cell = LRCell(np.arange(len(X)), y)
-    W, B, losses, diverged = logreg_descent_cells(X, [cell], learning_rate, l2, max_epochs, tol)
-    return W[0], float(B[0]), losses[0], bool(diverged[0])
+    W, B, losses, converged, diverged = logreg_descent_cells(X, [LRCell(np.arange(len(X)), y)], l2, max_iter, tol)
+    return W[0], float(B[0]), losses[0], bool(converged[0]), bool(diverged[0])
 
 
 def _cat(arrays, dtype):
     return np.concatenate([np.empty(0, dtype), *arrays]).astype(dtype)
 
 
-def _operator(X, cells):
-    """loss_grad(W, B, l2) of every cell over one shared matrix X, with W
-    (cells x dim) and B (cells,): losses, weight and bias gradients.
+class _Operator:
+    """The logits of many cells over one shared matrix X, and their adjoint.
 
-    With Z = W @ X.T + B, a cell's own rows have their logits in its row
-    of Z, and a SMOTE row's logit is z_s + g * (z_n - z_s). Residuals
-    scatter back onto the same rows, a SMOTE row's onto s and n with
-    weights 1 - g and g, so the weight gradient is R @ X. Rows outside a
-    cell never enter its loss or residuals, not even times zero.
+    ``forward(W, B)`` maps (cells x dim) weights and (cells,) biases to one
+    logit per entry: each cell's own rows, then each cell's SMOTE rows. With
+    Z = W @ X.T + B, an own row's logit is in its cell's row of Z, and a
+    SMOTE row's is z_s + g * (z_n - z_s). ``adjoint(r)`` is its transpose:
+    per-entry values scatter back onto the same rows, a SMOTE row's onto s
+    and n with weights 1 - g and g, giving (R @ X, per-cell sums of r). Rows
+    outside a cell never enter its logits or products, not even times zero.
     """
-    width, n_docs = len(cells), len(X)
-    own = np.repeat(np.arange(width), [len(c.rows) for c in cells])
-    syn = np.repeat(np.arange(width), [len(c.seeds) for c in cells])
-    m, cell = len(own), np.concatenate([own, syn])
-    # Positions in Z.ravel(): own rows, then each triple's s, then its n.
-    at = np.concatenate([
-        own * n_docs + _cat([c.rows for c in cells], np.int64),
-        syn * n_docs + _cat([c.seeds for c in cells], np.int64),
-        syn * n_docs + _cat([c.nbrs for c in cells], np.int64),
-    ])
-    g = _cat([c.gammas for c in cells], np.float64)
-    y = _cat([c.y for c in cells] + [np.full(len(c.seeds), c.minority) for c in cells], np.float64)
-    n = np.bincount(cell, minlength=width).astype(np.float64)
 
-    def loss_grad(W, B, l2):
-        z_all = np.take(W @ X.T + B[:, None], at)
-        z, z_n = z_all[: len(cell)], z_all[len(cell):]
-        z[m:] += g * (z_n - z[m:])  # each SMOTE row's z_s becomes z_s + g (z_n - z_s)
-        e = np.exp(-np.abs(z))
-        loss = np.bincount(cell, np.maximum(z, 0.0) + np.log1p(e) - y * z, minlength=width) / n
-        loss += 0.5 * l2 * np.einsum("ij,ij->i", W, W)
-        r = (np.where(z >= 0.0, 1.0, e) / (1.0 + e) - y) / n[cell]
-        gr = g * r[m:]
-        R = np.bincount(at, np.concatenate([r[:m], r[m:] - gr, gr]), minlength=width * n_docs)
-        gw = R.reshape(width, n_docs) @ X + l2 * W
-        return loss, gw, np.bincount(cell, r, minlength=width)
+    def __init__(self, X, cells):
+        self.X, width, n_docs = X, len(cells), len(X)
+        own = np.repeat(np.arange(width), [len(c.rows) for c in cells])
+        syn = np.repeat(np.arange(width), [len(c.seeds) for c in cells])
+        self.m, self.cell = len(own), np.concatenate([own, syn]).astype(np.int32)
+        # Positions in Z.ravel(): own rows, then each triple's s, then its n.
+        self.at = np.concatenate([
+            own * n_docs + _cat([c.rows for c in cells], np.int64),
+            syn * n_docs + _cat([c.seeds for c in cells], np.int64),
+            syn * n_docs + _cat([c.nbrs for c in cells], np.int64),
+        ])
+        self.g = _cat([c.gammas for c in cells], np.float64)
+        self.y = _cat([c.y for c in cells] + [np.full(len(c.seeds), c.minority) for c in cells], np.int8)
+        self.n = np.bincount(self.cell, minlength=width).astype(np.float64)
 
-    return loss_grad
+    def forward(self, W, B):
+        Z = W @ self.X.T
+        Z += B[:, None]
+        z, z_n = np.take(Z, self.at[: len(self.cell)]), np.take(Z, self.at[len(self.cell):])
+        z_n -= z[self.m:]
+        z_n *= self.g
+        z[self.m:] += z_n
+        return z
+
+    def adjoint(self, r):
+        """(R @ X, per-cell sums of r) of per-entry values r; overwrites r."""
+        m, width, size = self.m, len(self.n), len(self.n) * len(self.X)
+        sums = np.bincount(self.cell, r, minlength=width)
+        # With no SMOTE rows the bincount is empty, and so int64.
+        R = np.bincount(self.at[len(r):], self.g * r[m:], minlength=size).astype(np.float64, copy=False)
+        r[m:] *= 1.0 - self.g
+        R += np.bincount(self.at[: len(r)], r, minlength=size)
+        return R.reshape(width, len(self.X)) @ self.X, sums
+
+    def _mean(self, sums, l2, W):
+        # An adjoint's sums over each cell's n entries as means, plus l2 W.
+        gw, gb = sums
+        gw /= self.n[:, None]
+        gw += l2 * W
+        return gw, gb / self.n
+
+    # The per-entry arrays below are as long as all cells' rows together,
+    # so they are built in place, a few at a time.
+
+    def objective(self, z, W, l2):
+        """Each cell's loss at logits z = forward(W, B)."""
+        terms = np.log1p(_exp_neg_abs(z))
+        terms += np.maximum(z, 0.0)
+        terms -= self.y * z
+        return np.bincount(self.cell, terms, minlength=len(self.n)) / self.n + 0.5 * l2 * np.einsum("ij,ij->i", W, W)
+
+    def gradient(self, z, W, l2):
+        """Weight and bias gradients at logits z = forward(W, B), and the
+        per-entry curvature p (1 - p) of the Hessian there."""
+        e = _exp_neg_abs(z)
+        r = np.where(z >= 0.0, 1.0, e)
+        r /= 1.0 + e
+        r -= self.y
+        e /= np.square(1.0 + e)
+        return (*self._mean(self.adjoint(r), l2, W), e)
+
+    def hessian(self, curvature, l2, V, c):
+        """The Hessian at ``curvature`` times each cell's direction (V, c)."""
+        # The weighted logits are freed before _mean allocates.
+        return self._mean(self.adjoint(self.forward(V, c) * curvature), l2, V)
 
 
-def logreg_descent_cells(X, cells, learning_rate, l2, max_epochs, tol):
-    """Gradient descent from zero init on every cell over one matrix X.
+def _exp_neg_abs(z):
+    e = np.abs(z)
+    np.negative(e, out=e)
+    return np.exp(e, out=e)
+
+
+def _newton_direction(op, curvature, l2, gw, gb):
+    """Per cell, d with H d = -g to the forcing term, by conjugate gradients.
+
+    Cells run in one batch: a cell whose residual meets its forcing term
+    steps 0 from then on, and so does one with no curvature left along its
+    search direction (saturated logits, l2 = 0), keeping the step so far. A
+    nan or infinite residual never meets the forcing term, so a cell whose
+    products overflow gets a non-finite direction.
+    """
+    gg = np.einsum("ij,ij->i", gw, gw) + gb * gb
+    target = np.minimum(0.25, np.sqrt(gg)) * gg  # the forcing term, squared, times ||g||^2
+    dw, db = np.zeros_like(gw), np.zeros_like(gb)
+    rw, rb, rr = -gw, -gb, gg
+    pw, pb = rw.copy(), rb.copy()
+    flat = np.zeros(len(gg), dtype=bool)
+    for _ in range(_CG_MAX):
+        active = ~flat & ~(np.isfinite(rr) & (rr <= target))
+        if not active.any():
+            break
+        hw, hb = op.hessian(curvature, l2, pw, pb)
+        curv = np.einsum("ij,ij->i", pw, hw) + pb * hb
+        flat |= active & (curv <= 0.0)
+        active &= ~flat
+        alpha = np.where(active, rr, 0.0) / np.where(active, curv, 1.0)
+        dw += alpha[:, None] * pw
+        db += alpha * pb
+        hw *= alpha[:, None]
+        rw -= hw
+        rb -= alpha * hb
+        rr_next = np.einsum("ij,ij->i", rw, rw) + rb * rb
+        beta = np.where(active, rr_next, 0.0) / np.where(active, rr, 1.0)
+        pw *= beta[:, None]
+        pw += rw
+        pb, rr = rb + beta * pb, rr_next
+        del hw  # before the next product allocates its own
+    return dw, db
+
+
+def _line_search(op, l2, w, b, z, f, dw, db, slope):
+    """Move each cell's (w, b) and its logits z and loss f, in place, by
+    the first of the steps 1, 1/2, ..., 2**-_MAX_HALVINGS along (dw, db)
+    that passes Armijo; a non-finite direction is taken whole. Returns
+    which cells found no such step."""
+    nonfinite = ~(np.isfinite(dw).all(axis=1) & np.isfinite(db))
+    t, pending = np.ones(len(f)), np.ones(len(f), dtype=bool)
+    for _ in range(_MAX_HALVINGS + 1):
+        w_t, b_t = w + t[:, None] * dw, b + t * db
+        z_t = op.forward(w_t, b_t)
+        f_t = op.objective(z_t, w_t, l2)
+        ok = pending & (nonfinite | (f_t <= f + _ARMIJO_C * t * slope))
+        w[ok], b[ok], f[ok] = w_t[ok], b_t[ok], f_t[ok]
+        np.copyto(z, z_t, where=ok[op.cell])
+        pending &= ~ok
+        if not pending.any():
+            break
+        t[pending] *= 0.5
+    return pending
+
+
+def logreg_descent_cells(X, cells, l2, max_iter, tol):
+    """Truncated-Newton fit from zero init of every cell over one matrix X.
 
     ``cells`` is a sequence of ``LRCell``; no cell's rows are copied out of
-    X. Returns (W, B, losses, diverged): (cells, dim) weights, (cells,)
-    biases, a list with each cell's loss history, and a (cells,) bool
-    array. Each cell stops by the rules of ``logreg_descent``, at the epoch
-    it would stop at alone, and then leaves the descent.
+    X. Returns (W, B, losses, converged, diverged): (cells, dim) weights,
+    (cells,) biases, a list with each cell's loss history (the objective at
+    every visited state, the zero start included, so one entry more than
+    its Newton iterations), and two (cells,) bool arrays. A cell leaves,
+    with its triples, when:
+
+    - its gradient max-norm over (w, b) drops below ``tol`` (converged);
+    - its loss turns non-finite (diverged); a non-finite Newton step is
+      taken whole, so a cell whose Hessian products overflow diverges;
+    - it has made ``max_iter`` Newton iterations;
+    - or no step of 2**-30 or more along its direction passes Armijo.
     """
     X = _f64(X)
-    learning_rate, l2, max_epochs, tol = float(learning_rate), float(l2), int(max_epochs), float(tol)
-    loss_grad = _operator(X, cells)
+    l2, max_iter, tol = float(l2), int(max_iter), float(tol)
     n_cells, d = len(cells), X.shape[1]
-    W = np.zeros((n_cells, d))
-    B = np.zeros(n_cells)
-    losses = np.empty((n_cells, max_epochs + 1))
-    lengths = np.empty(n_cells, dtype=np.int64)
-    diverged = np.zeros(n_cells, dtype=bool)
-    live = np.arange(n_cells)
-    w, b = W.copy(), B.copy()
+    left = []  # (cells, w, b) of each group of cells as it leaves
+    converged, diverged = np.zeros(n_cells, dtype=bool), np.zeros(n_cells, dtype=bool)
+    histories = [[] for _ in range(n_cells)]
+    live, stalled = np.arange(n_cells), np.zeros(n_cells, dtype=bool)
+    op = _Operator(X, cells)
+    w, b = np.zeros((n_cells, d)), np.zeros(n_cells)
     # A diverging cell overflows on its way to a non-finite loss; that is
     # reported through ``diverged``, so numpy's warnings are silenced.
-    with np.errstate(over="ignore", invalid="ignore"):
-        for epoch in range(max_epochs + 1):
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        z = op.forward(w, b)
+        f = op.objective(z, w, l2)
+        for it in range(max_iter + 1):
             if not live.size:
                 break
-            loss, gw, gb = loss_grad(w, b, l2)
-            losses[live, epoch] = loss
-            bad = ~np.isfinite(loss)
+            for i, v in zip(live[~stalled].tolist(), f[~stalled].tolist()):
+                histories[i].append(v)
+            gw, gb, curvature = op.gradient(z, w, l2)
             gnorm = np.maximum(np.abs(gw).max(axis=1, initial=0.0), np.abs(gb))
-            stop = bad | (gnorm < tol) | (epoch == max_epochs)
+            bad = ~np.isfinite(f)
+            stop = bad | (gnorm < tol) | stalled | (it == max_iter)
             if stop.any():
                 done = live[stop]
-                W[done], B[done] = w[stop], b[stop]
-                lengths[done] = epoch + 1
-                diverged[done] = bad[stop]
-                live, w, b, gw, gb = (v[~stop] for v in (live, w, b, gw, gb))
-                loss_grad = _operator(X, [cells[i] for i in live])
-            w -= learning_rate * gw
-            b -= learning_rate * gb
-    return W, B, [losses[i, : lengths[i]] for i in range(n_cells)], diverged
+                left.append((done, w[stop], b[stop]))
+                converged[done], diverged[done] = ~bad[stop] & (gnorm[stop] < tol), bad[stop]
+                keep = ~stop
+                # Entries are ordered by cell within own and SMOTE rows, so
+                # the kept cells' entries are the new operator's, in order.
+                z, curvature = z[keep[op.cell]], curvature[keep[op.cell]]
+                live, w, b, f, gw, gb = (v[keep] for v in (live, w, b, f, gw, gb))
+                op = _Operator(X, [cells[i] for i in live])
+            dw, db = _newton_direction(op, curvature, l2, gw, gb)
+            stalled = _line_search(op, l2, w, b, z, f, dw, db, np.einsum("ij,ij->i", gw, dw) + gb * db)
+            # This iteration's arrays go before the next gradient allocates its own.
+            del gw, gb, curvature, dw, db
+    W, B = np.zeros((n_cells, d)), np.zeros(n_cells)
+    for done, w, b in left:
+        W[done], B[done] = w, b
+    return W, B, [np.array(h) for h in histories], converged, diverged
 
 
 # ---------------------------------------------------------------------------

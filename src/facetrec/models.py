@@ -2,12 +2,12 @@
 
 Majority baseline (constant prediction, ties negative), multinomial Naive
 Bayes with Laplace smoothing over nonnegative count features, and binary
-logistic regression fit by full-batch gradient descent. All three are
+logistic regression fit by truncated Newton (Newton-CG). All three are
 deterministic functions of their training data and hyperparameters.
 
 `eval` trains many cells of one feature matrix without copying their rows:
 it checks features once per matrix (``unusable_rows``), and ``nb_model``
-and ``lr_model`` build a model from its cell's class sums or descent.
+and ``lr_model`` build a model from its cell's class sums or Newton fit.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from .errors import ConfigError, TrainingError, ValidationError
 MODEL_KINDS = ("majority", "naive_bayes", "logistic_regression")
 
 _MODEL_FORMAT = "facetrec-model"
-_MODEL_VERSION = 1
+_MODEL_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -53,14 +53,11 @@ class NaiveBayesParams:
 
 @dataclass(frozen=True)
 class LRHyperparams:
-    learning_rate: float = 0.1
     l2: float = 1e-4
-    max_epochs: int = 500
+    max_epochs: int = 500  # cap on Newton iterations
     tol: float = 1e-5
 
     def __post_init__(self):
-        if not self.learning_rate > 0:
-            raise ConfigError(f"learning_rate must be positive, got {self.learning_rate}")
         if self.l2 < 0:
             raise ConfigError(f"l2 must be nonnegative, got {self.l2}")
         if not isinstance(self.max_epochs, int) or isinstance(self.max_epochs, bool) or self.max_epochs < 1:
@@ -75,7 +72,7 @@ class LogisticRegressionParams:
     bias: float
     hyper: LRHyperparams
     loss_history: tuple[float, ...]  # objective at every visited parameter state
-    converged: bool  # stopped by the gradient tolerance before max_epochs
+    converged: bool  # stopped by the gradient tolerance
 
 
 @dataclass(frozen=True)
@@ -184,14 +181,10 @@ def train_naive_bayes(X, y, alpha: float = 1.0) -> TrainedModel:
     return nb_model(np.stack([X[y == c].sum(axis=0) for c in (0, 1)]), np.bincount(y, minlength=2), alpha)
 
 
-def lr_model(hyper: LRHyperparams, w, b, losses, diverged) -> TrainedModel:
-    """The model one descent produced; a diverged descent raises TrainingError."""
+def lr_model(hyper: LRHyperparams, w, b, losses, converged, diverged) -> TrainedModel:
+    """The model one Newton fit produced; a diverged fit raises TrainingError."""
     if diverged:
-        raise TrainingError(
-            f"loss became non-finite after {len(losses) - 1} updates; "
-            "try a smaller learning rate"
-        )
-    converged = len(losses) <= hyper.max_epochs
+        raise TrainingError(f"loss became non-finite after {len(losses) - 1} Newton iterations")
     return TrainedModel(
         kind="logistic_regression",
         feature_dim=len(w),
@@ -200,7 +193,7 @@ def lr_model(hyper: LRHyperparams, w, b, losses, diverged) -> TrainedModel:
             bias=float(b),
             hyper=hyper,
             loss_history=tuple(float(v) for v in losses),
-            converged=converged,
+            converged=bool(converged),
         ),
     )
 
@@ -208,15 +201,15 @@ def lr_model(hyper: LRHyperparams, w, b, losses, diverged) -> TrainedModel:
 def train_logistic_regression(
     X, y, hyper: LRHyperparams | None = None
 ) -> TrainedModel:
-    """Fit weights by full-batch gradient descent from zero initialization.
+    """Fit weights by truncated Newton from zero initialization.
 
     Objective: mean logistic loss + (l2/2) * ||w||^2, bias unregularized.
-    Stops at the gradient max-norm tolerance or max_epochs; a non-finite
-    loss raises TrainingError.
+    Stops at the gradient max-norm tolerance or after max_epochs Newton
+    iterations; a non-finite loss raises TrainingError.
     """
     hyper = hyper or LRHyperparams()
     X, y = _training_set("logistic_regression", X, y)
-    fit = kernels.logreg_descent(X, y, hyper.learning_rate, hyper.l2, hyper.max_epochs, hyper.tol)
+    fit = kernels.logreg_descent(X, y, hyper.l2, hyper.max_epochs, hyper.tol)
     return lr_model(hyper, *fit)
 
 
@@ -332,7 +325,6 @@ def load_model(path) -> TrainedModel:
                 weights=np.array(raw["weights"], dtype=np.float64),
                 bias=float(raw["bias"]),
                 hyper=LRHyperparams(
-                    learning_rate=float(h["learning_rate"]),
                     l2=float(h["l2"]),
                     max_epochs=int(h["max_epochs"]),
                     tol=float(h["tol"]),

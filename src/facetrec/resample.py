@@ -8,12 +8,13 @@ are preserved, in order, ahead of the synthetic block.
 
 Neighbours come from the squared distances among the minority rows
 (``kernels.knn_from_distances``). ``smote_triples`` draws the synthetic
-rows as (seed, neighbour, gamma) triples; by default it computes those
-distances from the rows it is given, and `eval`, which oversamples the
-overlapping training folds of one facet, passes ``distances`` to slice them
-out of one matrix per facet and class. Either way the neighbour lists are
-the same, bit for bit. `eval` trains every model from the triples; only
-``smote`` (used by ``facetrec train --smote``) materializes the rows.
+rows as (seed, neighbour, gamma) triples from the labels and a function
+that gives those distances: ``smote`` computes them from its rows, and
+`eval`, which oversamples the overlapping training folds of one facet,
+slices them out of one matrix per facet and class. Either way the
+neighbour lists are the same, bit for bit. `eval` trains every model from
+the triples; only ``smote`` (used by ``facetrec train --smote``)
+materializes the rows.
 """
 
 from __future__ import annotations
@@ -79,23 +80,21 @@ def resampled_labels(y, cfg: ResampleConfig) -> np.ndarray:
     return np.concatenate([y, np.full(n_synth, minority, dtype=np.int64)])
 
 
-def smote_triples(X, y, cfg: ResampleConfig, distances=None):
-    """SMOTE's synthetic rows for (X, y), as interpolation triples.
+def smote_triples(y, cfg: ResampleConfig, distances):
+    """SMOTE's synthetic rows for the rows X labelled y, as interpolation
+    triples.
 
     Returns (seeds, nbrs, gammas, y_aug): synthetic row i is
     X[seeds[i]] + gammas[i] * (X[nbrs[i]] - X[seeds[i]]), seeds and nbrs
-    are int64 positions of minority rows of X, and y_aug is
+    are int64 positions of minority rows, and y_aug is
     resampled_labels(y, cfg), whose errors it raises. Deterministic.
 
-    ``distances``, if given, maps the minority rows' ascending positions in
-    X to their (n_min, n_min) block of squared distances, which must equal
-    ``kernels.sq_distances`` of those rows. It is called only when
-    synthetic rows are drawn. Without it the block is computed from X.
+    ``distances`` maps the minority rows' ascending positions to their
+    (n_min, n_min) block of squared distances, which must equal
+    ``kernels.sq_distances`` of those rows of X. It is called only when
+    synthetic rows are drawn, and X is read through it alone.
     """
-    X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
-    if y.shape[:1] != X.shape[:1]:
-        raise ValidationError("labels must be one per feature row")
     y_aug = resampled_labels(y, cfg)
     n_synth = len(y_aug) - len(y)
     if n_synth == 0:
@@ -113,10 +112,7 @@ def smote_triples(X, y, cfg: ResampleConfig, distances=None):
     picks = rng.integers(0, k_eff, size=n_synth)
     gammas = rng.random(n_synth)
 
-    if distances is None:
-        knn = kernels.minority_knn(X[min_idx], cfg.k_neighbors)
-    else:
-        knn = kernels.knn_from_distances(distances(min_idx), cfg.k_neighbors)
+    knn = kernels.knn_from_distances(distances(min_idx), cfg.k_neighbors)
     seed_pos = perm[np.arange(n_synth) % n_min]
     return min_idx[seed_pos], min_idx[knn[seed_pos, picks]], gammas, y_aug
 
@@ -127,8 +123,11 @@ def smote(X, y, cfg: ResampleConfig):
     X is a 2-d array-like of numbers; it is never modified. Returns
     (X_aug, y_aug) as a new array of float64 rows and int64 labels, the
     original rows first and bit-for-bit untouched, then the rows of
-    smote_triples(X, y, cfg); y_aug is resampled_labels(y, cfg).
+    smote_triples of the distances among the rows of X; y_aug is
+    resampled_labels(y, cfg).
     """
     X = np.asarray(X, dtype=np.float64)
-    seeds, nbrs, gammas, y_aug = smote_triples(X, y, cfg)
+    if np.shape(y)[:1] != X.shape[:1]:
+        raise ValidationError("labels must be one per feature row")
+    seeds, nbrs, gammas, y_aug = smote_triples(y, cfg, lambda at: kernels.sq_distances(X[at]))
     return np.vstack([X, kernels.interpolate_rows(X, seeds, nbrs, gammas)]), y_aug

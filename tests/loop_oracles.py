@@ -9,9 +9,10 @@ summation order differs.
 ``fold_assignment_loops`` deals shuffled documents to folds one at a time,
 positives first, as ``eval.make_folds`` does in one vectorized step.
 
-``logreg_descent_numpy`` is gradient descent on one cell with numpy
-vectors, over the cell's materialized rows (SMOTE rows included). The
-tests hold every cell of the many-cell descent to it within 1e-12.
+``logreg_newton_numpy`` is Newton's method on one cell with exact dense
+steps, over the cell's materialized rows (SMOTE rows included). The tests
+hold every cell of the many-cell truncated-Newton fit to it, within the
+bound that both fits' final gradients give (``assert_near_newton_oracle``).
 """
 
 from __future__ import annotations
@@ -51,38 +52,6 @@ def logreg_loss_grad_loops(X, y, w, b, l2):
     return loss, gw, gb
 
 
-def logreg_descent_loops(X, y, learning_rate, l2, max_epochs, tol):
-    """Returns (w, b, losses, count, diverged); losses[:count] is the history."""
-    n, d = X.shape
-    w = np.zeros(d)
-    b = 0.0
-    losses = np.empty(max_epochs + 1)
-    count = 0
-    diverged = False
-    for epoch in range(max_epochs):
-        loss, gw, gb = logreg_loss_grad_loops(X, y, w, b, l2)
-        losses[epoch] = loss
-        count = epoch + 1
-        if not math.isfinite(loss):
-            diverged = True
-            return w, b, losses, count, diverged
-        gnorm = abs(gb)
-        for j in range(d):
-            a = abs(gw[j])
-            if a > gnorm:
-                gnorm = a
-        if gnorm < tol:
-            return w, b, losses, count, diverged
-        for j in range(d):
-            w[j] -= learning_rate * gw[j]
-        b -= learning_rate * gb
-    loss, gw, gb = logreg_loss_grad_loops(X, y, w, b, l2)
-    losses[max_epochs] = loss
-    count = max_epochs + 1
-    diverged = not math.isfinite(loss)
-    return w, b, losses, count, diverged
-
-
 def logreg_loss_grad_numpy(X, y, w, b, l2):
     n = X.shape[0]
     z = X @ w + b
@@ -96,26 +65,77 @@ def logreg_loss_grad_numpy(X, y, w, b, l2):
     return loss, gw, gb
 
 
-def logreg_descent_numpy(X, y, learning_rate, l2, max_epochs, tol):
-    """Returns (w, b, losses, diverged) as kernels.logreg_descent does."""
+def logreg_newton_numpy(X, y, l2, max_iter, tol):
+    """Returns (w, b, losses, converged, diverged) as kernels.logreg_descent
+    does: Newton's method on one cell's dense rows from zero init, each step
+    an exact np.linalg.solve of the (d + 1)-square Hessian over (w, b), then
+    halved until the Armijo condition holds (c = 1e-4, at most 30 halvings).
+    Stops by the rules of kernels.logreg_descent_cells."""
     X, y = np.asarray(X, dtype=np.float64), np.asarray(y, dtype=np.float64)
     n, d = X.shape
-    w = np.zeros(d)
-    b = 0.0
-    losses = np.empty(max_epochs + 1)
-    for epoch in range(max_epochs):
-        loss, gw, gb = logreg_loss_grad_numpy(X, y, w, b, l2)
-        losses[epoch] = loss
+    A = np.hstack([X, np.ones((n, 1))])
+    reg = np.diag(np.r_[np.full(d, l2), 0.0])
+    theta = np.zeros(d + 1)
+
+    def at(theta):
+        loss, gw, gb = logreg_loss_grad_numpy(X, y, theta[:d], theta[d], l2)
+        return loss, np.r_[gw, gb]
+
+    loss, g = at(theta)
+    losses = [loss]
+    for it in range(max_iter + 1):
         if not math.isfinite(loss):
-            return w, b, losses[: epoch + 1], True
-        gnorm = max(float(np.max(np.abs(gw))) if d else 0.0, abs(gb))
-        if gnorm < tol:
-            return w, b, losses[: epoch + 1], False
-        w = w - learning_rate * gw
-        b = b - learning_rate * gb
-    loss, _, _ = logreg_loss_grad_numpy(X, y, w, b, l2)
-    losses[max_epochs] = loss
-    return w, b, losses, not math.isfinite(loss)
+            return theta[:d], theta[d], np.array(losses), False, True
+        if np.max(np.abs(g)) < tol:
+            return theta[:d], theta[d], np.array(losses), True, False
+        if it == max_iter:
+            break
+        z = A @ theta
+        e = np.exp(-np.abs(z))
+        H = A.T @ (A * (e / (1.0 + e) ** 2 / n)[:, None]) + reg
+        step = np.linalg.solve(H, -g) if np.isfinite(H).all() else np.full(d + 1, np.nan)
+        if not np.isfinite(step).all():  # taken whole: the loss turns non-finite
+            theta = theta + step
+            loss, g = at(theta)
+            losses.append(loss)
+            continue
+        t = 1.0
+        for _ in range(31):
+            trial_loss, trial_g = at(theta + t * step)
+            if trial_loss <= loss + 1e-4 * t * float(g @ step):
+                break
+            t *= 0.5
+        else:
+            break  # no step passes: the cell stops where it is
+        theta, loss, g = theta + t * step, trial_loss, trial_g
+        losses.append(loss)
+    return theta[:d], theta[d], np.array(losses), False, False
+
+
+def assert_near_newton_oracle(X, y, l2, w, b, losses, oracle):
+    """Hold a fit (w, b, losses) of (X, y) to ``oracle``, the result of
+    logreg_newton_numpy on the same rows.
+
+    The two fits take different paths, so they agree only as far as their
+    final gradients g and g_o let them. Where the objective is mu-strongly
+    convex between the two, (g - g_o) . (theta - theta_o) >= mu
+    |theta - theta_o|^2, so |theta - theta_o| <= (|g| + |g_o|) / mu, and
+    each final loss is within |g|^2 / (2 mu) of the minimum. mu is half the
+    Hessian's smallest eigenvalue at the oracle's fit: the factor 2 covers
+    the Hessian's change over the short segment between them.
+    """
+    w_o, b_o, losses_o = oracle[:3]
+    X, y = np.asarray(X, dtype=np.float64), np.asarray(y, dtype=np.float64)
+    assert abs(losses[0] - losses_o[0]) <= 1e-12 * losses_o[0]
+    _, gw, gb = logreg_loss_grad_numpy(X, y, w, b, l2)
+    _, gw_o, gb_o = logreg_loss_grad_numpy(X, y, w_o, b_o, l2)
+    A = np.hstack([X, np.ones((len(X), 1))])
+    e = np.exp(-np.abs(A @ np.r_[w_o, b_o]))
+    H = A.T @ (A * (e / (1.0 + e) ** 2 / len(X))[:, None]) + np.diag(np.r_[np.full(X.shape[1], l2), 0.0])
+    mu = 0.5 * np.linalg.eigvalsh(H)[0]
+    g, g_o = np.linalg.norm(np.r_[gw, gb]), np.linalg.norm(np.r_[gw_o, gb_o])
+    assert np.linalg.norm(np.r_[w - w_o, b - b_o]) <= (g + g_o) / mu
+    assert abs(losses[-1] - losses_o[-1]) <= (g * g + g_o * g_o) / (2 * mu) + 1e-15
 
 
 def minority_knn_loops(M, k):

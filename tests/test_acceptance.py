@@ -189,7 +189,7 @@ def test_c4_gradients_match_central_differences():
         assert abs(numeric_b - gb) <= C4_TOL * max(1.0, abs(gb))
 
         if trial % 5 == 0:
-            hyper = LRHyperparams(learning_rate=0.1, l2=l2, max_epochs=150, tol=0.0)
+            hyper = LRHyperparams(l2=l2, max_epochs=150, tol=0.0)
             model = train(ModelSpec(kind="logistic_regression", lr=hyper), X, y.astype(np.int64))
             history = np.array(model.params.loss_history)
             assert history[0] == pytest.approx(math.log(2.0), rel=1e-12)

@@ -192,15 +192,23 @@ def _smote_rows(source: Path) -> int:
 
 def test_verbose_run_logs_lr_convergence_without_touching_artifacts(bundle, tmp_path, caplog, capsys):
     # Each naive Bayes or LR system sums up SMOTE's rows in one info line,
-    # and each LR system its cells' descent in another; -v shows them, and
-    # report.csv and manifest.yaml do not change. The module's bundle has
-    # balanced folds; on the second input, at 20% positives, SMOTE draws.
+    # and each LR system its cells' Newton fits in another; each LR cell
+    # that stops at max_epochs without converging logs a warning naming
+    # its facet and fold. -v shows the info lines, and report.csv and
+    # manifest.yaml do not change. The module's bundle has balanced folds;
+    # on the second input, at 20% positives, SMOTE draws. The third caps
+    # LR at one Newton iteration, so no cell converges.
     imbalanced = tmp_path / "imbalanced"
     synth = ["synth", "--out", str(imbalanced), "--seed", "99", "--authors", "40", "--tokens", "40"]
     assert main([*synth, "--pos-rate", "0.2"]) == 0
+    capped = yaml.safe_load((imbalanced / "config.yaml").read_text(encoding="utf-8"))
+    for system in capped["systems"]:
+        if system["model"] == "logistic_regression":
+            system["model"] = {"kind": "logistic_regression", "max_epochs": 1}
+    (imbalanced / "capped.yaml").write_text(yaml.safe_dump(capped), encoding="utf-8")
     caplog.set_level(logging.INFO, logger="facetrec")
-    for source in (bundle, imbalanced):
-        args = ["run", "--config", str(source / "config.yaml"), "--out", str(tmp_path / "out")]
+    for source, config, cap in ((bundle, "config.yaml", 500), (imbalanced, "config.yaml", 500), (imbalanced, "capped.yaml", 1)):
+        args = ["run", "--config", str(source / config), "--out", str(tmp_path / "out")]
         assert main(args) == 0
         quiet = {name: (tmp_path / "out" / name).read_bytes() for name in ("report.csv", "manifest.yaml")}
         caplog.clear()
@@ -209,14 +217,37 @@ def test_verbose_run_logs_lr_convergence_without_touching_artifacts(bundle, tmp_
         assert [line.split(":")[0] for line in lines] == ["skip-lr", "cbow-lr"]
         for line in lines:
             converged, cells, low, high = map(int, re.fullmatch(
-                r"[\w-]+: LR converged in (\d+)/(\d+) cells \(epochs (\d+)-(\d+)\)", line).groups())
-            assert cells == 100 and converged <= cells and 0 <= low <= high <= 500
+                r"[\w-]+: LR converged in (\d+)/(\d+) cells \(iterations (\d+)-(\d+)\)", line).groups())
+            assert cells == 100 and converged == (100 if cap > 1 else 0) and 1 <= low <= high <= cap
+        warnings = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
+        stopped = {re.fullmatch(rf"([\w-]+): facet (\w+), fold (\d): LR stopped after {cap} Newton iterations "
+                                r"without converging", line).groups() for line in warnings}
+        assert len(stopped) == len(warnings) == (0 if cap > 1 else 200)
         lines = [r.getMessage() for r in caplog.records if "SMOTE added" in r.getMessage()]
         rows = _smote_rows(source)
         assert lines == [f"{name}: SMOTE added {rows} rows to 100 cells" for name in ("bow-nb", "skip-lr", "cbow-lr")]
         assert (rows > 0) == (source == imbalanced)
         for name, data in quiet.items():
             assert (tmp_path / "out" / name).read_bytes() == data
+
+
+def test_lr_reports_do_not_depend_on_the_process(tmp_path, child_env):
+    # The README demo's LR systems, run twice, each time in a fresh
+    # interpreter with its own hash seed: report.csv must come out byte for
+    # byte the same, so no LR result depends on process state.
+    assert main(["synth", "--out", str(tmp_path), "--seed", "7", "--authors", "60", "--tokens", "60"]) == 0
+    config = yaml.safe_load((tmp_path / "config.yaml").read_text(encoding="utf-8"))
+    config["systems"] = [s for s in config["systems"] if s["model"] == "logistic_regression"]
+    (tmp_path / "lr.yaml").write_text(yaml.safe_dump(config), encoding="utf-8")
+    reports = []
+    for i, hash_seed in enumerate(("0", "4242")):
+        proc = subprocess.run(
+            [sys.executable, "-m", "facetrec", "run", "--config", "lr.yaml", "--out", f"out{i}"],
+            capture_output=True, text=True, cwd=tmp_path, env=child_env(PYTHONHASHSEED=hash_seed),
+        )
+        assert proc.returncode == 0, proc.stderr
+        reports.append((tmp_path / f"out{i}" / "report.csv").read_bytes())
+    assert reports[0] == reports[1] and reports[0].count(b"\nfold,") == 2 * 10 * 10
 
 
 def _digest(out: Path) -> str:
@@ -373,7 +404,7 @@ def test_config_rejects_an_empty_system_list(bundle, tmp_path, capsys):
 @pytest.mark.parametrize(
     "section, key, value, message",
     [
-        ("model", "learning_rate", "fast", "learning_rate must be a number, got 'fast'"),
+        ("model", "learning_rate", 0.1, "unknown model options: learning_rate"),
         ("model", "l2", "fast", "l2 must be a number, got 'fast'"),
         ("model", "tol", "fast", "tol must be a number, got 'fast'"),
         ("model", "alpha", "fast", "alpha must be a number, got 'fast'"),

@@ -7,7 +7,7 @@ import pytest
 import yaml
 from hypothesis import given
 from hypothesis import strategies as st
-from loop_oracles import fold_assignment_loops, logreg_descent_numpy
+from loop_oracles import assert_near_newton_oracle, fold_assignment_loops, logreg_newton_numpy
 
 from facetrec import eval as eval_module
 from facetrec import kernels, resample
@@ -334,11 +334,11 @@ def test_parse_report_csv_errors():
         parse_report_csv(truncated + "\n")
 
 
-# --- logistic regression: every cell of a run in one descent ---------------
+# --- logistic regression: every cell of a run in one Newton fit ------------
 
 
 def _record_descents(monkeypatch):
-    """Record the cells and results of every many-cell descent a run makes."""
+    """Record the cells and results of every many-cell fit a run makes."""
     calls = []
     real = kernels.logreg_descent_cells
 
@@ -375,7 +375,8 @@ def _two_balanced_folds(d=3):
 )
 def test_lr_cell_errors_name_their_own_fold(monkeypatch, value, error, message):
     # Row 0 sits in fold 0's test split, so only fold 1 trains on it. A
-    # non-finite feature is caught before any descent runs.
+    # non-finite feature is caught before any fit runs; a feature of 1e200
+    # overflows fold 1's Newton step, and its loss turns non-finite.
     calls = _record_descents(monkeypatch)
     X, y, folds = _two_balanced_folds()
     X[0] = value
@@ -387,9 +388,9 @@ def test_lr_cell_errors_name_their_own_fold(monkeypatch, value, error, message):
 @pytest.mark.parametrize("value", [1e200, -1e200])
 def test_held_out_rows_never_reach_a_cells_loss(monkeypatch, value):
     # Row 0 is in fold 0's test split only. Fold 0's cell shares the one
-    # matrix with it, yet must train as if the row were 0: a held-out row
-    # that reached its loss or gradient would make it diverge as well.
-    # Only fold 1, which trains on the row, diverges.
+    # matrix with it, yet must train as if the value were 0: a held-out row
+    # that reached its logits or Hessian products would make it diverge as
+    # well. Only fold 1, which trains on the row, diverges.
     spec = ModelSpec(kind="logistic_regression", lr=LRHyperparams(max_epochs=60))
     X, y, folds = _two_balanced_folds()
     calls = _record_descents(monkeypatch)
@@ -398,11 +399,12 @@ def test_held_out_rows_never_reach_a_cells_loss(monkeypatch, value):
     X_big[0, 1] = value
     with pytest.raises(TrainingError, match=r"^facet Anxiety, fold 1: loss became non-finite"):
         _evaluate(X_big, y, folds, spec)
-    (_, _, _, (W0, B0, losses0, div0)), (_, _, _, (W, B, losses, div)) = calls
+    (_, _, _, (W0, B0, losses0, conv0, div0)), (_, _, _, (W, B, losses, conv, div)) = calls
     assert div0.tolist() == [False, False] and div.tolist() == [False, True]
+    assert conv0.tolist() == [True, True] and conv.tolist() == [True, False]
     assert len(losses[0]) == len(losses0[0]) and np.all(np.isfinite(losses[0]))
     assert np.allclose(W[0], W0[0], rtol=0, atol=1e-12) and abs(B[0] - B0[0]) <= 1e-12
-    model = lr_model(spec.lr, W[0], B[0], losses[0], div[0])
+    model = lr_model(spec.lr, W[0], B[0], losses[0], conv[0], div[0])
     pred, _ = predict(model, X[folds == 0])
     assert f1_macro(y[folds == 0], pred) == reference[0]
 
@@ -410,7 +412,7 @@ def test_held_out_rows_never_reach_a_cells_loss(monkeypatch, value):
 def test_single_class_lr_cell_names_its_own_fold(monkeypatch):
     # The LR checks run before SMOTE's draws: fold 2's all-negative
     # training split fails them after folds 0 and 1 are planned, and no
-    # descent runs.
+    # fit runs.
     calls = _record_descents(monkeypatch)
     X = np.random.default_rng(2).normal(size=(12, 3))
     y = np.array([0] * 8 + [1] * 4)
@@ -422,23 +424,24 @@ def test_single_class_lr_cell_names_its_own_fold(monkeypatch):
 
 def test_lr_cells_score_as_the_per_cell_oracle(monkeypatch):
     # Imbalanced labels make SMOTE add rows to every training split. The
-    # reference trains every cell alone with the per-cell numpy oracle on
-    # its materialized rows. The run trains all five cells in one descent
-    # over the shared matrix, and none through kernels.logreg_descent.
+    # reference trains every cell alone with the exact-Newton oracle on its
+    # materialized rows. The run trains all five cells in one truncated-
+    # Newton fit over the shared matrix, and none through
+    # kernels.logreg_descent; each cell's weights are within the oracle's
+    # bound, and every fold scores the same.
     rng = np.random.default_rng(3)
     X = rng.normal(size=(45, 6)) + (rng.random(45) < 0.3)[:, None]
     y = (rng.random(45) < 0.3).astype(np.int64)
     folds = make_folds({"Anxiety": y}, n_folds=5, seed=6).assignment["Anxiety"]
     spec = ModelSpec(kind="logistic_regression", lr=LRHyperparams(max_epochs=60))
 
+    def materialized(X, c):
+        rows = np.vstack([X[c.rows], kernels.interpolate_rows(X, c.seeds, c.nbrs, c.gammas)])
+        return rows, np.concatenate([c.y, np.full(len(c.seeds), c.minority)])
+
     def per_cell(X, cells, *hyper):
-        fits = []
-        for c in cells:
-            rows = np.vstack([X[c.rows], kernels.interpolate_rows(X, c.seeds, c.nbrs, c.gammas)])
-            labels = np.concatenate([c.y, np.full(len(c.seeds), c.minority)])
-            fits.append(logreg_descent_numpy(rows, labels, *hyper))
-        W, B, losses, diverged = zip(*fits)
-        return np.stack(W), np.array(B), list(losses), np.array(diverged)
+        W, B, losses, converged, diverged = zip(*(logreg_newton_numpy(*materialized(X, c), *hyper) for c in cells))
+        return np.stack(W), np.array(B), list(losses), np.array(converged), np.array(diverged)
 
     def no_per_cell(*args):
         raise AssertionError("an LR cell left the many-cell descent")
@@ -450,8 +453,12 @@ def test_lr_cells_score_as_the_per_cell_oracle(monkeypatch):
     monkeypatch.setattr(kernels, "logreg_descent", no_per_cell)
     calls = _record_descents(monkeypatch)
     assert _evaluate(X, y, folds, spec) == oracle
-    [(_, cells, _, _)] = calls
-    assert len(cells) == 5 and all(len(c.seeds) > 0 for c in cells)
+    [(_, cells, hyper, (W, B, losses, converged, _))] = calls
+    assert len(cells) == 5 and all(len(c.seeds) > 0 for c in cells) and converged.all()
+    for i, c in enumerate(cells):
+        rows, labels = materialized(X, c)
+        assert_near_newton_oracle(rows, labels, spec.lr.l2, W[i], B[i], losses[i],
+                                  logreg_newton_numpy(rows, labels, *hyper))
 
 
 def _imbalanced_fractional(minority):
@@ -519,27 +526,29 @@ def test_majority_trains_on_resampled_labels_without_smote(monkeypatch):
 
 def test_batched_lr_descends_monotonically_on_the_demo_corpus(tmp_path, monkeypatch):
     # The README demo (synth --seed 7, 60 authors x 60 tokens): each LR
-    # system trains its 100 cells in one descent. Averaged unit word vectors
-    # bound the curvature, L <= max_i(|x_i|^2 + 1) / 4 + l2 over a cell's
-    # rows; a synthetic row is a convex combination of two training rows,
-    # so the max over the training rows bounds it. The default step 0.1 is
-    # below 2/L, and every loss history must be finite and non-increasing.
+    # system trains its 100 cells in one Newton fit. Every cell converges:
+    # its gradient max-norm on its own rows is below the default tol, and
+    # its loss history is finite and non-increasing.
     assert main(["synth", "--out", str(tmp_path), "--seed", "7", "--authors", "60", "--tokens", "60"]) == 0
     config = yaml.safe_load((tmp_path / "config.yaml").read_text(encoding="utf-8"))
     config["systems"] = [s for s in config["systems"] if s["model"] == "logistic_regression"]
     (tmp_path / "lr.yaml").write_text(yaml.safe_dump(config), encoding="utf-8")
 
     def no_per_cell(*args):
-        raise AssertionError("a demo LR cell left the many-cell descent")
+        raise AssertionError("a demo LR cell left the many-cell fit")
 
     calls = _record_descents(monkeypatch)
     monkeypatch.setattr(kernels, "logreg_descent", no_per_cell)
     assert main(["run", "--config", str(tmp_path / "lr.yaml"), "--out", str(tmp_path / "out")]) == 0
 
     assert [len(cells) for _, cells, _, _ in calls] == [10 * 10, 10 * 10]
-    for X, cells, (learning_rate, l2, _, _), (_, _, histories, _) in calls:
-        for cell, losses in zip(cells, histories):
-            L = 0.25 * float(np.max(np.sum(X[cell.rows] ** 2, axis=1) + 1.0)) + l2
-            assert learning_rate < 2.0 / L
+    for X, cells, (l2, _, tol), (W, B, histories, converged, _) in calls:
+        assert converged.all()
+        for cell, w, b, losses in zip(cells, W, B, histories):
+            # A cell with SMOTE rows would need them materialized; the demo's
+            # folds are balanced, so its own rows are all of it.
+            assert len(cell.seeds) == 0
+            _, gw, gb = kernels.logreg_loss_grad(X[cell.rows], cell.y, w, b, l2)
+            assert max(np.abs(gw).max(), abs(gb)) < tol
             assert np.all(np.isfinite(losses))
-            assert np.all(np.diff(losses) <= 1e-12)
+            assert np.all(np.diff(losses) <= 0.0)

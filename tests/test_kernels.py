@@ -3,10 +3,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 from loop_oracles import (
+    assert_near_newton_oracle,
     interpolate_rows_loops,
-    logreg_descent_loops,
-    logreg_descent_numpy,
     logreg_loss_grad_loops,
+    logreg_newton_numpy,
     minority_knn_loops,
 )
 
@@ -34,40 +34,68 @@ def test_loss_grad_paths_agree():
 
 def test_descent_paths_agree():
     X, y = _problem(3)
-    args = (X, y, 0.1, 1e-4, 80, 0.0)
-    w1, b1, losses1, div1 = kernels.logreg_descent(*args)
-    w2, b2, losses2, count, div2 = logreg_descent_loops(*args)
-    assert div1 is False and not div2
-    assert count == len(losses1)
-    assert np.allclose(w1, w2, rtol=1e-10, atol=1e-12)
-    assert b1 == pytest.approx(b2, rel=1e-10, abs=1e-12)
-    assert np.allclose(losses1, losses2[:count], rtol=1e-10)
+    w, b, losses, converged, diverged = kernels.logreg_descent(X, y, 1e-4, 80, 1e-8)
+    assert converged and not diverged
+    assert np.all(np.diff(losses) <= 0.0)
+    assert_near_newton_oracle(X, y, 1e-4, w, b, losses, logreg_newton_numpy(X, y, 1e-4, 80, 1e-8))
 
 
 def test_descent_records_initial_state_and_every_epoch():
+    # tol = 0 never stops a cell; it makes max_iter Newton iterations, each
+    # recording the loss of the state it reaches.
     X, y = _problem(4)
-    w, b, losses, diverged = kernels.logreg_descent(X, y, 0.05, 1e-4, 30, 0.0)
-    assert not diverged
-    assert len(losses) == 31
+    w, b, losses, converged, diverged = kernels.logreg_descent(X, y, 1e-4, 3, 0.0)
+    assert not converged and not diverged
+    assert len(losses) == 4
     assert losses[0] == pytest.approx(np.log(2))
+    assert np.all(np.diff(losses) < 0.0)
 
 
 def test_descent_stops_at_zero_gradient():
     X = np.zeros((4, 2))
     y = np.array([0.0, 1.0, 0.0, 1.0])
-    w, b, losses, diverged = kernels.logreg_descent(X, y, 0.1, 0.0, 50, 1e-8)
-    assert not diverged
+    w, b, losses, converged, diverged = kernels.logreg_descent(X, y, 0.0, 50, 1e-8)
+    assert converged and not diverged
     assert len(losses) == 1
     assert np.all(w == 0.0) and b == 0.0
 
 
 @pytest.mark.filterwarnings("error")
 def test_descent_flags_divergence():
+    # Features near 1e200 keep the zero start's loss finite (log 2), but
+    # overflow the Hessian products: the Newton step comes out non-finite,
+    # and so does the loss of the state it reaches.
     X, y = _problem(5)
-    w, b, losses, diverged = kernels.logreg_descent(X, y, 1e3, 1e3, 200, 0.0)
-    assert diverged
-    assert len(losses) <= 201
+    w, b, losses, converged, diverged = kernels.logreg_descent(X * 1e200, y, 1e-4, 200, 0.0)
+    assert diverged and not converged
+    assert len(losses) == 2 and losses[0] == pytest.approx(np.log(2))
     assert not np.isfinite(losses[-1])
+
+
+def test_separable_rows_without_l2_run_to_the_cap_without_diverging():
+    # Without l2 the optimum of separable rows lies at infinity: Newton's
+    # logits grow until their curvature underflows to 0 (after about 120
+    # iterations here). Conjugate gradients then stop with the step so
+    # far, which is finite, so the cell runs on to max_iter.
+    X = np.array([[-2.0], [-1.0], [1.0], [2.0]])
+    y = np.array([0.0, 0.0, 1.0, 1.0])
+    w, b, losses, converged, diverged = kernels.logreg_descent(X, y, 0.0, 200, 0.0)
+    assert not converged and not diverged
+    assert len(losses) == 201 and np.all(np.isfinite(losses)) and np.all(np.diff(losses) <= 0.0)
+    assert losses[-1] < 1e-50 and w[0] > 0.0
+
+
+def test_a_cell_that_no_step_decreases_leaves_unconverged(monkeypatch):
+    # A convex loss never falls by more than its slope predicts, so with a
+    # sufficient-decrease constant above 1 no halved step passes Armijo:
+    # every cell leaves at its zero start, unconverged and not diverged.
+    monkeypatch.setattr(kernels, "_ARMIJO_C", 1.5)
+    X, y = _problem(6)
+    cells = _cells(X, y, np.random.default_rng(6), 3)
+    W, B, losses, converged, diverged = kernels.logreg_descent_cells(X, cells, 1e-4, 50, 1e-8)
+    assert not converged.any() and not diverged.any()
+    assert [len(h) for h in losses] == [1, 1, 1]
+    assert np.all(W == 0.0) and np.all(B == 0.0)
 
 
 def _cells(X, y, rng, n_cells, synthetic=True):
@@ -87,37 +115,31 @@ def _materialized(X, cell):
     return rows, np.concatenate([cell.y, np.full(len(cell.seeds), cell.minority)])
 
 
-# Bound of the operator against materialized rows, absolute on weights,
-# biases and every loss. The operator forms a synthetic row's logit and
-# gradient share from its two end rows, and sums each cell over the
-# shared matrix, so each epoch differs from the materialized descent by a
-# few rounding errors of the logits; with the step below 2/L these do not
-# grow, and the largest gap measured on these tests is below 1e-14.
-OPERATOR_ATOL = 1e-12
-
-
-def _assert_cells_match_materialized(X, cells, learning_rate, l2, max_epochs, tol):
-    W, B, losses, diverged = kernels.logreg_descent_cells(X, cells, learning_rate, l2, max_epochs, tol)
-    assert W.shape == (len(cells), X.shape[1]) and B.shape == diverged.shape == (len(cells),)
+def _assert_cells_match_materialized(X, cells, l2, max_iter, tol):
+    # Every cell of one batched fit against the oracle on its materialized
+    # rows: the same stop (converged, diverged, or neither) and, unless
+    # diverged, a finite non-increasing history and weights within the
+    # oracle's bound.
+    W, B, losses, converged, diverged = kernels.logreg_descent_cells(X, cells, l2, max_iter, tol)
+    assert W.shape == (len(cells), X.shape[1]) and B.shape == converged.shape == diverged.shape == (len(cells),)
     for i, cell in enumerate(cells):
+        rows, labels = _materialized(X, cell)
         with np.errstate(over="ignore", invalid="ignore"):  # the oracle's own overflow
-            w, b, hist, div = logreg_descent_numpy(*_materialized(X, cell), learning_rate, l2, max_epochs, tol)
-        assert len(losses[i]) == len(hist), i
-        assert diverged[i] == div, i
-        finite = np.isfinite(hist)
-        assert np.array_equal(np.isfinite(losses[i]), finite), i
-        assert np.allclose(losses[i][finite], hist[finite], rtol=0, atol=OPERATOR_ATOL), i
-        # A diverged cell stops at weights near 1e200, held to the same
-        # 1e-12 relative to their size.
-        rtol = 1e-12 if div else 0.0
-        assert np.allclose(W[i], w, rtol=rtol, atol=OPERATOR_ATOL), i
-        assert np.isclose(B[i], b, rtol=rtol, atol=OPERATOR_ATOL), i
-    return losses, diverged
+            oracle = logreg_newton_numpy(rows, labels, l2, max_iter, tol)
+        assert (converged[i], diverged[i]) == oracle[3:], i
+        assert 1 <= len(losses[i]) <= max_iter + 1, i
+        if diverged[i]:
+            assert not np.isfinite(losses[i][-1]) and np.all(np.isfinite(losses[i][:-1])), i
+            continue
+        assert np.all(np.isfinite(losses[i])) and np.all(np.diff(losses[i]) <= 0.0), i
+        assert_near_newton_oracle(rows, labels, l2, W[i], B[i], losses[i], oracle)
+    return losses, converged, diverged
 
 
 def test_batched_descent_matches_per_cell_when_cells_stop_at_different_epochs():
-    # Wider feature scales curve the loss more, so those cells reach the
-    # tolerance sooner; the smallest scale runs to max_epochs. Each scale
+    # Feature scales set how far each cell's optimum lies from the zero
+    # start, so the cells converge after different numbers of Newton
+    # iterations, and leave the batch one group after another. Each scale
     # block of X holds its own cells, half of them with synthetic rows.
     rng = np.random.default_rng(7)
     scales = [0.05, 3.0, 0.5, 8.0, 1.0, 0.05]
@@ -130,11 +152,9 @@ def test_batched_descent_matches_per_cell_when_cells_stop_at_different_epochs():
     for i in range(len(scales)):
         for c in _cells(X[30 * i: 30 * (i + 1)], y[30 * i: 30 * (i + 1)], rng, 2, synthetic=i % 2 == 0):
             cells.append(c._replace(rows=c.rows + 30 * i, seeds=c.seeds + 30 * i, nbrs=c.nbrs + 30 * i))
-    losses, diverged = _assert_cells_match_materialized(X, cells, 0.1, 1e-3, 400, 1e-3)
-    lengths = [len(h) for h in losses]
-    assert not diverged.any()
-    assert lengths[0] == lengths[-1] == 401
-    assert len(set(lengths)) >= 4 and min(lengths) < 401
+    losses, converged, diverged = _assert_cells_match_materialized(X, cells, 1e-3, 400, 1e-8)
+    assert converged.all()
+    assert len({len(h) for h in losses}) >= 3
 
 
 @pytest.mark.filterwarnings("error")
@@ -148,9 +168,29 @@ def test_batched_descent_matches_per_cell_with_a_diverging_cell():
     low, high = _cells(X[:20], y[:20], rng, 2)
     high = high._replace(rows=high.rows + 20, seeds=high.seeds + 20, nbrs=high.nbrs + 20)
     no_synth = low._replace(seeds=low.seeds[:0], nbrs=low.nbrs[:0], gammas=low.gammas[:0])
-    losses, diverged = _assert_cells_match_materialized(X, [low, high, no_synth], 0.1, 1e-4, 60, 0.0)
-    assert diverged.tolist() == [False, True, False]
+    losses, converged, diverged = _assert_cells_match_materialized(X, [low, high, no_synth], 1e-4, 60, 1e-8)
+    assert diverged.tolist() == [False, True, False] and converged.tolist() == [True, False, True]
     assert len(losses[1]) < 61 and not np.isfinite(losses[1][-1])
+
+
+def test_hessian_products_match_central_differences_of_the_gradient():
+    # H(w, b) (v, c) is the derivative of the gradient along (v, c), for
+    # every cell of one operator: own rows and SMOTE triples alike.
+    rng = np.random.default_rng(11)
+    X, y = _problem(11, n=30, d=4)
+    cells = _cells(X, y, rng, 5) + _cells(X, y, rng, 2, synthetic=False)
+    op = kernels._Operator(X, cells)
+    W, B, V, c = rng.normal(size=(7, 4)), rng.normal(size=7), rng.normal(size=(7, 4)), rng.normal(size=7)
+    l2, h = 1e-2, 1e-5
+
+    def gradient(t):
+        return op.gradient(op.forward(W + t * V, B + t * c), W + t * V, l2)
+
+    hw, hc = op.hessian(gradient(0.0)[2], l2, V, c)
+    (up_w, up_b, _), (down_w, down_b, _) = gradient(h), gradient(-h)
+    assert np.allclose(hw, (up_w - down_w) / (2 * h), rtol=1e-7, atol=1e-9)
+    assert np.allclose(hc, (up_b - down_b) / (2 * h), rtol=1e-7, atol=1e-9)
+    assert np.all(np.einsum("ij,ij->i", V, hw) + c * hc > 0.0)
 
 
 def test_batched_descent_handles_zero_width_cells():
@@ -158,12 +198,12 @@ def test_batched_descent_handles_zero_width_cells():
     y = np.array([0.0, 1.0] * 3)
     rng = np.random.default_rng(9)
     cells = _cells(X, y, rng, 2) + _cells(X, y, rng, 2, synthetic=False)
-    _assert_cells_match_materialized(X, cells, 0.1, 1e-4, 40, 1e-6)
+    _assert_cells_match_materialized(X, cells, 1e-4, 40, 1e-6)
 
 
 def test_descent_without_cells_returns_empty_arrays():
-    W, B, losses, diverged = kernels.logreg_descent_cells(np.ones((3, 2)), [], 0.1, 0.0, 10, 0.0)
-    assert W.shape == (0, 2) and B.shape == diverged.shape == (0,) and losses == []
+    W, B, losses, converged, diverged = kernels.logreg_descent_cells(np.ones((3, 2)), [], 0.0, 10, 0.0)
+    assert W.shape == (0, 2) and B.shape == converged.shape == diverged.shape == (0,) and losses == []
 
 
 def test_minority_knn_orders_by_distance():
@@ -252,6 +292,6 @@ def test_interpolate_paths_agree_exactly():
 def test_descent_accepts_list_labels_and_dense_rows():
     X = np.array([[1.0, 0.0], [0.0, 2.0], [1.0, 1.0], [2.0, 0.0]])
     y = [0, 1, 0, 1]
-    w, b, losses, diverged = kernels.logreg_descent(X, y, 0.1, 0.0, 5, 0.0)
+    w, b, losses, converged, diverged = kernels.logreg_descent(X, y, 0.0, 5, 0.0)
     assert w.shape == (2,)
     assert not diverged

@@ -199,9 +199,9 @@ def test_logreg_loss_history_is_monotone():
 @pytest.mark.parametrize("tol", [1e-5, 5e-2])
 def test_logreg_matches_a_one_cell_batched_stack(tol):
     # `facetrec train` and `run` share their arithmetic: a model is the
-    # many-cell descent's result on its rows as the only cell, with no
-    # synthetic rows, bit for bit, both when the cell runs all epochs and
-    # when it stops at the tolerance.
+    # many-cell Newton fit's result on its rows as the only cell, with no
+    # synthetic rows, bit for bit, both when the cell stops at the
+    # tolerance and when a loose tolerance stops it early.
     rng = np.random.default_rng(5)
     X = rng.normal(size=(54, 50)) / 7.0
     y = (rng.random(54) < 0.5).astype(np.int64)
@@ -209,13 +209,11 @@ def test_logreg_matches_a_one_cell_batched_stack(tol):
     p = train_logistic_regression(X, y, hyper).params
     none = np.empty(0, dtype=np.int64)
     cell = kernels.LRCell(np.arange(54), y, none, none, np.empty(0))
-    W, B, losses, _ = kernels.logreg_descent_cells(
-        X, [cell], hyper.learning_rate, hyper.l2, hyper.max_epochs, hyper.tol
-    )
+    W, B, losses, converged, _ = kernels.logreg_descent_cells(X, [cell], hyper.l2, hyper.max_epochs, hyper.tol)
     assert np.array_equal(p.weights, W[0])
     assert p.bias == B[0]
     assert np.array_equal(p.loss_history, losses[0])
-    assert p.converged == (len(losses[0]) <= hyper.max_epochs)
+    assert p.converged == converged[0]
 
 
 def test_logreg_convergence_flag_and_history_length():
@@ -225,19 +223,21 @@ def test_logreg_convergence_flag_and_history_length():
     model = train_logistic_regression(X, y, hyper)
     p = model.params
     assert not p.converged
-    assert len(p.loss_history) == 4  # initial state plus 3 updates
+    assert len(p.loss_history) == 4  # initial state plus 3 Newton iterations
     loose = train_logistic_regression(X, y, LRHyperparams(tol=0.2))
     assert loose.params.converged
 
 
 @pytest.mark.filterwarnings("error")
 def test_logreg_divergence_raises_training_error():
+    # Finite features near 1e200 overflow the Newton step, and the loss of
+    # the state it reaches is non-finite.
     rng = np.random.default_rng(4)
-    X = rng.normal(size=(10, 3)) * 5
+    X = rng.normal(size=(10, 3)) * 1e200
     y = (rng.random(10) > 0.5).astype(int)
     y[0], y[1] = 0, 1
-    with pytest.raises(TrainingError, match="non-finite"):
-        train_logistic_regression(X, y, LRHyperparams(learning_rate=1e3, l2=1e3))
+    with pytest.raises(TrainingError, match="^loss became non-finite after 1 Newton iterations$"):
+        train_logistic_regression(X, y)
 
 
 def test_logreg_errors():
@@ -246,8 +246,8 @@ def test_logreg_errors():
         train_logistic_regression(X, np.array([1, 1]))
     with pytest.raises(ValidationError, match="non-finite"):
         train_logistic_regression(np.array([[np.nan], [1.0]]), np.array([0, 1]))
-    with pytest.raises(ConfigError, match="learning_rate"):
-        LRHyperparams(learning_rate=0.0)
+    with pytest.raises(ConfigError, match="l2"):
+        LRHyperparams(l2=-1.0)
     with pytest.raises(ConfigError, match="max_epochs"):
         LRHyperparams(max_epochs=0)
 
@@ -320,7 +320,7 @@ def test_save_model_writes_stable_json(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
     payload = json.loads(p1.read_text())
     assert payload["format"] == "facetrec-model"
-    assert payload["version"] == 1
+    assert payload["version"] == 2
 
 
 def test_load_model_error_matrix(tmp_path):
@@ -336,7 +336,11 @@ def test_load_model_error_matrix(tmp_path):
     path.write_text(json.dumps({"format": "facetrec-model", "version": 9, "kind": "majority"}))
     with pytest.raises(ConfigError, match="version"):
         load_model(path)
-    path.write_text(json.dumps({"format": "facetrec-model", "version": 1, "kind": "majority"}))
+    # Version 1 files hold a gradient-descent learning rate; none loads.
+    path.write_text(json.dumps({"format": "facetrec-model", "version": 1, "kind": "majority", "params": {"label": 0}}))
+    with pytest.raises(ConfigError, match="unsupported model version 1"):
+        load_model(path)
+    path.write_text(json.dumps({"format": "facetrec-model", "version": 2, "kind": "majority"}))
     with pytest.raises(ConfigError, match="malformed"):
         load_model(path)
 

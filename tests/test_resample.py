@@ -84,7 +84,7 @@ def test_smote_is_its_triples_interpolated(seed, ratio, k, minority_class):
     y = y[np.random.default_rng(seed).permutation(len(y))]
     cfg = ResampleConfig(k_neighbors=k, target_ratio=ratio, seed=seed)
     X_aug, y_aug = smote(X, y, cfg)
-    seeds, nbrs, gammas, labels = smote_triples(X, y, cfg)
+    seeds, nbrs, gammas, labels = smote_triples(y, cfg, lambda at: kernels.sq_distances(X[at]))
     rows = kernels.interpolate_rows(X, seeds, nbrs, gammas)
     assert np.array_equal(X_aug, np.vstack([X, rows])) and len(rows) == len(y_aug) - len(y)
     assert np.array_equal(labels, y_aug)

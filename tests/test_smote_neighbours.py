@@ -27,17 +27,13 @@ from facetrec.models import LRHyperparams, ModelSpec
 from facetrec.resample import ResampleConfig
 from facetrec.synth import SynthSpec, write_bundle
 
-# smote_triples as imported, before any test wraps it: without a distance
-# block it searches the rows it is given, the per-fold search.
-_PER_FOLD = resample.smote_triples
 NB = ModelSpec(kind="naive_bayes")
 LR = ModelSpec(kind="logistic_regression", lr=LRHyperparams(max_epochs=1))
 
 
 def _record_smote(monkeypatch):
     """Record every smote_triples call of a run, in call order: its inputs,
-    whether it was given a distance block, the neighbour lists it used and
-    the triples it returned."""
+    the neighbour lists it used and the triples it returned."""
     calls = []
     active = []
     real_triples = resample.smote_triples
@@ -49,13 +45,12 @@ def _record_smote(monkeypatch):
             active[-1]["knn"] = out
         return out
 
-    def recording(X, y, cfg, distances=None):
-        call = {"X": np.array(X, dtype=np.float64), "y": np.array(y), "cfg": cfg,
-                "sliced": distances is not None, "knn": None}
+    def recording(y, cfg, distances):
+        call = {"y": np.array(y), "cfg": cfg, "knn": None}
         calls.append(call)
         active.append(call)
         try:
-            call["triples"] = real_triples(X, y, cfg, distances)
+            call["triples"] = real_triples(y, cfg, distances)
         finally:
             active.pop()
         return call["triples"]
@@ -78,22 +73,26 @@ def _count_matrices(monkeypatch):
     return built
 
 
-def _assert_matches_per_fold_search(calls):
+def _assert_matches_per_fold_search(calls, X, assignments):
     """Each recorded call's neighbour lists and triples equal those of the
-    per-fold search on that call's own minority rows. Returns how many
-    calls drew synthetic rows."""
+    per-fold search on that call's own minority rows. The calls are a run's
+    over X, facet by facet and fold by fold, with the facets' fold
+    assignments in order. Returns how many calls drew synthetic rows."""
+    n_folds = int(assignments[0].max()) + 1
+    assert len(calls) == n_folds * len(assignments)
     drawn = 0
-    for call in calls:
-        X, y, cfg = call["X"], call["y"], call["cfg"]
+    for i, call in enumerate(calls):
+        rows = X[assignments[i // n_folds] != i % n_folds]
+        y, cfg = call["y"], call["cfg"]
+        assert len(y) == len(rows)
         seeds, nbrs, gammas, y_aug = call["triples"]
         if len(y_aug) == len(y):
             assert call["knn"] is None and len(seeds) == 0
             continue
         drawn += 1
-        assert call["sliced"]
         min_idx = np.flatnonzero(y == y_aug[-1])
-        assert np.array_equal(call["knn"], kernels.minority_knn(X[min_idx], cfg.k_neighbors))
-        ref = _PER_FOLD(X, y, cfg)
+        assert np.array_equal(call["knn"], kernels.minority_knn(rows[min_idx], cfg.k_neighbors))
+        ref = resample.smote_triples(y, cfg, lambda at, rows=rows: kernels.sq_distances(rows[at]))
         assert all(np.array_equal(a, b) for a, b in zip((seeds, nbrs, gammas, y_aug), ref))
     return drawn
 
@@ -156,8 +155,8 @@ def test_every_cell_gets_the_per_fold_neighbours_on_a_synth_corpus(monkeypatch, 
     plan = make_folds({f: corpus.labels(f) for f in corpus.active_facets}, n_folds=10, seed=7)
     calls = _record_smote(monkeypatch)
     run_experiment(corpus, X, spec, ResampleConfig(seed=7), plan)
-    assert len(calls) == 10 * len(corpus.active_facets)
-    assert _assert_matches_per_fold_search(calls) == len(calls)
+    assignments = [plan.assignment[f] for f in corpus.active_facets]
+    assert _assert_matches_per_fold_search(calls, X, assignments) == len(calls) == 10 * len(assignments)
 
 
 @pytest.mark.parametrize("spec", [NB, LR], ids=["nb", "lr"])
@@ -165,7 +164,7 @@ def test_tied_duplicated_rows_get_the_per_fold_neighbours(monkeypatch, spec):
     X, y, folds = _duplicated_rows()
     calls = _record_smote(monkeypatch)
     _one_facet(X, y, folds, spec)
-    assert _assert_matches_per_fold_search(calls) == 5
+    assert _assert_matches_per_fold_search(calls, X, [folds]) == 5
     # The ties are real: some minority row has a zero distance to another.
     M = X[y == 1]
     assert np.any(kernels.sq_distances(M)[~np.eye(len(M), dtype=bool)] == 0.0)
@@ -176,7 +175,7 @@ def test_a_minority_that_flips_between_folds_gets_the_per_fold_neighbours(monkey
     X, y, folds = _flipping_minority()
     calls = _record_smote(monkeypatch)
     _one_facet(X, y, folds, spec)
-    assert _assert_matches_per_fold_search(calls) == 4
+    assert _assert_matches_per_fold_search(calls, X, [folds]) == 4
     assert [int(c["triples"][3][-1]) for c in calls] == [1, 1, 0, 0]
 
 
@@ -208,7 +207,8 @@ def test_a_held_out_minority_row_never_reaches_its_folds_neighbours(monkeypatch)
     assert all(np.array_equal(a, b) for a, b in zip(before[k], after[k]))
     moved = [j for j in range(5) if not all(np.array_equal(a, b) for a, b in zip(before[j], after[j]))]
     assert moved and k not in moved
-    assert _assert_matches_per_fold_search(calls) == 10
+    assert _assert_matches_per_fold_search(calls[:5], X, [folds]) == 5
+    assert _assert_matches_per_fold_search(calls[5:], X_far, [folds]) == 5
 
 
 # --- which matrices get built -----------------------------------------------
