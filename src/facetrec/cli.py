@@ -92,7 +92,6 @@ class ExperimentConfig:
     normalization: str | None
     seed: int
     folds: int
-    jobs: int
     smote_k: int
     smote_ratio: float
     out: str
@@ -185,6 +184,11 @@ def parse_experiment_config(data: dict, base_dir: Path, flags: dict | None = Non
     check_seed(cfg["seed"])
     if "out" not in cfg:
         raise ConfigError("an output directory is required (config 'out' or --out)")
+    # Runs are single-process. Older configs set the worker count of a
+    # process pool, so "jobs: 1" is still accepted.
+    jobs = cfg.get("jobs", 1)
+    if type(jobs) is not int or jobs != 1:
+        raise ConfigError(f"jobs must be 1 if set, got {jobs!r}: runs are single-process")
 
     smote_raw = cfg.get("smote") or {}
     if not isinstance(smote_raw, dict):
@@ -222,7 +226,6 @@ def parse_experiment_config(data: dict, base_dir: Path, flags: dict | None = Non
         normalization=cfg.get("normalization"),
         seed=cfg["seed"],
         folds=_require_int(cfg.get("folds", 10), "folds"),
-        jobs=_require_int(cfg.get("jobs", 1), "jobs"),
         smote_k=_require_int(cfg.get("smote_k", smote_raw.get("k_neighbors", 5)), "smote_k"),
         smote_ratio=_require_number(
             cfg.get("smote_ratio", smote_raw.get("target_ratio", 1.0)), "smote.target_ratio"
@@ -269,7 +272,7 @@ def _config_digest(cfg: ExperimentConfig, systems: list[dict]) -> str:
     """sha256 over what determines a run's results.
 
     Files enter by content, so the working directory and the paths used to
-    reach them do not matter, and neither do ``out`` and ``jobs``.
+    reach them do not matter, and neither does ``out``.
     """
     determinants = {
         "corpus": _file_sha256(cfg.corpus),
@@ -315,7 +318,7 @@ def cmd_run(args) -> int:
         if system.feature_spec not in spaces:
             spaces[system.feature_spec] = realize_features(system.feature_spec, corpus)[:2]
         X, ref = spaces[system.feature_spec]
-        fold_f1 = run_experiment(corpus, X, system.model_spec, rcfg, plan, cfg.jobs, system.name)
+        fold_f1 = run_experiment(corpus, X, system.model_spec, rcfg, plan, system.name)
         results.append(SystemResult(name=system.name, fold_f1=fold_f1))
         # Each entry gets its own mapping: a shared one would be written as
         # a YAML anchor and alias.
@@ -332,7 +335,6 @@ def cmd_run(args) -> int:
         "normalization": cfg.normalization or "builtin-default",
         "seed": cfg.seed,
         "folds": cfg.folds,
-        "jobs": cfg.jobs,
         "smote": {"k_neighbors": cfg.smote_k, "target_ratio": cfg.smote_ratio},
         "out": cfg.out,
     }
@@ -568,7 +570,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--folds", type=int)
     p.add_argument("--smote-k", type=int, dest="smote_k")
     p.add_argument("--smote-ratio", type=float, dest="smote_ratio")
-    p.add_argument("--jobs", type=int)
     p.add_argument("--out")
     p.set_defaults(func=cmd_run)
 

@@ -13,10 +13,8 @@ mean and a wins count per system."""
 from __future__ import annotations
 
 import logging
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
-from functools import partial
 
 import numpy as np
 
@@ -148,16 +146,14 @@ def _cell(facet, k):
         raise type(e)(f"facet {facet}, fold {k}: {e}") from e
 
 
-def _plan_facet(X, unusable, message, n_folds, kind, resample_cfg, plan_seed, facet, y, folds):
-    # One facet's cells, fold by fold (see run_experiment). Each cell's
-    # checks run here, so an error names its fold before any model trains.
-    facet_idx, by_class, out = FACET_NAMES.index(facet), {}, []
+def _smote_distances(X, y):
+    # SMOTE's squared distances over one facet's documents: one matrix per
+    # class over the rows of that class, built when a fold first oversamples
+    # the class. Each fold slices the block of its minority rows, given as
+    # ascending document indices.
+    by_class = {}
 
-    def distances(rows, pos):
-        # SMOTE's squared distances: one matrix per class over the facet's
-        # rows of that class, built when a fold first oversamples the class.
-        # Each fold slices the block of its minority rows, rows[pos].
-        docs = rows[pos]
+    def distances(docs):
         cls = int(y[docs[0]])
         if cls not in by_class:
             members = np.flatnonzero(y == cls)
@@ -166,20 +162,7 @@ def _plan_facet(X, unusable, message, n_folds, kind, resample_cfg, plan_seed, fa
         at = np.searchsorted(members, docs)
         return d2[np.ix_(at, at)]
 
-    for k in range(n_folds):
-        rows = np.flatnonzero(folds != k)
-        with _cell(facet, k):
-            if unusable[rows].any():
-                raise ValidationError(message)
-            if kind == "majority":  # the baseline reads only labels
-                out.append(kernels.LRCell(rows, y[rows]))
-                continue
-            if kind == "logistic_regression":
-                training_labels(y[rows])
-            cfg = replace(resample_cfg, seed=derive_seed(plan_seed, STREAM_SMOTE, facet_idx, k))
-            seeds, nbrs, gammas, y_aug = smote_triples(y[rows], cfg, partial(distances, rows))
-            out.append(kernels.LRCell(rows, y[rows], rows[seeds], rows[nbrs], gammas, int(y_aug[-1])))
-    return out
+    return distances
 
 
 def _class_sums(X, cells):
@@ -223,24 +206,21 @@ def run_experiment(
     model_spec: ModelSpec,
     resample_cfg: ResampleConfig,
     plan: FoldPlan,
-    jobs: int = 1,
     name: str = "system",
 ) -> dict[str, tuple[float, ...]]:
     """Cross-validate one model on a realized feature matrix (one row per
     corpus document): resample each training split, train, and score every
     held-out split with macro-F1. Returns the fold scores keyed by facet.
 
-    Facets flagged degenerate by the corpus are skipped. jobs > 1 plans
-    facets' cells (kernels.LRCell: training rows and labels, and unless the
-    model is majority SMOTE's triples) in worker processes, merged in facet
-    order. Every model then trains from its cell here: majority from label
+    Facets flagged degenerate by the corpus are skipped. Every facet x fold
+    cell is planned first, in facet then fold order, as a kernels.LRCell:
+    its training rows and labels, and unless the model is majority SMOTE's
+    triples. Every model then trains from its cell: majority from label
     counts, naive Bayes from one weighted product with X per facet, and
     logistic regression in one ``kernels.logreg_descent_cells`` Newton fit.
     Info log lines headed ``name`` sum up SMOTE's rows and LR's iterations;
     each LR cell that stops without converging logs a warning.
     """
-    if not isinstance(jobs, int) or isinstance(jobs, bool) or jobs < 1:
-        raise ConfigError(f"jobs must be a positive integer, got {jobs!r}")
     facets = corpus.active_facets
     if not facets:
         raise ValidationError("all facets are degenerate; nothing to evaluate")
@@ -252,19 +232,35 @@ def run_experiment(
         if len(plan.assignment[facet]) != len(corpus.documents):
             raise ValidationError("fold plan does not match corpus size")
 
-    unusable, message = unusable_rows(model_spec.kind, X)
-    task = partial(_plan_facet, X, unusable, message, plan.n_folds, model_spec.kind, resample_cfg, plan.seed)
-    args = (facets, [corpus.labels(f) for f in facets], [plan.assignment[f] for f in facets])
-    if jobs == 1:
-        plans = list(map(task, *args))
-    else:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            plans = list(pool.map(task, *args))
+    kind = model_spec.kind
+    unusable, message = unusable_rows(kind, X)
+    labels = [corpus.labels(facet) for facet in facets]
+    plans = []  # per facet, its cells in fold order
+    for facet, y in zip(facets, labels):
+        # Each cell's checks run as it is planned, so an error names its
+        # fold before any model trains.
+        distances, cells = _smote_distances(X, y), []
+        for k in range(plan.n_folds):
+            rows = np.flatnonzero(plan.assignment[facet] != k)
+            with _cell(facet, k):
+                if unusable[rows].any():
+                    raise ValidationError(message)
+                if kind == "majority":  # the baseline reads only labels
+                    cells.append(kernels.LRCell(rows, y[rows]))
+                    continue
+                if kind == "logistic_regression":
+                    training_labels(y[rows])
+                seed = derive_seed(plan.seed, STREAM_SMOTE, FACET_NAMES.index(facet), k)
+                seeds, nbrs, gammas, y_aug = smote_triples(
+                    y[rows], replace(resample_cfg, seed=seed), lambda pos: distances(rows[pos])
+                )
+                cells.append(kernels.LRCell(rows, y[rows], rows[seeds], rows[nbrs], gammas, int(y_aug[-1])))
+        plans.append(cells)
 
     models = _models(X, model_spec, resample_cfg, facets, plans, name)
     scores = {}
-    for facet in facets:
-        y, folds = corpus.labels(facet), plan.assignment[facet]
+    for facet, y in zip(facets, labels):
+        folds = plan.assignment[facet]
         fold_f1 = []
         for k in range(plan.n_folds):
             with _cell(facet, k):
@@ -315,46 +311,47 @@ def _render_csv(report: EvaluationReport) -> str:
 
 def parse_report_csv(text: str) -> EvaluationReport:
     """Rebuild a report from its CSV rendering (fold rows carry full
-    precision, so aggregates are recomputed losslessly)."""
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or lines[0] != "section,model,facet,fold,f1":
+    precision, so aggregates are recomputed losslessly). Blank lines are
+    skipped; errors name their line of ``text``."""
+    lines = [(n, ln) for n, ln in enumerate(text.splitlines(), start=1) if ln.strip()]
+    if not lines or lines[0][1] != "section,model,facet,fold,f1":
         raise ValidationError("not a report CSV: missing or wrong header")
     fold_rows: dict[str, dict[str, dict[int, float]]] = {}
-    system_order: list[str] = []
     facet_order: list[str] = []
     max_fold = -1
-    for ln_no, line in enumerate(lines[1:], start=2):
+    for ln_no, line in lines[1:]:
         parts = line.split(",")
         if len(parts) != 5:
             raise ValidationError(f"report CSV line {ln_no}: expected 5 fields")
         section, system, facet, fold, value = parts
-        if section == "fold":
-            try:
-                k = int(fold)
-                f1 = float(value)
-            except ValueError as e:
-                raise ValidationError(f"report CSV line {ln_no}: {e}") from e
-            if system not in fold_rows:
-                fold_rows[system] = {}
-                system_order.append(system)
-            if facet not in fold_rows[system]:
-                fold_rows[system][facet] = {}
-                if facet not in facet_order:
-                    facet_order.append(facet)
-            fold_rows[system][facet][k] = f1
-            max_fold = max(max_fold, k)
-        elif section in ("facet_mean", "overall", "wins"):
+        if section in ("facet_mean", "overall", "wins"):
             continue  # redundant aggregates, recomputed from fold rows
-        else:
+        if section != "fold":
             raise ValidationError(f"report CSV line {ln_no}: unknown section {section!r}")
+        try:
+            k = int(fold)
+            f1 = float(value)
+        except ValueError as e:
+            raise ValidationError(f"report CSV line {ln_no}: {e}") from e
+        if facet not in FACET_NAMES:
+            raise ValidationError(f"report CSV line {ln_no}: unknown facet {facet!r}")
+        if not 0.0 <= f1 <= 1.0:  # also rejects nan
+            raise ValidationError(f"report CSV line {ln_no}: F1 must lie in [0, 1], got {value!r}")
+        folds = fold_rows.setdefault(system, {}).setdefault(facet, {})
+        if k in folds:
+            raise ValidationError(f"report CSV line {ln_no}: repeats fold {k} of {system!r} on {facet}")
+        if facet not in facet_order:
+            facet_order.append(facet)
+        folds[k] = f1
+        max_fold = max(max_fold, k)
     if max_fold < 0:
         raise ValidationError("report CSV has no fold rows")
     n_folds = max_fold + 1
     systems = []
-    for name in system_order:
+    for name, by_facet in fold_rows.items():
         per_facet = {}
         for facet in facet_order:
-            folds = fold_rows[name].get(facet)
+            folds = by_facet.get(facet)
             if folds is None or sorted(folds) != list(range(n_folds)):
                 raise ValidationError(
                     f"report CSV: system {name!r} facet {facet!r} has incomplete folds"

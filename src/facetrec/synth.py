@@ -232,7 +232,6 @@ def write_bundle(out_dir, spec: SynthSpec) -> dict[str, str]:
         "corpus": "corpus.jsonl",
         "seed": spec.seed,
         "folds": 10,
-        "jobs": 1,
         "out": "results",
         "smote": {"k_neighbors": 5, "target_ratio": 1.0},
         "systems": [

@@ -231,11 +231,14 @@ def test_verbose_run_logs_lr_convergence_without_touching_artifacts(bundle, tmp_
             assert (tmp_path / "out" / name).read_bytes() == data
 
 
-def test_lr_reports_do_not_depend_on_the_process(tmp_path, child_env):
+@pytest.mark.parametrize("pos_rate", ["0.5", "0.2"], ids=["balanced", "smote"])
+def test_lr_reports_do_not_depend_on_the_process(tmp_path, child_env, pos_rate):
     # The README demo's LR systems, run twice, each time in a fresh
     # interpreter with its own hash seed: report.csv must come out byte for
-    # byte the same, so no LR result depends on process state.
-    assert main(["synth", "--out", str(tmp_path), "--seed", "7", "--authors", "60", "--tokens", "60"]) == 0
+    # byte the same, so no LR result depends on process state. At 20%
+    # positives SMOTE draws rows in every cell (3,240 per system).
+    args = ["--seed", "7", "--authors", "60", "--tokens", "60", "--pos-rate", pos_rate]
+    assert main(["synth", "--out", str(tmp_path), *args]) == 0
     config = yaml.safe_load((tmp_path / "config.yaml").read_text(encoding="utf-8"))
     config["systems"] = [s for s in config["systems"] if s["model"] == "logistic_regression"]
     (tmp_path / "lr.yaml").write_text(yaml.safe_dump(config), encoding="utf-8")
@@ -256,14 +259,21 @@ def _digest(out: Path) -> str:
 
 def test_config_digest_ignores_cwd_out_and_jobs(bundle, tmp_path, monkeypatch, capsys):
     # The first run reaches every file by a path relative to the bundle; the
-    # others by absolute paths, the last in two worker processes.
-    runs = [(bundle, "config.yaml", "1"), (tmp_path, str(bundle / "config.yaml"), "1")]
-    runs.append((tmp_path, str(bundle / "config.yaml"), "2"))
+    # others by absolute paths, the last through a config that also carries
+    # the legacy key `jobs: 1`.
+    data = yaml.safe_load((bundle / "config.yaml").read_text(encoding="utf-8"))
+    data["corpus"] = str(bundle / "corpus.jsonl")
+    for system in data["systems"]:
+        if "path" in system["features"]:
+            system["features"]["path"] = str(bundle / system["features"]["path"])
+    legacy = tmp_path / "legacy.yaml"
+    legacy.write_text(yaml.safe_dump(dict(data, jobs=1)), encoding="utf-8")
+    runs = [(bundle, "config.yaml"), (tmp_path, str(bundle / "config.yaml")), (tmp_path, str(legacy))]
     digests = []
-    for i, (cwd, config, jobs) in enumerate(runs):
+    for i, (cwd, config) in enumerate(runs):
         monkeypatch.chdir(cwd)
         out = tmp_path / f"run{i}"
-        assert main(["run", "--config", config, "--folds", "3", "--jobs", jobs, "--out", str(out)]) == 0
+        assert main(["run", "--config", config, "--folds", "3", "--out", str(out)]) == 0
         digests.append(_digest(out))
     assert (tmp_path / "run0" / "report.csv").read_bytes() == (tmp_path / "run2" / "report.csv").read_bytes()
     assert len(digests[0]) == 64 and digests[0] == digests[1] == digests[2]
@@ -607,7 +617,8 @@ def test_cli_import_loads_only_numpy_and_pyyaml(bundle, tmp_path, child_env):
     # installed package; each one it imported would add its start-up time
     # and memory to every command. A whole run imports no more: `numpy.ma`,
     # which np.unique pulls in on numpy 2, would add about 1 MiB to its
-    # peak RSS (numpy 1 imports it with numpy itself).
+    # peak RSS (numpy 1 imports it with numpy itself). A run is one
+    # process, so neither `multiprocessing` nor `concurrent.futures` loads.
     code = (
         "import json, sys\n"
         "before = set(sys.modules)\n"
@@ -617,6 +628,7 @@ def test_cli_import_loads_only_numpy_and_pyyaml(bundle, tmp_path, child_env):
         "print(json.dumps(sorted({m.split('.')[0] for m, f in files.items() if 'packages' in f})))\n"
         "import numpy\n"
         "print(json.dumps('numpy.ma' in sys.modules and not numpy.__version__.startswith('1.')))\n"
+        "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] in ('multiprocessing', 'concurrent'))))\n"
     )
     proc = subprocess.run(
         [sys.executable, "-c", code, str(bundle / "config.yaml")],
@@ -626,5 +638,5 @@ def test_cli_import_loads_only_numpy_and_pyyaml(bundle, tmp_path, child_env):
         env=child_env(),
     )
     assert proc.returncode == 0, proc.stderr
-    packages, masked = map(json.loads, proc.stdout.splitlines()[-2:])
-    assert set(packages) <= {"facetrec", "numpy", "yaml"} and not masked
+    packages, masked, pool = map(json.loads, proc.stdout.splitlines()[-3:])
+    assert set(packages) <= {"facetrec", "numpy", "yaml"} and not masked and pool == []

@@ -11,7 +11,7 @@ from loop_oracles import assert_near_newton_oracle, fold_assignment_loops, logre
 
 from facetrec import eval as eval_module
 from facetrec import kernels, resample
-from facetrec.cli import main
+from facetrec.cli import main, parse_experiment_config
 from facetrec.errors import ConfigError, TrainingError, ValidationError
 from facetrec.eval import (
     EvaluationReport,
@@ -185,16 +185,6 @@ def test_run_experiment_majority_on_balanced_labels_is_one_third(corpus_factory)
             assert v == pytest.approx(1 / 3)
 
 
-def test_run_experiment_parallel_matches_sequential(corpus_factory):
-    corpus = corpus_factory(_tiny_tokens(12))
-    plan = make_folds({f: corpus.labels(f) for f in corpus.active_facets}, n_folds=3, seed=5)
-    X = _bow(corpus)
-    for kind in ("naive_bayes", "logistic_regression"):
-        seq = run_experiment(corpus, X, ModelSpec(kind=kind), ResampleConfig(seed=5), plan, jobs=1)
-        par = run_experiment(corpus, X, ModelSpec(kind=kind), ResampleConfig(seed=5), plan, jobs=2)
-        assert seq == par
-
-
 def test_run_experiment_wraps_cell_errors_with_context(corpus_factory):
     # Every other facet alternates 4/4, so its training splits are balanced
     # and resampling is a no-op; Anxiety's lone positive cannot be
@@ -220,7 +210,7 @@ def test_run_experiment_skips_degenerate_facets(corpus_factory):
     assert len(fold_f1) == 9
 
 
-def test_run_experiment_validates_plan_and_jobs(corpus_factory):
+def test_run_experiment_validates_plan_and_jobs(corpus_factory, tmp_path):
     corpus = corpus_factory(_tiny_tokens(8))
     X = _bow(corpus)
     majority, rcfg = ModelSpec(kind="majority"), ResampleConfig(seed=2)
@@ -228,10 +218,14 @@ def test_run_experiment_validates_plan_and_jobs(corpus_factory):
     with pytest.raises(ValidationError, match="missing facet"):
         run_experiment(corpus, X, majority, rcfg, plan)
     full = make_folds({f: corpus.labels(f) for f in corpus.active_facets}, n_folds=2, seed=2)
-    with pytest.raises(ConfigError, match="jobs"):
-        run_experiment(corpus, X, majority, rcfg, full, jobs=0)
     with pytest.raises(ValidationError, match="feature matrix does not match corpus size"):
         run_experiment(corpus, X[:7], majority, rcfg, full)
+    # Runs are single-process: a config may still say `jobs: 1`, nothing else.
+    data = {"corpus": "c.jsonl", "seed": 2, "out": "o", "systems": [{"model": "majority", "features": {"kind": "bow"}}]}
+    assert parse_experiment_config(dict(data, jobs=1), tmp_path) == parse_experiment_config(data, tmp_path)
+    for jobs in (0, 2):
+        with pytest.raises(ConfigError, match=r"jobs.*single-process"):
+            parse_experiment_config(dict(data, jobs=jobs), tmp_path)
 
 
 # --- report aggregation -----------------------------------------------------
@@ -332,6 +326,18 @@ def test_parse_report_csv_errors():
     )
     with pytest.raises(ValidationError):
         parse_report_csv(truncated + "\n")
+    # A repeated fold, an F1 outside [0, 1] and an unknown facet each name
+    # their line, counted over the text with its blank lines.
+    line = len(good.splitlines()) + 2
+    for row, match in [
+        ("fold,a,Anxiety,1,0.9", "repeats fold 1"),
+        ("fold,b,Anxiety,0,1.5", r"F1 must lie in \[0, 1\]"),
+        ("fold,b,Anxiety,0,-0.1", r"F1 must lie in \[0, 1\]"),
+        ("fold,b,Anxiety,0,nan", r"F1 must lie in \[0, 1\]"),
+        ("fold,b,Bogus,0,0.6", "unknown facet 'Bogus'"),
+    ]:
+        with pytest.raises(ValidationError, match=rf"line {line}: {match}"):
+            parse_report_csv(good + "\n" + row + "\n")
 
 
 # --- logistic regression: every cell of a run in one Newton fit ------------

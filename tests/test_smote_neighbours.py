@@ -97,11 +97,11 @@ def _assert_matches_per_fold_search(calls, X, assignments):
     return drawn
 
 
-def _one_facet(X, y, folds, spec, facet="Anxiety", seed=4, jobs=1):
+def _one_facet(X, y, folds, spec, facet="Anxiety", seed=4):
     # One facet's fold scores, through run_experiment on a stand-in corpus.
     corpus = SimpleNamespace(active_facets=(facet,), documents=range(len(y)), labels=lambda f: y)
     plan = FoldPlan(n_folds=int(folds.max()) + 1, seed=seed, assignment={facet: folds})
-    return run_experiment(corpus, X, spec, ResampleConfig(seed=seed), plan, jobs=jobs)[facet]
+    return run_experiment(corpus, X, spec, ResampleConfig(seed=seed), plan)[facet]
 
 
 # --- fixtures ---------------------------------------------------------------
@@ -177,11 +177,6 @@ def test_a_minority_that_flips_between_folds_gets_the_per_fold_neighbours(monkey
     _one_facet(X, y, folds, spec)
     assert _assert_matches_per_fold_search(calls, X, [folds]) == 4
     assert [int(c["triples"][3][-1]) for c in calls] == [1, 1, 0, 0]
-
-
-def test_worker_processes_get_the_same_scores():
-    X, y, folds = _flipping_minority()
-    assert _one_facet(X, y, folds, NB, jobs=2) == _one_facet(X, y, folds, NB)
 
 
 # --- held-out rows ----------------------------------------------------------
