@@ -21,6 +21,7 @@ from pathlib import Path
 
 import yaml
 
+from . import blas
 from .corpus import (
     assign_labels,
     build_documents,
@@ -351,6 +352,8 @@ def cmd_run(args) -> int:
             "label_thresholds": {k: float(v) for k, v in corpus.label_thresholds.items()},
         },
         "systems": systems,
+        # Not in config_digest: which BLAS ran, and on how many threads.
+        "environment": blas.environment(),
         "results": {
             "overall": {s.name: report.overall(s) for s in report.systems},
             "wins": {name: int(n) for name, n in wins.items()},
@@ -624,7 +627,10 @@ def main(argv=None) -> int:
         level = logging.DEBUG
     logging.basicConfig(stream=sys.stderr, level=level, format="facetrec: %(levelname)s: %(message)s")
     try:
-        return args.func(args)
+        # One BLAS thread, so that results do not depend on the machine's
+        # core count; see the blas module.
+        with blas.one_thread():
+            return args.func(args)
     except FacetrecError as e:
         print(f"facetrec: {type(e).__name__}: {e}", file=sys.stderr)
         return 1

@@ -24,6 +24,11 @@ log = logging.getLogger(__name__)
 
 # Placeholder tokens like $LAUGH$ survive tokenization as single tokens.
 _TOKEN_RE = re.compile(r"\$[A-Z][A-Z0-9_]*\$|\w+", re.UNICODE)
+_PLACEHOLDER_SPLIT_RE = re.compile(r"(\$[A-Z][A-Z0-9_]*\$)")
+# For ASCII text only, where re.ASCII's \w matches the same characters, faster.
+_WORD_RE = re.compile(r"\w+", re.ASCII)
+# Normalization rules match case-insensitively by contract.
+_RULE_FLAGS = re.IGNORECASE | re.UNICODE
 
 
 @dataclass(frozen=True)
@@ -48,8 +53,7 @@ class NormRule:
 
     def __post_init__(self):
         try:
-            # Case-insensitive by contract; rules match the raw text.
-            compiled = re.compile(self.pattern, re.IGNORECASE | re.UNICODE)
+            compiled = re.compile(self.pattern, _RULE_FLAGS)
         except re.error as e:
             raise ConfigError(f"invalid pattern {self.pattern!r}: {e}") from e
         if tokenize(self.token) != [self.token]:
@@ -64,9 +68,36 @@ class NormalizationTable:
     """Ordered substitution rules applied before tokenization."""
 
     rules: tuple[NormRule, ...] = ()
+    # One regex over all rules; a text it cannot match is left as it is.
+    # None when the rules cannot be joined (see _union).
+    union: re.Pattern | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "rules", tuple(self.rules))
+        object.__setattr__(self, "union", _union(self.rules))
+
+
+def _union(rules) -> re.Pattern | None:
+    """``(?:r0)|(?:r1)|...`` with the rules' flags, or None if not exact.
+
+    It matches at a position exactly when some rule does, so its search
+    finds where the first rule match begins, and fails exactly when every
+    rule's search fails. Numbered groups after the first rule would shift,
+    which breaks a rule's own backreferences. A global inline flag such as
+    ``(?x)`` would reach the other rules (Python 3.10) or fail to compile
+    inside a group (3.11 on; also ``(?i)``, which leaves the flags as they
+    are). Such tables get no union.
+    """
+    if (
+        not rules
+        or any(rule.regex.groups for rule in rules[1:])
+        or any(rule.regex.flags != _RULE_FLAGS for rule in rules)
+    ):
+        return None
+    try:
+        return re.compile("|".join(f"(?:{rule.pattern})" for rule in rules), _RULE_FLAGS)
+    except re.error:
+        return None
 
 
 @dataclass(frozen=True)
@@ -112,38 +143,80 @@ def normalize(text: str, table: NormalizationTable) -> str:
     At each position the earliest match across all rules wins; ties go to
     the longer match, then to the earlier rule. Replacements are inserted
     verbatim and never rescanned.
+
+    With a union (see ``_union``) each step searches it once. No rule
+    matches before the union's match does, so the step replaces the
+    longest non-empty rule match at that start, and a text the union
+    cannot match is returned as it is. Only where every rule matching
+    there matches empty, and for tables without a union, does a step
+    search each rule.
     """
     if not table.rules or not text:
         return text
+    union = table.union
     parts = []
     pos = 0
     n = len(text)
     while pos < n:
-        best = None
-        best_rule = None
-        for ridx, rule in enumerate(table.rules):
-            m = rule.regex.search(text, pos)
-            if m is None or m.end() == m.start():
-                continue
-            cand = (m.start(), -(m.end() - m.start()), ridx)
-            if best is None or cand < best:
-                best = cand
-                best_rule = (m.start(), m.end(), rule.token)
-        if best_rule is None:
-            parts.append(text[pos:])
-            break
-        start, end, token = best_rule
-        parts.append(text[pos:start])
-        parts.append(token)
+        hit = None
+        if union is not None:
+            m = union.search(text, pos)
+            if m is None:
+                break
+            hit = _longest_at(text, m.start(), table.rules)
+        if hit is None:
+            hit = _leftmost_longest(text, pos, table.rules)
+            if hit is None:
+                break
+        start, end, token = hit
+        parts += (text[pos:start], token)
         pos = end
+    parts.append(text[pos:])
     return "".join(parts)
 
 
+def _longest_at(text: str, start: int, rules) -> tuple[int, int, str] | None:
+    """The longest non-empty rule match at ``start``, the earlier rule on ties."""
+    end, token = start, None
+    for rule in rules:
+        m = rule.regex.match(text, start)
+        if m is not None and m.end() > end:
+            end, token = m.end(), rule.token
+    return None if token is None else (start, end, token)
+
+
+def _leftmost_longest(text: str, pos: int, rules) -> tuple[int, int, str] | None:
+    """Among each rule's first match from ``pos``, skipping empty ones, the
+    earliest, then the longest, then the earlier rule's."""
+    best = None
+    best_rule = None
+    for ridx, rule in enumerate(rules):
+        m = rule.regex.search(text, pos)
+        if m is None or m.end() == m.start():
+            continue
+        cand = (m.start(), -(m.end() - m.start()), ridx)
+        if best is None or cand < best:
+            best = cand
+            best_rule = (m.start(), m.end(), rule.token)
+    return best_rule
+
+
 def tokenize(text: str) -> list[str]:
-    """Lowercased word tokens; $NAME$ placeholders kept intact."""
+    """Lowercased word tokens; $NAME$ placeholders kept intact.
+
+    ASCII text is lowercased once between placeholders, which keeps word
+    boundaries. Other text is lowercased token by token, because
+    ``str.lower`` can change its length (``"İ".lower()`` has two
+    characters).
+    """
+    if not text.isascii():
+        return [tok if tok.startswith("$") else tok.lower() for tok in _TOKEN_RE.findall(text)]
     out = []
-    for tok in _TOKEN_RE.findall(text):
-        out.append(tok if tok.startswith("$") else tok.lower())
+    for i, piece in enumerate(_PLACEHOLDER_SPLIT_RE.split(text)):
+        if i % 2:
+            out.append(piece)
+        else:
+            out += _WORD_RE.findall(piece.lower())
     return out
 
 

@@ -9,6 +9,12 @@ summation order differs.
 ``fold_assignment_loops`` deals shuffled documents to folds one at a time,
 positives first, as ``eval.make_folds`` does in one vectorized step.
 
+``normalize_loops`` searches every rule at every step, and
+``tokenize_loops`` lowercases token by token. ``corpus.normalize``
+searches one union of the rules per step, and ``corpus.tokenize``
+lowercases ASCII text between placeholders in one go; ``test_corpus.py``
+requires equal output.
+
 ``logreg_newton_numpy`` is Newton's method on one cell with exact dense
 steps, over the cell's materialized rows (SMOTE rows included). The tests
 hold every cell of the many-cell truncated-Newton fit to it, within the
@@ -18,6 +24,7 @@ bound that both fits' final gradients give (``assert_near_newton_oracle``).
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 
@@ -180,3 +187,40 @@ def fold_assignment_loops(y, perm, n_folds):
                 fold[idx] = counter % n_folds
                 counter += 1
     return fold
+
+
+def normalize_loops(text, table):
+    if not table.rules or not text:
+        return text
+    parts = []
+    pos = 0
+    n = len(text)
+    while pos < n:
+        best = None
+        best_rule = None
+        for ridx, rule in enumerate(table.rules):
+            m = rule.regex.search(text, pos)
+            if m is None or m.end() == m.start():
+                continue
+            cand = (m.start(), -(m.end() - m.start()), ridx)
+            if best is None or cand < best:
+                best = cand
+                best_rule = (m.start(), m.end(), rule.token)
+        if best_rule is None:
+            parts.append(text[pos:])
+            break
+        start, end, token = best_rule
+        parts.append(text[pos:start])
+        parts.append(token)
+        pos = end
+    return "".join(parts)
+
+
+_TOKEN_RE = re.compile(r"\$[A-Z][A-Z0-9_]*\$|\w+", re.UNICODE)
+
+
+def tokenize_loops(text):
+    out = []
+    for tok in _TOKEN_RE.findall(text):
+        out.append(tok if tok.startswith("$") else tok.lower())
+    return out

@@ -5,6 +5,7 @@ import logging
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from loop_oracles import normalize_loops, tokenize_loops
 
 from facetrec.corpus import (
     AuthorRecord,
@@ -115,6 +116,88 @@ def test_tokenize_preserves_placeholders():
     assert tokenize("so $LAUGH$!") == ["so", "$LAUGH$"]
     # Lowercase dollar-words are not placeholders.
     assert tokenize("$laugh$") == ["laugh"]
+
+
+# --- fast paths against the loop oracles -----------------------------------
+
+# Texts mix ASCII words, laughter, placeholders and near-placeholders with
+# characters whose lowercase form is longer ("İ") or that case-fold to
+# more than one character ("ß", "ﬁ").
+_TEXT_PIECES = [
+    "a", "b", "h", "k", "x", "ha", "HA", "he", "kkk", "rs", "ja", " ", "  ", "!", "'", "_", "1",
+    "$LAUGH$", "$", "$ab$", "$A1$", "$B_C$", "$$", "İ", "ß", "ﬁ", "ss", "é", "\n",
+]
+texts = st.lists(st.sampled_from(_TEXT_PIECES), max_size=12).map("".join)
+
+# Patterns may carry a global inline flag, which keeps a table on the
+# loop, and a group with its backreference, which does so after the first
+# rule; some pieces match the empty string.
+_PATTERN_PIECES = [
+    "a", "h", "k", "ha", "(?:ha){2,}", "(?:he)+h?", "k{3,}", "[ab]", "a+", "b*", "x?", "s",
+    r"\b", r"\w", r"\$", ".", "İ", "ß", "ﬁ", r"(a)\1", "a|b", "(?i:x)",
+]
+patterns = st.builds(
+    lambda flag, pieces: flag + "".join(pieces),
+    st.sampled_from(["", "", "", "(?x)", "(?s)", "(?i)"]),
+    st.lists(st.sampled_from(_PATTERN_PIECES), min_size=1, max_size=3),
+)
+tables = st.lists(
+    st.tuples(patterns, st.sampled_from(["$A$", "$LAUGH$", "$B_1$"])), max_size=4
+).map(lambda pairs: table(*pairs))
+
+
+@given(tables, texts)
+def test_normalize_matches_the_loop_oracle(t, text):
+    assert normalize(text, t) == normalize_loops(text, t)
+
+
+@given(texts)
+def test_normalize_default_table_matches_the_loop_oracle(text):
+    t = default_normalization_table()
+    assert normalize(text, t) == normalize_loops(text, t)
+
+
+@given(texts)
+def test_tokenize_matches_the_loop_oracle(text):
+    assert tokenize(text) == tokenize_loops(text)
+
+
+@given(st.text(max_size=40))
+def test_tokenize_matches_the_loop_oracle_on_any_text(text):
+    assert tokenize(text) == tokenize_loops(text)
+
+
+def test_tokenize_keeps_non_ascii_on_the_loop():
+    # "İ".lower() is "i" plus a combining dot, which is no word character.
+    assert tokenize("İSTANBUL $LAUGH$ Straße ﬁx") == ["i̇stanbul", "$LAUGH$", "straße", "ﬁx"]
+    assert tokenize("İSTANBUL") == tokenize_loops("İSTANBUL")
+
+
+def test_default_table_is_gated_by_its_union():
+    assert default_normalization_table().union is not None
+
+
+@pytest.mark.parametrize(
+    "pairs, text, gated",
+    [
+        # A later rule's own group: in the union, \1 would point at rule 0's.
+        ([("(x)y", "$A$"), (r"(a)\1", "$B$")], "xy aa ab", False),
+        # A group in the first rule keeps its number in the union.
+        ([(r"(a)\1", "$B$"), ("k+", "$K$")], "aa kk ab", True),
+        # A global inline flag, first or later, cannot enter the union.
+        ([("(?x) h a", "$HA$"), ("b", "$B$")], "ha b h a", False),
+        ([("b", "$B$"), ("(?x) h a", "$HA$")], "ha b h a", False),
+        # A rule that can match empty: the union then matches everywhere,
+        # and a step whose union match is empty searches each rule.
+        ([("x*", "$X$")], "axxb", True),
+        ([("q", "$Q$"), ("x*", "$X$")], "abc", True),
+        ([("x*", "$X$"), ("b", "$B$")], "abxx", True),
+    ],
+)
+def test_union_gate_on_groups_inline_flags_and_empty_matches(pairs, text, gated):
+    t = table(*pairs)
+    assert (t.union is not None) == gated
+    assert normalize(text, t) == normalize_loops(text, t)
 
 
 # --- documents -------------------------------------------------------------
