@@ -67,11 +67,9 @@ from .models import (
     predict,
     save_model,
     train,
-    train_logistic_regression,
     train_majority,
-    train_naive_bayes,
 )
-from .resample import ResampleConfig, smote
+from .resample import ResampleConfig
 from .synth import SynthSpec, write_bundle
 
 __version__ = "0.1.0"
@@ -129,12 +127,9 @@ __all__ = [
     "run_experiment",
     "save_model",
     "score_inventory",
-    "smote",
     "tokenize",
     "train",
-    "train_logistic_regression",
     "train_majority",
-    "train_naive_bayes",
     "write_bundle",
     "write_embeddings",
 ]

@@ -19,6 +19,7 @@ import sys
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
+import numpy as np
 import yaml
 
 from . import blas
@@ -37,6 +38,7 @@ from .eval import (
     parse_report_csv,
     render_report,
     run_experiment,
+    smote_distances,
 )
 from .features import (
     DEFAULT_VOCAB_SIZE,
@@ -52,12 +54,14 @@ from .inventory import FACET_NAMES, default_scoring_key, load_scoring_key, score
 from .models import (
     LRHyperparams,
     ModelSpec,
+    fit_cells,
     load_model,
+    plan_cell,
     predict,
     save_model,
-    train,
+    unusable_rows,
 )
-from .resample import ResampleConfig, smote
+from .resample import ResampleConfig
 from .seeding import STREAM_SMOTE, check_seed, derive_seed
 from .synth import SynthSpec, write_bundle
 
@@ -477,15 +481,16 @@ def cmd_train(args) -> int:
         ref = {**ref, "vocab": [[t, f] for t, f in space.entries]}
     ref["facet"] = args.facet
     y = corpus.labels(args.facet)
+    seed = derive_seed(args.seed, STREAM_SMOTE, FACET_NAMES.index(args.facet))
+    # One cell of all rows, planned and fitted as `run` plans and fits its
+    # facet x fold cells.
     try:
+        rcfg = None
         if args.smote:
-            rcfg = ResampleConfig(
-                k_neighbors=args.smote_k,
-                target_ratio=args.smote_ratio,
-                seed=derive_seed(args.seed, STREAM_SMOTE, FACET_NAMES.index(args.facet)),
-            )
-            X, y = smote(X, y, rcfg)
-        model = train(model_spec, X, y)
+            rcfg = ResampleConfig(k_neighbors=args.smote_k, target_ratio=args.smote_ratio, seed=seed)
+        unusable = unusable_rows(model_spec.kind, X)
+        cell = plan_cell(model_spec.kind, unusable, y, np.arange(len(y)), rcfg, smote_distances(X, y))
+        [model] = fit_cells(X, model_spec, [[cell]], rcfg, f"facet {args.facet}")
     except FacetrecError as e:
         raise type(e)(f"facet {args.facet}: {e}") from e
     model = replace(model, feature_ref=ref)

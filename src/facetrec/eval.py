@@ -21,8 +21,8 @@ import numpy as np
 from . import kernels
 from .errors import ConfigError, FacetrecError, ValidationError
 from .inventory import FACET_NAMES
-from .models import ModelSpec, lr_model, nb_model, predict, train_majority, training_labels, unusable_rows
-from .resample import ResampleConfig, resampled_labels, smote_triples
+from .models import ModelSpec, fit_cells, plan_cell, predict, unusable_rows
+from .resample import ResampleConfig
 from .seeding import STREAM_FOLDS, STREAM_SMOTE, check_seed, derive_seed, substream
 
 DEFAULT_FOLDS = 10
@@ -146,11 +146,11 @@ def _cell(facet, k):
         raise type(e)(f"facet {facet}, fold {k}: {e}") from e
 
 
-def _smote_distances(X, y):
-    # SMOTE's squared distances over one facet's documents: one matrix per
-    # class over the rows of that class, built when a fold first oversamples
-    # the class. Each fold slices the block of its minority rows, given as
-    # ascending document indices.
+def smote_distances(X, y):
+    """SMOTE's distances over one facet's documents, labelled y: a function
+    from ascending document indices of one class to their block of squared
+    distances, sliced from one ``kernels.sq_distances`` matrix per class,
+    built when the class is first asked for."""
     by_class = {}
 
     def distances(docs):
@@ -163,41 +163,6 @@ def _smote_distances(X, y):
         return d2[np.ix_(at, at)]
 
     return distances
-
-
-def _class_sums(X, cells):
-    # Per cell, its (2, dim) feature sums and its counts by class, from one
-    # product of a (2 * cells, docs) weight matrix with X. An own row weighs
-    # 1 in its class; a SMOTE row (s, n, g), 1 - g at s and g at n.
-    n, at, w = len(X), [], []
-    for i, c in enumerate(cells):
-        at += [(2 * i + c.y) * n + c.rows, (2 * i + c.minority) * n + np.concatenate([c.seeds, c.nbrs])]
-        w += [np.ones(len(c.rows)), 1.0 - c.gammas, c.gammas]
-    W = np.bincount(np.concatenate(at), np.concatenate(w), minlength=2 * len(cells) * n).reshape(-1, n)
-    counts = [np.bincount(c.y, minlength=2) + len(c.seeds) * (np.arange(2) == c.minority) for c in cells]
-    return (W @ X).reshape(len(cells), 2, -1), counts
-
-
-def _models(X, spec, resample_cfg, facets, plans, name):
-    # Every cell's model, in facet then fold order, built lazily so that its
-    # errors surface in its own cell.
-    cells = [cell for facet_cells in plans for cell in facet_cells]
-    if spec.kind == "majority":
-        return (train_majority(resampled_labels(c.y, resample_cfg), X.shape[1]) for c in cells)
-    log.info("%s: SMOTE added %d rows to %d cells", name, sum(len(c.seeds) for c in cells), len(cells))
-    if spec.kind == "naive_bayes":
-        return (nb_model(sums, counts, spec.alpha)
-                for facet_cells in plans for sums, counts in zip(*_class_sums(X, facet_cells)))
-    hyper = spec.lr
-    fits = kernels.logreg_descent_cells(X, cells, hyper.l2, hyper.max_epochs, hyper.tol)
-    iterations = [len(losses) - 1 for losses in fits[2]]
-    log.info("%s: LR converged in %d/%d cells (iterations %d-%d)",
-             name, fits[3].sum(), len(cells), min(iterations), max(iterations))
-    n_folds = len(plans[0])
-    for i in np.flatnonzero(~fits[3] & ~fits[4]):  # a diverged cell raises in its own cell
-        log.warning("%s: facet %s, fold %d: LR stopped after %d Newton iterations without converging",
-                    name, facets[i // n_folds], i % n_folds, iterations[i])
-    return (lr_model(hyper, *fit) for fit in zip(*fits))
 
 
 def run_experiment(
@@ -213,13 +178,11 @@ def run_experiment(
     held-out split with macro-F1. Returns the fold scores keyed by facet.
 
     Facets flagged degenerate by the corpus are skipped. Every facet x fold
-    cell is planned first, in facet then fold order, as a kernels.LRCell:
-    its training rows and labels, and unless the model is majority SMOTE's
-    triples. Every model then trains from its cell: majority from label
-    counts, naive Bayes from one weighted product with X per facet, and
-    logistic regression in one ``kernels.logreg_descent_cells`` Newton fit.
-    Info log lines headed ``name`` sum up SMOTE's rows and LR's iterations;
-    each LR cell that stops without converging logs a warning.
+    cell is planned first (``models.plan_cell``), in facet then fold order,
+    and then every model trains from its cell (``models.fit_cells``, one
+    group of cells per facet). Info log lines headed ``name`` sum up SMOTE's
+    rows and LR's iterations; each LR cell that stops without converging
+    logs a warning naming its facet and fold.
     """
     facets = corpus.active_facets
     if not facets:
@@ -232,32 +195,24 @@ def run_experiment(
         if len(plan.assignment[facet]) != len(corpus.documents):
             raise ValidationError("fold plan does not match corpus size")
 
-    kind = model_spec.kind
-    unusable, message = unusable_rows(kind, X)
+    unusable = unusable_rows(model_spec.kind, X)
     labels = [corpus.labels(facet) for facet in facets]
     plans = []  # per facet, its cells in fold order
     for facet, y in zip(facets, labels):
         # Each cell's checks run as it is planned, so an error names its
         # fold before any model trains.
-        distances, cells = _smote_distances(X, y), []
+        distances, cells = smote_distances(X, y), []
         for k in range(plan.n_folds):
-            rows = np.flatnonzero(plan.assignment[facet] != k)
+            cfg = replace(resample_cfg, seed=derive_seed(plan.seed, STREAM_SMOTE, FACET_NAMES.index(facet), k))
             with _cell(facet, k):
-                if unusable[rows].any():
-                    raise ValidationError(message)
-                if kind == "majority":  # the baseline reads only labels
-                    cells.append(kernels.LRCell(rows, y[rows]))
-                    continue
-                if kind == "logistic_regression":
-                    training_labels(y[rows])
-                seed = derive_seed(plan.seed, STREAM_SMOTE, FACET_NAMES.index(facet), k)
-                seeds, nbrs, gammas, y_aug = smote_triples(
-                    y[rows], replace(resample_cfg, seed=seed), lambda pos: distances(rows[pos])
-                )
-                cells.append(kernels.LRCell(rows, y[rows], rows[seeds], rows[nbrs], gammas, int(y_aug[-1])))
+                rows = np.flatnonzero(plan.assignment[facet] != k)
+                cells.append(plan_cell(model_spec.kind, unusable, y, rows, cfg, distances))
         plans.append(cells)
+    del distances  # the last facet's distance matrices, before any model trains
 
-    models = _models(X, model_spec, resample_cfg, facets, plans, name)
+    n_folds = plan.n_folds
+    models = fit_cells(X, model_spec, plans, resample_cfg, name,
+                       lambda i: f"{name}: facet {facets[i // n_folds]}, fold {i % n_folds}")
     scores = {}
     for facet, y in zip(facets, labels):
         folds = plan.assignment[facet]

@@ -14,9 +14,10 @@ plain-Python loop versions of the kernels as reference implementations.
 SMOTE's neighbour search has two pieces: ``sq_distances`` (the
 squared-distance matrix of some rows, in the exact diff form, one row at a
 time) and ``knn_from_distances`` (the k nearest per row of a square block
-of it). ``minority_knn`` is their composition on one block of rows; a
-caller that searches many overlapping blocks, as the folds of one facet
-are, computes the matrix once and slices each block out of it.
+of it). A caller that searches many overlapping blocks, as the folds of one
+facet are, computes the matrix once and slices each block out of it.
+``minority_knn`` (their composition) and ``interpolate_rows`` (SMOTE's rows
+from their triples) serve ``resample.smote`` and the tests alone.
 """
 
 from __future__ import annotations

@@ -5,25 +5,32 @@ Bayes with Laplace smoothing over nonnegative count features, and binary
 logistic regression fit by truncated Newton (Newton-CG). All three are
 deterministic functions of their training data and hyperparameters.
 
-`eval` trains many cells of one feature matrix without copying their rows:
-it checks features once per matrix (``unusable_rows``), and ``nb_model``
-and ``lr_model`` build a model from its cell's class sums or Newton fit.
+Every model trains through one path. ``plan_cell`` checks a training set
+of rows of one feature matrix and, with SMOTE, draws its synthetic rows as
+interpolation triples; ``fit_cells`` trains the models of many such cells
+without copying their rows. `eval` plans every facet x fold cell of a run,
+``facetrec train`` one cell of all rows with SMOTE, and ``train`` one cell
+of all rows without it.
 """
 
 from __future__ import annotations
 
 import json
+import logging
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from . import kernels
 from .errors import ConfigError, TrainingError, ValidationError
+from .resample import resampled_labels, smote_triples
 
 MODEL_KINDS = ("majority", "naive_bayes", "logistic_regression")
 
 _MODEL_FORMAT = "facetrec-model"
 _MODEL_VERSION = 2
+
+log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -126,14 +133,6 @@ def train_majority(y, feature_dim: int | None = None) -> TrainedModel:
     )
 
 
-def training_labels(y) -> np.ndarray:
-    """y as int64 labels; ValidationError unless both classes are present."""
-    y = _as_labels(y)
-    if y.min() == y.max():
-        raise ValidationError("training labels contain a single class")
-    return y
-
-
 def unusable_rows(kind: str, X) -> tuple[np.ndarray, str]:
     """Per row of the 2-d float X, whether a ``kind`` model cannot train on
     it, and the message of a training set that holds such a row: naive
@@ -145,16 +144,40 @@ def unusable_rows(kind: str, X) -> tuple[np.ndarray, str]:
     return np.zeros(len(X), dtype=bool), ""
 
 
-def _training_set(kind: str, X, y) -> tuple[np.ndarray, np.ndarray]:
-    # Float64 rows and int64 labels a ``kind`` model can train on.
-    y = training_labels(y)
-    X = np.asarray(X, dtype=np.float64)
-    if X.ndim != 2 or X.shape[0] != len(y):
-        raise ValidationError("labels must be one per feature row")
-    bad, message = unusable_rows(kind, X)
-    if bad.any():
+def plan_cell(kind: str, unusable, y, rows, resample_cfg=None, distances=None) -> kernels.LRCell:
+    """The training cell of ``rows`` of a feature matrix X for a ``kind`` model.
+
+    ``unusable`` is ``unusable_rows(kind, X)``, y holds the labels of all
+    rows of X and ``rows`` is an int64 array of positions. A cell that holds
+    an unusable row, or whose labels are not binary or hold a single class,
+    raises ValidationError. With ``resample_cfg``, a naive Bayes or logistic
+    regression cell also carries SMOTE's triples, drawn by ``smote_triples``
+    with ``distances`` mapping ascending positions in X to their block of
+    squared distances; a majority cell, which reads only labels, draws none.
+    """
+    bad, message = unusable
+    if bad[rows].any():
         raise ValidationError(message)
-    return X, y
+    labels = y[rows]
+    if _as_labels(labels).min() == labels.max():
+        raise ValidationError("training labels contain a single class")
+    if kind == "majority" or resample_cfg is None:
+        return kernels.LRCell(rows, labels)
+    seeds, nbrs, gammas, y_aug = smote_triples(labels, resample_cfg, lambda pos: distances(rows[pos]))
+    return kernels.LRCell(rows, labels, rows[seeds], rows[nbrs], gammas, int(y_aug[-1]))
+
+
+def _class_sums(X, cells):
+    # Per cell, its (2, dim) feature sums and its counts by class, from one
+    # product of a (2 * cells, docs) weight matrix with X. An own row weighs
+    # 1 in its class; a SMOTE row (s, n, g), 1 - g at s and g at n.
+    n, at, w = len(X), [], []
+    for i, c in enumerate(cells):
+        at += [(2 * i + c.y) * n + c.rows, (2 * i + c.minority) * n + np.concatenate([c.seeds, c.nbrs])]
+        w += [np.ones(len(c.rows)), 1.0 - c.gammas, c.gammas]
+    W = np.bincount(np.concatenate(at), np.concatenate(w), minlength=2 * len(cells) * n).reshape(-1, n)
+    counts = [np.bincount(c.y, minlength=2) + len(c.seeds) * (np.arange(2) == c.minority) for c in cells]
+    return (W @ X).reshape(len(cells), 2, -1), counts
 
 
 def nb_model(class_sums, class_counts, alpha: float) -> TrainedModel:
@@ -170,15 +193,6 @@ def nb_model(class_sums, class_counts, alpha: float) -> TrainedModel:
         log_likelihoods[c] = np.log((class_sums[c] + alpha) / denom)
     params = NaiveBayesParams(alpha=float(alpha), log_priors=log_priors, log_likelihoods=log_likelihoods)
     return TrainedModel(kind="naive_bayes", feature_dim=n_features, params=params)
-
-
-def train_naive_bayes(X, y, alpha: float = 1.0) -> TrainedModel:
-    """Multinomial Naive Bayes over nonnegative (possibly fractional)
-    counts: ``nb_model`` of the class sums and counts of (X, y)."""
-    if not alpha > 0:
-        raise ConfigError(f"alpha must be positive, got {alpha}")
-    X, y = _training_set("naive_bayes", X, y)
-    return nb_model(np.stack([X[y == c].sum(axis=0) for c in (0, 1)]), np.bincount(y, minlength=2), alpha)
 
 
 def lr_model(hyper: LRHyperparams, w, b, losses, converged, diverged) -> TrainedModel:
@@ -198,28 +212,54 @@ def lr_model(hyper: LRHyperparams, w, b, losses, converged, diverged) -> Trained
     )
 
 
-def train_logistic_regression(
-    X, y, hyper: LRHyperparams | None = None
-) -> TrainedModel:
-    """Fit weights by truncated Newton from zero initialization.
+def fit_cells(X, spec: ModelSpec, groups, resample_cfg=None, name: str = "model", where=None):
+    """Every cell's ``spec`` model, in order, built lazily so that a cell's
+    error surfaces when its model is taken.
 
-    Objective: mean logistic loss + (l2/2) * ||w||^2, bias unregularized.
-    Stops at the gradient max-norm tolerance or after max_epochs Newton
-    iterations; a non-finite loss raises TrainingError.
+    ``groups`` is a sequence of sequences of cells that ``plan_cell`` made
+    over the float64 matrix X. Majority trains on each cell's labels, as
+    ``resampled_labels`` gives them unless ``resample_cfg`` is None; naive
+    Bayes on its class sums, from one weighted product with X per group;
+    and logistic regression in one ``kernels.logreg_descent_cells`` Newton
+    fit of all cells. Info log lines headed ``name`` sum up SMOTE's rows
+    and LR's iterations; each LR cell that stops without converging logs a
+    warning headed ``where(i)`` (``name`` if where is None), i counting
+    cells over all groups.
     """
-    hyper = hyper or LRHyperparams()
-    X, y = _training_set("logistic_regression", X, y)
-    fit = kernels.logreg_descent(X, y, hyper.l2, hyper.max_epochs, hyper.tol)
-    return lr_model(hyper, *fit)
+    cells = [cell for group in groups for cell in group]
+    if spec.kind == "majority":
+        return (train_majority(c.y if resample_cfg is None else resampled_labels(c.y, resample_cfg), X.shape[1])
+                for c in cells)
+    log.info("%s: SMOTE added %d rows to %d cells", name, sum(len(c.seeds) for c in cells), len(cells))
+    if spec.kind == "naive_bayes":
+        return (nb_model(sums, counts, spec.alpha) for group in groups for sums, counts in zip(*_class_sums(X, group)))
+    hyper = spec.lr
+    fits = kernels.logreg_descent_cells(X, cells, hyper.l2, hyper.max_epochs, hyper.tol)
+    iterations = [len(losses) - 1 for losses in fits[2]]
+    log.info("%s: LR converged in %d/%d cells (iterations %d-%d)",
+             name, fits[3].sum(), len(cells), min(iterations), max(iterations))
+    for i in np.flatnonzero(~fits[3] & ~fits[4]):  # a diverged cell raises when its model is taken
+        log.warning("%s: LR stopped after %d Newton iterations without converging",
+                    where(i) if where else name, iterations[i])
+    return (lr_model(hyper, *fit) for fit in zip(*fits))
 
 
 def train(spec: ModelSpec, X, y) -> TrainedModel:
-    """Dispatch to the right trainer for a ModelSpec."""
-    if spec.kind == "majority":
-        return train_majority(y, feature_dim=X.shape[1])
-    if spec.kind == "naive_bayes":
-        return train_naive_bayes(X, y, alpha=spec.alpha)
-    return train_logistic_regression(X, y, hyper=spec.lr)
+    """Fit a ``spec`` model on all rows of (X, y), without SMOTE: the model
+    ``fit_cells`` trains on the one cell ``plan_cell`` makes of them."""
+    X, y = np.asarray(X, dtype=np.float64), _as_labels(y)
+    if X.ndim != 2 or len(X) != len(y):
+        raise ValidationError("labels must be one per feature row")
+    cell = plan_cell(spec.kind, unusable_rows(spec.kind, X), y, np.arange(len(X)))
+    return next(fit_cells(X, spec, [[cell]]))
+
+
+def train_naive_bayes(X, y, alpha: float = 1.0) -> TrainedModel:
+    return train(ModelSpec(kind="naive_bayes", alpha=alpha), X, y)
+
+
+def train_logistic_regression(X, y, hyper: LRHyperparams | None = None) -> TrainedModel:
+    return train(ModelSpec(kind="logistic_regression", lr=hyper or LRHyperparams()), X, y)
 
 
 def _stable_sigmoid(z: np.ndarray) -> np.ndarray:

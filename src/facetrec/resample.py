@@ -9,12 +9,12 @@ are preserved, in order, ahead of the synthetic block.
 Neighbours come from the squared distances among the minority rows
 (``kernels.knn_from_distances``). ``smote_triples`` draws the synthetic
 rows as (seed, neighbour, gamma) triples from the labels and a function
-that gives those distances: ``smote`` computes them from its rows, and
-`eval`, which oversamples the overlapping training folds of one facet,
-slices them out of one matrix per facet and class. Either way the
-neighbour lists are the same, bit for bit. `eval` trains every model from
-the triples; only ``smote`` (used by ``facetrec train --smote``)
-materializes the rows.
+that gives those distances: `eval`, which oversamples the overlapping
+training folds of one facet, and ``facetrec train`` slice them out of one
+matrix per facet and class, and ``smote`` computes them from its rows.
+Either way the neighbour lists are the same, bit for bit. Every model
+trains from the triples (``models.plan_cell``); only ``smote``, which the
+package itself does not call, materializes the rows.
 """
 
 from __future__ import annotations

@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 from hypothesis import settings
 
+from facetrec.cli import main
 from facetrec.corpus import LabeledCorpus, LabeledDocument
 from facetrec.inventory import FACET_NAMES
 
@@ -107,3 +108,15 @@ def child_env():
         return env
 
     return make
+
+
+@pytest.fixture(scope="session")
+def weak_bundle(tmp_path_factory):
+    """A weak-signal synth bundle, on which a wrong answer shows: 300
+    authors of 400 tokens, 20% positives and a planted signal rate of 0.05
+    (seed 7). The trained bag-of-words systems score well above the
+    baseline here, but far from 1.0."""
+    out = tmp_path_factory.mktemp("weak")
+    args = ["--seed", "7", "--authors", "300", "--tokens", "400", "--pos-rate", "0.2", "--signal", "0.05"]
+    assert main(["synth", "--out", str(out), *args]) == 0
+    return out

@@ -19,6 +19,10 @@ requires equal output.
 steps, over the cell's materialized rows (SMOTE rows included). The tests
 hold every cell of the many-cell truncated-Newton fit to it, within the
 bound that both fits' final gradients give (``assert_near_newton_oracle``).
+
+``train_materialized`` is the training path that every model left for one
+plan-and-fit path (``models.plan_cell`` and ``models.fit_cells``): SMOTE's
+rows built by ``resample.smote``, then one trainer per model kind on them.
 """
 
 from __future__ import annotations
@@ -27,6 +31,10 @@ import math
 import re
 
 import numpy as np
+
+from facetrec import kernels
+from facetrec.models import lr_model, nb_model, train_majority
+from facetrec.resample import smote
 
 
 def logreg_loss_grad_loops(X, y, w, b, l2):
@@ -143,6 +151,24 @@ def assert_near_newton_oracle(X, y, l2, w, b, losses, oracle):
     g, g_o = np.linalg.norm(np.r_[gw, gb]), np.linalg.norm(np.r_[gw_o, gb_o])
     assert np.linalg.norm(np.r_[w - w_o, b - b_o]) <= (g + g_o) / mu
     assert abs(losses[-1] - losses_o[-1]) <= (g * g + g_o * g_o) / (2 * mu) + 1e-15
+
+
+def train_materialized(spec, X, y, resample_cfg=None):
+    """(model, X_aug, y_aug): a ``spec`` model trained on (X, y) with
+    SMOTE's rows materialized by ``resample.smote`` when ``resample_cfg``
+    is given. Majority reads the labels, naive Bayes the per-class sums of
+    the rows (``X[y == c].sum(axis=0)``), and logistic regression runs
+    ``kernels.logreg_descent`` on the rows."""
+    X, y = np.asarray(X, dtype=np.float64), np.asarray(y, dtype=np.int64)
+    if resample_cfg is not None:
+        X, y = smote(X, y, resample_cfg)
+    if spec.kind == "majority":
+        model = train_majority(y, X.shape[1])
+    elif spec.kind == "naive_bayes":
+        model = nb_model(np.stack([X[y == c].sum(axis=0) for c in (0, 1)]), np.bincount(y, minlength=2), spec.alpha)
+    else:
+        model = lr_model(spec.lr, *kernels.logreg_descent(X, y, spec.lr.l2, spec.lr.max_epochs, spec.lr.tol))
+    return model, X, y
 
 
 def minority_knn_loops(M, k):

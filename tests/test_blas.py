@@ -72,13 +72,12 @@ def test_manifest_records_the_blas_outside_the_digest(bundle, tmp_path, monkeypa
     assert set(manifest) == set(unpinned) and manifest["config_digest"] == unpinned["config_digest"]
 
 
-def test_report_does_not_depend_on_openblas_num_threads(tmp_path, child_env):
+def test_report_does_not_depend_on_openblas_num_threads(weak_bundle, tmp_path, child_env):
     # A weak-signal corpus where OpenBLAS's 1- and 2-thread products round
     # differently enough to move LR fold scores, unless the run pins the
     # thread count.
-    args = ["--seed", "7", "--authors", "300", "--tokens", "400", "--pos-rate", "0.2", "--signal", "0.05"]
-    assert cli.main(["synth", "--out", str(tmp_path), *args]) == 0
-    config = yaml.safe_load((tmp_path / "config.yaml").read_text(encoding="utf-8"))
+    config = yaml.safe_load((weak_bundle / "config.yaml").read_text(encoding="utf-8"))
+    config["corpus"] = str(weak_bundle / "corpus.jsonl")
     config["systems"] = [
         {"name": "bow-lr", "model": "logistic_regression", "features": {"kind": "bow", "vocab_size": 3000}}
     ]

@@ -15,14 +15,17 @@ import numpy as np
 import pytest
 import yaml
 
-from facetrec import features
+from loop_oracles import assert_near_newton_oracle, logreg_newton_numpy, train_materialized
+
+from facetrec import features, kernels, resample
 from facetrec.cli import build_parser, main, parse_experiment_config
 from facetrec.corpus import assign_labels, build_documents, default_normalization_table, load_corpus
 from facetrec.eval import make_folds
 from facetrec.features import load_embeddings, write_embeddings
 from facetrec.inventory import FACET_NAMES, default_scoring_key, score_inventory
-from facetrec.models import ModelSpec, save_model, train
+from facetrec.models import ModelSpec, load_model, predict, save_model, train
 from facetrec.resample import ResampleConfig, resampled_labels
+from facetrec.seeding import STREAM_SMOTE, derive_seed
 
 
 @pytest.fixture(scope="module")
@@ -531,6 +534,71 @@ def test_train_errors_name_their_facet(tmp_path, capsys):
     err = capsys.readouterr().err
     assert rc == 1
     assert "facetrec: ValidationError: facet Anxiety: minority class needs at least 2" in err
+
+
+@pytest.fixture(scope="module", params=["0.2", "0.8"], ids=["minority-1", "minority-0"])
+def imbalanced_bundle(request, tmp_path_factory):
+    # 60 authors at 20% or 80% positives: SMOTE adds rows of class 1 or 0
+    # to every facet, and at 80% it turns the baseline's majority label
+    # from 1 to the tie's 0.
+    out = tmp_path_factory.mktemp("imbalanced-bundle")
+    args = ["--seed", "5", "--authors", "60", "--tokens", "60", "--pos-rate", request.param]
+    assert main(["synth", "--out", str(out), *args]) == 0
+    return out
+
+
+def _train(bundle, out, kind, facet, smote):
+    args = ["train", "--corpus", str(bundle / "corpus.jsonl"), "--facet", facet, "--model", kind,
+            "--seed", "3", "--out", str(out), "--smote" if smote else "--no-smote"]
+    assert main(args) == 0
+    return load_model(out)
+
+
+@pytest.mark.parametrize("smote", [True, False], ids=["smote", "no-smote"])
+@pytest.mark.parametrize("kind", ["majority", "naive_bayes", "logistic_regression"])
+def test_train_matches_the_materialized_path(imbalanced_bundle, tmp_path, capsys, kind, smote):
+    # `train` fits one planned cell of all rows, with SMOTE's rows as
+    # triples. The reference materializes those rows with resample.smote
+    # and trains on them. Labels agree; naive Bayes sums the fractional
+    # rows in another order, and LR is held to the dense Newton oracle.
+    facet = "Anxiety"
+    model = _train(imbalanced_bundle, tmp_path / "m.json", kind, facet, smote)
+    records = load_corpus(imbalanced_bundle / "corpus.jsonl")
+    scores = {r.author_id: score_inventory(r.inventory, default_scoring_key()) for r in records}
+    corpus = assign_labels(build_documents(records, default_normalization_table()), scores)
+    X, _, _ = features.realize_features(features.BowSpec(vocab_size=model.feature_ref["vocab_size"]), corpus)
+    y = corpus.labels(facet)
+    cfg = ResampleConfig(seed=derive_seed(3, STREAM_SMOTE, FACET_NAMES.index(facet))) if smote else None
+    oracle, X_aug, y_aug = train_materialized(ModelSpec(kind=kind), X, y, cfg)
+    assert (len(y_aug) > len(y)) == smote
+    assert np.array_equal(predict(model, X)[0], predict(oracle, X)[0])
+    if kind == "majority":
+        assert model.params.label == (0 if smote else int(2 * y.sum() > len(y)))
+    if kind == "naive_bayes":
+        assert np.array_equal(model.params.log_priors, oracle.params.log_priors)
+        assert np.allclose(model.params.log_likelihoods, oracle.params.log_likelihoods, rtol=1e-12, atol=0)
+    if kind == "logistic_regression":
+        p, hyper = model.params, model.params.hyper
+        assert p.converged
+        newton = logreg_newton_numpy(X_aug, y_aug, hyper.l2, hyper.max_epochs, hyper.tol)
+        assert_near_newton_oracle(X_aug, y_aug, hyper.l2, p.weights, p.bias, p.loss_history, newton)
+
+
+@pytest.mark.parametrize("kind", ["majority", "naive_bayes", "logistic_regression"])
+def test_train_builds_no_smote_row_and_majority_no_distances(imbalanced_bundle, tmp_path, monkeypatch, capsys, kind):
+    # No model materializes SMOTE's rows. Majority reads only its labels,
+    # so it builds no distance matrix either; the others build one, over
+    # the minority rows.
+    def no_rows(*args):
+        raise AssertionError("train materialized SMOTE rows")
+
+    monkeypatch.setattr(resample, "smote", no_rows)
+    monkeypatch.setattr(kernels, "interpolate_rows", no_rows)
+    built = []
+    real = kernels.sq_distances
+    monkeypatch.setattr(kernels, "sq_distances", lambda M: built.append(len(M)) or real(M))
+    _train(imbalanced_bundle, tmp_path / "m.json", kind, "Anxiety", smote=True)
+    assert len(built) == (0 if kind == "majority" else 1)
 
 
 def test_train_rejects_an_unknown_facet(bundle, tmp_path, capsys):

@@ -16,8 +16,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from facetrec import eval as eval_module
-from facetrec import kernels, resample
+from facetrec import kernels, models, resample
 from facetrec.corpus import assign_labels, build_documents, default_normalization_table, load_corpus
 from facetrec.errors import ValidationError
 from facetrec.eval import FoldPlan, make_folds, run_experiment
@@ -56,7 +55,7 @@ def _record_smote(monkeypatch):
         return call["triples"]
 
     monkeypatch.setattr(kernels, "knn_from_distances", knn)
-    monkeypatch.setattr(eval_module, "smote_triples", recording)  # the cell planner
+    monkeypatch.setattr(models, "smote_triples", recording)  # the cell planner
     return calls
 
 
