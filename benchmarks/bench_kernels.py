@@ -11,13 +11,16 @@ floating-point operations and bytes, the Newton iterations, and the
 largest weight gap between the two.
 
 SMOTE's neighbours: one facet shaped like the smote-nb workload's (600
-documents x 501 count columns, 120 minority rows, 10 folds). Per fold,
-minority_knn on the fold's own minority rows, against one sq_distances
-matrix over all 120 rows that each fold slices with knn_from_distances.
-Prints the best-of wall times and exits 1 if any fold's neighbour lists
-differ between the two.
+documents, 120 minority rows, 10 folds), twice: on 501 count columns,
+whose distances take sq_distances' Gram product, and on 50 columns of
+averaged-word-vector-like floats, which take its row-by-row diff form. Per
+fold, minority_knn on the fold's own minority rows, against one
+neighbour_order over all 120 rows (one product or row loop, one sort) that
+each fold restricts with knn_from_order. Prints the best-of wall times and
+exits 1 if any fold's neighbour lists differ between the two.
 
-Run from the repository root:
+Both cases run with numpy's OpenBLAS on one thread, as every facetrec
+command does (facetrec.blas). Run from the repository root:
 
     PYTHONPATH=src python3 benchmarks/bench_kernels.py
 """
@@ -29,10 +32,10 @@ import time
 
 import numpy as np
 
-from facetrec import kernels
+from facetrec import blas, kernels
 
 DOCS, DIM, CELLS, OWN, SYNTH = 300, 501, 100, 270, 130
-KNN_DOCS, KNN_MINORITY, KNN_FOLDS, KNN_K = 600, 120, 10, 5
+KNN_DOCS, KNN_MINORITY, KNN_FOLDS, KNN_K, EMBED_DIM = 600, 120, 10, 5, 50
 
 
 def best_of(fn, repeat: int):
@@ -91,10 +94,9 @@ class Products:
         kernels._Operator.forward, kernels._Operator.adjoint = self._forward, self._adjoint
 
 
-def knn_case(rng, repeat: int) -> bool:
-    """Time per-fold searches against one sliced matrix; True if every
-    fold's neighbour lists are equal."""
-    X = rng.poisson(0.5, size=(KNN_DOCS, DIM)).astype(np.float64)
+def knn_case(X, rng, repeat: int) -> bool:
+    """Time per-fold searches against one restricted neighbour order over
+    the rows of X; True if every fold's neighbour lists are equal."""
     members = np.sort(rng.choice(KNN_DOCS, size=KNN_MINORITY, replace=False))
     folds = rng.permutation(np.arange(KNN_DOCS) % KNN_FOLDS)
     # Each fold's minority rows, as documents and as positions in members.
@@ -104,18 +106,20 @@ def knn_case(rng, repeat: int) -> bool:
     def per_fold():
         return [kernels.minority_knn(X[docs], KNN_K) for docs in fold_docs]
 
-    def sliced():
-        D = kernels.sq_distances(X[members])
-        return [kernels.knn_from_distances(D[np.ix_(at, at)], KNN_K) for at in fold_at]
+    def restricted():
+        order = kernels.neighbour_order(X[members])
+        return [kernels.knn_from_order(order, at, KNN_K) for at in fold_at]
 
     t_fold, want = best_of(per_fold, repeat)
-    t_sliced, got = best_of(sliced, repeat)
+    t_order, got = best_of(restricted, repeat)
     same = all(np.array_equal(a, b) for a, b in zip(want, got))
-    print(f"SMOTE neighbours: {KNN_MINORITY} minority rows of {KNN_DOCS} x {DIM}, "
-          f"{KNN_FOLDS} folds, k={KNN_K}; matrix {KNN_MINORITY ** 2 * 8 / 1e3:.0f} KB")
+    M = X[members]
+    form = "Gram product" if kernels._gram_is_exact(M, np.einsum("ij,ij->i", M, M)) else "diff form"
+    print(f"SMOTE neighbours: {KNN_MINORITY} minority rows of {KNN_DOCS} x {X.shape[1]} ({form}), "
+          f"{KNN_FOLDS} folds, k={KNN_K}; order {KNN_MINORITY ** 2 * 8 / 1e3:.0f} KB")
     print(f"{'per-fold minority_knn':<26} {t_fold * 1e3:>10.1f} ms")
-    print(f"{'one matrix, sliced':<26} {t_sliced * 1e3:>10.1f} ms")
-    print(f"speedup {t_fold / t_sliced:.1f}x; neighbour lists {'identical' if same else 'DIFFER'}")
+    print(f"{'one order, restricted':<26} {t_order * 1e3:>10.1f} ms")
+    print(f"speedup {t_fold / t_order:.1f}x; neighbour lists {'identical' if same else 'DIFFER'}")
     return same
 
 
@@ -125,7 +129,11 @@ def main() -> int:
     ap.add_argument("--repeat", type=int, default=3, help="timed calls per side (best-of)")
     ap.add_argument("--seed", type=int, default=0)
     args = ap.parse_args()
+    with blas.one_thread():
+        return run(args)
 
+
+def run(args) -> int:
     X, cells = make_cells(np.random.default_rng(args.seed))
     fit = (1e-4, args.epochs, 1e-5)  # the default l2 and tol
     materialized = [
@@ -152,8 +160,16 @@ def main() -> int:
         print(f"{name:<26} {t * 1e3:>10.1f} {calls:>9} {counted.flops / args.repeat / 1e6:>9.1f} "
               f"{counted.bytes / args.repeat / 1e6:>9.1f}")
     print(f"speedup {t_mat / t_op:.1f}x; largest weight gap {gap:.3g}")
-    print()
-    return 0 if knn_case(np.random.default_rng(args.seed), args.repeat) else 1
+    rng = np.random.default_rng(args.seed)
+    counts = rng.poisson(0.5, size=(KNN_DOCS, DIM)).astype(np.float64)
+    # Averages of unit-scale word vectors: floats, some rows repeated.
+    vectors = rng.normal(size=(KNN_DOCS // 2, EMBED_DIM)) / np.sqrt(40.0)
+    vectors = vectors[rng.integers(0, len(vectors), size=KNN_DOCS)]
+    same = True
+    for X in (counts, vectors):
+        print()
+        same &= knn_case(X, rng, args.repeat)
+    return 0 if same else 1
 
 
 if __name__ == "__main__":

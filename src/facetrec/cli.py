@@ -38,7 +38,7 @@ from .eval import (
     parse_report_csv,
     render_report,
     run_experiment,
-    smote_distances,
+    smote_neighbours,
 )
 from .features import (
     DEFAULT_VOCAB_SIZE,
@@ -489,7 +489,7 @@ def cmd_train(args) -> int:
         if args.smote:
             rcfg = ResampleConfig(k_neighbors=args.smote_k, target_ratio=args.smote_ratio, seed=seed)
         unusable = unusable_rows(model_spec.kind, X)
-        cell = plan_cell(model_spec.kind, unusable, y, np.arange(len(y)), rcfg, smote_distances(X, y))
+        cell = plan_cell(model_spec.kind, unusable, y, np.arange(len(y)), rcfg, smote_neighbours(X, y))
         [model] = fit_cells(X, model_spec, [[cell]], rcfg, f"facet {args.facet}")
     except FacetrecError as e:
         raise type(e)(f"facet {args.facet}: {e}") from e

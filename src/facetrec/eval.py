@@ -4,8 +4,8 @@ Fold plans are built per facet (stratification keeps each fold's class mix
 within one document of proportional). Given a realized feature matrix, each
 facet x fold cell is planned once: its training rows and, for naive Bayes
 and logistic regression, SMOTE's rows as interpolation triples of rows of
-the matrix, whose neighbours come from one squared-distance matrix per
-facet and minority class. Every model trains from those cells without
+the matrix, whose neighbours come from one sorted neighbour order per facet
+and minority class. Every model trains from those cells without
 copying rows, and each held-out split is scored with macro-F1 over both
 classes. Reports aggregate fold scores into per-facet means, an overall
 mean and a wins count per system."""
@@ -146,23 +146,25 @@ def _cell(facet, k):
         raise type(e)(f"facet {facet}, fold {k}: {e}") from e
 
 
-def smote_distances(X, y):
-    """SMOTE's distances over one facet's documents, labelled y: a function
-    from ascending document indices of one class to their block of squared
-    distances, sliced from one ``kernels.sq_distances`` matrix per class,
-    built when the class is first asked for."""
+def smote_neighbours(X, y):
+    """SMOTE's neighbour search over one facet's documents, labelled y: a
+    function from ascending document indices of one class and k to each
+    one's k nearest others among them (``kernels.minority_knn`` of their
+    rows), as positions in those indices. Each class has one
+    ``kernels.neighbour_order`` of all its rows, sorted when the class is
+    first asked for, which ``kernels.knn_from_order`` restricts to the rows
+    asked for."""
     by_class = {}
 
-    def distances(docs):
+    def neighbours(docs, k):
         cls = int(y[docs[0]])
         if cls not in by_class:
             members = np.flatnonzero(y == cls)
-            by_class[cls] = members, kernels.sq_distances(X[members])
-        members, d2 = by_class[cls]
-        at = np.searchsorted(members, docs)
-        return d2[np.ix_(at, at)]
+            by_class[cls] = members, kernels.neighbour_order(X[members])
+        members, order = by_class[cls]
+        return kernels.knn_from_order(order, np.searchsorted(members, docs), k)
 
-    return distances
+    return neighbours
 
 
 def run_experiment(
@@ -201,14 +203,14 @@ def run_experiment(
     for facet, y in zip(facets, labels):
         # Each cell's checks run as it is planned, so an error names its
         # fold before any model trains.
-        distances, cells = smote_distances(X, y), []
+        neighbours, cells = smote_neighbours(X, y), []
         for k in range(plan.n_folds):
             cfg = replace(resample_cfg, seed=derive_seed(plan.seed, STREAM_SMOTE, FACET_NAMES.index(facet), k))
             with _cell(facet, k):
                 rows = np.flatnonzero(plan.assignment[facet] != k)
-                cells.append(plan_cell(model_spec.kind, unusable, y, rows, cfg, distances))
+                cells.append(plan_cell(model_spec.kind, unusable, y, rows, cfg, neighbours))
         plans.append(cells)
-    del distances  # the last facet's distance matrices, before any model trains
+    del neighbours  # the last facet's neighbour orders, before any model trains
 
     n_folds = plan.n_folds
     models = fit_cells(X, model_spec, plans, resample_cfg, name,

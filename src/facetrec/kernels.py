@@ -11,13 +11,16 @@ interpolation triples; ``logreg_loss_grad`` and ``logreg_descent`` run them
 on one cell of all rows. The tests keep a per-cell dense Newton solver and
 plain-Python loop versions of the kernels as reference implementations.
 
-SMOTE's neighbour search has two pieces: ``sq_distances`` (the
-squared-distance matrix of some rows, in the exact diff form, one row at a
-time) and ``knn_from_distances`` (the k nearest per row of a square block
-of it). A caller that searches many overlapping blocks, as the folds of one
-facet are, computes the matrix once and slices each block out of it.
-``minority_knn`` (their composition) and ``interpolate_rows`` (SMOTE's rows
-from their triples) serve ``resample.smote`` and the tests alone.
+SMOTE's neighbour search rests on ``sq_distances``, the exact
+squared-distance matrix of some rows: a Gram product on finite integer rows
+of bounded norm (bag-of-words counts), where it is exact, and the diff form
+one row at a time on any other rows. ``minority_knn`` takes the k nearest
+per row by a stable sort of that matrix. A caller that searches many
+overlapping sets of rows, as the folds of one facet are, sorts the matrix
+of all of them once (``neighbour_order``) and restricts that order to each
+set (``knn_from_order``), which gives the same lists, ties included.
+``minority_knn``, ``knn_from_distances`` and ``interpolate_rows`` (SMOTE's
+rows from their triples) serve ``resample.smote`` and the tests alone.
 """
 
 from __future__ import annotations
@@ -297,16 +300,53 @@ def logreg_descent_cells(X, cells, l2, max_iter, tol):
 # ---------------------------------------------------------------------------
 
 
+# Below this squared row norm, every product, partial sum and result of
+# the Gram form on integer rows is an integer below 2**53, and so exact.
+_GRAM_NORM_BOUND = 2.0 ** 51
+_CHECK_ROWS = 64  # rows per block of the integrality check
+
+
+def _gram_is_exact(M, norms):
+    """Whether the Gram form is exact on M: finite integer entries and every
+    squared row norm (``norms``) below _GRAM_NORM_BOUND. The integrality
+    check runs a block of rows at a time, so it needs no M-sized temporary."""
+    # A nan or infinite entry makes its row's norm nan or inf, which fails.
+    if not len(M) or not norms.max() < _GRAM_NORM_BOUND:
+        return False
+    buf = np.empty((min(len(M), _CHECK_ROWS), M.shape[1]))
+    for start in range(0, len(M), _CHECK_ROWS):
+        block = M[start:start + _CHECK_ROWS]
+        frac = buf[: len(block)]
+        np.trunc(block, out=frac)
+        np.subtract(block, frac, out=frac)
+        if frac.any():
+            return False
+    return True
+
+
 def sq_distances(M):
     """Squared Euclidean distances between the rows of M, as an (n, n)
     float64 array.
 
-    Row i is ((M - M[i]) ** 2).sum(axis=1): one row at a time, so an entry
-    depends only on its two rows, never on the other rows of M. A distance
-    block sliced from the matrix of a larger M therefore equals, bit for
-    bit, the matrix of that block's rows alone.
+    Row i is the diff form ((M - M[i]) ** 2).sum(axis=1), so an entry
+    depends only on its two rows, never on the other rows of M, and a
+    distance block sliced from the matrix of a larger M equals, bit for bit,
+    the matrix of that block's rows alone. When every entry of M is a finite
+    integer and every squared row norm is below 2**51 (bag-of-words counts),
+    the matrix is computed as |a|^2 + |b|^2 - 2 (M @ M.T): every product,
+    partial sum and result is then an integer below 2**53, exact in any
+    summation order, so it equals the diff form bit for bit. Any other M
+    (averaged word vectors, a nan or infinite entry, counts past the bound)
+    takes the diff form, one row at a time.
     """
     M = _f64(M)
+    norms = np.einsum("ij,ij->i", M, M)
+    if _gram_is_exact(M, norms):
+        out = M @ M.T
+        out *= -2.0
+        out += norms[:, None]
+        out += norms
+        return out
     out = np.empty((M.shape[0], M.shape[0]))
     diff = np.empty_like(M)  # one buffer, squared in place, for every row
     for i in range(M.shape[0]):
@@ -328,6 +368,36 @@ def knn_from_distances(D, k):
     np.fill_diagonal(D, np.inf)
     k_eff = min(int(k), D.shape[0] - 1)
     return np.ascontiguousarray(np.argsort(D, axis=1, kind="stable")[:, :k_eff], dtype=np.int64)
+
+
+def neighbour_order(M):
+    """Per row of M, every row position of M from nearest to farthest: the
+    stable argsort of sq_distances(M) with inf on its diagonal, as an (n, n)
+    int64 array. Ties break toward the lower row position. The distance
+    matrix is freed once the order exists."""
+    D = sq_distances(M)
+    np.fill_diagonal(D, np.inf)
+    return np.argsort(D, axis=1, kind="stable").astype(np.int64, copy=False)
+
+
+def knn_from_order(order, at, k):
+    """Per row position a of the ascending positions ``at``: the first k_eff
+    entries of order[a] that are in ``at``, as positions in ``at``, with
+    k_eff = min(k, len(at) - 1). Returns a (len(at), k_eff) int64 array.
+
+    ``order`` is neighbour_order of some rows. The columns of the block of
+    rows ``at`` are a subsequence of those rows, in ascending position, so a
+    stable order restricted to them is the block's own stable order: the
+    result equals minority_knn of the block's rows, ties included.
+    """
+    at = np.asarray(at, dtype=np.int64)
+    k_eff = min(int(k), len(at) - 1)
+    where = np.full(order.shape[1], -1, dtype=np.int64)  # position in at, or -1
+    where[at] = np.arange(len(at))
+    nbrs = where[order[at]]
+    inside = nbrs >= 0
+    inside &= np.cumsum(inside, axis=1) <= k_eff
+    return nbrs[inside].reshape(len(at), k_eff)
 
 
 def minority_knn(M, k):

@@ -144,7 +144,7 @@ def unusable_rows(kind: str, X) -> tuple[np.ndarray, str]:
     return np.zeros(len(X), dtype=bool), ""
 
 
-def plan_cell(kind: str, unusable, y, rows, resample_cfg=None, distances=None) -> kernels.LRCell:
+def plan_cell(kind: str, unusable, y, rows, resample_cfg=None, neighbours=None) -> kernels.LRCell:
     """The training cell of ``rows`` of a feature matrix X for a ``kind`` model.
 
     ``unusable`` is ``unusable_rows(kind, X)``, y holds the labels of all
@@ -152,8 +152,9 @@ def plan_cell(kind: str, unusable, y, rows, resample_cfg=None, distances=None) -
     an unusable row, or whose labels are not binary or hold a single class,
     raises ValidationError. With ``resample_cfg``, a naive Bayes or logistic
     regression cell also carries SMOTE's triples, drawn by ``smote_triples``
-    with ``distances`` mapping ascending positions in X to their block of
-    squared distances; a majority cell, which reads only labels, draws none.
+    with ``neighbours(positions, k)`` giving, per ascending position in X,
+    its k nearest others among them (``eval.smote_neighbours``); a majority
+    cell, which reads only labels, draws none.
     """
     bad, message = unusable
     if bad[rows].any():
@@ -163,7 +164,7 @@ def plan_cell(kind: str, unusable, y, rows, resample_cfg=None, distances=None) -
         raise ValidationError("training labels contain a single class")
     if kind == "majority" or resample_cfg is None:
         return kernels.LRCell(rows, labels)
-    seeds, nbrs, gammas, y_aug = smote_triples(labels, resample_cfg, lambda pos: distances(rows[pos]))
+    seeds, nbrs, gammas, y_aug = smote_triples(labels, resample_cfg, lambda pos, k: neighbours(rows[pos], k))
     return kernels.LRCell(rows, labels, rows[seeds], rows[nbrs], gammas, int(y_aug[-1]))
 
 

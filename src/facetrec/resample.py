@@ -6,12 +6,13 @@ over a seeded shuffle of the minority rows; generation stops when the
 minority count reaches floor(target_ratio * majority count). Original rows
 are preserved, in order, ahead of the synthetic block.
 
-Neighbours come from the squared distances among the minority rows
-(``kernels.knn_from_distances``). ``smote_triples`` draws the synthetic
-rows as (seed, neighbour, gamma) triples from the labels and a function
-that gives those distances: `eval`, which oversamples the overlapping
-training folds of one facet, and ``facetrec train`` slice them out of one
-matrix per facet and class, and ``smote`` computes them from its rows.
+Neighbours are the k nearest minority rows (Euclidean; ties toward the
+lower position). ``smote_triples`` draws the synthetic rows as (seed,
+neighbour, gamma) triples from the labels and a function that finds those
+neighbours: `eval`, which oversamples the overlapping training folds of one
+facet, and ``facetrec train`` restrict one sorted neighbour order per facet
+and class to each fold's minority rows (``eval.smote_neighbours``), and
+``smote`` searches its own minority rows (``kernels.minority_knn``).
 Either way the neighbour lists are the same, bit for bit. Every model
 trains from the triples (``models.plan_cell``); only ``smote``, which the
 package itself does not call, materializes the rows.
@@ -80,7 +81,7 @@ def resampled_labels(y, cfg: ResampleConfig) -> np.ndarray:
     return np.concatenate([y, np.full(n_synth, minority, dtype=np.int64)])
 
 
-def smote_triples(y, cfg: ResampleConfig, distances):
+def smote_triples(y, cfg: ResampleConfig, neighbours):
     """SMOTE's synthetic rows for the rows X labelled y, as interpolation
     triples.
 
@@ -89,10 +90,11 @@ def smote_triples(y, cfg: ResampleConfig, distances):
     are int64 positions of minority rows, and y_aug is
     resampled_labels(y, cfg), whose errors it raises. Deterministic.
 
-    ``distances`` maps the minority rows' ascending positions to their
-    (n_min, n_min) block of squared distances, which must equal
-    ``kernels.sq_distances`` of those rows of X. It is called only when
-    synthetic rows are drawn, and X is read through it alone.
+    ``neighbours(positions, k)`` maps the minority rows' ascending
+    positions to an (n_min, k_eff) array of each one's k nearest others, as
+    indices into ``positions``, which must equal ``kernels.minority_knn`` of
+    those rows of X. It is called only when synthetic rows are drawn, and X
+    is read through it alone.
     """
     y = np.asarray(y, dtype=np.int64)
     y_aug = resampled_labels(y, cfg)
@@ -112,7 +114,7 @@ def smote_triples(y, cfg: ResampleConfig, distances):
     picks = rng.integers(0, k_eff, size=n_synth)
     gammas = rng.random(n_synth)
 
-    knn = kernels.knn_from_distances(distances(min_idx), cfg.k_neighbors)
+    knn = neighbours(min_idx, cfg.k_neighbors)
     seed_pos = perm[np.arange(n_synth) % n_min]
     return min_idx[seed_pos], min_idx[knn[seed_pos, picks]], gammas, y_aug
 
@@ -123,11 +125,11 @@ def smote(X, y, cfg: ResampleConfig):
     X is a 2-d array-like of numbers; it is never modified. Returns
     (X_aug, y_aug) as a new array of float64 rows and int64 labels, the
     original rows first and bit-for-bit untouched, then the rows of
-    smote_triples of the distances among the rows of X; y_aug is
+    smote_triples of the neighbours among the rows of X; y_aug is
     resampled_labels(y, cfg).
     """
     X = np.asarray(X, dtype=np.float64)
     if np.shape(y)[:1] != X.shape[:1]:
         raise ValidationError("labels must be one per feature row")
-    seeds, nbrs, gammas, y_aug = smote_triples(y, cfg, lambda at: kernels.sq_distances(X[at]))
+    seeds, nbrs, gammas, y_aug = smote_triples(y, cfg, lambda at, k: kernels.minority_knn(X[at], k))
     return np.vstack([X, kernels.interpolate_rows(X, seeds, nbrs, gammas)]), y_aug

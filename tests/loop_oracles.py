@@ -6,6 +6,10 @@ vectorized kernels to them: exactly for neighbour search and interpolation,
 within stated tolerances for the logistic-regression arithmetic, whose
 summation order differs.
 
+``sq_distances_rows`` is the diff form of the squared distances, one row
+at a time; ``kernels.sq_distances`` must equal it bit for bit, through its
+Gram product on integer rows as through its own row loop.
+
 ``fold_assignment_loops`` deals shuffled documents to folds one at a time,
 positives first, as ``eval.make_folds`` does in one vectorized step.
 
@@ -169,6 +173,10 @@ def train_materialized(spec, X, y, resample_cfg=None):
     else:
         model = lr_model(spec.lr, *kernels.logreg_descent(X, y, spec.lr.l2, spec.lr.max_epochs, spec.lr.tol))
     return model, X, y
+
+
+def sq_distances_rows(M):
+    return np.array([((M - m) ** 2).sum(axis=1) for m in M]).reshape(len(M), len(M))
 
 
 def minority_knn_loops(M, k):

@@ -1,13 +1,18 @@
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 from loop_oracles import (
     assert_near_newton_oracle,
     interpolate_rows_loops,
     logreg_loss_grad_loops,
     logreg_newton_numpy,
     minority_knn_loops,
+    sq_distances_rows,
 )
 
 from facetrec import kernels
@@ -259,6 +264,99 @@ def test_a_sliced_distance_block_is_the_blocks_own_matrix(seed, kind):
         block = D[np.ix_(sub, sub)]
         assert np.array_equal(block, kernels.sq_distances(M[sub]))
         assert np.array_equal(kernels.knn_from_distances(block, 5), kernels.minority_knn(M[sub], 5))
+
+
+_BOUND = 2**51  # the squared row norm below which integer rows take the Gram form
+
+
+@st.composite
+def integer_rows(draw):
+    """Integer matrices with duplicated rows, zero rows, binary rows, small
+    counts (many tied distances) and rows whose squared norm comes up to
+    just below the bound (every entry within sqrt((2**51 - 1) / d))."""
+    d = draw(st.integers(1, 6))
+    top = math.isqrt((_BOUND - 1) // d)
+    entry = {
+        "zero": st.just(0),
+        "binary": st.integers(0, 1),
+        "counts": st.integers(-3, 3),
+        "large": st.one_of(st.sampled_from([-top, top]), st.integers(-top, top)),
+    }
+    row = st.sampled_from(sorted(entry)).flatmap(lambda kind: st.lists(entry[kind], min_size=d, max_size=d))
+    pool = draw(st.lists(row, min_size=1, max_size=6))
+    picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=12))
+    return np.array([pool[i] for i in picks], dtype=np.float64)
+
+
+def _bits(D):
+    return D.view(np.int64)
+
+
+@given(integer_rows())
+def test_integer_rows_take_the_exact_gram_form(M):
+    # The product path runs here, and its matrix has the bits of the
+    # row-by-row diff form, signs of zeros included.
+    assert kernels._gram_is_exact(M, np.einsum("ij,ij->i", M, M))
+    assert np.array_equal(_bits(kernels.sq_distances(M)), _bits(sq_distances_rows(M)))
+
+
+@pytest.mark.parametrize("bad", ["half", "small", "nan", "inf", "-inf", "over", "huge"])
+@given(M=integer_rows(), data=st.data())
+def test_a_row_the_gram_form_cannot_hold_sends_the_matrix_to_the_diff_form(bad, M, data):
+    d = M.shape[1]
+    over = math.isqrt((_BOUND - 1) // d) + 1  # a row of these has norm >= 2**51
+    value = {"half": 0.5, "small": 1e-3, "nan": np.nan, "inf": np.inf, "-inf": -np.inf,
+             "over": float(over), "huge": 2.0**60}[bad]
+    M = np.insert(M, data.draw(st.integers(0, len(M))), value, axis=0)
+    assert not kernels._gram_is_exact(M, np.einsum("ij,ij->i", M, M))
+    with np.errstate(invalid="ignore", over="ignore"):
+        assert np.array_equal(kernels.sq_distances(M), sq_distances_rows(M), equal_nan=True)
+
+
+def test_counts_past_the_norm_bound_keep_their_exact_distances():
+    # |2**26 + 1|^2 is not a float64, so the Gram form would miss the
+    # distance 1 between these rows; the diff form gets it exactly.
+    M = np.array([[2.0**26], [2.0**26 + 1.0]])
+    norms = np.einsum("ij,ij->i", M, M)
+    gram = norms[:, None] + norms - 2.0 * (M @ M.T)
+    assert gram[0, 1] != 1.0
+    assert kernels.sq_distances(M).tolist() == [[0.0, 1.0], [1.0, 0.0]]
+
+
+def test_gram_check_covers_every_row_block():
+    # One fractional entry in the last row of a matrix taller than a block
+    # of the integrality check.
+    M = np.ones((3 * kernels._CHECK_ROWS + 5, 4))
+    assert kernels._gram_is_exact(M, np.einsum("ij,ij->i", M, M))
+    M[-1, -1] = 0.5
+    assert not kernels._gram_is_exact(M, np.einsum("ij,ij->i", M, M))
+    assert np.array_equal(kernels.sq_distances(M), sq_distances_rows(M))
+
+
+def test_empty_and_zero_width_matrices():
+    assert kernels.sq_distances(np.empty((0, 3))).shape == (0, 0)
+    assert np.array_equal(kernels.sq_distances(np.empty((4, 0))), np.zeros((4, 4)))
+
+
+@given(st.data())
+def test_a_restricted_neighbour_order_is_the_blocks_own_search(data):
+    # The first k entries of each row's order over all rows, restricted to
+    # an ascending subset, are that subset's own k nearest, ties included:
+    # duplicated rows tie at zero, and a row of inf is at distance inf from
+    # every other row, where it ties with the diagonal.
+    M = data.draw(integer_rows())
+    if data.draw(st.booleans()):
+        M = M + data.draw(st.sampled_from([0.25, 1e-9]))  # fractional: the diff form
+    if data.draw(st.booleans()):
+        M = np.insert(M, data.draw(st.integers(0, len(M))), np.inf, axis=0)
+    n = len(M)
+    at = np.flatnonzero(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+    assume(len(at) >= 2)
+    k = data.draw(st.integers(1, n + 1))
+    with np.errstate(invalid="ignore"):
+        want = kernels.minority_knn(M[at], k)
+        got = kernels.knn_from_order(kernels.neighbour_order(M), at, k)
+    assert got.dtype == np.int64 and np.array_equal(got, want)
 
 
 def test_knn_from_distances_leaves_its_block_alone():

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from facetrec import kernels
 from facetrec.errors import ConfigError, ValidationError
+from facetrec.eval import smote_neighbours
 from facetrec.resample import ResampleConfig, resampled_labels, smote, smote_triples
 
 
@@ -78,13 +79,15 @@ def test_smote_synthetic_rows_match_replay():
 @pytest.mark.parametrize("seed", [0, 11, 2024])
 def test_smote_is_its_triples_interpolated(seed, ratio, k, minority_class):
     # One set of draws: smote's rows are the triples' rows, bit for bit,
-    # and the triples name minority rows of X.
+    # and the triples name minority rows of X. The triples take their
+    # neighbours from the restricted class order `run` uses, smote from a
+    # search on its own minority rows.
     X, y = make_data(n_min=7, n_maj=19, d=4, seed=seed, minority_class=minority_class)
     X = X[np.random.default_rng(seed).permutation(len(y))]
     y = y[np.random.default_rng(seed).permutation(len(y))]
     cfg = ResampleConfig(k_neighbors=k, target_ratio=ratio, seed=seed)
     X_aug, y_aug = smote(X, y, cfg)
-    seeds, nbrs, gammas, labels = smote_triples(y, cfg, lambda at: kernels.sq_distances(X[at]))
+    seeds, nbrs, gammas, labels = smote_triples(y, cfg, smote_neighbours(X, y))
     rows = kernels.interpolate_rows(X, seeds, nbrs, gammas)
     assert np.array_equal(X_aug, np.vstack([X, rows])) and len(rows) == len(y_aug) - len(y)
     assert np.array_equal(labels, y_aug)

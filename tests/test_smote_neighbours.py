@@ -1,7 +1,8 @@
-"""SMOTE's neighbours from one distance matrix per facet and class.
+"""SMOTE's neighbours from one sorted distance matrix per facet and class.
 
 `eval` computes the squared distances among a facet's rows of one class
-once, and each fold slices its minority rows' block out of that matrix.
+once and sorts each row of that matrix once; each fold restricts those
+orders to its own minority rows.
 These tests hold every fold to what a search on its own minority rows
 (`kernels.minority_knn`, the per-fold search) gives: the same neighbour
 lists and the same triples, bit for bit. `report.csv` cannot show this on
@@ -32,29 +33,22 @@ LR = ModelSpec(kind="logistic_regression", lr=LRHyperparams(max_epochs=1))
 
 def _record_smote(monkeypatch):
     """Record every smote_triples call of a run, in call order: its inputs,
-    the neighbour lists it used and the triples it returned."""
+    the neighbour lists its neighbour function gave and the triples it
+    returned."""
     calls = []
-    active = []
     real_triples = resample.smote_triples
-    real_knn = kernels.knn_from_distances
 
-    def knn(D, k):
-        out = real_knn(D, k)
-        if active:
-            active[-1]["knn"] = out
-        return out
-
-    def recording(y, cfg, distances):
+    def recording(y, cfg, neighbours):
         call = {"y": np.array(y), "cfg": cfg, "knn": None}
         calls.append(call)
-        active.append(call)
-        try:
-            call["triples"] = real_triples(y, cfg, distances)
-        finally:
-            active.pop()
+
+        def recorded(at, k):
+            call["knn"] = neighbours(at, k)
+            return call["knn"]
+
+        call["triples"] = real_triples(y, cfg, recorded)
         return call["triples"]
 
-    monkeypatch.setattr(kernels, "knn_from_distances", knn)
     monkeypatch.setattr(models, "smote_triples", recording)  # the cell planner
     return calls
 
@@ -91,7 +85,7 @@ def _assert_matches_per_fold_search(calls, X, assignments):
         drawn += 1
         min_idx = np.flatnonzero(y == y_aug[-1])
         assert np.array_equal(call["knn"], kernels.minority_knn(rows[min_idx], cfg.k_neighbors))
-        ref = resample.smote_triples(y, cfg, lambda at, rows=rows: kernels.sq_distances(rows[at]))
+        ref = resample.smote_triples(y, cfg, lambda at, k, rows=rows: kernels.minority_knn(rows[at], k))
         assert all(np.array_equal(a, b) for a, b in zip((seeds, nbrs, gammas, y_aug), ref))
     return drawn
 
@@ -221,22 +215,32 @@ def test_balanced_folds_build_no_distance_matrix(monkeypatch, spec):
 
 def test_an_imbalanced_facet_builds_one_matrix_not_one_per_fold(monkeypatch):
     # Two facets, each with minority 1 in every one of its 5 folds: one
-    # matrix per facet, over all of the facet's minority rows, and no
-    # per-fold search.
+    # matrix per facet, over all of the facet's minority rows, sorted once,
+    # and no per-fold search or sort.
     def no_search(*args):
         raise AssertionError("a fold searched its own rows")
+
+    real_argsort = np.argsort
+
+    def counting_argsort(a, *args, **kwargs):
+        sorts.append(np.shape(a))
+        return real_argsort(a, *args, **kwargs)
 
     rng = np.random.default_rng(8)
     X = rng.random((45, 4))
     labels = {"Anxiety": (rng.random(45) < 0.3).astype(np.int64), "Ideas": (np.arange(45) % 3 == 0).astype(np.int64)}
     plan = make_folds(labels, n_folds=5, seed=3)
     corpus = SimpleNamespace(active_facets=tuple(labels), documents=range(45), labels=labels.__getitem__)
-    built = _count_matrices(monkeypatch)
+    built, sorts = _count_matrices(monkeypatch), []
     monkeypatch.setattr(kernels, "minority_knn", no_search)
+    monkeypatch.setattr(kernels, "knn_from_distances", no_search)
+    monkeypatch.setattr(np, "argsort", counting_argsort)
     for spec in (NB, LR):
         built.clear()
+        sorts.clear()
         run_experiment(corpus, X, spec, ResampleConfig(seed=3), plan)
         assert built == [int(labels[f].sum()) for f in labels]
+        assert sorts == [(n, n) for n in built]
 
 
 def test_a_flipping_minority_builds_one_matrix_per_class(monkeypatch):
