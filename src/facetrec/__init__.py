@@ -9,6 +9,11 @@ regression classifiers under stratified cross-validation.
 
 from __future__ import annotations
 
+import os
+
+# Before numpy loads: OpenBLAS starts its workers then, and commands use one (facetrec.blas).
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .corpus import (
     AuthorRecord,
     LabeledCorpus,

@@ -7,6 +7,11 @@ how the sums round, so with another thread count (another machine, or
 second thread also buys little and, on some virtual machines, costs
 tens of milliseconds per product. ``one_thread`` sets the thread count
 of the OpenBLAS that numpy loaded to 1 and restores it on exit.
+
+Importing ``facetrec`` also sets ``OPENBLAS_NUM_THREADS`` to 1 when it is
+unset, so that an OpenBLAS that numpy loads afterwards starts no worker
+threads. That default does not reach a numpy imported before ``facetrec``,
+and a user's value is kept; the pin in ``one_thread`` covers both.
 """
 
 from __future__ import annotations

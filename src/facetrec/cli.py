@@ -67,7 +67,7 @@ from .synth import SynthSpec, write_bundle
 
 log = logging.getLogger(__name__)
 
-_NAME_RE = re.compile(r"^[A-Za-z0-9][A-Za-z0-9_.-]*$")
+_NAME_RE = re.compile(r"[A-Za-z0-9][A-Za-z0-9_.-]*")
 
 _CONFIG_KEYS = {
     "corpus",
@@ -217,7 +217,7 @@ def parse_experiment_config(data: dict, base_dir: Path, flags: dict | None = Non
             raise ConfigError(f"system {i}: needs 'model' and 'features'")
         model_spec = _parse_model(raw["model"])
         name = str(raw.get("name") or model_spec.kind)
-        if not _NAME_RE.match(name):
+        if not _NAME_RE.fullmatch(name):
             raise ConfigError(f"system {i}: invalid name {name!r}")
         if name in names:
             raise ConfigError(f"system {i}: duplicate name {name!r}")

@@ -25,8 +25,9 @@ log = logging.getLogger(__name__)
 # Placeholder tokens like $LAUGH$ survive tokenization as single tokens.
 _TOKEN_RE = re.compile(r"\$[A-Z][A-Z0-9_]*\$|\w+", re.UNICODE)
 _PLACEHOLDER_SPLIT_RE = re.compile(r"(\$[A-Z][A-Z0-9_]*\$)")
-# For ASCII text only, where re.ASCII's \w matches the same characters, faster.
-_WORD_RE = re.compile(r"\w+", re.ASCII)
+# For ASCII text only: A-Z to a-z and every other character outside \w to a
+# space, so that str.split() yields the lowercased \w+ runs.
+_ASCII_WORDS = str.maketrans({c: c.lower() if c.isalnum() or c == "_" else " " for c in map(chr, range(128))})
 # Normalization rules match case-insensitively by contract.
 _RULE_FLAGS = re.IGNORECASE | re.UNICODE
 
@@ -204,10 +205,10 @@ def _leftmost_longest(text: str, pos: int, rules) -> tuple[int, int, str] | None
 def tokenize(text: str) -> list[str]:
     """Lowercased word tokens; $NAME$ placeholders kept intact.
 
-    ASCII text is lowercased once between placeholders, which keeps word
-    boundaries. Other text is lowercased token by token, because
-    ``str.lower`` can change its length (``"İ".lower()`` has two
-    characters).
+    ASCII text between placeholders goes through one translate table and
+    ``str.split``, which keeps word boundaries. Other text is lowercased
+    token by token, because ``str.lower`` can change its length
+    (``"İ".lower()`` has two characters).
     """
     if not text.isascii():
         return [tok if tok.startswith("$") else tok.lower() for tok in _TOKEN_RE.findall(text)]
@@ -216,7 +217,7 @@ def tokenize(text: str) -> list[str]:
         if i % 2:
             out.append(piece)
         else:
-            out += _WORD_RE.findall(piece.lower())
+            out += piece.translate(_ASCII_WORDS).split()
     return out
 
 

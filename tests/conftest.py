@@ -95,15 +95,20 @@ def corpus_factory():
 def child_env():
     """Build the environment for a child Python process that imports this checkout.
 
-    The result is a copy of ``os.environ`` with the given variables set and
-    the absolute ``src`` directory put at the front of PYTHONPATH (existing
-    entries are kept after it). The child then imports the checkout's
-    ``facetrec`` whatever its working directory, and even when another
-    ``facetrec`` is installed.
+    The result is a copy of ``os.environ`` with the given variables set (a
+    value of None removes the variable) and the absolute ``src`` directory
+    put at the front of PYTHONPATH (existing entries are kept after it). The
+    child then imports the checkout's ``facetrec`` whatever its working
+    directory, and even when another ``facetrec`` is installed.
     """
 
     def make(**overrides):
-        env = dict(os.environ, **overrides)
+        env = dict(os.environ)
+        for name, value in overrides.items():
+            if value is None:
+                env.pop(name, None)
+            else:
+                env[name] = value
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(_SRC_DIR), env.get("PYTHONPATH")]))
         return env
 

@@ -16,8 +16,8 @@ positives first, as ``eval.make_folds`` does in one vectorized step.
 ``normalize_loops`` searches every rule at every step, and
 ``tokenize_loops`` lowercases token by token. ``corpus.normalize``
 searches one union of the rules per step, and ``corpus.tokenize``
-lowercases ASCII text between placeholders in one go; ``test_corpus.py``
-requires equal output.
+maps ASCII text between placeholders through one translate table;
+``test_corpus.py`` requires equal output.
 
 ``logreg_newton_numpy`` is Newton's method on one cell with exact dense
 steps, over the cell's materialized rows (SMOTE rows included). The tests

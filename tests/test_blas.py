@@ -83,11 +83,32 @@ def test_report_does_not_depend_on_openblas_num_threads(weak_bundle, tmp_path, c
     ]
     (tmp_path / "lr.yaml").write_text(yaml.safe_dump(config), encoding="utf-8")
     digests = []
-    for threads in ("1", "2"):
+    # Unset, OpenBLAS loads with the package's default of one thread.
+    for threads in (None, "1", "2"):
+        out = tmp_path / f"out{threads}"
         proc = subprocess.run(
-            [sys.executable, "-m", "facetrec", "run", "--config", "lr.yaml", "--out", f"out{threads}"],
+            [sys.executable, "-m", "facetrec", "run", "--config", "lr.yaml", "--out", str(out)],
             capture_output=True, text=True, cwd=tmp_path, env=child_env(OPENBLAS_NUM_THREADS=threads),
         )
         assert proc.returncode == 0, proc.stderr
-        digests.append(hashlib.sha256((tmp_path / f"out{threads}" / "report.csv").read_bytes()).hexdigest())
-    assert digests[0] == digests[1]
+        digests.append(hashlib.sha256((out / "report.csv").read_bytes()).hexdigest())
+    assert digests[0] == digests[1] == digests[2]
+
+
+@pytest.mark.parametrize("threads, expected", [(None, "1"), ("2", "2")], ids=["unset", "set"])
+def test_import_loads_openblas_on_one_thread_unless_set(child_env, threads, expected):
+    code = (
+        "import os, facetrec\n"
+        "from facetrec import blas\n"
+        "control = blas.thread_control()\n"
+        "print(os.environ['OPENBLAS_NUM_THREADS'], control[0]() if control else 'unpinned')\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=child_env(OPENBLAS_NUM_THREADS=threads)
+    )
+    assert proc.returncode == 0, proc.stderr
+    value, loaded = proc.stdout.split()
+    assert value == expected
+    # The count OpenBLAS started with; a user's value may be capped at the core count.
+    if threads is None:
+        assert loaded in ("1", "unpinned")

@@ -403,6 +403,19 @@ def test_config_rejects_duplicate_system_names(bundle, tmp_path, capsys):
     assert "duplicate name" in err
 
 
+@pytest.mark.parametrize("name", ["bow-nb\n", "bow nb", "-bow"], ids=["trailing-newline", "space", "leading-dash"])
+def test_config_rejects_a_system_name_outside_the_pattern(bundle, tmp_path, capsys, name):
+    # A name is a report.csv field; a trailing newline would split its fold rows.
+    data = yaml.safe_load((bundle / "config.yaml").read_text(encoding="utf-8"))
+    data["systems"][0]["name"] = name
+    cfg = tmp_path / "name.yaml"
+    cfg.write_text(yaml.safe_dump(data), encoding="utf-8")
+    rc = main(["run", "--config", str(cfg)])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert f"invalid name {name!r}" in err
+
+
 def test_config_rejects_an_empty_system_list(bundle, tmp_path, capsys):
     data = yaml.safe_load((bundle / "config.yaml").read_text(encoding="utf-8"))
     data["systems"] = []

@@ -120,12 +120,14 @@ def test_tokenize_preserves_placeholders():
 
 # --- fast paths against the loop oracles -----------------------------------
 
-# Texts mix ASCII words, laughter, placeholders and near-placeholders with
-# characters whose lowercase form is longer ("İ") or that case-fold to
-# more than one character ("ß", "ﬁ").
+# Texts mix ASCII words, digits, laughter, placeholders and near-placeholders
+# with characters whose lowercase form is longer ("İ"), that case-fold to
+# more than one character ("ß", "ﬁ"), or that str.split() takes for
+# whitespace although they are no space ("\x1c"-"\x1f").
 _TEXT_PIECES = [
-    "a", "b", "h", "k", "x", "ha", "HA", "he", "kkk", "rs", "ja", " ", "  ", "!", "'", "_", "1",
-    "$LAUGH$", "$", "$ab$", "$A1$", "$B_C$", "$$", "İ", "ß", "ﬁ", "ss", "é", "\n",
+    "a", "b", "h", "k", "x", "ha", "HA", "he", "kkk", "rs", "ja", " ", "  ", "!", "'", "_", "1", "42", "A_9",
+    "$LAUGH$", "$", "$ab$", "$A1$", "$B_C$", "$$", "$1A$", "$_A$", "$A-B$", "$A", "İ", "ß", "ﬁ", "ss", "é", "\n",
+    "\x1c", "\x1d", "\x1e", "\x1f",
 ]
 texts = st.lists(st.sampled_from(_TEXT_PIECES), max_size=12).map("".join)
 
