@@ -20,9 +20,8 @@ from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
-import yaml
 
-from . import blas
+from . import blas, yamlio
 from .corpus import (
     assign_labels,
     build_documents,
@@ -296,13 +295,7 @@ def _config_digest(cfg: ExperimentConfig, systems: list[dict]) -> str:
 
 def cmd_run(args) -> int:
     config_path = Path(args.config)
-    try:
-        with open(config_path, encoding="utf-8") as fh:
-            data = yaml.safe_load(fh)
-    except OSError as e:
-        raise ConfigError(f"cannot read config: {e}") from e
-    except yaml.YAMLError as e:
-        raise ConfigError(f"{config_path}: invalid YAML: {e}") from e
+    data = yamlio.load_file(config_path, "config")
     cfg = parse_experiment_config(data or {}, config_path.parent, vars(args))
 
     key = _load_key(cfg.scoring_key)
@@ -370,7 +363,7 @@ def cmd_run(args) -> int:
     (out_dir / "report.txt").write_text(text, encoding="utf-8")
     (out_dir / "report.csv").write_text(render_report(report, "csv"), encoding="utf-8")
     with open(out_dir / "manifest.yaml", "w", encoding="utf-8", newline="\n") as fh:
-        yaml.safe_dump(manifest, fh, sort_keys=True)
+        yamlio.dump(manifest, fh)
 
     sys.stdout.write(text)
     print(f"wrote {out_dir / 'report.txt'}")

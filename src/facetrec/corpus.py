@@ -15,8 +15,8 @@ import re
 from dataclasses import dataclass, field
 
 import numpy as np
-import yaml
 
+from . import yamlio
 from .errors import ConfigError, ValidationError
 from .inventory import FACET_NAMES, N_ITEMS, FacetScores, InventoryResponse
 
@@ -348,17 +348,10 @@ def _table_from_mapping(data, origin: str) -> NormalizationTable:
 
 def load_normalization_table(path) -> NormalizationTable:
     """Load an ordered substitution table (YAML: rules of pattern/token)."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            data = yaml.safe_load(fh)
-    except OSError as e:
-        raise ConfigError(f"cannot read normalization table: {e}") from e
-    except yaml.YAMLError as e:
-        raise ConfigError(f"{path}: invalid YAML: {e}") from e
-    return _table_from_mapping(data, str(path))
+    return _table_from_mapping(yamlio.load_file(path, "normalization table"), str(path))
 
 
 def default_normalization_table() -> NormalizationTable:
     """The table shipped with the package (laugh variants to $LAUGH$)."""
     text = importlib.resources.files("facetrec").joinpath("data/normalization.yaml").read_text("utf-8")
-    return _table_from_mapping(yaml.safe_load(text), "builtin normalization table")
+    return _table_from_mapping(yamlio.load(text), "builtin normalization table")

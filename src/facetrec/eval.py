@@ -7,8 +7,9 @@ and logistic regression, SMOTE's rows as interpolation triples of rows of
 the matrix, whose neighbours come from one sorted neighbour order per facet
 and minority class. Every model trains from those cells without
 copying rows, and each held-out split is scored with macro-F1 over both
-classes. Reports aggregate fold scores into per-facet means, an overall
-mean and a wins count per system."""
+classes, all folds of a facet from one count of its predictions. Reports
+aggregate fold scores into per-facet means, an overall mean and a wins
+count per system."""
 
 from __future__ import annotations
 
@@ -91,6 +92,12 @@ def f1_binary(gold, predicted, positive_class: int) -> float:
     tp = int(np.sum(is_pos & said_pos))
     fp = int(np.sum(~is_pos & said_pos))
     fn = int(np.sum(is_pos & ~said_pos))
+    return _f1(tp, fp, fn)
+
+
+def _f1(tp: int, fp: int, fn: int) -> float:
+    # F1 of one class from its true positive, false positive and false
+    # negative counts, the one formula behind every F1 here.
     if tp == 0:
         return 1.0 if fp == 0 and fn == 0 else 0.0
     precision = tp / (tp + fp)
@@ -101,6 +108,20 @@ def f1_binary(gold, predicted, positive_class: int) -> float:
 def f1_macro(gold, predicted) -> float:
     """Mean of the two per-class F1 scores."""
     return 0.5 * (f1_binary(gold, predicted, 1) + f1_binary(gold, predicted, 0))
+
+
+def fold_f1(gold, predicted, folds, n_folds: int) -> tuple[float, ...]:
+    """Macro-F1 of every fold k in range(n_folds): the same float as
+    ``f1_macro(gold[folds == k], predicted[folds == k])``, from one count of
+    the (fold, gold, predicted) triples. Labels are 0 or 1, and every fold
+    number lies in range(n_folds)."""
+    cells = np.bincount(folds * 4 + gold * 2 + predicted, minlength=4 * n_folds)
+    # Per fold, the counts of (gold, predicted) = (0, 0), (0, 1), (1, 0) and
+    # (1, 1); class 0's false positives are class 1's false negatives.
+    return tuple(
+        0.5 * (_f1(tp, fp, fn) + _f1(tn, fn, fp))
+        for tn, fp, fn, tp in cells.reshape(n_folds, 4).tolist()
+    )
 
 
 @dataclass(frozen=True)
@@ -184,7 +205,9 @@ def run_experiment(
     and then every model trains from its cell (``models.fit_cells``, one
     group of cells per facet). Info log lines headed ``name`` sum up SMOTE's
     rows and LR's iterations; each LR cell that stops without converging
-    logs a warning naming its facet and fold.
+    logs a warning naming its facet and fold. A facet's held-out
+    predictions are gathered into one array and all its fold scores come
+    from one count of them (``fold_f1``).
     """
     facets = corpus.active_facets
     if not facets:
@@ -194,9 +217,13 @@ def run_experiment(
     for facet in facets:
         if facet not in plan.assignment:
             raise ValidationError(f"fold plan is missing facet {facet!r}")
-        if len(plan.assignment[facet]) != len(corpus.documents):
+        folds = plan.assignment[facet]
+        if len(folds) != len(corpus.documents):
             raise ValidationError("fold plan does not match corpus size")
+        if len(folds) and not 0 <= folds.min() <= folds.max() < plan.n_folds:
+            raise ValidationError(f"fold plan of facet {facet} has folds outside 0..{plan.n_folds - 1}")
 
+    n_folds = plan.n_folds
     unusable = unusable_rows(model_spec.kind, X)
     labels = [corpus.labels(facet) for facet in facets]
     plans = []  # per facet, its cells in fold order
@@ -204,7 +231,7 @@ def run_experiment(
         # Each cell's checks run as it is planned, so an error names its
         # fold before any model trains.
         neighbours, cells = smote_neighbours(X, y), []
-        for k in range(plan.n_folds):
+        for k in range(n_folds):
             cfg = replace(resample_cfg, seed=derive_seed(plan.seed, STREAM_SMOTE, FACET_NAMES.index(facet), k))
             with _cell(facet, k):
                 rows = np.flatnonzero(plan.assignment[facet] != k)
@@ -212,18 +239,17 @@ def run_experiment(
         plans.append(cells)
     del neighbours  # the last facet's neighbour orders, before any model trains
 
-    n_folds = plan.n_folds
     models = fit_cells(X, model_spec, plans, resample_cfg, name,
                        lambda i: f"{name}: facet {facets[i // n_folds]}, fold {i % n_folds}")
     scores = {}
     for facet, y in zip(facets, labels):
         folds = plan.assignment[facet]
-        fold_f1 = []
-        for k in range(plan.n_folds):
+        pred = np.empty_like(y)
+        for k in range(n_folds):
+            held_out = folds == k
             with _cell(facet, k):
-                pred, _ = predict(next(models), X[folds == k])
-            fold_f1.append(f1_macro(y[folds == k], pred))
-        scores[facet] = tuple(fold_f1)
+                pred[held_out], _ = predict(next(models), X[held_out])
+        scores[facet] = fold_f1(y, pred, folds, n_folds)
     return scores
 
 

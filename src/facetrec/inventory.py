@@ -12,8 +12,7 @@ from __future__ import annotations
 import importlib.resources
 from dataclasses import dataclass, field
 
-import yaml
-
+from . import yamlio
 from .errors import ConfigError, ValidationError
 
 N_ITEMS = 44
@@ -236,13 +235,7 @@ def _key_from_mapping(data, origin: str) -> ScoringKey:
 
 def load_scoring_key(path) -> ScoringKey:
     """Load and validate a scoring key file (YAML, signed 1-based items)."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            data = yaml.safe_load(fh)
-    except OSError as e:
-        raise ConfigError(f"cannot read scoring key: {e}") from e
-    except yaml.YAMLError as e:
-        raise ConfigError(f"{path}: invalid YAML: {e}") from e
+    data = yamlio.load_file(path, "scoring key")
     try:
         return _key_from_mapping(data, str(path))
     except ConfigError as e:
@@ -252,4 +245,4 @@ def load_scoring_key(path) -> ScoringKey:
 def default_scoring_key() -> ScoringKey:
     """The key shipped with the package (1-5 scale, editable copy in data/)."""
     text = importlib.resources.files("facetrec").joinpath("data/scoring_key.yaml").read_text("utf-8")
-    return _key_from_mapping(yaml.safe_load(text), "builtin scoring key")
+    return _key_from_mapping(yamlio.load(text), "builtin scoring key")

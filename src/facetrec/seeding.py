@@ -7,6 +7,8 @@ isolation without replaying the others.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 from .errors import ConfigError
@@ -33,8 +35,12 @@ def substream(seed: int, stream: int, *key: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([seed, stream, *key]))
 
 
+# typed: True == 1 and 5.0 == 5, but check_seed rejects a bool or a float
+# seed, so neither may share a cache entry with an int.
+@lru_cache(maxsize=4096, typed=True)
 def derive_seed(seed: int, stream: int, *key: int) -> int:
-    """Collapse a substream identity into a plain 64-bit seed."""
+    """Collapse a substream identity into a plain 64-bit seed. Cached, so
+    the systems of one run derive each facet x fold seed once."""
     check_seed(seed)
     words = np.random.SeedSequence([seed, stream, *key]).generate_state(2)
     return (int(words[0]) << 32) | int(words[1])

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-import yaml
 
+from . import yamlio
 from .corpus import AuthorRecord
 from .errors import ConfigError
 from .features import EmbeddingStore, write_embeddings
@@ -250,5 +250,5 @@ def write_bundle(out_dir, spec: SynthSpec) -> dict[str, str]:
         ],
     }
     with open(paths["config"], "w", encoding="utf-8", newline="\n") as fh:
-        yaml.safe_dump(config, fh, sort_keys=False)
+        yamlio.dump(config, fh, sort_keys=False)
     return {k: str(v) for k, v in paths.items()}

@@ -298,6 +298,44 @@ def test_config_digest_covers_the_system_list(bundle, tmp_path, capsys):
     assert len(digests) == 3
 
 
+# Expected fold rows of report.csv, in report.csv's own format. A change
+# that moves one must say why in CHANGES.md. Only fold rows are pinned: the
+# other sections are computed from them.
+PINS = Path(__file__).resolve().parent / "pins"
+
+
+@pytest.fixture(scope="module")
+def demo_run(tmp_path_factory):
+    """The README quick start: synth --seed 7, 60 authors of 60 tokens, run
+    with the systems of synth's config."""
+    out = tmp_path_factory.mktemp("demo")
+    assert main(["synth", "--out", str(out), "--seed", "7", "--authors", "60", "--tokens", "60"]) == 0
+    assert main(["run", "--config", str(out / "config.yaml")]) == 0
+    return out / "results"
+
+
+def _moved_fold_rows(report: Path, pin: str) -> list[str]:
+    """Each fold row that differs between ``report`` and ``PINS / pin``,
+    including rows only one of them has."""
+
+    def rows(path):
+        lines = path.read_text(encoding="utf-8").splitlines()
+        return {tuple(ln.split(",")[1:4]): ln.split(",")[4] for ln in lines if ln.startswith("fold,")}
+
+    want, got = rows(PINS / pin), rows(report)
+    return [
+        f"{','.join(key)}: pinned {want.get(key, 'nothing')}, got {got.get(key, 'nothing')}"
+        for key in sorted(want.keys() | got.keys())
+        if want.get(key) != got.get(key)
+    ]
+
+
+@pytest.mark.parametrize("results, pin", [("demo_run", "demo.csv"), ("run_dir", "bundle.csv")])
+def test_fold_rows_match_their_pins(request, results, pin):
+    moved = _moved_fold_rows(request.getfixturevalue(results) / "report.csv", pin)
+    assert not moved, f"{len(moved)} fold rows differ from tests/pins/{pin}:\n" + "\n".join(moved)
+
+
 def test_report_rerenders_both_formats(run_dir, capsys):
     rc = main(["report", "--csv", str(run_dir / "report.csv")])
     assert rc == 0

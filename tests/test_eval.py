@@ -5,7 +5,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 import yaml
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 from loop_oracles import (
     assert_near_newton_oracle,
@@ -23,6 +23,7 @@ from facetrec.eval import (
     SystemResult,
     f1_binary,
     f1_macro,
+    fold_f1,
     make_folds,
     parse_report_csv,
     render_report,
@@ -81,6 +82,35 @@ def test_f1_macro_stays_in_unit_interval(pairs):
     pred = [p for _, p in pairs]
     v = f1_macro(gold, pred)
     assert 0.0 <= v <= 1.0
+
+
+# Rows of (fold, gold, predicted). Fold 0 has no positive and predicts none,
+# fold 1 has no positive but predicts one, folds 2 and 3 hold one row each.
+_HAND_FOLDS = [(0, 0, 0), (0, 0, 0), (1, 0, 1), (1, 0, 0), (2, 1, 1), (3, 1, 0)]
+
+
+@given(
+    st.integers(1, 6).flatmap(
+        lambda n: st.tuples(
+            st.just(n),
+            st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, 1), st.integers(0, 1)), min_size=1, max_size=40),
+        )
+    )
+)
+@example((4, _HAND_FOLDS))
+def test_fold_f1_is_f1_macro_of_every_fold(case):
+    n_folds, rows = case
+    folds, gold, pred = (np.array(column, dtype=np.int64) for column in zip(*rows))
+    want = tuple(f1_macro(gold[folds == k], pred[folds == k]) for k in range(n_folds))
+    assert fold_f1(gold, pred, folds, n_folds) == want
+
+
+def test_fold_f1_hand_folds():
+    folds, gold, pred = (np.array(column, dtype=np.int64) for column in zip(*_HAND_FOLDS))
+    # Fold 0: both classes vacuously or wholly right. Fold 1: class 1 is
+    # absent but predicted (0.0), class 0 has F1 2/3. Fold 2: one right row.
+    # Fold 3: one wrong row, so both classes score 0.0.
+    assert fold_f1(gold, pred, folds, 4) == (1.0, 0.5 * (0.0 + 2 / 3), 1.0, 0.0)
 
 
 # --- folds ------------------------------------------------------------------
@@ -224,6 +254,10 @@ def test_run_experiment_validates_plan_and_jobs(corpus_factory, tmp_path):
     full = make_folds({f: corpus.labels(f) for f in corpus.active_facets}, n_folds=2, seed=2)
     with pytest.raises(ValidationError, match="feature matrix does not match corpus size"):
         run_experiment(corpus, X[:7], majority, rcfg, full)
+    for bad in (-1, 2):
+        assignment = dict(full.assignment, Anxiety=np.where(full.assignment["Anxiety"] == 1, bad, 0))
+        with pytest.raises(ValidationError, match="facet Anxiety has folds outside 0..1"):
+            run_experiment(corpus, X, majority, rcfg, FoldPlan(2, 2, assignment))
     # Runs are single-process: a config may still say `jobs: 1`, nothing else.
     data = {"corpus": "c.jsonl", "seed": 2, "out": "o", "systems": [{"model": "majority", "features": {"kind": "bow"}}]}
     assert parse_experiment_config(dict(data, jobs=1), tmp_path) == parse_experiment_config(data, tmp_path)

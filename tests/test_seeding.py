@@ -56,3 +56,11 @@ def test_derived_seeds_feed_generators():
     a = np.random.default_rng(s).random(4)
     b = np.random.default_rng(derive_seed(7, STREAM_SMOTE, 0, 0)).random(4)
     assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("bad", [True, 1.0])
+def test_derive_seed_cache_keeps_rejecting_what_equals_a_cached_seed(bad):
+    # True == 1 and 1.0 == 1 hash alike; the cache must not answer for them.
+    derive_seed(1, STREAM_SMOTE, 0, 0)
+    with pytest.raises(ConfigError):
+        derive_seed(bad, STREAM_SMOTE, 0, 0)
