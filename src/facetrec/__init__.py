@@ -37,6 +37,7 @@ from .eval import (
     f1_macro,
     make_folds,
     parse_report_csv,
+    plan_cells,
     render_report,
     run_experiment,
 )
@@ -125,6 +126,7 @@ __all__ = [
     "make_folds",
     "normalize",
     "parse_report_csv",
+    "plan_cells",
     "predict",
     "realize_features",
     "render_report",

@@ -35,6 +35,7 @@ from .eval import (
     SystemResult,
     make_folds,
     parse_report_csv,
+    plan_cells,
     render_report,
     run_experiment,
     smote_neighbours,
@@ -51,6 +52,7 @@ from .features import (
 )
 from .inventory import FACET_NAMES, default_scoring_key, load_scoring_key, score_inventory
 from .models import (
+    MODEL_KINDS,
     LRHyperparams,
     ModelSpec,
     fit_cells,
@@ -58,7 +60,6 @@ from .models import (
     plan_cell,
     predict,
     save_model,
-    unusable_rows,
 )
 from .resample import ResampleConfig
 from .seeding import STREAM_SMOTE, check_seed, derive_seed
@@ -110,7 +111,11 @@ def _require_int(value, name: str) -> int:
 
 def _require_number(value, name: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{name} must be a number, got {value!r}")
+        try:  # a number that YAML read as a string, such as a bare 1e-8
+            float(value if isinstance(value, str) else "")
+        except ValueError:
+            raise ConfigError(f"{name} must be a number, got {value!r}") from None
+        raise ConfigError(f"{name} must be a number, got {value!r}, a string to YAML: write 1.0e-8, not 1e-8")
     return float(value)
 
 
@@ -308,15 +313,16 @@ def cmd_run(args) -> int:
     )
     rcfg = ResampleConfig(k_neighbors=cfg.smote_k, target_ratio=cfg.smote_ratio, seed=cfg.seed)
 
-    spaces = {}  # feature spec -> (X, ref), realized when a system first needs it
+    spaces = {}  # feature spec -> (X, ref, cells), realized and planned when a system first needs it
     results = []
     systems = []
     for system in cfg.systems:
         log.info("evaluating system %s", system.name)
         if system.feature_spec not in spaces:
-            spaces[system.feature_spec] = realize_features(system.feature_spec, corpus)[:2]
-        X, ref = spaces[system.feature_spec]
-        fold_f1 = run_experiment(corpus, X, system.model_spec, rcfg, plan, system.name)
+            X, ref = realize_features(system.feature_spec, corpus)[:2]
+            spaces[system.feature_spec] = X, ref, plan_cells(corpus, X, rcfg, plan)
+        X, ref, cells = spaces[system.feature_spec]
+        fold_f1 = run_experiment(X, system.model_spec, cells, system.name)
         results.append(SystemResult(name=system.name, fold_f1=fold_f1))
         # Each entry gets its own mapping: a shared one would be written as
         # a YAML anchor and alias.
@@ -478,12 +484,9 @@ def cmd_train(args) -> int:
     # One cell of all rows, planned and fitted as `run` plans and fits its
     # facet x fold cells.
     try:
-        rcfg = None
-        if args.smote:
-            rcfg = ResampleConfig(k_neighbors=args.smote_k, target_ratio=args.smote_ratio, seed=seed)
-        unusable = unusable_rows(model_spec.kind, X)
-        cell = plan_cell(model_spec.kind, unusable, y, np.arange(len(y)), rcfg, smote_neighbours(X, y))
-        [model] = fit_cells(X, model_spec, [[cell]], rcfg, f"facet {args.facet}")
+        rcfg = ResampleConfig(k_neighbors=args.smote_k, target_ratio=args.smote_ratio, seed=seed) if args.smote else None
+        cell = plan_cell(y, np.arange(len(y)), rcfg, smote_neighbours(X, y))
+        [model] = fit_cells(X, model_spec, [[cell]], f"facet {args.facet}")
     except FacetrecError as e:
         raise type(e)(f"facet {args.facet}: {e}") from e
     model = replace(model, feature_ref=ref)
@@ -584,11 +587,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--key")
     p.add_argument("--normalization")
     p.add_argument("--facet", required=True)
-    p.add_argument(
-        "--model",
-        required=True,
-        choices=["majority", "naive_bayes", "logistic_regression"],
-    )
+    p.add_argument("--model", required=True, choices=MODEL_KINDS)
     p.add_argument("--features", choices=["bow", "embeddings"], default="bow")
     p.add_argument("--vocab-size", type=int, default=DEFAULT_VOCAB_SIZE, dest="vocab_size")
     p.add_argument("--embeddings")

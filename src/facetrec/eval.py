@@ -2,10 +2,10 @@
 
 Fold plans are built per facet (stratification keeps each fold's class mix
 within one document of proportional). Given a realized feature matrix, each
-facet x fold cell is planned once: its training rows and, for naive Bayes
-and logistic regression, SMOTE's rows as interpolation triples of rows of
-the matrix, whose neighbours come from one sorted neighbour order per facet
-and minority class. Every model trains from those cells without
+facet x fold cell is planned once (``plan_cells``): its training rows and
+SMOTE's rows as interpolation triples of rows of the matrix, whose
+neighbours come from one sorted neighbour order per facet and minority
+class. Every model kind on that matrix trains from the same cells without
 copying rows, and each held-out split is scored with macro-F1 over both
 classes, all folds of a facet from one count of its predictions. Reports
 aggregate fold scores into per-facet means, an overall mean and a wins
@@ -22,7 +22,7 @@ import numpy as np
 from . import kernels
 from .errors import ConfigError, FacetrecError, ValidationError
 from .inventory import FACET_NAMES
-from .models import ModelSpec, fit_cells, plan_cell, predict, unusable_rows
+from .models import ModelSpec, _as_labels, fit_cells, plan_cell, predict
 from .resample import ResampleConfig
 from .seeding import STREAM_FOLDS, STREAM_SMOTE, check_seed, derive_seed, substream
 
@@ -159,12 +159,12 @@ class EvaluationReport:
 
 
 @contextmanager
-def _cell(facet, k):
-    # Prefix an error of one facet x fold cell with where it happened.
+def _at(where):
+    # Prefix an error of one facet, or facet x fold cell, with where it happened.
     try:
         yield
     except FacetrecError as e:
-        raise type(e)(f"facet {facet}, fold {k}: {e}") from e
+        raise type(e)(f"{where}: {e}") from e
 
 
 def smote_neighbours(X, y):
@@ -188,66 +188,65 @@ def smote_neighbours(X, y):
     return neighbours
 
 
-def run_experiment(
-    corpus,
-    X,
-    model_spec: ModelSpec,
-    resample_cfg: ResampleConfig,
-    plan: FoldPlan,
-    name: str = "system",
-) -> dict[str, tuple[float, ...]]:
-    """Cross-validate one model on a realized feature matrix (one row per
-    corpus document): resample each training split, train, and score every
-    held-out split with macro-F1. Returns the fold scores keyed by facet.
+@dataclass(frozen=True)
+class CellPlan:
+    """Every facet x fold training cell of one feature matrix, which every
+    model kind trains from (``plan_cells``)."""
 
-    Facets flagged degenerate by the corpus are skipped. Every facet x fold
-    cell is planned first (``models.plan_cell``), in facet then fold order,
-    and then every model trains from its cell (``models.fit_cells``, one
-    group of cells per facet). Info log lines headed ``name`` sum up SMOTE's
-    rows and LR's iterations; each LR cell that stops without converging
-    logs a warning naming its facet and fold. A facet's held-out
-    predictions are gathered into one array and all its fold scores come
-    from one count of them (``fold_f1``).
-    """
+    facets: tuple[str, ...]
+    folds: FoldPlan
+    labels: tuple[np.ndarray, ...]  # per facet, int64 0/1 labels of all documents
+    cells: tuple[tuple[kernels.LRCell, ...], ...]  # per facet, its cells in fold order
+
+
+def plan_cells(corpus, X, resample_cfg: ResampleConfig, fold_plan: FoldPlan) -> CellPlan:
+    """Plan every facet x fold cell of a realized feature matrix (one row per
+    corpus document), skipping degenerate facets: each training split's rows
+    and SMOTE's triples (``models.plan_cell``, with ``smote_neighbours``).
+    Labels are checked once per facet, and each cell as it is planned, so an
+    error names its facet and fold before any model trains."""
     facets = corpus.active_facets
     if not facets:
         raise ValidationError("all facets are degenerate; nothing to evaluate")
     if X.shape[0] != len(corpus.documents):
         raise ValidationError("feature matrix does not match corpus size")
+    n_folds, labels, cells = fold_plan.n_folds, [], []
     for facet in facets:
-        if facet not in plan.assignment:
+        if facet not in fold_plan.assignment:
             raise ValidationError(f"fold plan is missing facet {facet!r}")
-        folds = plan.assignment[facet]
+        folds = fold_plan.assignment[facet]
         if len(folds) != len(corpus.documents):
             raise ValidationError("fold plan does not match corpus size")
-        if len(folds) and not 0 <= folds.min() <= folds.max() < plan.n_folds:
-            raise ValidationError(f"fold plan of facet {facet} has folds outside 0..{plan.n_folds - 1}")
-
-    n_folds = plan.n_folds
-    unusable = unusable_rows(model_spec.kind, X)
-    labels = [corpus.labels(facet) for facet in facets]
-    plans = []  # per facet, its cells in fold order
-    for facet, y in zip(facets, labels):
-        # Each cell's checks run as it is planned, so an error names its
-        # fold before any model trains.
-        neighbours, cells = smote_neighbours(X, y), []
+        if len(folds) and not 0 <= folds.min() <= folds.max() < n_folds:
+            raise ValidationError(f"fold plan of facet {facet} has folds outside 0..{n_folds - 1}")
+        with _at(f"facet {facet}"):
+            y = _as_labels(corpus.labels(facet))
+        neighbours, facet_cells = smote_neighbours(X, y), []
         for k in range(n_folds):
-            cfg = replace(resample_cfg, seed=derive_seed(plan.seed, STREAM_SMOTE, FACET_NAMES.index(facet), k))
-            with _cell(facet, k):
-                rows = np.flatnonzero(plan.assignment[facet] != k)
-                cells.append(plan_cell(model_spec.kind, unusable, y, rows, cfg, neighbours))
-        plans.append(cells)
-    del neighbours  # the last facet's neighbour orders, before any model trains
+            cfg = replace(resample_cfg, seed=derive_seed(fold_plan.seed, STREAM_SMOTE, FACET_NAMES.index(facet), k))
+            with _at(f"facet {facet}, fold {k}"):
+                facet_cells.append(plan_cell(y, np.flatnonzero(folds != k), cfg, neighbours))
+        labels.append(y)
+        cells.append(tuple(facet_cells))
+    return CellPlan(facets, fold_plan, tuple(labels), tuple(cells))
 
-    models = fit_cells(X, model_spec, plans, resample_cfg, name,
-                       lambda i: f"{name}: facet {facets[i // n_folds]}, fold {i % n_folds}")
+
+def run_experiment(X, model_spec: ModelSpec, cells: CellPlan, name: str = "system") -> dict[str, tuple[float, ...]]:
+    """Cross-validate one model on the feature matrix X that ``cells`` was
+    planned from: train every cell's model (``models.fit_cells``) and score
+    each held-out split with macro-F1, all folds of a facet from one count
+    (``fold_f1``). Returns the fold scores keyed by facet. Info log lines
+    headed ``name`` sum up SMOTE's rows and LR's iterations, and a warning
+    names each LR cell that stops without converging."""
+    facets, n_folds = cells.facets, cells.folds.n_folds
+    models = fit_cells(X, model_spec, cells.cells, name, lambda i: f"facet {facets[i // n_folds]}, fold {i % n_folds}")
     scores = {}
-    for facet, y in zip(facets, labels):
-        folds = plan.assignment[facet]
+    for facet, y in zip(facets, cells.labels):
+        folds = cells.folds.assignment[facet]
         pred = np.empty_like(y)
         for k in range(n_folds):
             held_out = folds == k
-            with _cell(facet, k):
+            with _at(f"facet {facet}, fold {k}"):
                 pred[held_out], _ = predict(next(models), X[held_out])
         scores[facet] = fold_f1(y, pred, folds, n_folds)
     return scores

@@ -8,8 +8,10 @@ word2vec text files.
 
 from __future__ import annotations
 
+import array
 import hashlib
 import logging
+import math
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -116,26 +118,24 @@ def load_embeddings(path, expected_flavor: str = "skip") -> EmbeddingStore:
     except UnicodeDecodeError as e:
         raise ValidationError(f"{path}: not valid UTF-8: {e}") from e
 
-    vectors: dict[str, np.ndarray] = {}
+    vectors: dict[str, None] = {}  # tokens in file order
+    components = array.array("d")  # every vector's, one after another
     dim = None
     declared = None  # (count, dim) from the header, when present
-    first_content_line = True
     for ln, line in enumerate(text.splitlines(), start=1):
         parts = line.split()
         if not parts:
             continue
-        if first_content_line:
-            first_content_line = False
-            if len(parts) == 2:
-                try:
-                    declared = (int(parts[0]), int(parts[1]))
-                except ValueError:
-                    declared = None
-                if declared is not None:
-                    if declared[1] < 1 or declared[0] < 0:
-                        raise ValidationError(f"{path}:{ln}: invalid header {line.strip()!r}")
-                    dim = declared[1]
-                    continue
+        if dim is None and len(parts) == 2:  # the first content line may be the header
+            try:
+                declared = (int(parts[0]), int(parts[1]))
+            except ValueError:
+                pass
+            else:
+                if declared[1] < 1 or declared[0] < 0:
+                    raise ValidationError(f"{path}:{ln}: invalid header {line.strip()!r}")
+                dim = declared[1]
+                continue
         token = parts[0]
         vals = parts[1:]
         if not vals:
@@ -149,12 +149,13 @@ def load_embeddings(path, expected_flavor: str = "skip") -> EmbeddingStore:
         if token in vectors:
             raise ValidationError(f"{path}:{ln}: duplicate token {token!r}")
         try:
-            vec = np.array([float(v) for v in vals], dtype=np.float64)
+            vec = [float(v) for v in vals]
         except ValueError as e:
             raise ValidationError(f"{path}:{ln}: bad component: {e}") from e
-        if not np.all(np.isfinite(vec)):
+        if not all(map(math.isfinite, vec)):
             raise ValidationError(f"{path}:{ln}: non-finite component for {token!r}")
-        vectors[token] = vec
+        vectors[token] = None
+        components.extend(vec)
     if not vectors:
         raise ValidationError(f"{path}: no vectors found")
     if declared is not None and declared[0] != len(vectors):
@@ -163,7 +164,7 @@ def load_embeddings(path, expected_flavor: str = "skip") -> EmbeddingStore:
         )
     return EmbeddingStore(
         dim=dim,
-        vectors=vectors,
+        vectors=dict(zip(vectors, np.frombuffer(components).reshape(len(vectors), dim))),
         flavor=expected_flavor,
         source=str(path),
         fingerprint=fingerprint,

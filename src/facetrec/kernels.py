@@ -55,9 +55,9 @@ _MAX_HALVINGS = 30  # a cell whose step 2**-30 still fails Armijo stops there
 
 
 class LRCell(NamedTuple):
-    """One cell's training set: rows of the shared matrix X with labels y
-    (0 or 1), plus a row X[s] + g * (X[n] - X[s]) labelled ``minority``
-    for each SMOTE triple (s, n, g) of seeds, nbrs and gammas."""
+    """One cell's training set, for every model kind: rows of the shared
+    matrix X with labels y (0 or 1), plus a row X[s] + g * (X[n] - X[s])
+    labelled ``minority`` per SMOTE triple (s, n, g) of seeds, nbrs, gammas."""
 
     rows: np.ndarray
     y: np.ndarray

@@ -8,9 +8,9 @@ deterministic functions of their training data and hyperparameters.
 Every model trains through one path. ``plan_cell`` checks a training set
 of rows of one feature matrix and, with SMOTE, draws its synthetic rows as
 interpolation triples; ``fit_cells`` trains the models of many such cells
-without copying their rows. `eval` plans every facet x fold cell of a run,
-``facetrec train`` one cell of all rows with SMOTE, and ``train`` one cell
-of all rows without it.
+without copying their rows. Every model kind trains from the same cells:
+`eval` plans each facet x fold cell of a matrix once, ``facetrec train``
+one cell of all rows with SMOTE, and ``train`` one without it.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ import numpy as np
 
 from . import kernels
 from .errors import ConfigError, TrainingError, ValidationError
-from .resample import resampled_labels, smote_triples
+from .resample import smote_triples
 
 MODEL_KINDS = ("majority", "naive_bayes", "logistic_regression")
 
@@ -144,25 +144,21 @@ def unusable_rows(kind: str, X) -> tuple[np.ndarray, str]:
     return np.zeros(len(X), dtype=bool), ""
 
 
-def plan_cell(kind: str, unusable, y, rows, resample_cfg=None, neighbours=None) -> kernels.LRCell:
-    """The training cell of ``rows`` of a feature matrix X for a ``kind`` model.
+def plan_cell(y, rows, resample_cfg=None, neighbours=None) -> kernels.LRCell:
+    """The training cell of ``rows`` of a feature matrix X, for any model kind.
 
-    ``unusable`` is ``unusable_rows(kind, X)``, y holds the labels of all
-    rows of X and ``rows`` is an int64 array of positions. A cell that holds
-    an unusable row, or whose labels are not binary or hold a single class,
-    raises ValidationError. With ``resample_cfg``, a naive Bayes or logistic
-    regression cell also carries SMOTE's triples, drawn by ``smote_triples``
-    with ``neighbours(positions, k)`` giving, per ascending position in X,
-    its k nearest others among them (``eval.smote_neighbours``); a majority
-    cell, which reads only labels, draws none.
+    y holds the int64 0/1 labels of all rows of X, which the caller checks
+    once, and ``rows`` is an int64 array of positions. A cell whose labels
+    are empty or hold a single class raises ValidationError. With
+    ``resample_cfg``, the cell also carries SMOTE's triples, drawn by
+    ``smote_triples`` with ``neighbours(positions, k)`` giving, per
+    ascending position in X, its k nearest others among them
+    (``eval.smote_neighbours``).
     """
-    bad, message = unusable
-    if bad[rows].any():
-        raise ValidationError(message)
     labels = y[rows]
-    if _as_labels(labels).min() == labels.max():
-        raise ValidationError("training labels contain a single class")
-    if kind == "majority" or resample_cfg is None:
+    if not 0 < labels.sum() < len(labels):
+        raise ValidationError("training labels contain a single class" if len(labels) else "training split is empty")
+    if resample_cfg is None:
         return kernels.LRCell(rows, labels)
     seeds, nbrs, gammas, y_aug = smote_triples(labels, resample_cfg, lambda pos, k: neighbours(rows[pos], k))
     return kernels.LRCell(rows, labels, rows[seeds], rows[nbrs], gammas, int(y_aug[-1]))
@@ -213,24 +209,28 @@ def lr_model(hyper: LRHyperparams, w, b, losses, converged, diverged) -> Trained
     )
 
 
-def fit_cells(X, spec: ModelSpec, groups, resample_cfg=None, name: str = "model", where=None):
+def fit_cells(X, spec: ModelSpec, groups, name: str = "model", where=None):
     """Every cell's ``spec`` model, in order, built lazily so that a cell's
     error surfaces when its model is taken.
 
     ``groups`` is a sequence of sequences of cells that ``plan_cell`` made
-    over the float64 matrix X. Majority trains on each cell's labels, as
-    ``resampled_labels`` gives them unless ``resample_cfg`` is None; naive
+    over the float64 matrix X. A cell that holds a row a ``spec`` model
+    cannot train on (``unusable_rows``) raises ValidationError headed
+    ``where(i)`` before any model trains, i counting cells over all groups.
+    Majority trains on each cell's labels, SMOTE's rows included; naive
     Bayes on its class sums, from one weighted product with X per group;
     and logistic regression in one ``kernels.logreg_descent_cells`` Newton
     fit of all cells. Info log lines headed ``name`` sum up SMOTE's rows
     and LR's iterations; each LR cell that stops without converging logs a
-    warning headed ``where(i)`` (``name`` if where is None), i counting
-    cells over all groups.
+    warning headed ``name`` and ``where(i)``.
     """
     cells = [cell for group in groups for cell in group]
+    bad, message = unusable_rows(spec.kind, X)
+    for i, c in enumerate(cells):
+        if bad[c.rows].any():
+            raise ValidationError(f"{where(i)}: {message}" if where else message)
     if spec.kind == "majority":
-        return (train_majority(c.y if resample_cfg is None else resampled_labels(c.y, resample_cfg), X.shape[1])
-                for c in cells)
+        return (train_majority(np.append(c.y, np.full(len(c.seeds), c.minority)), X.shape[1]) for c in cells)
     log.info("%s: SMOTE added %d rows to %d cells", name, sum(len(c.seeds) for c in cells), len(cells))
     if spec.kind == "naive_bayes":
         return (nb_model(sums, counts, spec.alpha) for group in groups for sums, counts in zip(*_class_sums(X, group)))
@@ -241,7 +241,7 @@ def fit_cells(X, spec: ModelSpec, groups, resample_cfg=None, name: str = "model"
              name, fits[3].sum(), len(cells), min(iterations), max(iterations))
     for i in np.flatnonzero(~fits[3] & ~fits[4]):  # a diverged cell raises when its model is taken
         log.warning("%s: LR stopped after %d Newton iterations without converging",
-                    where(i) if where else name, iterations[i])
+                    f"{name}: {where(i)}" if where else name, iterations[i])
     return (lr_model(hyper, *fit) for fit in zip(*fits))
 
 
@@ -251,8 +251,7 @@ def train(spec: ModelSpec, X, y) -> TrainedModel:
     X, y = np.asarray(X, dtype=np.float64), _as_labels(y)
     if X.ndim != 2 or len(X) != len(y):
         raise ValidationError("labels must be one per feature row")
-    cell = plan_cell(spec.kind, unusable_rows(spec.kind, X), y, np.arange(len(X)))
-    return next(fit_cells(X, spec, [[cell]]))
+    return next(fit_cells(X, spec, [[plan_cell(y, np.arange(len(X)))]]))
 
 
 def train_naive_bayes(X, y, alpha: float = 1.0) -> TrainedModel:

@@ -13,9 +13,9 @@ neighbours: `eval`, which oversamples the overlapping training folds of one
 facet, and ``facetrec train`` restrict one sorted neighbour order per facet
 and class to each fold's minority rows (``eval.smote_neighbours``), and
 ``smote`` searches its own minority rows (``kernels.minority_knn``).
-Either way the neighbour lists are the same, bit for bit. Every model
-trains from the triples (``models.plan_cell``); only ``smote``, which the
-package itself does not call, materializes the rows.
+Either way the neighbour lists are the same, bit for bit. Every model kind,
+majority included, trains from the triples (``models.plan_cell``); only
+``smote``, which the package itself does not call, materializes the rows.
 """
 
 from __future__ import annotations

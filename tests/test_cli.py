@@ -234,6 +234,25 @@ def test_verbose_run_logs_lr_convergence_without_touching_artifacts(bundle, tmp_
             assert (tmp_path / "out" / name).read_bytes() == data
 
 
+def test_systems_on_one_space_train_from_one_cell_plan(tmp_path, monkeypatch, capsys):
+    # `run` plans a feature space's cells once, and every system on it
+    # trains from them: the baseline, naive Bayes and LR on one BoW space
+    # sort the neighbour orders naive Bayes alone sorts, and no more.
+    assert main(["synth", "--out", str(tmp_path), "--seed", "5", "--authors", "40", "--tokens", "30",
+                 "--pos-rate", "0.2"]) == 0
+    sorted_rows, runs = [], []
+    real = kernels.neighbour_order
+    monkeypatch.setattr(kernels, "neighbour_order", lambda M: sorted_rows.append(len(M)) or real(M))
+    config = yaml.safe_load((tmp_path / "config.yaml").read_text(encoding="utf-8"))
+    for kinds in (["naive_bayes"], ["majority", "naive_bayes", "logistic_regression"]):
+        config["systems"] = [{"name": kind, "model": kind, "features": {"kind": "bow"}} for kind in kinds]
+        (tmp_path / "one.yaml").write_text(yaml.safe_dump(config), encoding="utf-8")
+        assert main(["run", "--config", str(tmp_path / "one.yaml"), "--out", str(tmp_path / "out")]) == 0
+        runs.append(sorted_rows[:])
+        sorted_rows.clear()
+    assert runs[0] and runs[1] == runs[0]
+
+
 @pytest.mark.parametrize("pos_rate", ["0.5", "0.2"], ids=["balanced", "smote"])
 def test_lr_reports_do_not_depend_on_the_process(tmp_path, child_env, pos_rate):
     # The README demo's LR systems, run twice, each time in a fresh
@@ -471,11 +490,12 @@ def test_config_rejects_an_empty_system_list(bundle, tmp_path, capsys):
         ("model", "learning_rate", 0.1, "unknown model options: learning_rate"),
         ("model", "l2", "fast", "l2 must be a number, got 'fast'"),
         ("model", "tol", "fast", "tol must be a number, got 'fast'"),
+        ("model", "tol", "1e-8", "tol must be a number, got '1e-8', a string to YAML: write 1.0e-8, not 1e-8"),
         ("model", "alpha", "fast", "alpha must be a number, got 'fast'"),
         ("smote", "target_ratio", "fast", "smote.target_ratio must be a number, got 'fast'"),
         ("features", "binary", "false", "binary must be true or false, got 'false'"),
     ],
-    ids=["learning_rate", "l2", "tol", "alpha", "smote.target_ratio", "binary"],
+    ids=["learning_rate", "l2", "tol", "tol-exponent", "alpha", "smote.target_ratio", "binary"],
 )
 def test_config_values_of_the_wrong_type_name_their_key(bundle, tmp_path, capsys, section, key, value, message):
     data = yaml.safe_load((bundle / "config.yaml").read_text(encoding="utf-8"))
@@ -637,9 +657,9 @@ def test_train_matches_the_materialized_path(imbalanced_bundle, tmp_path, capsys
 
 @pytest.mark.parametrize("kind", ["majority", "naive_bayes", "logistic_regression"])
 def test_train_builds_no_smote_row_and_majority_no_distances(imbalanced_bundle, tmp_path, monkeypatch, capsys, kind):
-    # No model materializes SMOTE's rows. Majority reads only its labels,
-    # so it builds no distance matrix either; the others build one, over
-    # the minority rows.
+    # No model materializes SMOTE's rows. Every kind trains from the same
+    # planned cell, so each builds one distance matrix, over the minority
+    # rows.
     def no_rows(*args):
         raise AssertionError("train materialized SMOTE rows")
 
@@ -649,7 +669,7 @@ def test_train_builds_no_smote_row_and_majority_no_distances(imbalanced_bundle, 
     real = kernels.sq_distances
     monkeypatch.setattr(kernels, "sq_distances", lambda M: built.append(len(M)) or real(M))
     _train(imbalanced_bundle, tmp_path / "m.json", kind, "Anxiety", smote=True)
-    assert len(built) == (0 if kind == "majority" else 1)
+    assert len(built) == 1
 
 
 def test_train_rejects_an_unknown_facet(bundle, tmp_path, capsys):

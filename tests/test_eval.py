@@ -26,6 +26,7 @@ from facetrec.eval import (
     fold_f1,
     make_folds,
     parse_report_csv,
+    plan_cells,
     render_report,
     run_experiment,
 )
@@ -209,9 +210,8 @@ def test_run_experiment_majority_on_balanced_labels_is_one_third(corpus_factory)
     # class, so the constant-negative baseline lands on 1/3 in every cell.
     corpus = corpus_factory(_tiny_tokens(24))
     plan = make_folds({f: corpus.labels(f) for f in corpus.active_facets}, n_folds=4, seed=3)
-    fold_f1 = run_experiment(
-        corpus, _bow(corpus), ModelSpec(kind="majority"), ResampleConfig(seed=3), plan
-    )
+    X = _bow(corpus)
+    fold_f1 = run_experiment(X, ModelSpec(kind="majority"), plan_cells(corpus, X, ResampleConfig(seed=3), plan))
     assert tuple(fold_f1) == FACET_NAMES
     for facet in FACET_NAMES:
         assert len(fold_f1[facet]) == 4
@@ -226,7 +226,7 @@ def test_run_experiment_wraps_cell_errors_with_context(corpus_factory):
     corpus = corpus_factory(_tiny_tokens(8), positives={"Anxiety": {0}})
     plan = make_folds({f: corpus.labels(f) for f in corpus.active_facets}, n_folds=2, seed=1)
     with pytest.raises(ValidationError, match=r"facet Anxiety, fold \d+:"):
-        run_experiment(corpus, _bow(corpus), ModelSpec(kind="majority"), ResampleConfig(seed=1), plan)
+        plan_cells(corpus, _bow(corpus), ResampleConfig(seed=1), plan)
 
 
 def test_run_experiment_skips_degenerate_facets(corpus_factory):
@@ -237,9 +237,8 @@ def test_run_experiment_skips_degenerate_facets(corpus_factory):
         degenerate=("Anxiety",),
     )
     plan = make_folds({f: corpus.labels(f) for f in corpus.active_facets}, n_folds=2, seed=2)
-    fold_f1 = run_experiment(
-        corpus, _bow(corpus), ModelSpec(kind="majority"), ResampleConfig(seed=2), plan
-    )
+    X = _bow(corpus)
+    fold_f1 = run_experiment(X, ModelSpec(kind="majority"), plan_cells(corpus, X, ResampleConfig(seed=2), plan))
     assert "Anxiety" not in fold_f1
     assert len(fold_f1) == 9
 
@@ -247,17 +246,17 @@ def test_run_experiment_skips_degenerate_facets(corpus_factory):
 def test_run_experiment_validates_plan_and_jobs(corpus_factory, tmp_path):
     corpus = corpus_factory(_tiny_tokens(8))
     X = _bow(corpus)
-    majority, rcfg = ModelSpec(kind="majority"), ResampleConfig(seed=2)
+    rcfg = ResampleConfig(seed=2)
     plan = make_folds({"Anxiety": corpus.labels("Anxiety")}, n_folds=2, seed=2)
     with pytest.raises(ValidationError, match="missing facet"):
-        run_experiment(corpus, X, majority, rcfg, plan)
+        plan_cells(corpus, X, rcfg, plan)
     full = make_folds({f: corpus.labels(f) for f in corpus.active_facets}, n_folds=2, seed=2)
     with pytest.raises(ValidationError, match="feature matrix does not match corpus size"):
-        run_experiment(corpus, X[:7], majority, rcfg, full)
+        plan_cells(corpus, X[:7], rcfg, full)
     for bad in (-1, 2):
         assignment = dict(full.assignment, Anxiety=np.where(full.assignment["Anxiety"] == 1, bad, 0))
         with pytest.raises(ValidationError, match="facet Anxiety has folds outside 0..1"):
-            run_experiment(corpus, X, majority, rcfg, FoldPlan(2, 2, assignment))
+            plan_cells(corpus, X, rcfg, FoldPlan(2, 2, assignment))
     # Runs are single-process: a config may still say `jobs: 1`, nothing else.
     data = {"corpus": "c.jsonl", "seed": 2, "out": "o", "systems": [{"model": "majority", "features": {"kind": "bow"}}]}
     assert parse_experiment_config(dict(data, jobs=1), tmp_path) == parse_experiment_config(data, tmp_path)
@@ -396,10 +395,10 @@ def _record_descents(monkeypatch):
 
 
 def _evaluate(X, y, folds, model_spec, facet="Anxiety"):
-    # One facet's fold scores, through run_experiment on a stand-in corpus.
+    # One facet's fold scores, planned and run on a stand-in corpus.
     corpus = SimpleNamespace(active_facets=(facet,), documents=range(len(y)), labels=lambda f: y)
     plan = FoldPlan(n_folds=int(folds.max()) + 1, seed=4, assignment={facet: folds})
-    return run_experiment(corpus, X, model_spec, ResampleConfig(seed=4), plan)[facet]
+    return run_experiment(X, model_spec, plan_cells(corpus, X, ResampleConfig(seed=4), plan))[facet]
 
 
 def _two_balanced_folds(d=3):
@@ -464,6 +463,12 @@ def test_single_class_lr_cell_names_its_own_fold(monkeypatch):
     for kind in ("majority", "naive_bayes", "logistic_regression"):
         with pytest.raises(ValidationError, match=r"^facet Anxiety, fold 2: training labels contain a single class$"):
             _evaluate(X, y, folds, ModelSpec(kind=kind))
+    # An empty training split names its fold too, and labels that are not
+    # 0 or 1 name their facet, checked once before any cell is planned.
+    with pytest.raises(ValidationError, match=r"^facet Anxiety, fold 1: training split is empty$"):
+        _evaluate(X, y, np.ones(12, dtype=np.int64), ModelSpec(kind="majority"))
+    with pytest.raises(ValidationError, match=r"^facet Anxiety: labels must be binary 0/1"):
+        _evaluate(X, np.where(np.arange(12) == 0, 2, y), folds, ModelSpec(kind="majority"))
     assert calls == []
 
 
@@ -555,11 +560,13 @@ def test_no_model_materializes_smote_rows(monkeypatch):
 
 
 def test_majority_trains_on_resampled_labels_without_smote(monkeypatch):
-    def no_smote(*args):
-        raise AssertionError("majority cells must not draw SMOTE triples or distances")
+    # Majority counts the planned cell's labels, SMOTE's triples included,
+    # and never materializes SMOTE's rows.
+    def no_rows(*args):
+        raise AssertionError("a majority cell materialized SMOTE rows")
 
-    monkeypatch.setattr(models, "smote_triples", no_smote)
-    monkeypatch.setattr(kernels, "sq_distances", no_smote)
+    monkeypatch.setattr(resample, "smote", no_rows)
+    monkeypatch.setattr(kernels, "interpolate_rows", no_rows)
     # 7 positives of 20: the training splits have minority rows to add, and
     # with parity the tie sends the baseline negative.
     y = np.array([1] * 7 + [0] * 13)

@@ -151,9 +151,11 @@ def test_load_embeddings_bad_and_nonfinite_components(tmp_path):
     path.write_text("a 1.0 oops\n", encoding="utf-8")
     with pytest.raises(ValidationError, match=r":1: bad component"):
         load_embeddings(path)
-    path.write_text("a 1.0 nan\n", encoding="utf-8")
-    with pytest.raises(ValidationError, match="non-finite"):
-        load_embeddings(path)
+    # Each error names the first faulty line, ahead of a later line's fault.
+    for bad in ("nan", "inf"):
+        path.write_text(f"a 1.0 2.0\nb 1.0 {bad}\nc 1.0\n", encoding="utf-8")
+        with pytest.raises(ValidationError, match=r":2: non-finite component for 'b'$"):
+            load_embeddings(path)
 
 
 def test_load_embeddings_rejects_empty_and_binary(tmp_path):

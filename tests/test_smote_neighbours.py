@@ -20,7 +20,7 @@ import pytest
 from facetrec import kernels, models, resample
 from facetrec.corpus import assign_labels, build_documents, default_normalization_table, load_corpus
 from facetrec.errors import ValidationError
-from facetrec.eval import FoldPlan, make_folds, run_experiment
+from facetrec.eval import FoldPlan, make_folds, plan_cells, run_experiment
 from facetrec.features import BowSpec, EmbeddingSpec, realize_features
 from facetrec.inventory import default_scoring_key, score_inventory
 from facetrec.models import LRHyperparams, ModelSpec
@@ -91,10 +91,10 @@ def _assert_matches_per_fold_search(calls, X, assignments):
 
 
 def _one_facet(X, y, folds, spec, facet="Anxiety", seed=4):
-    # One facet's fold scores, through run_experiment on a stand-in corpus.
+    # One facet's fold scores, planned and run on a stand-in corpus.
     corpus = SimpleNamespace(active_facets=(facet,), documents=range(len(y)), labels=lambda f: y)
     plan = FoldPlan(n_folds=int(folds.max()) + 1, seed=seed, assignment={facet: folds})
-    return run_experiment(corpus, X, spec, ResampleConfig(seed=seed), plan)[facet]
+    return run_experiment(X, spec, plan_cells(corpus, X, ResampleConfig(seed=seed), plan))[facet]
 
 
 # --- fixtures ---------------------------------------------------------------
@@ -147,7 +147,7 @@ def test_every_cell_gets_the_per_fold_neighbours_on_a_synth_corpus(monkeypatch, 
     X, _, _ = realize_features(feature_spec, corpus)
     plan = make_folds({f: corpus.labels(f) for f in corpus.active_facets}, n_folds=10, seed=7)
     calls = _record_smote(monkeypatch)
-    run_experiment(corpus, X, spec, ResampleConfig(seed=7), plan)
+    run_experiment(X, spec, plan_cells(corpus, X, ResampleConfig(seed=7), plan))
     assignments = [plan.assignment[f] for f in corpus.active_facets]
     assert _assert_matches_per_fold_search(calls, X, assignments) == len(calls) == 10 * len(assignments)
 
@@ -238,7 +238,7 @@ def test_an_imbalanced_facet_builds_one_matrix_not_one_per_fold(monkeypatch):
     for spec in (NB, LR):
         built.clear()
         sorts.clear()
-        run_experiment(corpus, X, spec, ResampleConfig(seed=3), plan)
+        run_experiment(X, spec, plan_cells(corpus, X, ResampleConfig(seed=3), plan))
         assert built == [int(labels[f].sum()) for f in labels]
         assert sorts == [(n, n) for n in built]
 
