@@ -14,8 +14,10 @@ byte.
 
 A run is timed as perfbench/rep.py times one: setup_s from spawning the
 interpreter to the end of `import facetrec.cli`, then run_s (wall) and
-cpu_s (user + system) of `cli.main(["run", ...])`, and peak_rss_mb, the
-process's peak resident set. The workloads are perfbench's three shapes
+cpu_s (user + system) and minor_faults (minor page faults, ru_minflt) of
+`cli.main(["run", ...])`, and peak_rss_mb, the process's peak resident
+set. minor_faults shows how much memory a run touches afresh, so a
+memory change shows its churn as well as its peak. The workloads are perfbench's three shapes
 (perfbench/run.py: `demo`, `smote-nb`, `bow-lr`) and `weak`, a 600-author
 corpus with a weak planted signal on which the LR fit is most of the run
 and a wrong answer shows in the scores.
@@ -49,7 +51,7 @@ import numpy as np
 import yaml
 
 ROOT = Path(__file__).resolve().parents[1]
-METRICS = ("run_s", "cpu_s", "setup_s", "peak_rss_mb")
+METRICS = ("run_s", "cpu_s", "setup_s", "peak_rss_mb", "minor_faults")
 CHILD_TIMEOUT_S = 300
 
 FEATURES = {
@@ -83,15 +85,16 @@ imported_at = time.perf_counter()
 import json, os, resource, sys
 from contextlib import redirect_stdout
 
-def cpu():
+def usage():
     r = resource.getrusage(resource.RUSAGE_SELF)
-    return r.ru_utime + r.ru_stime
+    return r.ru_utime + r.ru_stime, r.ru_minflt
 
-cpu0, t0 = cpu(), time.perf_counter()
+(cpu0, flt0), t0 = usage(), time.perf_counter()
 with open(os.devnull, "w", encoding="utf-8") as sink, redirect_stdout(sink):
     rc = cli.main(["run", "--config", sys.argv[1], "--out", sys.argv[2]])
-t1, cpu1 = time.perf_counter(), cpu()
+t1, (cpu1, flt1) = time.perf_counter(), usage()
 print(json.dumps({"rc": rc, "imported_at": imported_at, "run_s": t1 - t0, "cpu_s": cpu1 - cpu0,
+                  "minor_faults": flt1 - flt0,
                   "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0}))
 """
 
@@ -237,7 +240,8 @@ def main(argv=None) -> int:
     print(f"{'workload':<9} {'metric':<12} {'parent':>22} {'change':>22} {'won':>6}")
     for name, r in results.items():
         for m in METRICS:
-            cols = [f"{r[s][m]['median']:.4f} [{r[s][m]['q1']:.4f}, {r[s][m]['q3']:.4f}]" if s in r else "-"
+            f = ".0f" if m == "minor_faults" else ".4f"
+            cols = [f"{r[s][m]['median']:{f}} [{r[s][m]['q1']:{f}}, {r[s][m]['q3']:{f}}]" if s in r else "-"
                     for s in sides]
             print(f"{name:<9} {m:<12} {cols[0]:>22} {cols[1]:>22} {r['change_won'][m]:>3}/{r['pairs']}")
         reports, manifests = ({d for s in sides if s in r for d in r[s][f"{f}_sha256"]} for f in ("report", "manifest"))

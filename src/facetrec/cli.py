@@ -253,6 +253,8 @@ def _load_table(path: str | None):
 
 
 def _labeled_corpus(corpus_path: str, key, table):
+    """(authors, posts, labeled corpus) of a corpus file; the records
+    themselves are not kept."""
     records = load_corpus(corpus_path)
     scores = {}
     for rec in records:
@@ -261,7 +263,7 @@ def _labeled_corpus(corpus_path: str, key, table):
         except ValidationError as e:
             raise ValidationError(f"author {rec.author_id}: {e}") from e
     docs = build_documents(records, table)
-    return records, assign_labels(docs, scores)
+    return len(records), sum(len(rec.posts) for rec in records), assign_labels(docs, scores)
 
 
 def _model_desc(spec: ModelSpec) -> dict:
@@ -305,7 +307,7 @@ def cmd_run(args) -> int:
 
     key = _load_key(cfg.scoring_key)
     table = _load_table(cfg.normalization)
-    records, corpus = _labeled_corpus(cfg.corpus, key, table)
+    n_authors, _, corpus = _labeled_corpus(cfg.corpus, key, table)
     plan = make_folds(
         {facet: corpus.labels(facet) for facet in corpus.active_facets},
         n_folds=cfg.folds,
@@ -313,16 +315,21 @@ def cmd_run(args) -> int:
     )
     rcfg = ResampleConfig(k_neighbors=cfg.smote_k, target_ratio=cfg.smote_ratio, seed=cfg.seed)
 
-    spaces = {}  # feature spec -> (X, ref, cells), realized and planned when a system first needs it
+    # feature spec -> (X, ref, cells), realized and planned when a system
+    # first needs it and dropped after the last system that uses it
+    spaces = {}
+    last = {system.feature_spec: i for i, system in enumerate(cfg.systems)}
     results = []
     systems = []
-    for system in cfg.systems:
+    for i, system in enumerate(cfg.systems):
         log.info("evaluating system %s", system.name)
-        if system.feature_spec not in spaces:
-            X, ref = realize_features(system.feature_spec, corpus)[:2]
-            spaces[system.feature_spec] = X, ref, plan_cells(corpus, X, rcfg, plan)
-        X, ref, cells = spaces[system.feature_spec]
+        spec = system.feature_spec
+        if spec not in spaces:
+            X, ref = realize_features(spec, corpus)[:2]
+            spaces[spec] = X, ref, plan_cells(corpus, X, rcfg, plan)
+        X, ref, cells = spaces.pop(spec) if last[spec] == i else spaces[spec]
         fold_f1 = run_experiment(X, system.model_spec, cells, system.name)
+        del X, cells  # so that a dropped space is freed before the next is realized
         results.append(SystemResult(name=system.name, fold_f1=fold_f1))
         # Each entry gets its own mapping: a shared one would be written as
         # a YAML anchor and alias.
@@ -349,7 +356,7 @@ def cmd_run(args) -> int:
         "config": config_section,
         "config_digest": digest,
         "corpus": {
-            "authors": len(records),
+            "authors": n_authors,
             "documents": len(corpus.documents),
             "degenerate_facets": list(corpus.degenerate),
             "label_thresholds": {k: float(v) for k, v in corpus.label_thresholds.items()},
@@ -392,11 +399,10 @@ def _write_csv(rows: list[list], out: str | None) -> None:
 def cmd_validate(args) -> int:
     key = _load_key(args.key)
     table = _load_table(args.normalization)
-    records, corpus = _labeled_corpus(args.corpus, key, table)
-    n_posts = sum(len(rec.posts) for rec in records)
-    print(f"authors: {len(records)}")
+    n_authors, n_posts, corpus = _labeled_corpus(args.corpus, key, table)
+    print(f"authors: {n_authors}")
     print(f"posts: {n_posts}")
-    excluded = len(records) - len(corpus.documents)
+    excluded = n_authors - len(corpus.documents)
     print(f"documents: {len(corpus.documents)} ({excluded} authors excluded)")
     for facet in FACET_NAMES:
         positives = int(sum(doc.labels[facet] for doc in corpus.documents))
@@ -460,7 +466,7 @@ def cmd_train(args) -> int:
     check_seed(args.seed)
     key = _load_key(args.key)
     table = _load_table(args.normalization)
-    _, corpus = _labeled_corpus(args.corpus, key, table)
+    corpus = _labeled_corpus(args.corpus, key, table)[2]
     if args.facet in corpus.degenerate:
         raise ValidationError(f"facet {args.facet} is degenerate in this corpus")
 

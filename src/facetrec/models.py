@@ -23,7 +23,7 @@ import numpy as np
 
 from . import kernels
 from .errors import ConfigError, TrainingError, ValidationError
-from .resample import smote_triples
+from .resample import _smote_triples
 
 MODEL_KINDS = ("majority", "naive_bayes", "logistic_regression")
 
@@ -126,10 +126,13 @@ def _as_labels(y) -> np.ndarray:
 def train_majority(y, feature_dim: int | None = None) -> TrainedModel:
     """Record the most frequent training label; exact ties go negative."""
     y = _as_labels(y)
-    n_pos = int(np.sum(y == 1))
-    label = 1 if n_pos * 2 > len(y) else 0
+    return majority_model(int(np.sum(y == 1)), len(y), feature_dim)
+
+
+def majority_model(n_pos: int, n: int, feature_dim: int | None = None) -> TrainedModel:
+    """The majority model of n labels of which n_pos are positive."""
     return TrainedModel(
-        kind="majority", feature_dim=feature_dim, params=MajorityParams(label=label)
+        kind="majority", feature_dim=feature_dim, params=MajorityParams(label=int(n_pos * 2 > n))
     )
 
 
@@ -150,17 +153,17 @@ def plan_cell(y, rows, resample_cfg=None, neighbours=None) -> kernels.LRCell:
     y holds the int64 0/1 labels of all rows of X, which the caller checks
     once, and ``rows`` is an int64 array of positions. A cell whose labels
     are empty or hold a single class raises ValidationError. With
-    ``resample_cfg``, the cell also carries SMOTE's triples, drawn by
-    ``smote_triples`` with ``neighbours(positions, k)`` giving, per
-    ascending position in X, its k nearest others among them
-    (``eval.smote_neighbours``).
+    ``resample_cfg``, the cell also carries SMOTE's triples, drawn as
+    ``resample.smote_triples`` draws them but without its label check,
+    with ``neighbours(positions, k)`` giving, per ascending position in
+    X, its k nearest others among them (``eval.smote_neighbours``).
     """
     labels = y[rows]
     if not 0 < labels.sum() < len(labels):
         raise ValidationError("training labels contain a single class" if len(labels) else "training split is empty")
     if resample_cfg is None:
         return kernels.LRCell(rows, labels)
-    seeds, nbrs, gammas, y_aug = smote_triples(labels, resample_cfg, lambda pos, k: neighbours(rows[pos], k))
+    seeds, nbrs, gammas, y_aug = _smote_triples(labels, resample_cfg, lambda pos, k: neighbours(rows[pos], k))
     return kernels.LRCell(rows, labels, rows[seeds], rows[nbrs], gammas, int(y_aug[-1]))
 
 
@@ -230,7 +233,8 @@ def fit_cells(X, spec: ModelSpec, groups, name: str = "model", where=None):
         if bad[c.rows].any():
             raise ValidationError(f"{where(i)}: {message}" if where else message)
     if spec.kind == "majority":
-        return (train_majority(np.append(c.y, np.full(len(c.seeds), c.minority)), X.shape[1]) for c in cells)
+        return (majority_model(int(c.y.sum()) + len(c.seeds) * c.minority, len(c.y) + len(c.seeds), X.shape[1])
+                for c in cells)
     log.info("%s: SMOTE added %d rows to %d cells", name, sum(len(c.seeds) for c in cells), len(cells))
     if spec.kind == "naive_bayes":
         return (nb_model(sums, counts, spec.alpha) for group in groups for sums, counts in zip(*_class_sums(X, group)))

@@ -56,11 +56,20 @@ def resampled_labels(y, cfg: ResampleConfig) -> np.ndarray:
     smote raises for these labels: a degenerate fold, or an imbalanced one
     with fewer than 2 minority rows.
     """
+    return _resampled_labels(_checked(y), cfg)
+
+
+def _checked(y) -> np.ndarray:
     y = np.asarray(y, dtype=np.int64)
     if not np.all((y == 0) | (y == 1)):
         raise ValidationError(f"labels must be binary 0/1, got values {sorted(set(y.ravel().tolist()))}")
     if y.ndim != 1:
         raise ValidationError("labels must be one per feature row")
+    return y
+
+
+def _resampled_labels(y, cfg: ResampleConfig) -> np.ndarray:
+    # resampled_labels of checked labels: a 1-d int64 array of 0s and 1s.
     n_pos = int(np.sum(y == 1))
     n_neg = len(y) - n_pos
     if n_pos == 0 or n_neg == 0:
@@ -96,8 +105,13 @@ def smote_triples(y, cfg: ResampleConfig, neighbours):
     those rows of X. It is called only when synthetic rows are drawn, and X
     is read through it alone.
     """
-    y = np.asarray(y, dtype=np.int64)
-    y_aug = resampled_labels(y, cfg)
+    return _smote_triples(_checked(y), cfg, neighbours)
+
+
+def _smote_triples(y, cfg: ResampleConfig, neighbours):
+    # smote_triples of checked labels, such as a planned cell's
+    # (models.plan_cell), which raises only the errors of the cell itself.
+    y_aug = _resampled_labels(y, cfg)
     n_synth = len(y_aug) - len(y)
     if n_synth == 0:
         none = np.empty(0, dtype=np.int64)

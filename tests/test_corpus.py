@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import logging
+import random
 
 import pytest
 from hypothesis import given
@@ -210,6 +211,23 @@ def test_build_documents_joins_posts_with_single_space():
     docs = build_documents([rec("u1", ["kk", "kk"]), rec("u2", ["kkkk"])], t)
     assert docs[0] == ("u1", ("kk", "kk"))
     assert docs[1] == ("u2", ("$LAUGH$",))
+
+
+def test_build_documents_shares_one_string_per_distinct_token():
+    # Seeded posts mixing ASCII and non-ASCII words, mixed case and
+    # laughter the default table rewrites to $LAUGH$.
+    rng = random.Random(3)
+    words = ["Straße", "café", "İSTANBUL", "naïve", "hahaha", "KKKK", "rsrs", "Word", "word", "the", "ok!", "a"]
+    records = [rec(f"u{i}", [" ".join(rng.choices(words, k=rng.randint(1, 12))) for _ in range(rng.randint(1, 4))])
+               for i in range(40)]
+    t = default_normalization_table()
+    docs = build_documents(records, t)
+    assert [aid for aid, _ in docs] == [r.author_id for r in records]
+    for (_, tokens), r in zip(docs, records):
+        assert list(tokens) == tokenize(" ".join(normalize(post, t) for post in r.posts))
+    every = [tok for _, tokens in docs for tok in tokens]
+    assert "$LAUGH$" in every and "straße" in every
+    assert len({id(tok) for tok in every}) == len(set(every))
 
 
 def test_build_documents_excludes_zero_token_authors(caplog):

@@ -32,11 +32,11 @@ LR = ModelSpec(kind="logistic_regression", lr=LRHyperparams(max_epochs=1))
 
 
 def _record_smote(monkeypatch):
-    """Record every smote_triples call of a run, in call order: its inputs,
-    the neighbour lists its neighbour function gave and the triples it
-    returned."""
+    """Record every SMOTE triple draw of a run's cell planner (smote_triples
+    without the label check), in call order: its inputs, the neighbour
+    lists its neighbour function gave and the triples it returned."""
     calls = []
-    real_triples = resample.smote_triples
+    real_triples = resample._smote_triples
 
     def recording(y, cfg, neighbours):
         call = {"y": np.array(y), "cfg": cfg, "knn": None}
@@ -49,7 +49,7 @@ def _record_smote(monkeypatch):
         call["triples"] = real_triples(y, cfg, recorded)
         return call["triples"]
 
-    monkeypatch.setattr(models, "smote_triples", recording)  # the cell planner
+    monkeypatch.setattr(models, "_smote_triples", recording)  # the cell planner
     return calls
 
 
