@@ -76,7 +76,6 @@ from .models import (
     train_majority,
 )
 from .resample import ResampleConfig
-from .synth import SynthSpec, write_bundle
 
 __version__ = "0.1.0"
 
@@ -101,7 +100,6 @@ __all__ = [
     "NormalizationTable",
     "ResampleConfig",
     "ScoringKey",
-    "SynthSpec",
     "SystemResult",
     "TrainedModel",
     "TrainingError",
@@ -137,6 +135,5 @@ __all__ = [
     "tokenize",
     "train",
     "train_majority",
-    "write_bundle",
     "write_embeddings",
 ]

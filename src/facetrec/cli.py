@@ -50,7 +50,7 @@ from .features import (
     load_embeddings,
     realize_features,
 )
-from .inventory import FACET_NAMES, default_scoring_key, load_scoring_key, score_inventory
+from .inventory import FACET_NAMES, default_scoring_key, load_scoring_key, score_inventories
 from .models import (
     MODEL_KINDS,
     LRHyperparams,
@@ -63,7 +63,6 @@ from .models import (
 )
 from .resample import ResampleConfig
 from .seeding import STREAM_SMOTE, check_seed, derive_seed
-from .synth import SynthSpec, write_bundle
 
 log = logging.getLogger(__name__)
 
@@ -256,12 +255,8 @@ def _labeled_corpus(corpus_path: str, key, table):
     """(authors, posts, labeled corpus) of a corpus file; the records
     themselves are not kept."""
     records = load_corpus(corpus_path)
-    scores = {}
-    for rec in records:
-        try:
-            scores[rec.author_id] = score_inventory(rec.inventory, key)
-        except ValidationError as e:
-            raise ValidationError(f"author {rec.author_id}: {e}") from e
+    authors = [rec.author_id for rec in records]
+    scores = dict(zip(authors, score_inventories([rec.inventory for rec in records], key, authors)))
     docs = build_documents(records, table)
     return len(records), sum(len(rec.posts) for rec in records), assign_labels(docs, scores)
 
@@ -423,19 +418,18 @@ def cmd_score(args) -> int:
     records = load_corpus(args.corpus)
     domains = list(key.domains)
     rows = [["author_id", *domains, *FACET_NAMES]]
-    for rec in records:
-        try:
-            sc = score_inventory(rec.inventory, key)
-        except ValidationError as e:
-            raise ValidationError(f"author {rec.author_id}: {e}") from e
+    authors = [rec.author_id for rec in records]
+    for author, sc in zip(authors, score_inventories([rec.inventory for rec in records], key, authors)):
         cells = [repr(sc.domains[d]) for d in domains]
         cells += [repr(sc.facets[f]) for f in FACET_NAMES]
-        rows.append([rec.author_id, *cells])
+        rows.append([author, *cells])
     _write_csv(rows, args.out)
     return 0
 
 
 def cmd_synth(args) -> int:
+    from .synth import SynthSpec, write_bundle  # only this command needs it
+
     spec = SynthSpec(
         seed=args.seed,
         authors=args.authors,

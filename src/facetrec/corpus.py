@@ -13,6 +13,7 @@ import json
 import logging
 import re
 from dataclasses import dataclass, field
+from itertools import repeat
 
 import numpy as np
 
@@ -72,33 +73,163 @@ class NormalizationTable:
     # One regex over all rules; a text it cannot match is left as it is.
     # None when the rules cannot be joined (see _union).
     union: re.Pattern | None = field(init=False, repr=False, compare=False)
+    # Per rule, a one-character class of what its matches can start with;
+    # None unless the union is guarded by them (see _union).
+    firsts: tuple[re.Pattern, ...] | None = field(init=False, repr=False, compare=False)
+    # Whether normalizing posts joined with single spaces gives their own
+    # normalizations joined with single spaces (see _union).
+    joins_posts: bool = field(init=False, repr=False, compare=False)
+    # character -> the rules whose matches can start with it
+    _starting: dict = field(init=False, repr=False, compare=False, default_factory=dict)
 
     def __post_init__(self):
         object.__setattr__(self, "rules", tuple(self.rules))
-        object.__setattr__(self, "union", _union(self.rules))
+        union, firsts, joins_posts = _union(self.rules)
+        object.__setattr__(self, "union", union)
+        object.__setattr__(self, "firsts", firsts)
+        object.__setattr__(self, "joins_posts", joins_posts)
+
+    def _rules_starting_with(self, ch: str) -> tuple[NormRule, ...]:
+        """The rules whose matches can start with ``ch``; all of them
+        when the table has no first-character classes."""
+        if self.firsts is None:
+            return self.rules
+        rules = self._starting.get(ch)
+        if rules is None:
+            rules = tuple(r for r, first in zip(self.rules, self.firsts) if first.match(ch))
+            self._starting[ch] = rules
+        return rules
 
 
-def _union(rules) -> re.Pattern | None:
-    """``(?:r0)|(?:r1)|...`` with the rules' flags, or None if not exact.
+def _union(rules) -> tuple[re.Pattern | None, tuple[re.Pattern, ...] | None, bool]:
+    """(union, firsts, joins_posts) of a table's rules.
 
-    It matches at a position exactly when some rule does, so its search
-    finds where the first rule match begins, and fails exactly when every
-    rule's search fails. Numbered groups after the first rule would shift,
-    which breaks a rule's own backreferences. A global inline flag such as
-    ``(?x)`` would reach the other rules (Python 3.10) or fail to compile
-    inside a group (3.11 on; also ``(?i)``, which leaves the flags as they
-    are). Such tables get no union.
+    ``union`` is ``(?:r0)|(?:r1)|...`` with the rules' flags, or None if
+    not exact. It matches at a position exactly when some rule does, so its
+    search finds where the first rule match begins, and fails exactly when
+    every rule's search fails. Numbered groups after the first rule would
+    shift, which breaks a rule's own backreferences. A global inline flag
+    such as ``(?x)`` would reach the other rules (Python 3.10) or fail to
+    compile inside a group (3.11 on; also ``(?i)``, which leaves the flags
+    as they are). Such tables get no union.
+
+    When every rule has first characters (see ``_first_of``), the union is
+    guarded by the lookahead ``(?=[...])`` of all of them, which rejects
+    most positions with one class test instead of trying every rule there,
+    and ``firsts`` holds each rule's class; otherwise it is None.
+
+    ``joins_posts`` holds for a guarded table whose rules consume no space
+    and look past the characters they consume only through ``\\b`` and
+    ``\\B`` (see ``_consumed``), and for an empty table. No match then
+    holds the space between two posts, and ``\\b`` and ``\\B`` read that
+    space as they read a post's own start or end, so every rule matches
+    in the joined text exactly where it matches in the post.
     """
-    if (
-        not rules
-        or any(rule.regex.groups for rule in rules[1:])
-        or any(rule.regex.flags != _RULE_FLAGS for rule in rules)
+    if not rules:
+        return None, None, True
+    if any(rule.regex.groups for rule in rules[1:]) or any(
+        rule.regex.flags != _RULE_FLAGS for rule in rules
     ):
-        return None
+        return None, None, False
     try:
-        return re.compile("|".join(f"(?:{rule.pattern})" for rule in rules), _RULE_FLAGS)
+        from re import _parser as parser  # Python 3.11 on
+    except ImportError:
+        import sre_parse as parser
+    # Each rule compiled, so it parses.
+    trees = [parser.parse(rule.pattern, _RULE_FLAGS) for rule in rules]
+    body = "|".join(f"(?:{rule.pattern})" for rule in rules)
+    firsts = [_first_of(tree, parser) for tree in trees]
+    guarded = None not in firsts
+    if guarded:
+        body = f"(?=[{''.join(dict.fromkeys(firsts))}])(?:{body})"
+    try:
+        union = re.compile(body, _RULE_FLAGS)
     except re.error:
+        return None, None, False
+    if not guarded:
+        return union, None, False
+    consumed = []
+    joins_posts = all(_consumed(tree, parser, consumed) for tree in trees) and not re.match(
+        f"[{''.join(consumed)}]", " ", _RULE_FLAGS
+    )
+    return union, tuple(re.compile(f"[{f}]", _RULE_FLAGS) for f in firsts), joins_posts
+
+
+def _class_members(items, p) -> str | None:
+    """A parsed class's members as class text, or None for a negation or
+    a category such as \\w."""
+    members = []
+    for item, arg in items:
+        if item is p.LITERAL:
+            members.append(re.escape(chr(arg)))
+        elif item is p.RANGE:
+            members.append(f"{re.escape(chr(arg[0]))}-{re.escape(chr(arg[1]))}")
+        else:
+            return None
+    return "".join(members)
+
+
+def _first_of(items, p) -> str | None:
+    """Members of a character class (literals and ranges) that holds every
+    character a match of the parsed sequence ``items`` can start with, or
+    None; ``p`` is the parser module.
+
+    Zero-width anchors and lookarounds are skipped. The first node that
+    consumes must be a literal, a class of literals and ranges, a branch of
+    such sequences, or a group without flags or a repeat with minimum at
+    least 1 of one; otherwise, and whenever the sequence can match empty,
+    the result is None. Compiled with the rules' flags, the class folds
+    case (``K``, ``ſ``, ``İ``) exactly as the rule does.
+    """
+    for op, av in items:
+        if op in (p.AT, p.ASSERT, p.ASSERT_NOT):
+            continue
+        if op is p.LITERAL:
+            return re.escape(chr(av))
+        if op is p.IN:
+            return _class_members(av, p)
+        if op is p.BRANCH:
+            alternatives = [_first_of(alt, p) for alt in av[1]]
+            return None if None in alternatives else "".join(alternatives)
+        if op is p.SUBPATTERN:
+            _, add_flags, del_flags, sub = av
+            return None if add_flags or del_flags else _first_of(sub, p)
+        if op in (p.MAX_REPEAT, p.MIN_REPEAT, getattr(p, "POSSESSIVE_REPEAT", None)):
+            return _first_of(av[2], p) if av[0] >= 1 else None
+        if op is getattr(p, "ATOMIC_GROUP", None):
+            return _first_of(av, p)
         return None
+    return None
+
+
+def _consumed(items, p, members: list[str]) -> bool:
+    """Add to ``members`` the class members of every character the parsed
+    sequence can consume. False when it holds anything but literals,
+    classes of literals and ranges, branches, groups without flags,
+    repeats, ``\\b`` and ``\\B``."""
+    for op, av in items:
+        if op is p.AT:
+            if av not in (p.AT_BOUNDARY, p.AT_NON_BOUNDARY):
+                return False
+        elif op is p.LITERAL:
+            members.append(re.escape(chr(av)))
+        elif op is p.IN:
+            member = _class_members(av, p)
+            if member is None:
+                return False
+            members.append(member)
+        elif op is p.BRANCH:
+            if not all(_consumed(alt, p, members) for alt in av[1]):
+                return False
+        elif op is p.SUBPATTERN:
+            if av[1] or av[2] or not _consumed(av[3], p, members):
+                return False
+        elif op in (p.MAX_REPEAT, p.MIN_REPEAT, getattr(p, "POSSESSIVE_REPEAT", None)):
+            if not _consumed(av[2], p, members):
+                return False
+        elif op is not getattr(p, "ATOMIC_GROUP", None) or not _consumed(av, p, members):
+            return False
+    return True
 
 
 @dataclass(frozen=True)
@@ -144,18 +275,30 @@ def normalize(text: str, table: NormalizationTable) -> str:
     At each position the earliest match across all rules wins; ties go to
     the longer match, then to the earlier rule. Replacements are inserted
     verbatim and never rescanned.
+    """
+    parts = []
+    pos = 0
+    for start, end, token in _replacements(text, table):
+        parts += (text[pos:start], token)
+        pos = end
+    parts.append(text[pos:])
+    return "".join(parts)
+
+
+def _replacements(text: str, table: NormalizationTable) -> list[tuple[int, int, str]]:
+    """(start, end, token) of each replacement ``normalize`` makes, in order.
 
     With a union (see ``_union``) each step searches it once. No rule
     matches before the union's match does, so the step replaces the
-    longest non-empty rule match at that start, and a text the union
-    cannot match is returned as it is. Only where every rule matching
-    there matches empty, and for tables without a union, does a step
-    search each rule.
+    longest non-empty match at that start among the rules that can start
+    with its character, and a text the union cannot match needs nothing
+    more. Only where every rule matching there matches empty, and for
+    tables without a union, does a step search each rule.
     """
-    if not table.rules or not text:
-        return text
+    hits = []
+    if not table.rules:
+        return hits
     union = table.union
-    parts = []
     pos = 0
     n = len(text)
     while pos < n:
@@ -164,16 +307,19 @@ def normalize(text: str, table: NormalizationTable) -> str:
             m = union.search(text, pos)
             if m is None:
                 break
-            hit = _longest_at(text, m.start(), table.rules)
+            start = m.start()
+            rules = table._rules_starting_with(text[start : start + 1])  # "" at the end
+            if len(rules) == 1 and m.end() > start:  # the union's match is that rule's
+                hit = (start, m.end(), rules[0].token)
+            else:
+                hit = _longest_at(text, start, rules)
         if hit is None:
             hit = _leftmost_longest(text, pos, table.rules)
             if hit is None:
                 break
-        start, end, token = hit
-        parts += (text[pos:start], token)
-        pos = end
-    parts.append(text[pos:])
-    return "".join(parts)
+        hits.append(hit)
+        pos = hit[1]
+    return hits
 
 
 def _longest_at(text: str, start: int, rules) -> tuple[int, int, str] | None:
@@ -230,12 +376,32 @@ def build_documents(
     Authors with no surviving tokens are excluded with a warning. Equal
     tokens share one ``str`` object across the corpus, so a document holds
     an 8-byte reference per occurrence, not a new string of ~64 bytes.
+
+    When every replacement is a ``$NAME$`` placeholder, the table joins
+    posts (``NormalizationTable.joins_posts``) and an author's posts are
+    ASCII without a ``$``, no placeholder can form across a replacement's
+    edge, and the author's joined posts are normalized as one text. That
+    text goes through the ASCII translate table once (it keeps every
+    position), the text between replacements is split into words, and each
+    replacement token is appended as it is, without building the
+    normalized text. Other authors take the normalize-join-tokenize path.
     """
     docs = []
     shared = {}
+    direct = table.joins_posts and all(rule.token.startswith("$") for rule in table.rules)
     for rec in records:
-        joined = " ".join(normalize(post, table) for post in rec.posts)
-        tokens = tokenize(joined)
+        text = " ".join(rec.posts)
+        if direct and text.isascii() and "$" not in text:
+            words = text.translate(_ASCII_WORDS)
+            tokens = []
+            pos = 0
+            for start, end, token in _replacements(text, table):
+                tokens += words[pos:start].split()
+                tokens.append(token)
+                pos = end
+            tokens += words[pos:].split()
+        else:
+            tokens = tokenize(" ".join(normalize(post, table) for post in rec.posts))
         if not tokens:
             log.warning("author %s: no tokens after normalization, excluded", rec.author_id)
             continue
@@ -319,7 +485,7 @@ def load_corpus(path) -> list[AuthorRecord]:
                 raise ValidationError(f"{where}: duplicate author_id {aid!r}")
             seen.add(aid)
             posts = _field(obj, "posts", where)
-            if not isinstance(posts, list) or not all(isinstance(p, str) for p in posts):
+            if not isinstance(posts, list) or not all(map(isinstance, posts, repeat(str))):
                 raise ValidationError(f"{where}: posts must be an array of strings")
             bfi = _field(obj, "bfi44", where)
             if not isinstance(bfi, list) or len(bfi) != N_ITEMS:

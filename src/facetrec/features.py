@@ -12,8 +12,8 @@ import array
 import hashlib
 import logging
 import math
-from collections import Counter
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -58,25 +58,69 @@ class Vocabulary:
 
 def build_vocabulary(corpus, vocab_size: int = DEFAULT_VOCAB_SIZE) -> Vocabulary:
     """Top ``vocab_size`` tokens over all documents of a labeled corpus."""
-    if not isinstance(vocab_size, int) or isinstance(vocab_size, bool) or vocab_size < 1:
-        raise ConfigError(f"vocab_size must be a positive integer, got {vocab_size!r}")
-    counts: Counter[str] = Counter()
-    for doc in corpus.documents:
-        counts.update(doc.tokens)
-    if not counts:
-        raise ValidationError("cannot build a vocabulary from an empty corpus")
-    ordered = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
-    return Vocabulary(entries=tuple(ordered[:vocab_size]))
+    _check_vocab_size(vocab_size)
+    index, ids, _ = _token_ids(doc.tokens for doc in corpus.documents)
+    return _vocabulary(index, ids, vocab_size)
 
 
 def bow_matrix(token_seqs, vocab: Vocabulary, binary: bool = False) -> np.ndarray:
     """Stacked bag-of-words rows for a sequence of token sequences."""
-    rows = []
-    for tokens in token_seqs:
-        cols = [j for j in map(vocab.index.get, tokens) if j is not None]
-        rows.append(np.bincount(cols, minlength=len(vocab)))
-    X = np.array(rows, dtype=np.float64).reshape(len(rows), len(vocab))
-    return np.minimum(X, 1.0) if binary else X
+    return _bow_rows(*_token_ids(token_seqs), vocab, binary)
+
+
+def _check_vocab_size(vocab_size) -> None:
+    if not isinstance(vocab_size, int) or isinstance(vocab_size, bool) or vocab_size < 1:
+        raise ConfigError(f"vocab_size must be a positive integer, got {vocab_size!r}")
+
+
+class _Ids(dict):
+    """token -> id, ids numbered in order of first lookup."""
+
+    def __missing__(self, token):
+        self[token] = i = len(self)
+        return i
+
+
+def _token_ids(token_seqs) -> tuple[_Ids, np.ndarray, np.ndarray]:
+    """(index, ids, lengths) from one pass over every token.
+
+    ``index`` numbers the distinct tokens in order of first occurrence,
+    ``ids`` (int32) holds the id of every token of the sequences laid end
+    to end, and ``lengths`` holds each sequence's length.
+    """
+    seqs = list(token_seqs)
+    lengths = np.fromiter(map(len, seqs), dtype=np.int64, count=len(seqs))
+    index = _Ids()
+    ids = np.fromiter(
+        map(index.__getitem__, chain.from_iterable(seqs)), dtype=np.int32, count=int(lengths.sum())
+    )
+    return index, ids, lengths
+
+
+def _vocabulary(index: _Ids, ids, vocab_size: int) -> Vocabulary:
+    """Top ``vocab_size`` tokens of a ``_token_ids`` pass, by descending
+    count, ties lexicographic."""
+    if not index:
+        raise ValidationError("cannot build a vocabulary from an empty corpus")
+    counts = np.bincount(ids, minlength=len(index)).tolist()
+    ordered = sorted(zip(index, counts), key=lambda kv: (-kv[1], kv[0]))
+    return Vocabulary(entries=tuple(ordered[:vocab_size]))
+
+
+def _bow_rows(index: _Ids, ids, lengths, vocab: Vocabulary, binary: bool) -> np.ndarray:
+    """Bag-of-words rows of a ``_token_ids`` pass over ``vocab``."""
+    column = np.full(len(index), -1, dtype=np.int32)  # by id; -1 outside the vocabulary
+    for token, j in vocab.index.items():
+        i = index.get(token)
+        if i is not None:
+            column[i] = j
+    X = np.zeros((len(lengths), len(vocab)))
+    end = 0
+    for row, length in enumerate(lengths.tolist()):
+        cols = column[ids[end : end + length]]
+        X[row] = np.bincount(cols[cols >= 0], minlength=len(vocab))
+        end += length
+    return np.minimum(X, 1.0, out=X) if binary else X
 
 
 @dataclass
@@ -189,6 +233,11 @@ def avg_vectorize(tokens, store: EmbeddingStore) -> np.ndarray:
     Tokens missing from the store are skipped; if nothing matches, the zero
     vector is returned.
     """
+    return _average(tokens, store)[0]
+
+
+def _average(tokens, store: EmbeddingStore) -> tuple[np.ndarray, int]:
+    """``avg_vectorize``'s row and the number of tokens found in the store."""
     acc = np.zeros(store.dim, dtype=np.float64)
     hits = 0
     for tok in tokens:
@@ -198,7 +247,7 @@ def avg_vectorize(tokens, store: EmbeddingStore) -> np.ndarray:
             hits += 1
     if hits:
         acc /= hits
-    return acc
+    return acc, hits
 
 
 def embedding_matrix(token_seqs, store: EmbeddingStore) -> np.ndarray:
@@ -207,9 +256,10 @@ def embedding_matrix(token_seqs, store: EmbeddingStore) -> np.ndarray:
     total = 0
     misses = 0
     for tokens in token_seqs:
-        rows.append(avg_vectorize(tokens, store))
+        row, hits = _average(tokens, store)
+        rows.append(row)
         total += len(tokens)
-        misses += sum(1 for t in tokens if t not in store.vectors)
+        misses += len(tokens) - hits
     X = np.vstack(rows) if rows else np.zeros((0, store.dim))
     if total:
         log.debug("embedding OOV rate: %.4f (%d of %d tokens)", misses / total, misses, total)
@@ -241,8 +291,11 @@ def realize_features(spec, corpus):
     """
     docs = [doc.tokens for doc in corpus.documents]
     if isinstance(spec, BowSpec):
-        vocab = build_vocabulary(corpus, spec.vocab_size)
-        X = bow_matrix(docs, vocab, binary=spec.binary)
+        # one id pass gives both the vocabulary and the rows
+        _check_vocab_size(spec.vocab_size)
+        index, ids, lengths = _token_ids(docs)
+        vocab = _vocabulary(index, ids, spec.vocab_size)
+        X = _bow_rows(index, ids, lengths, vocab, spec.binary)
         ref = {
             "kind": "bow",
             "vocab_size": spec.vocab_size,

@@ -12,6 +12,8 @@ from __future__ import annotations
 import importlib.resources
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from . import yamlio
 from .errors import ConfigError, ValidationError
 
@@ -139,6 +141,8 @@ class InventoryResponse:
             raise ValidationError(
                 f"inventory must have exactly {N_ITEMS} items, got {len(self.items)}"
             )
+        if set(map(type, self.items)) <= {int}:  # the common case, checked at C speed
+            return
         for pos, val in enumerate(self.items, start=1):
             if not isinstance(val, int) or isinstance(val, bool):
                 raise ValidationError(f"item {pos}: response {val!r} is not an integer")
@@ -174,21 +178,50 @@ def reverse_item(response: int, key: ScoringKey, item: int | None = None) -> int
 
 def score_inventory(resp: InventoryResponse, key: ScoringKey) -> FacetScores:
     """Mean of reverse-corrected member items, per domain and per facet."""
-    vals = resp.items
-    for pos, val in enumerate(vals, start=1):
-        _check_in_scale(val, key, pos)
+    return score_inventories([resp], key)[0]
 
-    def mean_of(entry: tuple[Item, ...]) -> float:
-        total = 0.0
+
+def score_inventories(responses, key: ScoringKey, authors=None) -> list[FacetScores]:
+    """``score_inventory`` of each response, from one responses x items matrix.
+
+    The range is checked once over the matrix. Each domain or facet total
+    is an integer product with +1 / -1 item weights, plus scale_min +
+    scale_max per reversed item, and its mean is that total over the item
+    count: the same float as a running float sum, because every partial
+    sum is an integer below 2**53. An out-of-scale response raises with
+    its 1-based item number, prefixed with ``author <id>:`` when
+    ``authors`` names the rows.
+    """
+    R = np.array([resp.items for resp in responses]).reshape(len(responses), N_ITEMS)
+    lo, hi = key.scale_min, key.scale_max
+    bad = (R < lo) | (R > hi) if R.dtype.kind == "i" else None
+    if bad is None or bad.any():
+        # an integer too large for int64, or out of scale: find the first
+        # offending response, in row then item order
+        for row, resp in enumerate(responses):
+            try:
+                for pos, val in enumerate(resp.items, start=1):
+                    _check_in_scale(val, key, pos)
+            except ValidationError as e:
+                if authors is None:
+                    raise
+                raise ValidationError(f"author {authors[row]}: {e}") from e
+    entries = [*key.domains.values(), *(key.facets[fac] for fac in FACET_NAMES)]
+    weights = np.zeros((N_ITEMS, len(entries)), dtype=np.int64)
+    reversed_total = np.zeros(len(entries), dtype=np.int64)
+    for j, entry in enumerate(entries):
         for idx, rev in entry:
-            v = vals[idx]
-            total += (key.scale_min + key.scale_max - v) if rev else v
-        return total / len(entry)
-
-    return FacetScores(
-        domains={dom: mean_of(entry) for dom, entry in key.domains.items()},
-        facets={fac: mean_of(key.facets[fac]) for fac in FACET_NAMES},
-    )
+            weights[idx, j] = -1 if rev else 1
+            reversed_total[j] += (lo + hi) * rev
+    means = ((R @ weights + reversed_total) / [len(entry) for entry in entries]).tolist()
+    n_domains = len(key.domains)
+    return [
+        FacetScores(
+            domains=dict(zip(key.domains, row[:n_domains])),
+            facets=dict(zip(FACET_NAMES, row[n_domains:])),
+        )
+        for row in means
+    ]
 
 
 def _parse_signed_items(owner: str, raw) -> tuple[Item, ...]:

@@ -389,15 +389,17 @@ def knn_from_order(order, at, k):
     rows ``at`` are a subsequence of those rows, in ascending position, so a
     stable order restricted to them is the block's own stable order: the
     result equals minority_knn of the block's rows, ties included.
+
+    Each order[a] is a permutation, so each row of the block holds every
+    position of ``at`` exactly once, itself last (at distance inf), and
+    the first k_eff of them are its neighbours.
     """
     at = np.asarray(at, dtype=np.int64)
     k_eff = min(int(k), len(at) - 1)
     where = np.full(order.shape[1], -1, dtype=np.int64)  # position in at, or -1
     where[at] = np.arange(len(at))
     nbrs = where[order[at]]
-    inside = nbrs >= 0
-    inside &= np.cumsum(inside, axis=1) <= k_eff
-    return nbrs[inside].reshape(len(at), k_eff)
+    return np.ascontiguousarray(nbrs[nbrs >= 0].reshape(len(at), len(at))[:, :k_eff])
 
 
 def minority_knn(M, k):

@@ -17,7 +17,19 @@ positives first, as ``eval.make_folds`` does in one vectorized step.
 ``tokenize_loops`` lowercases token by token. ``corpus.normalize``
 searches one union of the rules per step, and ``corpus.tokenize``
 maps ASCII text between placeholders through one translate table;
-``test_corpus.py`` requires equal output.
+``test_corpus.py`` requires equal output. ``build_documents_loops`` joins
+an author's posts normalized one by one by the loop and tokenizes the
+result by the loop; ``corpus.build_documents`` may normalize the joined
+posts as one text and tokenize ASCII text between replacements directly,
+and must give the same tokens.
+
+``bow_loops`` counts tokens with a ``Counter`` for the vocabulary and
+maps each document's tokens through the vocabulary's index one by one;
+``features.realize_features`` takes both from one pass of token ids.
+
+``score_inventory_loops`` adds each reverse-corrected item to a float sum
+and divides by the item count; ``inventory.score_inventories`` takes the
+sums from one integer product and must give the same floats.
 
 ``logreg_newton_numpy`` is Newton's method on one cell with exact dense
 steps, over the cell's materialized rows (SMOTE rows included). The tests
@@ -33,6 +45,7 @@ from __future__ import annotations
 
 import math
 import re
+from collections import Counter
 
 import numpy as np
 
@@ -258,3 +271,46 @@ def tokenize_loops(text):
     for tok in _TOKEN_RE.findall(text):
         out.append(tok if tok.startswith("$") else tok.lower())
     return out
+
+
+def build_documents_loops(records, table):
+    docs = []
+    for rec in records:
+        tokens = tokenize_loops(" ".join(normalize_loops(post, table) for post in rec.posts))
+        if tokens:
+            docs.append((rec.author_id, tuple(tokens)))
+    return docs
+
+
+def score_inventory_loops(items, key):
+    """(domain means, facet means) as dicts, in the key's and FACET_NAMES' order."""
+    from facetrec.inventory import FACET_NAMES
+
+    def mean_of(entry):
+        total = 0.0
+        for idx, rev in entry:
+            v = items[idx]
+            total += (key.scale_min + key.scale_max - v) if rev else v
+        return total / len(entry)
+
+    return (
+        {dom: mean_of(entry) for dom, entry in key.domains.items()},
+        {fac: mean_of(key.facets[fac]) for fac in FACET_NAMES},
+    )
+
+
+def bow_loops(token_seqs, vocab_size, binary=False):
+    """(vocabulary entries, rows as lists of floats)."""
+    counts = Counter()
+    for tokens in token_seqs:
+        counts.update(tokens)
+    entries = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))[:vocab_size]
+    index = {token: j for j, (token, _) in enumerate(entries)}
+    rows = []
+    for tokens in token_seqs:
+        row = [0.0] * len(entries)
+        for token in tokens:
+            if token in index:
+                row[index[token]] = 1.0 if binary else row[index[token]] + 1.0
+        rows.append(row)
+    return tuple(entries), rows

@@ -382,6 +382,50 @@ def test_corrupt_corpus_names_the_line(tmp_path, capsys):
     assert ":1: invalid JSON" in err
 
 
+@pytest.mark.parametrize("command", ["score", "run"])
+def test_bad_responses_name_their_author_or_line_and_item(bundle, tmp_path, capsys, command):
+    lines = (bundle / "corpus.jsonl").read_text(encoding="utf-8").splitlines()
+    obj = json.loads(lines[3])
+    obj["bfi44"][6] = 9
+    lines[3] = json.dumps(obj)
+    out_of_scale = tmp_path / "out-of-scale.jsonl"
+    out_of_scale.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    obj["bfi44"][6] = 3.5
+    lines[3] = json.dumps(obj)
+    non_integer = tmp_path / "non-integer.jsonl"
+    non_integer.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    for corpus, message in (
+        (out_of_scale, f"author {obj['author_id']}: item 7: response 9 outside scale 1..5"),
+        (non_integer, f"{non_integer}:4: item 7: response 3.5 is not an integer"),
+    ):
+        if command == "score":
+            argv = ["score", "--corpus", str(corpus), "--out", str(tmp_path / "scores.csv")]
+        else:
+            cfg = tmp_path / "cfg.yaml"
+            cfg.write_text(
+                yaml.safe_dump({"corpus": str(corpus), "seed": 7, "out": str(tmp_path / "r"),
+                                "systems": [{"name": "baseline", "model": "majority",
+                                             "features": {"kind": "bow", "vocab_size": 50}}]}),
+                encoding="utf-8",
+            )
+            argv = ["run", "--config", str(cfg)]
+        assert main(argv) == 1
+        assert message in capsys.readouterr().err
+
+
+def test_cli_import_leaves_synth_unloaded(child_env):
+    # Only `facetrec synth` generates data, so no other command compiles and
+    # imports the generator.
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, facetrec.cli; print('facetrec.synth' in sys.modules)"],
+        capture_output=True,
+        text=True,
+        env=child_env(),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
 def test_config_requires_a_seed(bundle, tmp_path, capsys):
     cfg = tmp_path / "no-seed.yaml"
     cfg.write_text(

@@ -2,11 +2,12 @@ from __future__ import annotations
 
 import logging
 import random
+import sys
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
-from loop_oracles import normalize_loops, tokenize_loops
+from loop_oracles import build_documents_loops, normalize_loops, tokenize_loops
 
 from facetrec.corpus import (
     AuthorRecord,
@@ -177,7 +178,97 @@ def test_tokenize_keeps_non_ascii_on_the_loop():
 
 
 def test_default_table_is_gated_by_its_union():
-    assert default_normalization_table().union is not None
+    t = default_normalization_table()
+    assert t.union is not None and t.firsts is not None and t.joins_posts
+    assert t.union.pattern.startswith("(?=[")
+
+
+# Tables with the constructs the first-character guard must read: anchors,
+# lookarounds, a backreference in rule 0, classes, branches and repeats keep
+# it; a rule that can match empty, scoped flags, a category or a negated
+# class drop it; a global inline flag leaves the table without any union.
+# The second item says whether the table is guarded, the third whether it
+# normalizes an author's joined posts as one text: only literals, classes
+# without a space, branches, groups, repeats, \b and \B allow that.
+_GUARD_CASES = [
+    ([(r"\bk{2,}\b", "$K$"), ("(?:ha){2,}h?", "$LAUGH$")], True, True),
+    ([("s+", "$S$"), ("i", "$I$"), ("k", "$K$")], True, True),
+    ([("[a-c]s", "$AS$"), ("(?:h|j)a", "$HA$"), ("(?:ha)+?", "$HH$")], True, True),
+    ([(r"\Bk\b", "$K$"), ("a{2}", "$AA$")], True, True),
+    ([("ha ha", "$HH$"), ("k", "$K$")], True, False),  # a match can hold the space between posts
+    ([("[ -~]x", "$X$")], True, False),
+    ([("(?<=a)k", "$K$"), ("(?!ka)k", "$NK$")], True, False),
+    ([("^ha", "$H$"), (r"\Aa", "$A$"), ("s$", "$S$")], True, False),
+    ([(r"(a)\1", "$AA$"), ("k+", "$K$")], True, False),
+    ([("(?:ha)+", "laugh")], True, True),  # a word token: tokens go through the loop
+    ([("^", "$B$"), ("k", "$K$")], False, False),
+    ([(r"\A", "$B$"), ("k", "$K$")], False, False),
+    ([("$", "$E$"), ("k", "$K$")], False, False),
+    ([("k", "$K$"), ("x*", "$X$")], False, False),
+    ([("k", "$K$"), ("(?-i:s)", "$S$")], False, False),
+    ([("k", "$K$"), (r"\w", "$W$")], False, False),
+    ([("[^a]", "$N$")], False, False),
+    ([("k", "$K$"), ("(?x) h a", "$HA$")], False, False),
+    # Atomic groups and possessive repeats parse from Python 3.11 on.
+    *([([("(?>ha)+", "$HH$"), ("k++", "$K$")], True, True)] if sys.version_info >= (3, 11) else []),
+]
+
+
+@pytest.mark.parametrize("pairs, guarded, joins_posts", _GUARD_CASES)
+def test_guard_needs_first_characters_for_every_rule(pairs, guarded, joins_posts):
+    t = table(*pairs)
+    assert (t.firsts is not None) == guarded
+    assert t.joins_posts == joins_posts
+    if not guarded and t.union is not None:
+        assert not t.union.pattern.startswith("(?=")
+
+
+@pytest.mark.parametrize(
+    "pairs, posts",
+    [
+        ([("ha ha", "$HH$")], ["xha", "ha"]),
+        ([("[ -~]x", "$X$")], ["a", "x"]),
+        ([("k(?= )", "$K$")], ["k", "a"]),
+        ([("^ha", "$H$")], ["x", "ha"]),
+        ([("s$", "$S$")], ["as", "b"]),
+    ],
+)
+def test_tables_that_do_not_join_posts_normalize_each_post(pairs, posts):
+    # Each author's joined posts would normalize otherwise than its posts.
+    t = table(*pairs)
+    per_post = " ".join(normalize(post, t) for post in posts)
+    assert not t.joins_posts and normalize(" ".join(posts), t) != per_post
+    assert build_documents([rec("u", posts)], t) == [("u", tuple(tokenize(per_post)))]
+
+
+def test_guard_folds_case_as_the_rules_do():
+    # KELVIN SIGN, LONG S and capital I with dot match k, s and i under
+    # IGNORECASE; the guard and the per-character rule lists must agree.
+    t = table(("k+", "$K$"), ("s", "$S$"), ("i", "$I$"))
+    text = "\u212a\u212ak \u017f \u0130 K S I"
+    assert normalize(text, t) == normalize_loops(text, t) == "$K$ $S$ $I$ $K$ $S$ $I$"
+
+
+# Posts over case variants that fold into ASCII rules, "$" (which sends an
+# author through the loop), spaces and punctuation. Posts may start or end
+# with a space or a word, so rules meet the edges between posts.
+_POST_PIECES = [
+    "a", "h", "k", "s", "i", "j", "x", "K", "S", "I", "\u212a", "\u017f", "\u0130", "ha", "HAHA", "kkk", "rsrs",
+    "$", "$A$", "$ab", " ", "  ", "!", ".", "-", "_", "1", "ha ha",
+]
+author_posts = st.lists(st.lists(st.sampled_from(_POST_PIECES), max_size=10).map("".join), max_size=4)
+
+
+@given(
+    st.one_of(st.sampled_from(_GUARD_CASES).map(lambda case: table(*case[0])), tables),
+    st.lists(author_posts, min_size=1, max_size=3),
+)
+def test_build_documents_matches_the_loops(t, authors):
+    records = [rec(f"u{i}", posts) for i, posts in enumerate(authors)]
+    assert build_documents(records, t) == build_documents_loops(records, t)
+    for posts in authors:
+        for post in posts:
+            assert normalize(post, t) == normalize_loops(post, t)
 
 
 @pytest.mark.parametrize(

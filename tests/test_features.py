@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import hashlib
+import logging
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -21,8 +23,10 @@ from facetrec.features import (
     realize_features,
     write_embeddings,
 )
-from facetrec.corpus import LabeledCorpus
+from facetrec.corpus import LabeledCorpus, build_documents, default_normalization_table, load_corpus
 from facetrec.inventory import FACET_NAMES
+from facetrec.synth import SynthSpec, write_bundle
+from loop_oracles import bow_loops
 
 
 def make_store(mapping, flavor="skip"):
@@ -219,6 +223,43 @@ def test_realize_features_bow(corpus_factory):
     assert ref["actual_size"] == 2
     assert ref["vocab_sha256"] == vocab.fingerprint()
     assert "vocab" not in ref  # the compact ref carries only the digest
+
+
+@given(
+    st.lists(st.lists(st.sampled_from(["a", "b", "c", "$LAUGH$", "zz", "q"]), max_size=12), min_size=1, max_size=6),
+    st.integers(1, 7),
+    st.booleans(),
+)
+def test_realize_features_bow_matches_the_loops(seqs, vocab_size, binary):
+    # realize_features reads only the documents' tokens, which may be empty here
+    corpus = SimpleNamespace(documents=[SimpleNamespace(tokens=tuple(tokens)) for tokens in seqs])
+    if not any(seqs):
+        with pytest.raises(ValidationError, match="empty corpus"):
+            realize_features(BowSpec(vocab_size=vocab_size, binary=binary), corpus)
+        return
+    X, _, vocab = realize_features(BowSpec(vocab_size=vocab_size, binary=binary), corpus)
+    entries, rows = bow_loops(seqs, vocab_size, binary)
+    assert vocab.entries == entries
+    assert X.shape == (len(seqs), len(entries)) and X.tolist() == rows
+    assert build_vocabulary(corpus, vocab_size) == vocab
+    assert np.array_equal(bow_matrix(seqs, vocab, binary=binary), X)
+
+
+def test_embedding_oov_line_counts_the_misses(tmp_path, caplog):
+    # The quick-start bundle, whose vectors cover all its tokens, and one
+    # document more with two tokens that have none: the debug line gives
+    # the misses as a share and as counts.
+    paths = write_bundle(tmp_path, SynthSpec(seed=7, authors=60, tokens_per_author=60))
+    docs = [tokens for _, tokens in build_documents(load_corpus(paths["corpus"]), default_normalization_table())]
+    docs.append(("unseen", docs[0][0], "words"))
+    store = load_embeddings(paths["skip"])
+    total = sum(map(len, docs))
+    misses = sum(1 for tokens in docs for t in tokens if t not in store.vectors)
+    assert misses == 2
+    with caplog.at_level(logging.DEBUG, logger="facetrec.features"):
+        X = embedding_matrix(docs, store)
+    assert X.shape == (len(docs), store.dim)
+    assert caplog.messages == [f"embedding OOV rate: {misses / total:.4f} ({misses} of {total} tokens)"]
 
 
 def test_realize_features_embeddings(tmp_path, corpus_factory):

@@ -14,8 +14,11 @@ from facetrec.inventory import (
     default_scoring_key,
     load_scoring_key,
     reverse_item,
+    score_inventories,
     score_inventory,
 )
+from facetrec.synth import SynthSpec, generate_records, make_latents, make_word_tables
+from loop_oracles import score_inventory_loops
 
 # Synthetic key: domain Dk owns items 8k..8k+7 (0-based), with the second
 # item of each domain reverse-keyed. Facet pairs sit inside one domain each.
@@ -123,6 +126,57 @@ def test_score_rejects_out_of_scale_response():
     key = make_key()
     with pytest.raises(ValidationError, match="outside"):
         score_inventory(make_response(i2=6), key)
+
+
+def _bits(scores):
+    """Every mean of a FacetScores list as exact float bits, in order."""
+    return [
+        [v.hex() for v in (*sc.domains.values(), *sc.facets.values())] + [*sc.domains, *sc.facets]
+        for sc in scores
+    ]
+
+
+def _oracle_bits(items_rows, key):
+    out = []
+    for items in items_rows:
+        domains, facets = score_inventory_loops(items, key)
+        out.append([v.hex() for v in (*domains.values(), *facets.values())] + [*domains, *facets])
+    return out
+
+
+def test_matrix_scores_equal_the_loop_on_the_600_author_corpus():
+    # The shape of the smote-nb benchmark corpus, scored with the shipped key.
+    key = default_scoring_key()
+    spec = SynthSpec(seed=7, authors=600, tokens_per_author=10, pos_rate=0.2)
+    records = generate_records(spec, make_word_tables(spec.seed), make_latents(spec), key)
+    responses = [r.inventory for r in records]
+    matrix = score_inventories(responses, key)
+    assert _bits(matrix) == _bits([score_inventory(resp, key) for resp in responses])
+    assert _bits(matrix) == _oracle_bits([resp.items for resp in responses], key)
+
+
+@pytest.mark.parametrize("scale", [(1, 5), (0, 5), (-3, 3), (1, 7)])
+def test_matrix_scores_equal_the_loop_on_random_responses(scale):
+    rng = np.random.default_rng(sum(scale) + 11)
+    lo, hi = scale
+    key = make_key(scale_min=lo, scale_max=hi)
+    rows = [tuple(int(v) for v in rng.integers(lo, hi + 1, size=44)) for _ in range(300)]
+    matrix = score_inventories([InventoryResponse(items=row) for row in rows], key)
+    assert _bits(matrix) == _oracle_bits(rows, key)
+    assert _bits(matrix) == _bits([score_inventory(InventoryResponse(items=row), key) for row in rows])
+    assert score_inventories([], key) == []
+
+
+def test_matrix_scores_name_the_first_out_of_scale_author_and_item():
+    key = make_key()
+    responses = [make_response(), make_response(i4=9), make_response(i1=0)]
+    with pytest.raises(ValidationError, match=r"^author b: item 5: response 9 outside scale 1\.\.5$"):
+        score_inventories(responses, key, ["a", "b", "c"])
+    with pytest.raises(ValidationError, match=r"^item 5: response 9 outside"):
+        score_inventories(responses, key)
+    # Too large for an int64 matrix: the same check, one response at a time.
+    with pytest.raises(ValidationError, match=rf"^author c: item 4: response {2**70} outside"):
+        score_inventories([make_response(), make_response(), make_response(i3=2**70)], key, "abc")
 
 
 def test_response_requires_44_integer_items():
