@@ -16,8 +16,8 @@ whose distances take sq_distances' Gram product, and on 50 columns of
 averaged-word-vector-like floats, which take its row-by-row diff form. Per
 fold, minority_knn on the fold's own minority rows, against one
 neighbour_order over all 120 rows (one product or row loop, one sort) that
-each fold restricts with knn_from_order. Prints the best-of wall times and
-exits 1 if any fold's neighbour lists differ between the two.
+knn_in_splits restricts to every fold in one pass. Prints the best-of wall
+times and exits 1 if any fold's neighbour lists differ between the two.
 
 Both cases run with numpy's OpenBLAS on one thread, as every facetrec
 command does (facetrec.blas). Run from the repository root:
@@ -99,16 +99,15 @@ def knn_case(X, rng, repeat: int) -> bool:
     the rows of X; True if every fold's neighbour lists are equal."""
     members = np.sort(rng.choice(KNN_DOCS, size=KNN_MINORITY, replace=False))
     folds = rng.permutation(np.arange(KNN_DOCS) % KNN_FOLDS)
-    # Each fold's minority rows, as documents and as positions in members.
+    # Each fold's minority rows, and the minority rows each fold holds out.
     fold_docs = [members[folds[members] != k] for k in range(KNN_FOLDS)]
-    fold_at = [np.searchsorted(members, docs) for docs in fold_docs]
+    held = folds[members] == np.arange(KNN_FOLDS)[:, None]
 
     def per_fold():
         return [kernels.minority_knn(X[docs], KNN_K) for docs in fold_docs]
 
     def restricted():
-        order = kernels.neighbour_order(X[members])
-        return [kernels.knn_from_order(order, at, KNN_K) for at in fold_at]
+        return kernels.knn_in_splits(kernels.neighbour_order(X[members]), held, KNN_K)
 
     t_fold, want = best_of(per_fold, repeat)
     t_order, got = best_of(restricted, repeat)

@@ -14,6 +14,7 @@ import logging
 import re
 from dataclasses import dataclass, field
 from itertools import repeat
+from operator import itemgetter
 
 import numpy as np
 
@@ -26,6 +27,7 @@ log = logging.getLogger(__name__)
 # Placeholder tokens like $LAUGH$ survive tokenization as single tokens.
 _TOKEN_RE = re.compile(r"\$[A-Z][A-Z0-9_]*\$|\w+", re.UNICODE)
 _PLACEHOLDER_SPLIT_RE = re.compile(r"(\$[A-Z][A-Z0-9_]*\$)")
+_WORD_RE = re.compile(r"\w+")
 # For ASCII text only: A-Z to a-z and every other character outside \w to a
 # space, so that str.split() yields the lowercased \w+ runs.
 _ASCII_WORDS = str.maketrans({c: c.lower() if c.isalnum() or c == "_" else " " for c in map(chr, range(128))})
@@ -56,7 +58,9 @@ class NormRule:
     def __post_init__(self):
         try:
             compiled = re.compile(self.pattern, _RULE_FLAGS)
-        except re.error as e:
+        except (re.error, ValueError, OverflowError) as e:
+            # ValueError: an inline flag the rules' flags exclude, such as (?a);
+            # OverflowError: a repeat count past the engine's limit.
             raise ConfigError(f"invalid pattern {self.pattern!r}: {e}") from e
         if tokenize(self.token) != [self.token]:
             raise ConfigError(
@@ -76,18 +80,18 @@ class NormalizationTable:
     # Per rule, a one-character class of what its matches can start with;
     # None unless the union is guarded by them (see _union).
     firsts: tuple[re.Pattern, ...] | None = field(init=False, repr=False, compare=False)
-    # Whether normalizing posts joined with single spaces gives their own
-    # normalizations joined with single spaces (see _union).
-    joins_posts: bool = field(init=False, repr=False, compare=False)
+    # Whether every non-empty match of every rule is one whole \w+ run, so
+    # that a text normalizes word by word (see _union).
+    word_level: bool = field(init=False, repr=False, compare=False)
     # character -> the rules whose matches can start with it
     _starting: dict = field(init=False, repr=False, compare=False, default_factory=dict)
 
     def __post_init__(self):
         object.__setattr__(self, "rules", tuple(self.rules))
-        union, firsts, joins_posts = _union(self.rules)
+        union, firsts, word_level = _union(self.rules)
         object.__setattr__(self, "union", union)
         object.__setattr__(self, "firsts", firsts)
-        object.__setattr__(self, "joins_posts", joins_posts)
+        object.__setattr__(self, "word_level", word_level)
 
     def _rules_starting_with(self, ch: str) -> tuple[NormRule, ...]:
         """The rules whose matches can start with ``ch``; all of them
@@ -101,8 +105,12 @@ class NormalizationTable:
         return rules
 
 
+# Code points of the ASCII word characters [0-9A-Za-z_].
+_ASCII_WORD_CODES = frozenset(map(ord, "0123456789ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_"))
+
+
 def _union(rules) -> tuple[re.Pattern | None, tuple[re.Pattern, ...] | None, bool]:
-    """(union, firsts, joins_posts) of a table's rules.
+    """(union, firsts, word_level) of a table's rules.
 
     ``union`` is ``(?:r0)|(?:r1)|...`` with the rules' flags, or None if
     not exact. It matches at a position exactly when some rule does, so its
@@ -118,41 +126,55 @@ def _union(rules) -> tuple[re.Pattern | None, tuple[re.Pattern, ...] | None, boo
     most positions with one class test instead of trying every rule there,
     and ``firsts`` holds each rule's class; otherwise it is None.
 
-    ``joins_posts`` holds for a guarded table whose rules consume no space
-    and look past the characters they consume only through ``\\b`` and
-    ``\\B`` (see ``_consumed``), and for an empty table. No match then
-    holds the space between two posts, and ``\\b`` and ``\\B`` read that
-    space as they read a post's own start or end, so every rule matches
-    in the joined text exactly where it matches in the post.
+    ``word_level`` holds for an empty table, and for a table each of whose
+    rules is compiled with the table's own flags, has first characters (so
+    it cannot match empty), begins and ends with ``\\b``, holds nothing but
+    what ``_consumed`` allows, and consumes only characters of classes
+    within ASCII ``[0-9A-Za-z_]``. Such a rule consumes word characters
+    alone (case folding adds ``K``, ``ſ``, ``İ`` and ``ı``, which are word
+    characters too), between two word boundaries, so each of its matches is
+    one whole ``\\w+`` run, and whether it matches a run depends on that run
+    alone. A text then normalizes run by run, each run as it would on its
+    own: to the earliest rule's token among the rules matching it, or left
+    as it is.
     """
     if not rules:
         return None, None, True
-    if any(rule.regex.groups for rule in rules[1:]) or any(
-        rule.regex.flags != _RULE_FLAGS for rule in rules
-    ):
-        return None, None, False
     try:
         from re import _parser as parser  # Python 3.11 on
     except ImportError:
         import sre_parse as parser
     # Each rule compiled, so it parses.
     trees = [parser.parse(rule.pattern, _RULE_FLAGS) for rule in rules]
-    body = "|".join(f"(?:{rule.pattern})" for rule in rules)
     firsts = [_first_of(tree, parser) for tree in trees]
     guarded = None not in firsts
+    word_level = guarded and all(
+        rule.regex.flags == _RULE_FLAGS and _is_word_level(tree, parser) for rule, tree in zip(rules, trees)
+    )
+    if any(rule.regex.groups for rule in rules[1:]) or any(rule.regex.flags != _RULE_FLAGS for rule in rules):
+        return None, None, word_level
+    body = "|".join(f"(?:{rule.pattern})" for rule in rules)
     if guarded:
         body = f"(?=[{''.join(dict.fromkeys(firsts))}])(?:{body})"
     try:
         union = re.compile(body, _RULE_FLAGS)
     except re.error:
-        return None, None, False
+        return None, None, word_level
     if not guarded:
-        return union, None, False
-    consumed = []
-    joins_posts = all(_consumed(tree, parser, consumed) for tree in trees) and not re.match(
-        f"[{''.join(consumed)}]", " ", _RULE_FLAGS
+        return union, None, word_level
+    return union, tuple(re.compile(f"[{f}]", _RULE_FLAGS) for f in firsts), word_level
+
+
+def _is_word_level(tree, p) -> bool:
+    """Whether the parsed rule ``tree`` begins and ends with ``\\b`` and
+    consumes only characters of literals and classes within ASCII
+    ``[0-9A-Za-z_]`` (see ``_union``)."""
+    ranges = []
+    return (
+        all(op is p.AT and av is p.AT_BOUNDARY for op, av in (tree[0], tree[-1]))
+        and _consumed(tree, p, ranges)
+        and all(hi < 128 and _ASCII_WORD_CODES.issuperset(range(lo, hi + 1)) for lo, hi in ranges)
     )
-    return union, tuple(re.compile(f"[{f}]", _RULE_FLAGS) for f in firsts), joins_posts
 
 
 def _class_members(items, p) -> str | None:
@@ -202,32 +224,35 @@ def _first_of(items, p) -> str | None:
     return None
 
 
-def _consumed(items, p, members: list[str]) -> bool:
-    """Add to ``members`` the class members of every character the parsed
-    sequence can consume. False when it holds anything but literals,
-    classes of literals and ranges, branches, groups without flags,
-    repeats, ``\\b`` and ``\\B``."""
+def _consumed(items, p, ranges: list[tuple[int, int]]) -> bool:
+    """Add to ``ranges`` the (first, last) code points of every literal and
+    class range the parsed sequence can consume. False when it holds
+    anything but literals, classes of literals and ranges, branches, groups
+    without flags, repeats, ``\\b`` and ``\\B``."""
     for op, av in items:
         if op is p.AT:
             if av not in (p.AT_BOUNDARY, p.AT_NON_BOUNDARY):
                 return False
         elif op is p.LITERAL:
-            members.append(re.escape(chr(av)))
+            ranges.append((av, av))
         elif op is p.IN:
-            member = _class_members(av, p)
-            if member is None:
-                return False
-            members.append(member)
+            for item, arg in av:
+                if item is p.LITERAL:
+                    ranges.append((arg, arg))
+                elif item is p.RANGE:
+                    ranges.append(arg)
+                else:
+                    return False
         elif op is p.BRANCH:
-            if not all(_consumed(alt, p, members) for alt in av[1]):
+            if not all(_consumed(alt, p, ranges) for alt in av[1]):
                 return False
         elif op is p.SUBPATTERN:
-            if av[1] or av[2] or not _consumed(av[3], p, members):
+            if av[1] or av[2] or not _consumed(av[3], p, ranges):
                 return False
         elif op in (p.MAX_REPEAT, p.MIN_REPEAT, getattr(p, "POSSESSIVE_REPEAT", None)):
-            if not _consumed(av[2], p, members):
+            if not _consumed(av[2], p, ranges):
                 return False
-        elif op is not getattr(p, "ATOMIC_GROUP", None) or not _consumed(av, p, members):
+        elif op is not getattr(p, "ATOMIC_GROUP", None) or not _consumed(av, p, ranges):
             return False
     return True
 
@@ -377,36 +402,66 @@ def build_documents(
     tokens share one ``str`` object across the corpus, so a document holds
     an 8-byte reference per occurrence, not a new string of ~64 bytes.
 
-    When every replacement is a ``$NAME$`` placeholder, the table joins
-    posts (``NormalizationTable.joins_posts``) and an author's posts are
-    ASCII without a ``$``, no placeholder can form across a replacement's
-    edge, and the author's joined posts are normalized as one text. That
-    text goes through the ASCII translate table once (it keeps every
-    position), the text between replacements is split into words, and each
-    replacement token is appended as it is, without building the
-    normalized text. Other authors take the normalize-join-tokenize path.
+    Under a word-level table (``NormalizationTable.word_level``) a text
+    without a ``$`` normalizes and tokenizes word by word: each ``\\w+``
+    run becomes the token of the earliest rule that matches it, or else its
+    lowercase form, and no placeholder can form across a run's edge. One
+    memo from word to token serves the whole corpus. An author's words are
+    the runs of the joined posts, lowercased by the ASCII translate table
+    in ASCII text and as they stand in other text; the words the memo
+    lacks are labelled by one ``_replacements`` pass over them joined by
+    spaces. Authors whose posts hold a ``$``, and every author under any
+    other table, take the normalize-join-tokenize path.
     """
     docs = []
-    shared = {}
-    direct = table.joins_posts and all(rule.token.startswith("$") for rule in table.rules)
+    memo = {}  # word -> its token, under a word-level table
+    placeholders = {}  # "$NAME$" token -> its one str
+    shared = {}  # any other token -> its one str, unless memo maps it as a word to itself
+
+    def share(token):
+        if token[0] == "$":
+            return placeholders.setdefault(token, token)
+        found = memo.get(token)
+        return found if found == token else shared.setdefault(token, token)
+
+    def label(words, lowercase):
+        # Each match is one whole run of the text. Its token is shared before
+        # any word of this batch enters the memo, and an unmatched word of
+        # ASCII text (``lowercase``) is its own token unless shared has it.
+        text = " ".join(words)
+        hits = [(text[start:end], share(token)) for start, end, token in _replacements(text, table)]
+        if lowercase:
+            memo.update(zip(words, map(shared.get, words, words)) if shared else zip(words, words))
+        else:
+            memo.update(zip(words, map(share, map(str.lower, words))))
+        memo.update(hits)
+
     for rec in records:
         text = " ".join(rec.posts)
-        if direct and text.isascii() and "$" not in text:
-            words = text.translate(_ASCII_WORDS)
-            tokens = []
-            pos = 0
-            for start, end, token in _replacements(text, table):
-                tokens += words[pos:start].split()
-                tokens.append(token)
-                pos = end
-            tokens += words[pos:].split()
-        else:
+        if not table.word_level:
             tokens = tokenize(" ".join(normalize(post, table) for post in rec.posts))
+            tokens = tuple(map(shared.setdefault, tokens, tokens))
+        elif "$" in text:
+            tokens = tuple(map(share, tokenize(" ".join(normalize(post, table) for post in rec.posts))))
+        else:
+            ascii_text = text.isascii()
+            words = text.translate(_ASCII_WORDS).split() if ascii_text else _WORD_RE.findall(text)
+            try:
+                tokens = _gather(memo, words)
+            except KeyError:
+                label(set(words).difference(memo), ascii_text)
+                tokens = _gather(memo, words)
         if not tokens:
             log.warning("author %s: no tokens after normalization, excluded", rec.author_id)
             continue
-        docs.append((rec.author_id, tuple(map(shared.setdefault, tokens, tokens))))
+        docs.append((rec.author_id, tokens))
     return docs
+
+
+def _gather(mapping: dict, keys: list) -> tuple:
+    """``tuple(map(mapping.__getitem__, keys))``, in one ``itemgetter`` call
+    when there are two keys or more."""
+    return itemgetter(*keys)(mapping) if len(keys) > 1 else tuple(map(mapping.__getitem__, keys))
 
 
 def assign_labels(docs, scores: dict[str, FacetScores]) -> LabeledCorpus:

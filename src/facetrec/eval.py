@@ -5,17 +5,18 @@ within one document of proportional). Given a realized feature matrix, each
 facet x fold cell is planned once (``plan_cells``): its training rows and
 SMOTE's rows as interpolation triples of rows of the matrix, whose
 neighbours come from one sorted neighbour order per facet and minority
-class. Every model kind on that matrix trains from the same cells without
-copying rows, and each held-out split is scored with macro-F1 over both
-classes, all folds of a facet from one count of its predictions. Reports
-aggregate fold scores into per-facet means, an overall mean and a wins
-count per system."""
+class, restricted to every fold at once. Every model kind on that matrix
+trains from the same cells without copying rows, and each held-out split
+is scored with macro-F1 over both classes, all folds of a facet from one
+count of its predictions. Reports aggregate fold scores into per-facet
+means, an overall mean and a wins count per system."""
 
 from __future__ import annotations
 
 import logging
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -167,23 +168,27 @@ def _at(where):
         raise type(e)(f"{where}: {e}") from e
 
 
-def smote_neighbours(X, y):
-    """SMOTE's neighbour search over one facet's documents, labelled y: a
-    function from ascending document indices of one class and k to each
+def smote_neighbours(X, y, held=None):
+    """SMOTE's neighbour search over one facet's documents, labelled y, in
+    each of its training splits: row s of the (splits, documents) bool
+    array ``held`` marks the documents split s leaves out (by default one
+    split of every document). Returns a function from the ascending
+    indices ``docs`` of one class's documents in split s, k and s to each
     one's k nearest others among them (``kernels.minority_knn`` of their
-    rows), as positions in those indices. Each class has one
+    rows), as positions in ``docs``. Each class has one
     ``kernels.neighbour_order`` of all its rows, sorted when the class is
-    first asked for, which ``kernels.knn_from_order`` restricts to the rows
-    asked for."""
+    first asked for, which ``kernels.knn_in_splits`` restricts to every
+    split at once."""
+    if held is None:
+        held = np.zeros((1, len(y)), dtype=bool)
     by_class = {}
 
-    def neighbours(docs, k):
+    def neighbours(docs, k, split=0):
         cls = int(y[docs[0]])
-        if cls not in by_class:
+        if (cls, k) not in by_class:
             members = np.flatnonzero(y == cls)
-            by_class[cls] = members, kernels.neighbour_order(X[members])
-        members, order = by_class[cls]
-        return kernels.knn_from_order(order, np.searchsorted(members, docs), k)
+            by_class[cls, k] = kernels.knn_in_splits(kernels.neighbour_order(X[members]), held[:, members], k)
+        return by_class[cls, k][split]
 
     return neighbours
 
@@ -202,9 +207,10 @@ class CellPlan:
 def plan_cells(corpus, X, resample_cfg: ResampleConfig, fold_plan: FoldPlan) -> CellPlan:
     """Plan every facet x fold cell of a realized feature matrix (one row per
     corpus document), skipping degenerate facets: each training split's rows
-    and SMOTE's triples (``models.plan_cell``, with ``smote_neighbours``).
-    Labels are checked once per facet, and each cell as it is planned, so an
-    error names its facet and fold before any model trains."""
+    and SMOTE's triples (``models.plan_cell``, with ``smote_neighbours``
+    over the facet's folds and each cell's own seed). Labels are checked
+    once per facet, and each cell as it is planned, so an error names its
+    facet and fold before any model trains."""
     facets = corpus.active_facets
     if not facets:
         raise ValidationError("all facets are degenerate; nothing to evaluate")
@@ -221,11 +227,13 @@ def plan_cells(corpus, X, resample_cfg: ResampleConfig, fold_plan: FoldPlan) -> 
             raise ValidationError(f"fold plan of facet {facet} has folds outside 0..{n_folds - 1}")
         with _at(f"facet {facet}"):
             y = _as_labels(corpus.labels(facet))
-        neighbours, facet_cells = smote_neighbours(X, y), []
+        held = folds == np.arange(n_folds)[:, None]
+        neighbours, facet_cells = smote_neighbours(X, y, held), []
         for k in range(n_folds):
-            cfg = replace(resample_cfg, seed=derive_seed(fold_plan.seed, STREAM_SMOTE, FACET_NAMES.index(facet), k))
+            seed = derive_seed(fold_plan.seed, STREAM_SMOTE, FACET_NAMES.index(facet), k)
             with _at(f"facet {facet}, fold {k}"):
-                facet_cells.append(plan_cell(y, np.flatnonzero(folds != k), cfg, neighbours))
+                facet_cells.append(plan_cell(y, np.flatnonzero(~held[k]), resample_cfg,
+                                             partial(neighbours, split=k), seed))
         labels.append(y)
         cells.append(tuple(facet_cells))
     return CellPlan(facets, fold_plan, tuple(labels), tuple(cells))
@@ -247,7 +255,7 @@ def run_experiment(X, model_spec: ModelSpec, cells: CellPlan, name: str = "syste
         for k in range(n_folds):
             held_out = folds == k
             with _at(f"facet {facet}, fold {k}"):
-                pred[held_out], _ = predict(next(models), X[held_out])
+                pred[held_out], _ = predict(next(models), X, held_out)
         scores[facet] = fold_f1(y, pred, folds, n_folds)
     return scores
 

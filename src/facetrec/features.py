@@ -107,19 +107,31 @@ def _vocabulary(index: _Ids, ids, vocab_size: int) -> Vocabulary:
     return Vocabulary(entries=tuple(ordered[:vocab_size]))
 
 
+# Bag-of-words cells counted per np.bincount: bounds the int64 counts it
+# returns, and the int32 cell index of each token, to a few hundred KiB.
+_BOW_CHUNK_CELLS = 1 << 16
+
+
 def _bow_rows(index: _Ids, ids, lengths, vocab: Vocabulary, binary: bool) -> np.ndarray:
-    """Bag-of-words rows of a ``_token_ids`` pass over ``vocab``."""
+    """Bag-of-words rows of a ``_token_ids`` pass over ``vocab``: one
+    ``np.bincount`` of each in-vocabulary token's cell (row * width +
+    column) per block of rows of at most _BOW_CHUNK_CELLS cells."""
     column = np.full(len(index), -1, dtype=np.int32)  # by id; -1 outside the vocabulary
     for token, j in vocab.index.items():
         i = index.get(token)
         if i is not None:
             column[i] = j
-    X = np.zeros((len(lengths), len(vocab)))
-    end = 0
-    for row, length in enumerate(lengths.tolist()):
-        cols = column[ids[end : end + length]]
-        X[row] = np.bincount(cols[cols >= 0], minlength=len(vocab))
-        end += length
+    width = len(vocab)
+    X = np.zeros((len(lengths), width))
+    step = max(1, _BOW_CHUNK_CELLS // max(width, 1))
+    ends = np.cumsum(lengths)
+    for start in range(0, len(lengths), step):
+        stop = min(start + step, len(lengths))
+        first, last = (int(ends[start - 1]) if start else 0), int(ends[stop - 1])
+        cols = column[ids[first:last]]
+        cells = np.repeat(np.arange(stop - start, dtype=np.int32) * np.int32(width), lengths[start:stop])
+        cells += cols
+        X[start:stop] = np.bincount(cells[cols >= 0], minlength=(stop - start) * width).reshape(stop - start, width)
     return np.minimum(X, 1.0, out=X) if binary else X
 
 

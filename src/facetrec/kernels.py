@@ -17,8 +17,9 @@ of bounded norm (bag-of-words counts), where it is exact, and the diff form
 one row at a time on any other rows. ``minority_knn`` takes the k nearest
 per row by a stable sort of that matrix. A caller that searches many
 overlapping sets of rows, as the folds of one facet are, sorts the matrix
-of all of them once (``neighbour_order``) and restricts that order to each
-set (``knn_from_order``), which gives the same lists, ties included.
+of all of them once (``neighbour_order``) and restricts that order to every
+set in one pass (``knn_in_splits``), which gives the same lists, ties
+included.
 ``minority_knn``, ``knn_from_distances`` and ``interpolate_rows`` (SMOTE's
 rows from their triples) serve ``resample.smote`` and the tests alone.
 """
@@ -374,32 +375,63 @@ def neighbour_order(M):
     """Per row of M, every row position of M from nearest to farthest: the
     stable argsort of sq_distances(M) with inf on its diagonal, as an (n, n)
     int64 array. Ties break toward the lower row position. The distance
-    matrix is freed once the order exists."""
+    matrix is freed once the order exists.
+
+    When every distance is an integer (bag-of-words counts) small enough
+    for int64 keys distance * n + position, each row sorts as those keys,
+    with the diagonal's above every distance: they order exactly as the
+    stable argsort does, and sort several times faster.
+    """
     D = sq_distances(M)
+    n = len(D)
+    np.fill_diagonal(D, 0.0)
+    top = np.abs(D).max(initial=0.0) + 1.0  # nan or inf if some distance is
+    if top * n + n < 2.0 ** 62 and np.array_equal(D, np.trunc(D)):
+        keys = D.astype(np.int64)
+        del D
+        np.fill_diagonal(keys, int(top))
+        keys *= n
+        keys += np.arange(n)
+        keys.sort(axis=1)
+        keys %= n
+        return keys
     np.fill_diagonal(D, np.inf)
     return np.argsort(D, axis=1, kind="stable").astype(np.int64, copy=False)
 
 
-def knn_from_order(order, at, k):
-    """Per row position a of the ascending positions ``at``: the first k_eff
-    entries of order[a] that are in ``at``, as positions in ``at``, with
-    k_eff = min(k, len(at) - 1). Returns a (len(at), k_eff) int64 array.
+def knn_in_splits(order, held, k):
+    """Per row h of the (splits, n) bool array ``held``, which marks the
+    rows a split leaves out: for each row position a of the split, in
+    ascending order, the first k_eff entries of order[a] that are in the
+    split, as positions in the split, with k_eff = min(k, split size - 1).
+    Returns a list of one (split size, k_eff) int64 array per split.
 
-    ``order`` is neighbour_order of some rows. The columns of the block of
-    rows ``at`` are a subsequence of those rows, in ascending position, so a
-    stable order restricted to them is the block's own stable order: the
-    result equals minority_knn of the block's rows, ties included.
+    ``order`` is neighbour_order of some rows. A split's columns are a
+    subsequence of those rows, in ascending position, so a stable order
+    restricted to them is the split's own stable order: the result equals
+    minority_knn of the split's rows, ties included. Each order[a] is a
+    permutation, so a row of the split meets every row of the split once,
+    itself last (at distance inf), and the first k_eff are its neighbours.
 
-    Each order[a] is a permutation, so each row of the block holds every
-    position of ``at`` exactly once, itself last (at distance inf), and
-    the first k_eff of them are its neighbours.
+    A row's first k_eff neighbours in a split lie among the first k + h
+    entries of its order, h being the rows the split leaves out, so one
+    pass over the first k + max(h) columns serves every split: per split,
+    each row of it keeps the entries in the split, up to k_eff of them,
+    and those become positions in the split.
     """
-    at = np.asarray(at, dtype=np.int64)
-    k_eff = min(int(k), len(at) - 1)
-    where = np.full(order.shape[1], -1, dtype=np.int64)  # position in at, or -1
-    where[at] = np.arange(len(at))
-    nbrs = where[order[at]]
-    return np.ascontiguousarray(nbrs[nbrs >= 0].reshape(len(at), len(at))[:, :k_eff])
+    order, held = np.asarray(order, dtype=np.int64), np.asarray(held, dtype=bool)
+    n = len(order)
+    sizes = n - held.sum(axis=1)
+    k_eff = np.clip(np.minimum(int(k), sizes - 1), 0, None)
+    first = order[:, : min(n, int(k) + int((n - sizes).max(initial=0)))]
+    keep = ~held[:, first]  # (splits, rows, columns): whether each entry is in the split
+    keep &= ~held[:, :, None]  # ... and its row too
+    keep &= np.cumsum(keep, axis=2, dtype=np.int32) <= k_eff[:, None, None]
+    split, row, col = np.nonzero(keep)  # per split, k_eff entries of each of its rows in order
+    position = np.cumsum(~held, axis=1, dtype=np.int64) - 1  # of each row in each split
+    nbrs = position[split, first[row, col]]
+    blocks = np.split(nbrs, np.cumsum(sizes * k_eff)[:-1])
+    return [block.reshape(size, ke) for block, size, ke in zip(blocks, sizes.tolist(), k_eff.tolist())]
 
 
 def minority_knn(M, k):

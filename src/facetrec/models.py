@@ -147,23 +147,25 @@ def unusable_rows(kind: str, X) -> tuple[np.ndarray, str]:
     return np.zeros(len(X), dtype=bool), ""
 
 
-def plan_cell(y, rows, resample_cfg=None, neighbours=None) -> kernels.LRCell:
+def plan_cell(y, rows, resample_cfg=None, neighbours=None, seed=None) -> kernels.LRCell:
     """The training cell of ``rows`` of a feature matrix X, for any model kind.
 
     y holds the int64 0/1 labels of all rows of X, which the caller checks
     once, and ``rows`` is an int64 array of positions. A cell whose labels
     are empty or hold a single class raises ValidationError. With
     ``resample_cfg``, the cell also carries SMOTE's triples, drawn as
-    ``resample.smote_triples`` draws them but without its label check,
-    with ``neighbours(positions, k)`` giving, per ascending position in
-    X, its k nearest others among them (``eval.smote_neighbours``).
+    ``resample.smote_triples`` draws them but without its label check and
+    from ``seed`` (by default the config's), with ``neighbours(positions,
+    k)`` giving, per ascending position in X, its k nearest others among
+    them (``eval.smote_neighbours``).
     """
     labels = y[rows]
     if not 0 < labels.sum() < len(labels):
         raise ValidationError("training labels contain a single class" if len(labels) else "training split is empty")
     if resample_cfg is None:
         return kernels.LRCell(rows, labels)
-    seeds, nbrs, gammas, y_aug = _smote_triples(labels, resample_cfg, lambda pos, k: neighbours(rows[pos], k))
+    seed = resample_cfg.seed if seed is None else seed
+    seeds, nbrs, gammas, y_aug = _smote_triples(labels, resample_cfg, lambda pos, k: neighbours(rows[pos], k), seed)
     return kernels.LRCell(rows, labels, rows[seeds], rows[nbrs], gammas, int(y_aug[-1]))
 
 
@@ -177,22 +179,33 @@ def _class_sums(X, cells):
         w += [np.ones(len(c.rows)), 1.0 - c.gammas, c.gammas]
     W = np.bincount(np.concatenate(at), np.concatenate(w), minlength=2 * len(cells) * n).reshape(-1, n)
     counts = [np.bincount(c.y, minlength=2) + len(c.seeds) * (np.arange(2) == c.minority) for c in cells]
-    return (W @ X).reshape(len(cells), 2, -1), counts
+    return (W @ X).reshape(len(cells), 2, -1), np.array(counts)
 
 
 def nb_model(class_sums, class_counts, alpha: float) -> TrainedModel:
     """Naive Bayes from per-class feature sums (2, n_features) and row counts:
     likelihood(j | c) = (sum of j-counts in c + alpha) / (all counts in c +
-    alpha * n_features), and priors are class fractions. Stored as logs."""
-    n_features = class_sums.shape[1]
-    log_priors = np.empty(2)
-    log_likelihoods = np.empty((2, n_features))
-    for c in (0, 1):
-        log_priors[c] = np.log(class_counts[c] / (class_counts[0] + class_counts[1]))
-        denom = class_sums[c].sum() + alpha * n_features
-        log_likelihoods[c] = np.log((class_sums[c] + alpha) / denom)
-    params = NaiveBayesParams(alpha=float(alpha), log_priors=log_priors, log_likelihoods=log_likelihoods)
-    return TrainedModel(kind="naive_bayes", feature_dim=n_features, params=params)
+    alpha * n_features), and priors are class fractions. Stored as logs.
+    The one-cell case of ``nb_models``."""
+    return nb_models(np.asarray(class_sums)[None], np.asarray(class_counts)[None], alpha)[0]
+
+
+def nb_models(class_sums, class_counts, alpha: float) -> list[TrainedModel]:
+    """``nb_model`` of every cell, from (cells, 2, n_features) class sums and
+    (cells, 2) row counts, in one pass. Each class's total is the sum of
+    its own row of sums, as one cell alone gives it."""
+    n_features = class_sums.shape[2]
+    log_priors = np.log(class_counts / class_counts.sum(axis=1, keepdims=True))
+    denom = class_sums.sum(axis=2, keepdims=True)
+    denom += alpha * n_features
+    log_likelihoods = class_sums + alpha
+    log_likelihoods /= denom
+    np.log(log_likelihoods, out=log_likelihoods)
+    return [
+        TrainedModel(kind="naive_bayes", feature_dim=n_features,
+                     params=NaiveBayesParams(alpha=float(alpha), log_priors=priors, log_likelihoods=likelihoods))
+        for priors, likelihoods in zip(log_priors, log_likelihoods)
+    ]
 
 
 def lr_model(hyper: LRHyperparams, w, b, losses, converged, diverged) -> TrainedModel:
@@ -237,7 +250,7 @@ def fit_cells(X, spec: ModelSpec, groups, name: str = "model", where=None):
                 for c in cells)
     log.info("%s: SMOTE added %d rows to %d cells", name, sum(len(c.seeds) for c in cells), len(cells))
     if spec.kind == "naive_bayes":
-        return (nb_model(sums, counts, spec.alpha) for group in groups for sums, counts in zip(*_class_sums(X, group)))
+        return (model for group in groups for model in nb_models(*_class_sums(X, group), spec.alpha))
     hyper = spec.lr
     fits = kernels.logreg_descent_cells(X, cells, hyper.l2, hyper.max_epochs, hyper.tol)
     iterations = [len(losses) - 1 for losses in fits[2]]
@@ -271,13 +284,15 @@ def _stable_sigmoid(z: np.ndarray) -> np.ndarray:
     return np.where(z >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
-def predict(model: TrainedModel, X):
-    """Labels and per-row diagnostic scores.
+def predict(model: TrainedModel, X, rows=None):
+    """Labels and per-row diagnostic scores of the rows of X, or of those
+    the bool mask ``rows`` selects.
 
-    Majority: constant label, score = that label. Naive Bayes: argmax of
-    log prior + counts . log likelihoods, score = positive minus negative
-    log posterior. Logistic regression: positive iff sigmoid(w.x + b) > 0.5,
-    score = the sigmoid. All ties resolve negative.
+    Majority: constant label, score = that label, without reading X's rows.
+    Naive Bayes: argmax of log prior + counts . log likelihoods, score =
+    positive minus negative log posterior. Logistic regression: positive
+    iff sigmoid(w.x + b) > 0.5, score = the sigmoid. All ties resolve
+    negative.
     """
     n_rows, n_cols = X.shape
     if model.feature_dim is not None and n_cols != model.feature_dim:
@@ -286,9 +301,13 @@ def predict(model: TrainedModel, X):
         )
     if model.kind == "majority":
         label = model.params.label
+        if rows is not None:
+            n_rows = int(np.count_nonzero(rows))
         labels = np.full(n_rows, label, dtype=np.int64)
         scores = np.full(n_rows, float(label))
         return labels, scores
+    if rows is not None:
+        X = X[rows]
     if model.kind == "naive_bayes":
         p = model.params
         joint = X @ p.log_likelihoods.T + p.log_priors  # (n_rows, 2)

@@ -11,7 +11,7 @@ lower position). ``smote_triples`` draws the synthetic rows as (seed,
 neighbour, gamma) triples from the labels and a function that finds those
 neighbours: `eval`, which oversamples the overlapping training folds of one
 facet, and ``facetrec train`` restrict one sorted neighbour order per facet
-and class to each fold's minority rows (``eval.smote_neighbours``), and
+and class to every fold's minority rows (``eval.smote_neighbours``), and
 ``smote`` searches its own minority rows (``kernels.minority_knn``).
 Either way the neighbour lists are the same, bit for bit. Every model kind,
 majority included, trains from the triples (``models.plan_cell``); only
@@ -105,12 +105,13 @@ def smote_triples(y, cfg: ResampleConfig, neighbours):
     those rows of X. It is called only when synthetic rows are drawn, and X
     is read through it alone.
     """
-    return _smote_triples(_checked(y), cfg, neighbours)
+    return _smote_triples(_checked(y), cfg, neighbours, cfg.seed)
 
 
-def _smote_triples(y, cfg: ResampleConfig, neighbours):
+def _smote_triples(y, cfg: ResampleConfig, neighbours, seed: int):
     # smote_triples of checked labels, such as a planned cell's
-    # (models.plan_cell), which raises only the errors of the cell itself.
+    # (models.plan_cell), which raises only the errors of the cell itself,
+    # drawn from ``seed`` in place of the config's.
     y_aug = _resampled_labels(y, cfg)
     n_synth = len(y_aug) - len(y)
     if n_synth == 0:
@@ -122,7 +123,7 @@ def _smote_triples(y, cfg: ResampleConfig, neighbours):
 
     # Fixed draw order so runs are reproducible: shuffle, neighbor picks,
     # interpolation coefficients.
-    rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(seed)
     perm = rng.permutation(n_min)
     k_eff = min(cfg.k_neighbors, n_min - 1)
     picks = rng.integers(0, k_eff, size=n_synth)

@@ -17,8 +17,11 @@ from facetrec.cli import main
 from facetrec.corpus import LabeledCorpus, LabeledDocument
 from facetrec.inventory import FACET_NAMES
 
+# HYPOTHESIS_PROFILE picks the profile: "suite" (the default) or "ci",
+# which tries ten times as many examples.
 settings.register_profile("suite", max_examples=50, deadline=None)
-settings.load_profile("suite")
+settings.register_profile("ci", max_examples=500, deadline=None)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "suite"))
 
 _SRC_DIR = Path(__file__).resolve().parents[1] / "src"
 

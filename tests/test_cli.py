@@ -382,6 +382,17 @@ def test_corrupt_corpus_names_the_line(tmp_path, capsys):
     assert ":1: invalid JSON" in err
 
 
+@pytest.mark.parametrize("pattern", [r"(?a)\bha\b", "a{99999999999}"])
+def test_validate_names_a_rule_the_engine_rejects(bundle, tmp_path, capsys, pattern):
+    norm = tmp_path / "norm.yaml"
+    norm.write_text(f"rules:\n  - pattern: '{pattern}'\n    token: $X$\n", encoding="utf-8")
+    rc = main(["validate", "--corpus", str(bundle / "corpus.jsonl"), "--normalization", str(norm)])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith(f"facetrec: ConfigError: {norm}: rule 0: invalid pattern {pattern!r}")
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("command", ["score", "run"])
 def test_bad_responses_name_their_author_or_line_and_item(bundle, tmp_path, capsys, command):
     lines = (bundle / "corpus.jsonl").read_text(encoding="utf-8").splitlines()

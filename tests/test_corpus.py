@@ -179,7 +179,7 @@ def test_tokenize_keeps_non_ascii_on_the_loop():
 
 def test_default_table_is_gated_by_its_union():
     t = default_normalization_table()
-    assert t.union is not None and t.firsts is not None and t.joins_posts
+    assert t.union is not None and t.firsts is not None and t.word_level
     assert t.union.pattern.startswith("(?=[")
 
 
@@ -187,9 +187,12 @@ def test_default_table_is_gated_by_its_union():
 # lookarounds, a backreference in rule 0, classes, branches and repeats keep
 # it; a rule that can match empty, scoped flags, a category or a negated
 # class drop it; a global inline flag leaves the table without any union.
-# The second item says whether the table is guarded, the third whether it
-# normalizes an author's joined posts as one text: only literals, classes
-# without a space, branches, groups, repeats, \b and \B allow that.
+# The second item says whether the table is guarded, the third whether
+# normalizing an author's posts joined with single spaces gives the posts'
+# own normalizations joined: only literals, classes without a space,
+# branches, groups, repeats, \b and \B allow that. It is checked on pairs
+# of posts where it holds; test_tables_that_do_not_join_posts_normalize_each_post
+# shows posts where it fails.
 _GUARD_CASES = [
     ([(r"\bk{2,}\b", "$K$"), ("(?:ha){2,}h?", "$LAUGH$")], True, True),
     ([("s+", "$S$"), ("i", "$I$"), ("k", "$K$")], True, True),
@@ -200,7 +203,7 @@ _GUARD_CASES = [
     ([("(?<=a)k", "$K$"), ("(?!ka)k", "$NK$")], True, False),
     ([("^ha", "$H$"), (r"\Aa", "$A$"), ("s$", "$S$")], True, False),
     ([(r"(a)\1", "$AA$"), ("k+", "$K$")], True, False),
-    ([("(?:ha)+", "laugh")], True, True),  # a word token: tokens go through the loop
+    ([("(?:ha)+", "laugh")], True, True),  # a word token
     ([("^", "$B$"), ("k", "$K$")], False, False),
     ([(r"\A", "$B$"), ("k", "$K$")], False, False),
     ([("$", "$E$"), ("k", "$K$")], False, False),
@@ -213,14 +216,64 @@ _GUARD_CASES = [
     *([([("(?>ha)+", "$HH$"), ("k++", "$K$")], True, True)] if sys.version_info >= (3, 11) else []),
 ]
 
+# Posts that meet the rules above at their edges.
+_EDGE_POSTS = ["", " ", "!", "a", "k", "kk", "ka", "s", "as", "i", "ha", "hah", "haha", "ja", "aa", "x", "bs", "K"]
+
 
 @pytest.mark.parametrize("pairs, guarded, joins_posts", _GUARD_CASES)
 def test_guard_needs_first_characters_for_every_rule(pairs, guarded, joins_posts):
     t = table(*pairs)
     assert (t.firsts is not None) == guarded
-    assert t.joins_posts == joins_posts
     if not guarded and t.union is not None:
         assert not t.union.pattern.startswith("(?=")
+    if joins_posts:
+        for a in _EDGE_POSTS:
+            for b in _EDGE_POSTS:
+                assert normalize(f"{a} {b}", t) == f"{normalize(a, t)} {normalize(b, t)}", (a, b)
+
+
+# Which tables normalize word by word: every rule starts and ends with \b,
+# consumes only ASCII [0-9A-Za-z_] through literals, classes, branches,
+# groups and repeats, has the table's flags and cannot match empty.
+_WORD_LEVEL_CASES = [
+    ([], True),
+    ([(r"\b(?:ha){2,}h?\b", "$LAUGH$"), (r"\bk{3,}\b", "$LAUGH$")], True),
+    ([(r"\b(?:ha|he)+\b", "lol")], True),  # a word token
+    ([(r"\b[a-z_0-9]+x\b", "$X$")], True),  # case folding adds K, ſ, İ and ı
+    ([(r"\bk\Bk+\b", "$K$")], True),
+    ([(r"\bk+\b", "$K$"), (r"\b(ha)+\b", "$H$")], True),  # no union: a group after rule 0
+    ([(r"\b(?:ha){2,}h?\b", "$LAUGH$"), ("(?:ha){2,}h?", "$LAUGH$")], False),  # no \b
+    ([(r"\bha", "$H$")], False),
+    ([(r"\bha\B", "$H$")], False),
+    ([(r"^ha\b", "$H$")], False),
+    ([(r"\b(?:ha)*\b", "$H$")], False),  # matches empty
+    ([(r"\b[a-zé]+\b", "$W$")], False),  # a non-ASCII class member
+    ([(r"\b[a-~]+\b", "$W$")], False),  # a range past the word characters
+    ([(r"\b\w+\b", "$W$")], False),
+    ([(r"\b.+\b", "$W$")], False),
+    ([(r"\b[^a]\b", "$N$")], False),
+    ([(r"\b(?=h)ha\b", "$H$")], False),
+    ([(r"\b(?-i:ha)\b", "$H$")], False),
+    ([(r"(?x)\b h a \b", "$H$")], False),
+    ([(r"\b(a)\1\b", "$AA$")], False),
+    ([(r"\bha ha\b", "$HH$")], False),
+]
+
+
+@pytest.mark.parametrize("pairs, word_level", _WORD_LEVEL_CASES)
+def test_word_level_tables(pairs, word_level):
+    assert table(*pairs).word_level == word_level
+
+
+def test_a_rule_that_matches_empty_is_not_word_level():
+    # Its first match from the start of the text is empty, which stops the
+    # single pass there, so a later run it matches whole stays as it is.
+    t = table((r"\b(?:ha)*\b", "$H$"))
+    assert not t.word_level
+    assert normalize("xyz haha", t) == normalize_loops("xyz haha", t) == "xyz haha"
+    records = [rec("u", ["xyz haha"]), rec("v", ["haha"])]
+    assert build_documents(records, t) == build_documents_loops(records, t) == [
+        ("u", ("xyz", "haha")), ("v", ("$H$",))]
 
 
 @pytest.mark.parametrize(
@@ -237,7 +290,7 @@ def test_tables_that_do_not_join_posts_normalize_each_post(pairs, posts):
     # Each author's joined posts would normalize otherwise than its posts.
     t = table(*pairs)
     per_post = " ".join(normalize(post, t) for post in posts)
-    assert not t.joins_posts and normalize(" ".join(posts), t) != per_post
+    assert not t.word_level and normalize(" ".join(posts), t) != per_post
     assert build_documents([rec("u", posts)], t) == [("u", tuple(tokenize(per_post)))]
 
 
@@ -249,23 +302,47 @@ def test_guard_folds_case_as_the_rules_do():
     assert normalize(text, t) == normalize_loops(text, t) == "$K$ $S$ $I$ $K$ $S$ $I$"
 
 
-# Posts over case variants that fold into ASCII rules, "$" (which sends an
-# author through the loop), spaces and punctuation. Posts may start or end
-# with a space or a word, so rules meet the edges between posts.
+# Posts over case variants that fold into ASCII rules (K, ſ, İ, ı), a
+# character whose case folds to two ("ß"), "$" (which sends an author
+# through normalize per post), words equal to word tokens, spaces and
+# punctuation. Posts may start or end with a space or a word, so rules meet
+# the edges between posts.
 _POST_PIECES = [
-    "a", "h", "k", "s", "i", "j", "x", "K", "S", "I", "\u212a", "\u017f", "\u0130", "ha", "HAHA", "kkk", "rsrs",
-    "$", "$A$", "$ab", " ", "  ", "!", ".", "-", "_", "1", "ha ha",
+    "a", "h", "k", "s", "i", "j", "x", "K", "S", "I", "\u212a", "\u017f", "\u0130", "\u0131", "\u00df", "ha",
+    "HAHA", "kkk", "rsrs", "lol", "LOL", "laugh", "$", "$A$", "$ab", " ", "  ", "!", ".", "-", "_", "1", "ha ha",
 ]
 author_posts = st.lists(st.lists(st.sampled_from(_POST_PIECES), max_size=10).map("".join), max_size=4)
 
+# Rules between \b and \b over ASCII word characters, most of them
+# word-level; "s?" alone can match empty, which keeps a table off the memo.
+_WORD_PATTERN_PIECES = [
+    "a", "h", "k", "s", "i", "l", "o", "ha", "lol", "(?:ha)+", "(?:he){2,}", "k{3,}", "[a-c]", "[a-z]+",
+    "[0-9]", "_", "(?:rs|ja)+", r"\B", "s?", "[k-s]", "[A-C]", "K",
+]
+word_tables = st.lists(
+    st.tuples(
+        st.lists(st.sampled_from(_WORD_PATTERN_PIECES), min_size=1, max_size=3).map(lambda p: rf"\b{''.join(p)}\b"),
+        st.sampled_from(["$A$", "$LAUGH$", "lol", "laugh", "a"]),
+    ),
+    max_size=4,
+).map(lambda pairs: table(*pairs))
+
 
 @given(
-    st.one_of(st.sampled_from(_GUARD_CASES).map(lambda case: table(*case[0])), tables),
-    st.lists(author_posts, min_size=1, max_size=3),
+    st.one_of(
+        st.sampled_from(_GUARD_CASES).map(lambda case: table(*case[0])),
+        st.sampled_from(_WORD_LEVEL_CASES).map(lambda case: table(*case[0])),
+        word_tables,
+        tables,
+    ),
+    st.lists(author_posts, min_size=1, max_size=4),
 )
 def test_build_documents_matches_the_loops(t, authors):
     records = [rec(f"u{i}", posts) for i, posts in enumerate(authors)]
-    assert build_documents(records, t) == build_documents_loops(records, t)
+    docs = build_documents(records, t)
+    assert docs == build_documents_loops(records, t)
+    every = [tok for _, tokens in docs for tok in tokens]
+    assert len({id(tok) for tok in every}) == len(set(every))
     for posts in authors:
         for post in posts:
             assert normalize(post, t) == normalize_loops(post, t)
@@ -319,6 +396,20 @@ def test_build_documents_shares_one_string_per_distinct_token():
     every = [tok for _, tokens in docs for tok in tokens]
     assert "$LAUGH$" in every and "straße" in every
     assert len({id(tok) for tok in every}) == len(set(every))
+
+
+def test_build_documents_shares_a_word_token_with_the_same_word():
+    # "laugh" is a rule's token and a word of the posts: in ASCII text, in
+    # non-ASCII text, in text with a "$" (normalized per post), first met
+    # as either. Every occurrence is one str.
+    t = table((r"\bhaha\b", "laugh"), (r"\bk{3,}\b", "$K$"))
+    assert t.word_level
+    records = [rec("a", ["haha kkk"]), rec("b", ["laugh Laugh"]), rec("c", ["LAUGH \u00e9 haha"]),
+               rec("d", ["$ laugh", "kkk"]), rec("e", ["laugh"]), rec("f", ["\u00e9 lol"]), rec("g", ["lol"])]
+    docs = build_documents(records, t)
+    assert docs == build_documents_loops(records, t)
+    every = [tok for _, tokens in docs for tok in tokens]
+    assert len({id(tok) for tok in every}) == len(set(every)) == 4
 
 
 def test_build_documents_excludes_zero_token_authors(caplog):
@@ -524,3 +615,16 @@ def test_load_normalization_table_errors(tmp_path):
     path.write_text("rules:\n  - pattern: '('\n    token: $X$\n")
     with pytest.raises(ConfigError, match="pattern"):
         load_normalization_table(path)
+
+
+@pytest.mark.parametrize("pattern", [r"(?a)\bha\b", "a{99999999999}"])
+def test_load_normalization_table_names_a_rule_the_engine_rejects(tmp_path, pattern):
+    # (?a) clashes with the rules' UNICODE flag (ValueError), and the repeat
+    # count overflows the engine (OverflowError); both are the file's fault.
+    path = tmp_path / "norm.yaml"
+    path.write_text(f"rules:\n  - pattern: 'k+'\n    token: $K$\n  - pattern: '{pattern}'\n    token: $X$\n",
+                    encoding="utf-8")
+    with pytest.raises(ConfigError, match=r"rule 1: invalid pattern") as err:
+        load_normalization_table(path)
+    assert repr(pattern) in str(err.value)
+

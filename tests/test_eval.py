@@ -530,9 +530,15 @@ def test_naive_bayes_cells_score_as_materialized_smote(monkeypatch, minority):
     # only.
     X, y, folds = _imbalanced_fractional(minority)
     planned = []
-    real = models.nb_model
-    monkeypatch.setattr(models, "nb_model", lambda *args: planned.append(real(*args)) or planned[-1])
+    real = models.nb_models
+
+    def recording(*args):
+        planned.extend(real(*args))
+        return planned[-len(args[0]):]
+
+    monkeypatch.setattr(models, "nb_models", recording)
     scores = _evaluate(X, y, folds, ModelSpec(kind="naive_bayes"))
+    monkeypatch.undo()  # the oracle's nb_model goes through nb_models too
     assert len(planned) == 5
     for k, model in enumerate(planned):
         train = folds != k

@@ -245,6 +245,21 @@ def test_realize_features_bow_matches_the_loops(seqs, vocab_size, binary):
     assert np.array_equal(bow_matrix(seqs, vocab, binary=binary), X)
 
 
+@pytest.mark.parametrize("cells", [1, 5, 7, 1 << 16])
+def test_bow_rows_do_not_depend_on_the_block_size(monkeypatch, cells):
+    # Blocks of one row each (a block holds at least one), of several rows
+    # with a remainder, and of every row: the same counts as the loops, with
+    # empty documents and tokens outside the vocabulary.
+    from facetrec import features
+
+    seqs = [["a", "b", "a"], [], ["zz", "q", "q", "a"], ["c"], ["b", "b", "$LAUGH$"], [], ["q"] * 9, ["a", "c"]]
+    monkeypatch.setattr(features, "_BOW_CHUNK_CELLS", cells)
+    corpus = SimpleNamespace(documents=[SimpleNamespace(tokens=tuple(tokens)) for tokens in seqs])
+    X, _, vocab = realize_features(BowSpec(vocab_size=3), corpus)
+    entries, rows = bow_loops(seqs, 3)
+    assert vocab.entries == entries and X.tolist() == rows
+
+
 def test_embedding_oov_line_counts_the_misses(tmp_path, caplog):
     # The quick-start bundle, whose vectors cover all its tokens, and one
     # document more with two tokens that have none: the debug line gives

@@ -341,22 +341,59 @@ def test_empty_and_zero_width_matrices():
 @given(st.data())
 def test_a_restricted_neighbour_order_is_the_blocks_own_search(data):
     # The first k entries of each row's order over all rows, restricted to
-    # an ascending subset, are that subset's own k nearest, ties included:
-    # duplicated rows tie at zero, and a row of inf is at distance inf from
-    # every other row, where it ties with the diagonal.
+    # the rows of each of several splits at once (any of them, none or all
+    # left out), are that split's own k nearest, ties included: duplicated
+    # rows tie at zero, and a row of inf is at distance inf from every
+    # other row, where it ties with the diagonal.
     M = data.draw(integer_rows())
     if data.draw(st.booleans()):
         M = M + data.draw(st.sampled_from([0.25, 1e-9]))  # fractional: the diff form
     if data.draw(st.booleans()):
         M = np.insert(M, data.draw(st.integers(0, len(M))), np.inf, axis=0)
     n = len(M)
-    at = np.flatnonzero(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)))
-    assume(len(at) >= 2)
+    masks = st.lists(st.booleans(), min_size=n, max_size=n)
+    held = np.array(data.draw(st.lists(masks, min_size=1, max_size=4)), dtype=bool)
     k = data.draw(st.integers(1, n + 1))
     with np.errstate(invalid="ignore"):
-        want = kernels.minority_knn(M[at], k)
-        got = kernels.knn_from_order(kernels.neighbour_order(M), at, k)
-    assert got.dtype == np.int64 and np.array_equal(got, want)
+        got = kernels.knn_in_splits(kernels.neighbour_order(M), held, k)
+        assert len(got) == len(held)
+        for h, nbrs in zip(held, got):
+            at = np.flatnonzero(~h)
+            assert nbrs.dtype == np.int64
+            if len(at) >= 2:
+                assert np.array_equal(nbrs, kernels.minority_knn(M[at], k))
+            else:
+                assert nbrs.shape == (len(at), 0)
+
+
+def _stable_order(M):
+    D = sq_distances_rows(M)
+    np.fill_diagonal(D, np.inf)
+    return np.argsort(D, axis=1, kind="stable")
+
+
+@given(st.data())
+def test_neighbour_order_is_the_stable_sort_of_the_distances(data):
+    # Integer rows take the int64 keys (up to distances near 2**53), other
+    # rows the stable argsort; both give the stable order, ties included.
+    M = data.draw(integer_rows())
+    if data.draw(st.booleans()):
+        M = M + data.draw(st.sampled_from([0.25, 1e-9]))
+    got = kernels.neighbour_order(M)
+    assert got.dtype == np.int64 and np.array_equal(got, _stable_order(M))
+
+
+def test_distances_too_large_for_int64_keys_take_the_stable_sort(monkeypatch):
+    # Squared distances of 2**60 and up, times 6 rows, pass 2**62: no keys.
+    M = np.array([[0.0], [2.0**30], [0.0], [2.0**31], [2.0**30], [0.0]])
+    want, small = _stable_order(M), M / 2.0**29
+    want_small = _stable_order(small)
+    sorts = []
+    real = np.argsort
+    monkeypatch.setattr(np, "argsort", lambda *a, **kw: sorts.append(1) or real(*a, **kw))
+    assert np.array_equal(kernels.neighbour_order(M), want) and sorts == [1]
+    sorts.clear()
+    assert np.array_equal(kernels.neighbour_order(small), want_small) and sorts == []
 
 
 def test_knn_from_distances_leaves_its_block_alone():

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -16,6 +17,8 @@ from facetrec.models import (
     NaiveBayesParams,
     TrainedModel,
     load_model,
+    nb_model,
+    nb_models,
     predict,
     save_model,
     train,
@@ -274,6 +277,52 @@ def test_predict_rejects_wrong_width():
     model = train(ModelSpec(kind="naive_bayes"), X, np.array([0, 1]))
     with pytest.raises(ValidationError, match="feature"):
         predict(model, np.zeros((2, 3)))
+
+
+def test_predict_selects_rows_by_mask():
+    X, y, models = _fit_all()
+    mask = np.array([True, False, True, True])
+    for model in models:
+        labels, scores = predict(model, X, mask)
+        want_labels, want_scores = predict(model, X[mask])
+        assert np.array_equal(labels, want_labels) and np.array_equal(scores, want_scores)
+
+
+def test_majority_predicts_without_reading_rows():
+    # Only the matrix's shape is read: this stand-in has no rows to gather.
+    model = train_majority([1, 1, 0], feature_dim=3)
+    labels, scores = predict(model, SimpleNamespace(shape=(5, 3)), np.array([True, False, True, True, False]))
+    assert labels.tolist() == [1, 1, 1] and scores.tolist() == [1.0, 1.0, 1.0]
+    with pytest.raises(ValidationError, match="feature"):
+        predict(model, SimpleNamespace(shape=(5, 4)))
+
+
+def _nb_per_class(class_sums, class_counts, alpha):
+    # nb_model's formula one class at a time, as its plain reading goes.
+    n_features = class_sums.shape[1]
+    log_priors, log_likelihoods = np.empty(2), np.empty((2, n_features))
+    for c in (0, 1):
+        log_priors[c] = np.log(class_counts[c] / (class_counts[0] + class_counts[1]))
+        log_likelihoods[c] = np.log((class_sums[c] + alpha) / (class_sums[c].sum() + alpha * n_features))
+    return log_priors, log_likelihoods
+
+
+@pytest.mark.parametrize("alpha", [1.0, 0.37])
+def test_nb_models_fit_each_cell_as_one_cell_alone(alpha):
+    # Fractional class sums (SMOTE rows weigh 1 - g and g), many cells and
+    # a width past one pairwise-summation block: every cell's logs equal,
+    # bit for bit, those of the per-class formula and of nb_model alone.
+    rng = np.random.default_rng(11)
+    sums = rng.integers(0, 9, size=(13, 2, 301)) + rng.random((13, 2, 301)) * (rng.random((13, 2, 1)) < 0.5)
+    counts = rng.integers(1, 60, size=(13, 2))
+    models = nb_models(sums, counts, alpha)
+    assert len(models) == 13
+    for model, cell_sums, cell_counts in zip(models, sums, counts):
+        priors, likelihoods = _nb_per_class(cell_sums, cell_counts, alpha)
+        assert np.array_equal(model.params.log_priors, priors)
+        assert np.array_equal(model.params.log_likelihoods, likelihoods)
+        alone = nb_model(cell_sums, cell_counts, alpha).params
+        assert np.array_equal(alone.log_priors, priors) and np.array_equal(alone.log_likelihoods, likelihoods)
 
 
 # --- persistence -----------------------------------------------------------

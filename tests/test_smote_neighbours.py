@@ -12,6 +12,7 @@ neighbours are, so the lists are compared directly.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -22,9 +23,10 @@ from facetrec.corpus import assign_labels, build_documents, default_normalizatio
 from facetrec.errors import ValidationError
 from facetrec.eval import FoldPlan, make_folds, plan_cells, run_experiment
 from facetrec.features import BowSpec, EmbeddingSpec, realize_features
-from facetrec.inventory import default_scoring_key, score_inventory
-from facetrec.models import LRHyperparams, ModelSpec
+from facetrec.inventory import FACET_NAMES, default_scoring_key, score_inventory
+from facetrec.models import LRHyperparams, ModelSpec, plan_cell
 from facetrec.resample import ResampleConfig
+from facetrec.seeding import STREAM_SMOTE, derive_seed
 from facetrec.synth import SynthSpec, write_bundle
 
 NB = ModelSpec(kind="naive_bayes")
@@ -38,15 +40,16 @@ def _record_smote(monkeypatch):
     calls = []
     real_triples = resample._smote_triples
 
-    def recording(y, cfg, neighbours):
-        call = {"y": np.array(y), "cfg": cfg, "knn": None}
+    def recording(y, cfg, neighbours, seed):
+        # The cell's config, with the seed the planner passes beside it.
+        call = {"y": np.array(y), "cfg": replace(cfg, seed=seed), "knn": None}
         calls.append(call)
 
         def recorded(at, k):
             call["knn"] = neighbours(at, k)
             return call["knn"]
 
-        call["triples"] = real_triples(y, cfg, recorded)
+        call["triples"] = real_triples(y, cfg, recorded, seed)
         return call["triples"]
 
     monkeypatch.setattr(models, "_smote_triples", recording)  # the cell planner
@@ -170,6 +173,42 @@ def test_a_minority_that_flips_between_folds_gets_the_per_fold_neighbours(monkey
     _one_facet(X, y, folds, spec)
     assert _assert_matches_per_fold_search(calls, X, [folds]) == 4
     assert [int(c["triples"][3][-1]) for c in calls] == [1, 1, 0, 0]
+
+
+@pytest.mark.parametrize("data", [_flipping_minority, _duplicated_rows], ids=["flipping", "duplicated"])
+def test_planned_cells_are_the_per_cell_loops(data):
+    # Each cell planned on its own, with a config carrying its seed and a
+    # search among its own minority rows: the planner's cells are the same,
+    # field for field, though it sorts once per class and restricts that
+    # order to every fold in one pass. In the flipping corpus both classes
+    # oversample, each in two of the four folds.
+    X, y, folds = data()
+    n_folds = int(folds.max()) + 1
+    cfg = ResampleConfig(k_neighbors=3, seed=9)
+    corpus = SimpleNamespace(active_facets=("Ideas",), documents=range(len(y)), labels=lambda f: y)
+    plan = FoldPlan(n_folds=n_folds, seed=9, assignment={"Ideas": folds})
+    planned = plan_cells(corpus, X, cfg, plan).cells[0]
+    minorities = set()
+    for k, cell in enumerate(planned):
+        seed = derive_seed(9, STREAM_SMOTE, FACET_NAMES.index("Ideas"), k)
+        alone = plan_cell(y, np.flatnonzero(folds != k), replace(cfg, seed=seed),
+                          lambda docs, kk: kernels.minority_knn(X[docs], kk))
+        assert len(alone.seeds) and cell.minority == alone.minority
+        assert all(np.array_equal(a, b) for a, b in zip(cell[:5], alone[:5]))
+        minorities.add(cell.minority)
+    assert minorities == ({0, 1} if data is _flipping_minority else {1})
+
+
+def test_a_fold_without_two_minority_rows_names_its_facet_and_fold():
+    # Two positives, dealt to folds 0 and 1: each of those folds trains on
+    # one positive, which SMOTE cannot interpolate from.
+    X = np.random.default_rng(4).random((12, 3))
+    y = np.zeros(12, dtype=np.int64)
+    y[[2, 7]] = 1
+    folds = make_folds({"Ideas": y}, n_folds=4, seed=5).assignment["Ideas"]
+    assert sorted(folds[y == 1].tolist()) == [0, 1]
+    with pytest.raises(ValidationError, match=r"^facet Ideas, fold 0: minority class needs at least 2 samples"):
+        _one_facet(X, y, folds, NB, facet="Ideas")
 
 
 # --- held-out rows ----------------------------------------------------------
