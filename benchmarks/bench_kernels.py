@@ -5,10 +5,12 @@ Logistic regression: builds a bag-of-words-shaped case (300 documents x
 SMOTE triples) and fits it twice by truncated Newton: once with one
 logreg_descent_cells call over the shared matrix, and once as 100
 logreg_descent calls, each on its cell's materialized rows (own rows, then
-the interpolated SMOTE rows). Prints the best-of wall times, the matrix
-products each side makes (one pass over its rows each), their
-floating-point operations and bytes, the Newton iterations, and the
-largest weight gap between the two.
+the interpolated SMOTE rows). Both sides have fewer rows than columns, so
+both fit in document coefficients (kernels' document basis). Prints the
+basis each side ran in, the best-of wall times, the matrix products each
+side makes (one pass over its matrix each) and how many of them are Gram
+products (X X^T or an image a G), their floating-point operations and
+bytes, the Newton iterations, and the largest weight gap between the two.
 
 SMOTE's neighbours: one facet shaped like the smote-nb workload's (600
 documents, 120 minority rows, 10 folds), twice: on 501 count columns,
@@ -63,35 +65,65 @@ def make_cells(rng):
 
 
 class Products:
-    """Counts the matrix products of every fit: each forward or adjoint
-    map is one product with its matrix, one pass over its rows."""
+    """Counts the matrix products of every fit, each one pass over its
+    matrix: in the weight basis, forward's W X^T and the adjoint's R X; in
+    the document basis, the Gram matrix X X^T once per fit, each image a G
+    and the weights a X that the stop rule and the result take. Records
+    which basis each fit ran in."""
+
+    PATCHED = ("forward", "_mean_adjoint", "lift", "weights")
 
     def __init__(self):
-        self.count = self.flops = self.bytes = 0
-        self._forward, self._adjoint = kernels._Operator.forward, kernels._Operator.adjoint
+        self.count = self.gram = self.flops = self.bytes = 0
+        self.bases = set()
+        self._real = {name: getattr(kernels._Operator, name) for name in self.PATCHED}
+        self._gram = kernels._gram
 
-    def _tally(self, op, width):
-        n, d = op.X.shape
+    def _tally(self, rows, inner, cols, gram=False):
         self.count += 1
-        self.flops += 2 * n * d * width
-        self.bytes += 8 * (n * d + width * d + width * n)
+        self.gram += gram
+        self.flops += 2 * rows * inner * cols
+        self.bytes += 8 * (rows * inner + inner * cols + rows * cols)
 
     def __enter__(self):
-        counter = self
+        counter, real = self, self._real
 
         def forward(op, W, B):
-            counter._tally(op, len(W))
-            return counter._forward(op, W, B)
+            if op.G is None:
+                counter._tally(len(W), op.X.shape[1], len(op.X))
+            return real["forward"](op, W, B)
 
-        def adjoint(op, r):
-            counter._tally(op, len(op.n))
-            return counter._adjoint(op, r)
+        def _mean_adjoint(op, r, l2, V, out, own=None):
+            if op.G is None:
+                counter._tally(len(op.n), len(op.X), op.X.shape[1])
+            return real["_mean_adjoint"](op, r, l2, V, out, own)
 
-        kernels._Operator.forward, kernels._Operator.adjoint = forward, adjoint
+        def lift(op, V):
+            if op.G is not None:
+                counter._tally(len(V), len(op.X), len(op.X), gram=True)
+            return real["lift"](op, V)
+
+        def weights(op, V):
+            if op.G is not None:
+                counter._tally(len(V), len(op.X), op.X.shape[1])
+            return real["weights"](op, V)
+
+        def gram(X):
+            G = counter._gram(X)
+            if len(X) < X.shape[1]:
+                counter._tally(len(X), X.shape[1], len(X), gram=True)
+            counter.bases.add("weight" if G is None else "document")
+            return G
+
+        for name, fn in zip(self.PATCHED, (forward, _mean_adjoint, lift, weights)):
+            setattr(kernels._Operator, name, fn)
+        kernels._gram = gram
         return self
 
     def __exit__(self, *exc):
-        kernels._Operator.forward, kernels._Operator.adjoint = self._forward, self._adjoint
+        for name, fn in self._real.items():
+            setattr(kernels._Operator, name, fn)
+        kernels._gram = self._gram
 
 
 def knn_case(X, rng, repeat: int) -> bool:
@@ -151,12 +183,12 @@ def run(args) -> int:
     print(f"{CELLS} cells over {DOCS} x {DIM}, {OWN} own rows and ~{SYNTH} SMOTE rows each; "
           f"Newton iterations {min(iterations)}-{max(iterations)}, {int(converged.sum())} converged "
           f"(cap {args.epochs})")
-    header = f"{'side':<26} {'ms':>10} {'passes':>9} {'MFLOP':>9} {'MB read':>9}"
+    header = f"{'side':<26} {'basis':>9} {'ms':>10} {'passes':>9} {'of Gram':>9} {'MFLOP':>9} {'MB read':>9}"
     print(header)
     print("-" * len(header))
     for name, t, counted in (("one batched fit", t_op, op_products), ("materialized (1 per cell)", t_mat, mat_products)):
-        calls = counted.count // args.repeat
-        print(f"{name:<26} {t * 1e3:>10.1f} {calls:>9} {counted.flops / args.repeat / 1e6:>9.1f} "
+        print(f"{name:<26} {'+'.join(sorted(counted.bases)):>9} {t * 1e3:>10.1f} {counted.count // args.repeat:>9} "
+              f"{counted.gram // args.repeat:>9} {counted.flops / args.repeat / 1e6:>9.1f} "
               f"{counted.bytes / args.repeat / 1e6:>9.1f}")
     print(f"speedup {t_mat / t_op:.1f}x; largest weight gap {gap:.3g}")
     rng = np.random.default_rng(args.seed)

@@ -17,12 +17,17 @@ interpreter to the end of `import facetrec.cli`, then run_s (wall) and
 cpu_s (user + system) and minor_faults (minor page faults, ru_minflt) of
 `cli.main(["run", ...])`, and peak_rss_mb, the process's peak resident
 set. minor_faults shows how much memory a run touches afresh, so a
-memory change shows its churn as well as its peak. The workloads are perfbench's three shapes
+memory change shows its churn as well as its peak. It also moves with the
+length of the checkout's path, which shifts the heap (the same tree read
+859 faults on `demo` from one directory and 551 from another), so a fault
+comparison needs both checkouts at paths of equal length; the JSON
+records each side's. The workloads are perfbench's three shapes
 (perfbench/run.py: `demo`, `smote-nb`, `bow-lr`) and `weak`, a 600-author
 corpus with a weak planted signal on which the LR fit is most of the run
 and a wrong answer shows in the scores.
 
-The JSON file holds the environment (python, numpy, the manifest's
+The JSON file holds each side's commit and the length of its path, the
+environment (python, numpy, the manifest's
 `environment` mapping with the BLAS numpy was built with and its thread
 count in `run`, the CPU count and whether PYTHONDONTWRITEBYTECODE is set).
 Per workload and side it holds the median and quartiles of each metric
@@ -224,6 +229,7 @@ def main(argv=None) -> int:
     blas_env = [r.pop("environment") for r in results.values()][-1]
     bench = {
         "sides": {side: describe(checkout) for side, checkout in sides.items()},
+        "path_lengths": {side: len(str(checkout)) for side, checkout in sides.items()},
         "seed": args.seed,
         "environment": {
             "python": platform.python_version(),

@@ -62,6 +62,10 @@ class NormRule:
             # ValueError: an inline flag the rules' flags exclude, such as (?a);
             # OverflowError: a repeat count past the engine's limit.
             raise ConfigError(f"invalid pattern {self.pattern!r}: {e}") from e
+        # A rule that can match empty would match at every position; its
+        # parse tree's minimum width says whether it can.
+        if _regex_parser().parse(self.pattern, _RULE_FLAGS).getwidth()[0] == 0:
+            raise ConfigError(f"pattern {self.pattern!r} can match the empty string")
         if tokenize(self.token) != [self.token]:
             raise ConfigError(
                 f"replacement {self.token!r} would not survive tokenization as a single token"
@@ -80,7 +84,7 @@ class NormalizationTable:
     # Per rule, a one-character class of what its matches can start with;
     # None unless the union is guarded by them (see _union).
     firsts: tuple[re.Pattern, ...] | None = field(init=False, repr=False, compare=False)
-    # Whether every non-empty match of every rule is one whole \w+ run, so
+    # Whether every match of every rule is one whole \w+ run, so
     # that a text normalizes word by word (see _union).
     word_level: bool = field(init=False, repr=False, compare=False)
     # character -> the rules whose matches can start with it
@@ -109,6 +113,15 @@ class NormalizationTable:
 _ASCII_WORD_CODES = frozenset(map(ord, "0123456789ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_"))
 
 
+def _regex_parser():
+    """The module that parses ``re`` patterns into trees."""
+    try:
+        from re import _parser as parser  # Python 3.11 on
+    except ImportError:
+        import sre_parse as parser
+    return parser
+
+
 def _union(rules) -> tuple[re.Pattern | None, tuple[re.Pattern, ...] | None, bool]:
     """(union, firsts, word_level) of a table's rules.
 
@@ -127,10 +140,10 @@ def _union(rules) -> tuple[re.Pattern | None, tuple[re.Pattern, ...] | None, boo
     and ``firsts`` holds each rule's class; otherwise it is None.
 
     ``word_level`` holds for an empty table, and for a table each of whose
-    rules is compiled with the table's own flags, has first characters (so
-    it cannot match empty), begins and ends with ``\\b``, holds nothing but
-    what ``_consumed`` allows, and consumes only characters of classes
-    within ASCII ``[0-9A-Za-z_]``. Such a rule consumes word characters
+    rules is compiled with the table's own flags, has first characters,
+    begins and ends with ``\\b``, holds nothing but what ``_consumed``
+    allows, and consumes only characters of classes within ASCII
+    ``[0-9A-Za-z_]``. Such a rule consumes word characters
     alone (case folding adds ``K``, ``ſ``, ``İ`` and ``ı``, which are word
     characters too), between two word boundaries, so each of its matches is
     one whole ``\\w+`` run, and whether it matches a run depends on that run
@@ -140,10 +153,7 @@ def _union(rules) -> tuple[re.Pattern | None, tuple[re.Pattern, ...] | None, boo
     """
     if not rules:
         return None, None, True
-    try:
-        from re import _parser as parser  # Python 3.11 on
-    except ImportError:
-        import sre_parse as parser
+    parser = _regex_parser()
     # Each rule compiled, so it parses.
     trees = [parser.parse(rule.pattern, _RULE_FLAGS) for rule in rules]
     firsts = [_first_of(tree, parser) for tree in trees]
@@ -295,11 +305,13 @@ class LabeledCorpus:
 
 
 def normalize(text: str, table: NormalizationTable) -> str:
-    """Apply substitution rules: leftmost-longest, single pass, in rule order.
+    """Apply substitution rules in one left-to-right pass.
 
-    At each position the earliest match across all rules wins; ties go to
-    the longer match, then to the earlier rule. Replacements are inserted
-    verbatim and never rescanned.
+    Each step replaces the rule match that starts earliest after the last
+    replacement; among the rules matching there, the longest of their
+    matches (each the one its own regex finds there) wins, then the earlier
+    rule. Replacements are inserted verbatim and never rescanned. No rule
+    matches the empty string: ``NormRule`` rejects a pattern that can.
     """
     parts = []
     pos = 0
@@ -315,10 +327,9 @@ def _replacements(text: str, table: NormalizationTable) -> list[tuple[int, int, 
 
     With a union (see ``_union``) each step searches it once. No rule
     matches before the union's match does, so the step replaces the
-    longest non-empty match at that start among the rules that can start
-    with its character, and a text the union cannot match needs nothing
-    more. Only where every rule matching there matches empty, and for
-    tables without a union, does a step search each rule.
+    longest match at that start among the rules that can start with its
+    character, and a text the union cannot match needs nothing more.
+    Tables without a union search each rule at every step.
     """
     hits = []
     if not table.rules:
@@ -327,28 +338,25 @@ def _replacements(text: str, table: NormalizationTable) -> list[tuple[int, int, 
     pos = 0
     n = len(text)
     while pos < n:
-        hit = None
-        if union is not None:
+        if union is None:
+            hit = _leftmost_longest(text, pos, table.rules)
+        else:
             m = union.search(text, pos)
             if m is None:
                 break
             start = m.start()
-            rules = table._rules_starting_with(text[start : start + 1])  # "" at the end
-            if len(rules) == 1 and m.end() > start:  # the union's match is that rule's
-                hit = (start, m.end(), rules[0].token)
-            else:
-                hit = _longest_at(text, start, rules)
+            rules = table._rules_starting_with(text[start])
+            # With one rule that can start here, the union's match is its.
+            hit = (start, m.end(), rules[0].token) if len(rules) == 1 else _longest_at(text, start, rules)
         if hit is None:
-            hit = _leftmost_longest(text, pos, table.rules)
-            if hit is None:
-                break
+            break
         hits.append(hit)
         pos = hit[1]
     return hits
 
 
 def _longest_at(text: str, start: int, rules) -> tuple[int, int, str] | None:
-    """The longest non-empty rule match at ``start``, the earlier rule on ties."""
+    """The longest rule match at ``start``, the earlier rule on ties."""
     end, token = start, None
     for rule in rules:
         m = rule.regex.match(text, start)
@@ -358,13 +366,13 @@ def _longest_at(text: str, start: int, rules) -> tuple[int, int, str] | None:
 
 
 def _leftmost_longest(text: str, pos: int, rules) -> tuple[int, int, str] | None:
-    """Among each rule's first match from ``pos``, skipping empty ones, the
-    earliest, then the longest, then the earlier rule's."""
+    """Among each rule's first match from ``pos``, the earliest, then the
+    longest, then the earlier rule's."""
     best = None
     best_rule = None
     for ridx, rule in enumerate(rules):
         m = rule.regex.search(text, pos)
-        if m is None or m.end() == m.start():
+        if m is None:
             continue
         cand = (m.start(), -(m.end() - m.start()), ridx)
         if best is None or cand < best:

@@ -8,8 +8,13 @@ Logistic regression has one objective, gradient and Hessian-vector
 product and one truncated-Newton loop, all over many cells that share one
 feature matrix, each cell a set of its rows plus SMOTE rows given as
 interpolation triples; ``logreg_loss_grad`` and ``logreg_descent`` run them
-on one cell of all rows. The tests keep a per-cell dense Newton solver and
-plain-Python loop versions of the kernels as reference implementations.
+on one cell of all rows. A matrix with fewer rows than columns (and a
+finite Gram matrix) is fitted in one coefficient per row, so that each
+Hessian product is one product with its Gram matrix; any other matrix in
+the weights themselves. Both bases run through the same Newton loop and
+conjugate gradients, in workspaces sized once per Newton iteration. The
+tests keep a per-cell dense Newton solver and plain-Python loop versions of
+the kernels as reference implementations.
 
 SMOTE's neighbour search rests on ``sq_distances``, the exact
 squared-distance matrix of some rows: a Gram product on finite integer rows
@@ -45,12 +50,24 @@ def _f64(a):
 #
 # Each Newton iteration solves H d = -g by conjugate gradients, stopped by
 # the forcing term ||H d + g|| <= min(0.5, sqrt(||g||)) ||g|| (Eisenstat &
-# Walker 1996) or after _CG_MAX Hessian products, then backtracks from the
-# full step, halving it until f(x + t d) <= f(x) + _ARMIJO_C t g.d. This is
-# the Newton-CG family of liblinear's logistic regression (Lin, Weng &
-# Keerthi 2008), with a line search in place of its trust region.
+# Walker 1996), by ||H d + g|| <= _CG_FLOOR tol (a step solved further
+# than the stop rule can see is wasted work) or after _CG_MAX Hessian
+# products, then backtracks from the full step, halving it until
+# f(x + t d) <= f(x) + _ARMIJO_C t g.d. This is the Newton-CG family of
+# liblinear's logistic regression (Lin, Weng & Keerthi 2008), with a line
+# search in place of its trust region.
+#
+# Every gradient, Hessian product and so every step from the zero start
+# lies in the span of X's rows, w = a X for one coefficient per document.
+# When X has fewer rows than columns and a finite Gram matrix G = X X^T,
+# the fit runs in those coefficients (the document basis): w's logits are
+# a G and |w|^2 = a G a^T, and each vector carries its logits image a G
+# beside a, so a Hessian product costs one (cells x docs)(docs x docs)
+# product. Any other X keeps the weights themselves (the weight basis), at
+# two (cells x docs x columns) products per Hessian product.
 
 _CG_MAX = 50  # Hessian products per Newton iteration
+_CG_FLOOR = 0.1  # conjugate gradients stop at a residual below this times tol
 _ARMIJO_C = 1e-4  # sufficient decrease of the line search
 _MAX_HALVINGS = 30  # a cell whose step 2**-30 still fails Armijo stops there
 
@@ -93,20 +110,49 @@ def _cat(arrays, dtype):
     return np.concatenate([np.empty(0, dtype), *arrays]).astype(dtype)
 
 
+def _gram(X):
+    """G = X X^T when X has fewer rows than columns and G is finite (the
+    document basis), else None (the weight basis)."""
+    if len(X) >= X.shape[1]:
+        return None
+    G = X @ X.T
+    return G if np.isfinite(G).all() else None
+
+
+def _rows(buf, rows, cols):
+    """The first rows * cols entries of the flat array ``buf`` as a
+    (rows, cols) array."""
+    return buf[: rows * cols].reshape(rows, cols)
+
+
 class _Operator:
     """The logits of many cells over one shared matrix X, and their adjoint.
 
-    ``forward(W, B)`` maps (cells x dim) weights and (cells,) biases to one
-    logit per entry: each cell's own rows, then each cell's SMOTE rows. With
-    Z = W @ X.T + B, an own row's logit is in its cell's row of Z, and a
-    SMOTE row's is z_s + g * (z_n - z_s). ``adjoint(r)`` is its transpose:
-    per-entry values scatter back onto the same rows, a SMOTE row's onto s
-    and n with weights 1 - g and g, giving (R @ X, per-cell sums of r). Rows
-    outside a cell never enter its logits or products, not even times zero.
+    A cell's vector is a row of a (cells, dim) array whose first ``k``
+    columns are its coefficients: its weights w (the weight basis, G None,
+    k = dim = X's columns), or one per document, w = a X, followed by the
+    image a G (the document basis, k = docs, dim = 2 docs).
+
+    ``forward(W, B)`` maps vectors W and (cells,) biases B to one logit per
+    entry: each cell's own rows, then each cell's SMOTE rows. With
+    Z = w X^T + B per cell, an own row's logit is in its cell's row of Z,
+    and a SMOTE row's is z_s + g * (z_n - z_s). The adjoint is its
+    transpose: per-entry values scatter back onto the same rows, a SMOTE
+    row's onto s and n with weights 1 - g and g, and sum to coefficients
+    (R X in the weight basis, R itself in the document basis).
+
+    A row outside a cell enters the cell's products only times a zero
+    coefficient, which leaves them as they are: X is finite in the weight
+    basis, and so is G in the document basis.
+
+    A Hessian product runs in a workspace sized for these cells. It is
+    what ``forward`` and ``hessian`` return views of: a forward's logits
+    hold until the next forward or Hessian product, and a product until
+    the next product.
     """
 
-    def __init__(self, X, cells):
-        self.X, width, n_docs = X, len(cells), len(X)
+    def __init__(self, X, cells, G=None):
+        self.X, self.G, width, n_docs = X, G, len(cells), len(X)
         own = np.repeat(np.arange(width), [len(c.rows) for c in cells])
         syn = np.repeat(np.arange(width), [len(c.seeds) for c in cells])
         self.m, self.cell = len(own), np.concatenate([own, syn]).astype(np.int32)
@@ -119,32 +165,95 @@ class _Operator:
         self.g = _cat([c.gammas for c in cells], np.float64)
         self.y = _cat([c.y for c in cells] + [np.full(len(c.seeds), c.minority) for c in cells], np.int8)
         self.n = np.bincount(self.cell, minlength=width).astype(np.float64)
+        self.k = X.shape[1] if G is None else n_docs
+        self.dim = self.k if G is None else 2 * n_docs
+        self._entries, self._smote = np.empty(len(self.cell)), np.empty(len(self.g))
+        # Logits and then their scatter, and in the weight basis also l2 V;
+        # the Hessian product, and in the weight basis first its second scatter.
+        z_buf, h_buf = np.empty(width * max(n_docs, self.k)), np.empty(width * max(n_docs, self.dim))
+        self._Z, self._l2v = _rows(z_buf, width, n_docs), _rows(z_buf, width, self.k)
+        self._own, self._H = _rows(h_buf, width, n_docs), _rows(h_buf, width, self.dim)
 
     def forward(self, W, B):
-        Z = W @ self.X.T
-        Z += B[:, None]
-        z, z_n = np.take(Z, self.at[: len(self.cell)]), np.take(Z, self.at[len(self.cell):])
+        Z = self._Z
+        if self.G is None:
+            np.matmul(W, self.X.T, out=Z)
+            Z += B[:, None]
+        else:
+            np.add(W[:, self.k:], B[:, None], out=Z)
+        # A take into ``out`` buffers the result unless it cannot raise.
+        z = np.take(Z, self.at[: len(self.cell)], out=self._entries, mode="clip")
+        z_n = np.take(Z, self.at[len(self.cell):], out=self._smote, mode="clip")
         z_n -= z[self.m:]
         z_n *= self.g
         z[self.m:] += z_n
         return z
 
-    def adjoint(self, r):
-        """(R @ X, per-cell sums of r) of per-entry values r; overwrites r."""
-        m, width, size = self.m, len(self.n), len(self.n) * len(self.X)
-        sums = np.bincount(self.cell, r, minlength=width)
-        # With no SMOTE rows the bincount is empty, and so int64.
-        R = np.bincount(self.at[len(r):], self.g * r[m:], minlength=size).astype(np.float64, copy=False)
-        r[m:] *= 1.0 - self.g
-        R += np.bincount(self.at[: len(r)], r, minlength=size)
-        return R.reshape(width, len(self.X)) @ self.X, sums
+    def _scatter(self, r, own=None):
+        """R, the (cells, docs) sums of per-entry values r onto their rows
+        (a SMOTE row's onto s and n with weights 1 - g and g), and each
+        cell's sum of r. R is the logits' workspace; r is overwritten, and
+        so is ``own`` (a new array if None) in the weight basis."""
+        k, m, R = len(self.cell), self.m, self._Z
+        R.fill(0.0)
+        np.add.at(R.reshape(-1), self.at[k:], np.multiply(r[m:], self.g, out=self._smote))
+        if self.G is not None:
+            r[m:] *= np.subtract(1.0, self.g, out=self._smote)
+            np.add.at(R.reshape(-1), self.at[:k], r)
+            return R, R.sum(axis=1)  # a SMOTE row's weights 1 - g and g sum to 1
+        # The weight basis adds and sums in np.bincount's order, as its fits
+        # always have: they, and the reports built on them, keep every bit.
+        sums = np.bincount(self.cell, r, minlength=len(self.n))
+        r[m:] *= np.subtract(1.0, self.g, out=self._smote)
+        if own is None:
+            own = np.zeros_like(R)
+        else:
+            own.fill(0.0)
+        np.add.at(own.reshape(-1), self.at[:k], r)
+        R += own
+        return R, sums
 
-    def _mean(self, sums, l2, W):
-        # An adjoint's sums over each cell's n entries as means, plus l2 W.
-        gw, gb = sums
-        gw /= self.n[:, None]
-        gw += l2 * W
-        return gw, gb / self.n
+    def _mean_adjoint(self, r, l2, V, out, own=None):
+        """Each cell's mean of the adjoint of per-entry values r, plus l2
+        times V's coefficients, as a vector in ``out``, and the per-cell
+        means of r (the bias part). Overwrites r, and ``own`` as
+        ``_scatter`` does."""
+        R, sums = self._scatter(r, own)
+        coef = out[:, : self.k]
+        if self.G is None:
+            np.matmul(R, self.X, out=coef)
+            coef /= self.n[:, None]
+            coef += np.multiply(V, l2, out=self._l2v)
+        else:
+            np.divide(R, self.n[:, None], out=coef)
+            coef += np.multiply(V[:, : self.k], l2, out=R)
+        return self.lift(out), sums / self.n
+
+    def lift(self, V):
+        """V with its image recomputed from its coefficients, in place."""
+        if self.G is not None:
+            np.matmul(V[:, : self.k], self.G, out=V[:, self.k:])
+        return V
+
+    def dot(self, U, V):
+        """Each cell's inner product of the weights of U and V; U may be
+        coefficients alone."""
+        return np.einsum("ij,ij->i", U[:, : self.k], V[:, self.dim - self.k:])
+
+    def weights(self, V):
+        """The (cells, columns) weights of vectors or coefficients V."""
+        return V if self.G is None else V[:, : self.k] @ self.X
+
+    def below(self, V, bound):
+        """Whether each cell's weights of V all lie below ``bound`` in
+        absolute value. The document basis forms the weights only of cells
+        whose weight norm allows that (|w|_inf >= |w|_2 / sqrt(columns))."""
+        if self.G is None:
+            return np.abs(V).max(axis=1, initial=0.0) < bound
+        may = np.flatnonzero(self.dot(V, V) < 2.0 * self.X.shape[1] * bound * bound)
+        below = np.zeros(len(V), dtype=bool)
+        below[may] = np.abs(self.weights(V[may])).max(axis=1, initial=0.0) < bound
+        return below
 
     # The per-entry arrays below are as long as all cells' rows together,
     # so they are built in place, a few at a time.
@@ -152,24 +261,26 @@ class _Operator:
     def objective(self, z, W, l2):
         """Each cell's loss at logits z = forward(W, B)."""
         terms = np.log1p(_exp_neg_abs(z))
-        terms += np.maximum(z, 0.0)
-        terms -= self.y * z
-        return np.bincount(self.cell, terms, minlength=len(self.n)) / self.n + 0.5 * l2 * np.einsum("ij,ij->i", W, W)
+        part = np.maximum(z, 0.0)
+        terms += part
+        terms -= np.multiply(self.y, z, out=part)
+        return np.bincount(self.cell, terms, minlength=len(self.n)) / self.n + 0.5 * l2 * self.dot(W, W)
 
     def gradient(self, z, W, l2):
-        """Weight and bias gradients at logits z = forward(W, B), and the
-        per-entry curvature p (1 - p) of the Hessian there."""
+        """Gradient vector and bias gradients at logits z = forward(W, B),
+        and the per-entry curvature p (1 - p) of the Hessian there."""
         e = _exp_neg_abs(z)
         r = np.where(z >= 0.0, 1.0, e)
         r /= 1.0 + e
         r -= self.y
         e /= np.square(1.0 + e)
-        return (*self._mean(self.adjoint(r), l2, W), e)
+        return (*self._mean_adjoint(r, l2, W, np.empty((len(self.n), self.dim))), e)
 
     def hessian(self, curvature, l2, V, c):
         """The Hessian at ``curvature`` times each cell's direction (V, c)."""
-        # The weighted logits are freed before _mean allocates.
-        return self._mean(self.adjoint(self.forward(V, c) * curvature), l2, V)
+        r = self.forward(V, c)
+        r *= curvature
+        return self._mean_adjoint(r, l2, V, self._H, self._own)
 
 
 def _exp_neg_abs(z):
@@ -178,57 +289,76 @@ def _exp_neg_abs(z):
     return np.exp(e, out=e)
 
 
-def _newton_direction(op, curvature, l2, gw, gb):
-    """Per cell, d with H d = -g to the forcing term, by conjugate gradients.
+def _newton_direction(op, curvature, l2, gw, gb, floor):
+    """Per cell, the coefficients and bias of d with H d = -g, to the
+    forcing term or to a residual of ``floor``, by conjugate gradients, and
+    the slope g.d. The residual takes gw's memory.
 
     Cells run in one batch: a cell whose residual meets its forcing term
     steps 0 from then on, and so does one with no curvature left along its
-    search direction (saturated logits, l2 = 0), keeping the step so far. A
-    nan or infinite residual never meets the forcing term, so a cell whose
-    products overflow gets a non-finite direction.
+    search direction (saturated logits, l2 = 0) or whose next step would
+    not go downhill, keeping the step so far. A nan or infinite residual
+    never meets the forcing term, so a cell whose products overflow gets a
+    non-finite direction.
     """
-    gg = np.einsum("ij,ij->i", gw, gw) + gb * gb
-    target = np.minimum(0.25, np.sqrt(gg)) * gg  # the forcing term, squared, times ||g||^2
-    dw, db = np.zeros_like(gw), np.zeros_like(gb)
-    rw, rb, rr = -gw, -gb, gg
+    k = op.k
+    gg = op.dot(gw, gw) + gb * gb
+    # The forcing term, squared, times ||g||^2, or the floor squared.
+    target = np.maximum(np.minimum(0.25, np.sqrt(gg)) * gg, floor * floor)
+    g = gw[:, op.dim - k:].copy()  # what dot(d, g) reads of g
+    dw, db = np.zeros((len(gw), k)), np.zeros_like(gb)
+    rw, rb, rr = np.negative(gw, out=gw), -gb, gg
     pw, pb = rw.copy(), rb.copy()
-    flat = np.zeros(len(gg), dtype=bool)
+    flat, slope = np.zeros(len(gg), dtype=bool), np.zeros(len(gg))
     for _ in range(_CG_MAX):
         active = ~flat & ~(np.isfinite(rr) & (rr <= target))
         if not active.any():
             break
         hw, hb = op.hessian(curvature, l2, pw, pb)
-        curv = np.einsum("ij,ij->i", pw, hw) + pb * hb
+        curv = op.dot(pw, hw) + pb * hb
         flat |= active & (curv <= 0.0)
         active &= ~flat
         alpha = np.where(active, rr, 0.0) / np.where(active, curv, 1.0)
-        dw += alpha[:, None] * pw
-        db += alpha * pb
+        # Exact conjugate gradients from 0 only go downhill (g.d < 0). A step
+        # that would not has lost to rounding, as images drift from their
+        # coefficients when the curvature spans many orders of magnitude.
+        along = alpha * (np.einsum("ij,ij->i", pw[:, :k], g) + pb * gb)
+        uphill = slope + along >= 0.0
+        flat |= active & uphill
+        alpha[uphill] = 0.0
+        slope += np.where(uphill, 0.0, along)
         hw *= alpha[:, None]
         rw -= hw
         rb -= alpha * hb
-        rr_next = np.einsum("ij,ij->i", rw, rw) + rb * rb
+        dw += np.multiply(pw[:, :k], alpha[:, None], out=hw[:, :k])  # hw is spent
+        db += alpha * pb
+        rr_next = op.dot(rw, rw) + rb * rb
         beta = np.where(active, rr_next, 0.0) / np.where(active, rr, 1.0)
         pw *= beta[:, None]
         pw += rw
         pb, rr = rb + beta * pb, rr_next
-        del hw  # before the next product allocates its own
-    return dw, db
+    return dw, db, np.einsum("ij,ij->i", dw, g) + gb * db
 
 
 def _line_search(op, l2, w, b, z, f, dw, db, slope):
-    """Move each cell's (w, b) and its logits z and loss f, in place, by
-    the first of the steps 1, 1/2, ..., 2**-_MAX_HALVINGS along (dw, db)
-    that passes Armijo; a non-finite direction is taken whole. Returns
-    which cells found no such step."""
+    """Move each cell's coefficients w and bias b, its logits z and loss f,
+    in place, by the first of the steps 1, 1/2, ..., 2**-_MAX_HALVINGS
+    along (dw, db) that passes Armijo; a non-finite direction is taken
+    whole. Returns which cells found no such step. A trial's logits come
+    from its coefficients."""
+    k = op.k
     nonfinite = ~(np.isfinite(dw).all(axis=1) & np.isfinite(db))
     t, pending = np.ones(len(f)), np.ones(len(f), dtype=bool)
+    w_t = np.empty((len(w), op.dim))
     for _ in range(_MAX_HALVINGS + 1):
-        w_t, b_t = w + t[:, None] * dw, b + t * db
-        z_t = op.forward(w_t, b_t)
+        np.multiply(dw, t[:, None], out=w_t[:, :k])
+        w_t[:, :k] += w
+        b_t = b + t * db
+        z_t = op.forward(op.lift(w_t), b_t)
         f_t = op.objective(z_t, w_t, l2)
         ok = pending & (nonfinite | (f_t <= f + _ARMIJO_C * t * slope))
-        w[ok], b[ok], f[ok] = w_t[ok], b_t[ok], f_t[ok]
+        np.copyto(w, w_t[:, :k], where=ok[:, None])
+        b[ok], f[ok] = b_t[ok], f_t[ok]
         np.copyto(z, z_t, where=ok[op.cell])
         pending &= ~ok
         if not pending.any():
@@ -241,7 +371,7 @@ def logreg_descent_cells(X, cells, l2, max_iter, tol):
     """Truncated-Newton fit from zero init of every cell over one matrix X.
 
     ``cells`` is a sequence of ``LRCell``; no cell's rows are copied out of
-    X. Returns (W, B, losses, converged, diverged): (cells, dim) weights,
+    X. Returns (W, B, losses, converged, diverged): (cells, columns) weights,
     (cells,) biases, a list with each cell's loss history (the objective at
     every visited state, the zero start included, so one entry more than
     its Newton iterations), and two (cells,) bool arrays. A cell leaves,
@@ -252,6 +382,9 @@ def logreg_descent_cells(X, cells, l2, max_iter, tol):
       taken whole, so a cell whose Hessian products overflow diverges;
     - it has made ``max_iter`` Newton iterations;
     - or no step of 2**-30 or more along its direction passes Armijo.
+
+    The basis (see above) follows from X alone: the document basis when X
+    has fewer rows than columns and a finite Gram matrix.
     """
     X = _f64(X)
     l2, max_iter, tol = float(l2), int(max_iter), float(tol)
@@ -260,36 +393,40 @@ def logreg_descent_cells(X, cells, l2, max_iter, tol):
     converged, diverged = np.zeros(n_cells, dtype=bool), np.zeros(n_cells, dtype=bool)
     histories = [[] for _ in range(n_cells)]
     live, stalled = np.arange(n_cells), np.zeros(n_cells, dtype=bool)
-    op = _Operator(X, cells)
-    w, b = np.zeros((n_cells, d)), np.zeros(n_cells)
     # A diverging cell overflows on its way to a non-finite loss; that is
-    # reported through ``diverged``, so numpy's warnings are silenced.
+    # reported through ``diverged``, so numpy's warnings are silenced. So
+    # is the Gram product's overflow, which sends X to the weight basis.
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        z = op.forward(w, b)
+        G = _gram(X)
+        op = _Operator(X, cells, G)
+        w, b = np.zeros((n_cells, op.dim)), np.zeros(n_cells)  # the zero start and its image
+        z = op.forward(w, b).copy()
         f = op.objective(z, w, l2)
+        w = w[:, : op.k].copy()  # the state keeps its coefficients alone
         for it in range(max_iter + 1):
             if not live.size:
                 break
             for i, v in zip(live[~stalled].tolist(), f[~stalled].tolist()):
                 histories[i].append(v)
             gw, gb, curvature = op.gradient(z, w, l2)
-            gnorm = np.maximum(np.abs(gw).max(axis=1, initial=0.0), np.abs(gb))
+            small = op.below(gw, tol) & (np.abs(gb) < tol)  # the gradient's max-norm
             bad = ~np.isfinite(f)
-            stop = bad | (gnorm < tol) | stalled | (it == max_iter)
+            stop = bad | small | stalled | (it == max_iter)
             if stop.any():
                 done = live[stop]
-                left.append((done, w[stop], b[stop]))
-                converged[done], diverged[done] = ~bad[stop] & (gnorm[stop] < tol), bad[stop]
+                left.append((done, op.weights(w[stop]), b[stop]))
+                converged[done], diverged[done] = ~bad[stop] & small[stop], bad[stop]
                 keep = ~stop
                 # Entries are ordered by cell within own and SMOTE rows, so
                 # the kept cells' entries are the new operator's, in order.
                 z, curvature = z[keep[op.cell]], curvature[keep[op.cell]]
                 live, w, b, f, gw, gb = (v[keep] for v in (live, w, b, f, gw, gb))
-                op = _Operator(X, [cells[i] for i in live])
-            dw, db = _newton_direction(op, curvature, l2, gw, gb)
-            stalled = _line_search(op, l2, w, b, z, f, dw, db, np.einsum("ij,ij->i", gw, dw) + gb * db)
-            # This iteration's arrays go before the next gradient allocates its own.
-            del gw, gb, curvature, dw, db
+                del op  # and its workspace, before the next one is allocated
+                op = _Operator(X, [cells[i] for i in live], G)
+            dw, db, slope = _newton_direction(op, curvature, l2, gw, gb, _CG_FLOOR * tol)
+            del gw, gb, curvature  # before the line search allocates its own arrays
+            stalled = _line_search(op, l2, w, b, z, f, dw, db, slope)
+            del dw, db  # before the next gradient allocates its own
     W, B = np.zeros((n_cells, d)), np.zeros(n_cells)
     for done, w, b in left:
         W[done], B[done] = w, b

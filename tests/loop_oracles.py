@@ -247,7 +247,7 @@ def normalize_loops(text, table):
         best_rule = None
         for ridx, rule in enumerate(table.rules):
             m = rule.regex.search(text, pos)
-            if m is None or m.end() == m.start():
+            if m is None:
                 continue
             cand = (m.start(), -(m.end() - m.start()), ridx)
             if best is None or cand < best:

@@ -133,9 +133,17 @@ _TEXT_PIECES = [
 ]
 texts = st.lists(st.sampled_from(_TEXT_PIECES), max_size=12).map("".join)
 
+def _cannot_match_empty(pattern):
+    try:
+        NormRule(pattern, "$A$")
+    except ConfigError:
+        return False
+    return True
+
+
 # Patterns may carry a global inline flag, which keeps a table on the
 # loop, and a group with its backreference, which does so after the first
-# rule; some pieces match the empty string.
+# rule; some pieces match the empty string, which a whole rule may not.
 _PATTERN_PIECES = [
     "a", "h", "k", "ha", "(?:ha){2,}", "(?:he)+h?", "k{3,}", "[ab]", "a+", "b*", "x?", "s",
     r"\b", r"\w", r"\$", ".", "İ", "ß", "ﬁ", r"(a)\1", "a|b", "(?i:x)",
@@ -144,7 +152,7 @@ patterns = st.builds(
     lambda flag, pieces: flag + "".join(pieces),
     st.sampled_from(["", "", "", "(?x)", "(?s)", "(?i)"]),
     st.lists(st.sampled_from(_PATTERN_PIECES), min_size=1, max_size=3),
-)
+).filter(_cannot_match_empty)
 tables = st.lists(
     st.tuples(patterns, st.sampled_from(["$A$", "$LAUGH$", "$B_1$"])), max_size=4
 ).map(lambda pairs: table(*pairs))
@@ -185,8 +193,9 @@ def test_default_table_is_gated_by_its_union():
 
 # Tables with the constructs the first-character guard must read: anchors,
 # lookarounds, a backreference in rule 0, classes, branches and repeats keep
-# it; a rule that can match empty, scoped flags, a category or a negated
-# class drop it; a global inline flag leaves the table without any union.
+# it; a first node that can repeat zero times, an empty alternative, a
+# wildcard, scoped flags, a category or a negated class drop it; a global
+# inline flag leaves the table without any union.
 # The second item says whether the table is guarded, the third whether
 # normalizing an author's posts joined with single spaces gives the posts'
 # own normalizations joined: only literals, classes without a space,
@@ -204,10 +213,10 @@ _GUARD_CASES = [
     ([("^ha", "$H$"), (r"\Aa", "$A$"), ("s$", "$S$")], True, False),
     ([(r"(a)\1", "$AA$"), ("k+", "$K$")], True, False),
     ([("(?:ha)+", "laugh")], True, True),  # a word token
-    ([("^", "$B$"), ("k", "$K$")], False, False),
-    ([(r"\A", "$B$"), ("k", "$K$")], False, False),
-    ([("$", "$E$"), ("k", "$K$")], False, False),
-    ([("k", "$K$"), ("x*", "$X$")], False, False),
+    ([("x*k", "$XK$"), ("k", "$K$")], False, False),
+    ([("(?:x|)k", "$XK$"), ("k", "$K$")], False, False),
+    ([(".k", "$DK$"), ("k", "$K$")], False, False),
+    ([("k", "$K$"), ("x*y", "$XY$")], False, False),
     ([("k", "$K$"), ("(?-i:s)", "$S$")], False, False),
     ([("k", "$K$"), (r"\w", "$W$")], False, False),
     ([("[^a]", "$N$")], False, False),
@@ -234,7 +243,7 @@ def test_guard_needs_first_characters_for_every_rule(pairs, guarded, joins_posts
 
 # Which tables normalize word by word: every rule starts and ends with \b,
 # consumes only ASCII [0-9A-Za-z_] through literals, classes, branches,
-# groups and repeats, has the table's flags and cannot match empty.
+# groups and repeats, has the table's flags and has first characters.
 _WORD_LEVEL_CASES = [
     ([], True),
     ([(r"\b(?:ha){2,}h?\b", "$LAUGH$"), (r"\bk{3,}\b", "$LAUGH$")], True),
@@ -246,7 +255,7 @@ _WORD_LEVEL_CASES = [
     ([(r"\bha", "$H$")], False),
     ([(r"\bha\B", "$H$")], False),
     ([(r"^ha\b", "$H$")], False),
-    ([(r"\b(?:ha)*\b", "$H$")], False),  # matches empty
+    ([(r"\b(?:ha)*k\b", "$H$")], False),  # no first characters
     ([(r"\b[a-zé]+\b", "$W$")], False),  # a non-ASCII class member
     ([(r"\b[a-~]+\b", "$W$")], False),  # a range past the word characters
     ([(r"\b\w+\b", "$W$")], False),
@@ -265,15 +274,17 @@ def test_word_level_tables(pairs, word_level):
     assert table(*pairs).word_level == word_level
 
 
-def test_a_rule_that_matches_empty_is_not_word_level():
-    # Its first match from the start of the text is empty, which stops the
-    # single pass there, so a later run it matches whole stays as it is.
-    t = table((r"\b(?:ha)*\b", "$H$"))
-    assert not t.word_level
-    assert normalize("xyz haha", t) == normalize_loops("xyz haha", t) == "xyz haha"
-    records = [rec("u", ["xyz haha"]), rec("v", ["haha"])]
-    assert build_documents(records, t) == build_documents_loops(records, t) == [
-        ("u", ("xyz", "haha")), ("v", ("$H$",))]
+@pytest.mark.parametrize("pattern", [r"\b(?:ha)*\b", "^", r"\A", "$", "x*", "(?:)", r"\b", "(?=k)", r"(a?)\1", "k|"])
+def test_a_rule_that_can_match_empty_is_rejected(tmp_path, pattern):
+    # It would match at every position; its parse tree's minimum width is 0.
+    with pytest.raises(ConfigError, match=r"can match the empty string") as err:
+        NormRule(pattern, "$H$")
+    assert repr(pattern) in str(err.value)
+    path = tmp_path / "norm.yaml"
+    path.write_text(f"rules:\n  - pattern: 'k+'\n    token: $K$\n  - pattern: '{pattern}'\n    token: $H$\n",
+                    encoding="utf-8")
+    with pytest.raises(ConfigError, match=r"rule 1: pattern .* can match the empty string"):
+        load_normalization_table(path)
 
 
 @pytest.mark.parametrize(
@@ -314,14 +325,16 @@ _POST_PIECES = [
 author_posts = st.lists(st.lists(st.sampled_from(_POST_PIECES), max_size=10).map("".join), max_size=4)
 
 # Rules between \b and \b over ASCII word characters, most of them
-# word-level; "s?" alone can match empty, which keeps a table off the memo.
+# word-level; "s?" and "\B" alone would let a rule match empty, and no such
+# rule loads.
 _WORD_PATTERN_PIECES = [
     "a", "h", "k", "s", "i", "l", "o", "ha", "lol", "(?:ha)+", "(?:he){2,}", "k{3,}", "[a-c]", "[a-z]+",
     "[0-9]", "_", "(?:rs|ja)+", r"\B", "s?", "[k-s]", "[A-C]", "K",
 ]
 word_tables = st.lists(
     st.tuples(
-        st.lists(st.sampled_from(_WORD_PATTERN_PIECES), min_size=1, max_size=3).map(lambda p: rf"\b{''.join(p)}\b"),
+        st.lists(st.sampled_from(_WORD_PATTERN_PIECES), min_size=1, max_size=3)
+        .map(lambda p: rf"\b{''.join(p)}\b").filter(_cannot_match_empty),
         st.sampled_from(["$A$", "$LAUGH$", "lol", "laugh", "a"]),
     ),
     max_size=4,
@@ -358,11 +371,11 @@ def test_build_documents_matches_the_loops(t, authors):
         # A global inline flag, first or later, cannot enter the union.
         ([("(?x) h a", "$HA$"), ("b", "$B$")], "ha b h a", False),
         ([("b", "$B$"), ("(?x) h a", "$HA$")], "ha b h a", False),
-        # A rule that can match empty: the union then matches everywhere,
-        # and a step whose union match is empty searches each rule.
-        ([("x*", "$X$")], "axxb", True),
-        ([("q", "$Q$"), ("x*", "$X$")], "abc", True),
-        ([("x*", "$X$"), ("b", "$B$")], "abxx", True),
+        # A rule whose first node can repeat zero times: an unguarded union,
+        # whose matches may start before the repeated characters.
+        ([("x*b", "$X$")], "axxb", True),
+        ([("q", "$Q$"), ("x*c", "$X$")], "abc", True),
+        ([("x*a", "$X$"), ("b", "$B$")], "abxx", True),
     ],
 )
 def test_union_gate_on_groups_inline_flags_and_empty_matches(pairs, text, gated):

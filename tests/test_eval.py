@@ -434,8 +434,26 @@ def test_held_out_rows_never_reach_a_cells_loss(monkeypatch, value):
     # matrix with it, yet must train as if the value were 0: a held-out row
     # that reached its logits or Hessian products would make it diverge as
     # well. Only fold 1, which trains on the row, diverges.
+    _assert_held_out_row_stays_out(monkeypatch, value, d=3)
+
+
+@pytest.mark.parametrize("value", [1e200, -1e200, 1e150, -1e150])
+def test_held_out_rows_never_reach_a_wide_cells_loss(monkeypatch, value):
+    # The same on 16 rows x 24 columns. At 1e150 the Gram matrix is finite,
+    # so the fit runs in document coefficients, where the held-out row
+    # meets fold 0's logits only through Gram entries times a zero
+    # coefficient; at 1e200 its Gram entries overflow, which sends the fit
+    # to the weight basis. Either way only fold 1 diverges.
+    X = _two_balanced_folds(d=24)[0]
+    X[0, 1] = value
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert (kernels._gram(X) is None) == (abs(value) > 1e154)
+    _assert_held_out_row_stays_out(monkeypatch, value, d=24)
+
+
+def _assert_held_out_row_stays_out(monkeypatch, value, d):
     spec = ModelSpec(kind="logistic_regression", lr=LRHyperparams(max_epochs=60))
-    X, y, folds = _two_balanced_folds()
+    X, y, folds = _two_balanced_folds(d)
     calls = _record_descents(monkeypatch)
     reference = _evaluate(X.copy(), y, folds, spec)
     X_big = X.copy()

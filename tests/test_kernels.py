@@ -198,6 +198,88 @@ def test_hessian_products_match_central_differences_of_the_gradient():
     assert np.all(np.einsum("ij,ij->i", V, hw) + c * hc > 0.0)
 
 
+def test_the_basis_follows_the_shape_and_a_finite_gram_matrix():
+    # Fewer rows than columns and a finite Gram matrix: document
+    # coefficients. Any other matrix keeps the weights.
+    wide = np.arange(6.0).reshape(2, 3)
+    assert np.array_equal(kernels._gram(wide), wide @ wide.T)
+    assert kernels._gram(np.ones((3, 3))) is None and kernels._gram(np.ones((3, 2))) is None
+    with np.errstate(over="ignore"):
+        assert kernels._gram(wide * 1e200) is None
+
+
+def test_document_basis_hessian_products_match_central_differences_of_the_gradient():
+    # The twin of the weight-basis check over 20 rows x 35 columns: each
+    # vector is (a, a G), its weights a X, and the gradient's weights are
+    # the weight basis's gradient at those weights.
+    rng = np.random.default_rng(13)
+    X, y = _problem(13, n=20, d=35)
+    cells = _cells(X, y, rng, 5) + _cells(X, y, rng, 2, synthetic=False)
+    op, by_weights = kernels._Operator(X, cells, kernels._gram(X)), kernels._Operator(X, cells)
+    assert (op.k, op.dim) == (20, 40)
+
+    def vector(coef):
+        return op.lift(np.hstack([coef, np.zeros_like(coef)]))
+
+    W, V = vector(0.1 * rng.normal(size=(7, 20))), vector(0.1 * rng.normal(size=(7, 20)))
+    B, c = rng.normal(size=7), rng.normal(size=7)
+    l2, h = 1e-2, 1e-5
+
+    def gradient(t):
+        Wt = vector(W[:, :20] + t * V[:, :20])
+        return op.gradient(op.forward(Wt, B + t * c), Wt, l2)
+
+    gw, gb, curvature = gradient(0.0)
+    w = op.weights(W)
+    gw_w, gb_w, _ = by_weights.gradient(by_weights.forward(w, B), w, l2)
+    assert np.allclose(op.weights(gw), gw_w, rtol=1e-10, atol=1e-13) and np.allclose(gb, gb_w, rtol=1e-12)
+    assert np.allclose(gw[:, 20:], gw[:, :20] @ op.G, rtol=1e-12, atol=1e-13)
+    hw, hc = (a.copy() for a in op.hessian(curvature, l2, V, c))
+    (up_w, up_b, _), (down_w, down_b, _) = gradient(h), gradient(-h)
+    assert np.allclose(hw, (up_w - down_w) / (2 * h), rtol=1e-7, atol=1e-9)
+    assert np.allclose(hc, (up_b - down_b) / (2 * h), rtol=1e-7, atol=1e-9)
+    assert np.all(op.dot(V, hw) + c * hc > 0.0)
+
+
+def test_wide_cells_with_smote_rows_match_the_newton_oracle():
+    # 40 rows x 90 columns take the document basis. Every cell, with SMOTE
+    # triples or without, stops as the dense oracle does, within its bound.
+    X, y = _problem(12, n=40, d=90)
+    assert kernels._gram(X) is not None
+    rng = np.random.default_rng(12)
+    cells = _cells(X, y, rng, 6) + _cells(X, y, rng, 2, synthetic=False)
+    losses, converged, diverged = _assert_cells_match_materialized(X, cells, 1e-3, 200, 1e-8)
+    assert converged.all() and len({len(h) for h in losses}) >= 2
+
+
+def test_wide_cells_marked_converged_meet_tol_at_their_weights():
+    # The document basis decides convergence from a X; the loop gradient at
+    # the weights it returns, on each cell's materialized rows, agrees.
+    X, y = _problem(14, n=40, d=90)
+    rng = np.random.default_rng(14)
+    cells = _cells(X, y, rng, 8)
+    W, B, _, converged, _ = kernels.logreg_descent_cells(X, cells, 1e-4, 500, 1e-6)
+    assert converged.all()
+    for i, cell in enumerate(cells):
+        rows, labels = _materialized(X, cell)
+        _, gw, gb = logreg_loss_grad_loops(rows, labels, W[i], B[i], 1e-4)
+        assert max(np.abs(gw).max(), abs(gb)) < 1e-6, i
+
+
+def test_wide_separable_rows_without_l2_run_to_the_cap_without_diverging():
+    # The wide twin: four independent rows in six columns, separable with
+    # any labels. As the curvature underflows, the images of the conjugate
+    # gradients drift from their coefficients; a solve stops before a step
+    # that would not go downhill, so every Newton step still descends.
+    X = np.array([[-2.0, 1, 0, 0, 0, 0], [-1.0, 0, 1, 0, 0, 0], [1.0, 0, 0, 1, 0, 0], [2.0, 0, 0, 0, 1, 0]])
+    y = np.array([0.0, 0.0, 1.0, 1.0])
+    assert kernels._gram(X) is not None
+    w, b, losses, converged, diverged = kernels.logreg_descent(X, y, 0.0, 200, 0.0)
+    assert not converged and not diverged
+    assert len(losses) == 201 and np.all(np.isfinite(losses)) and np.all(np.diff(losses) <= 0.0)
+    assert losses[-1] < 1e-40
+
+
 def test_batched_descent_handles_zero_width_cells():
     X = np.zeros((6, 0))
     y = np.array([0.0, 1.0] * 3)
