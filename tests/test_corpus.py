@@ -274,7 +274,13 @@ def test_word_level_tables(pairs, word_level):
     assert table(*pairs).word_level == word_level
 
 
-@pytest.mark.parametrize("pattern", [r"\b(?:ha)*\b", "^", r"\A", "$", "x*", "(?:)", r"\b", "(?=k)", r"(a?)\1", "k|"])
+_EMPTY_MATCHING = {
+    "ha-repeat": r"\b(?:ha)*\b", "start": "^", "string-start": r"\A", "end": "$", "star": "x*", "empty-group": "(?:)",
+    "boundary": r"\b", "lookahead": "(?=k)", "optional-backref": r"(a?)\1", "empty-branch": "k|",
+}
+
+
+@pytest.mark.parametrize("pattern", _EMPTY_MATCHING.values(), ids=_EMPTY_MATCHING)
 def test_a_rule_that_can_match_empty_is_rejected(tmp_path, pattern):
     # It would match at every position; its parse tree's minimum width is 0.
     with pytest.raises(ConfigError, match=r"can match the empty string") as err:
