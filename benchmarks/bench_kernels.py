@@ -93,10 +93,10 @@ class Products:
                 counter._tally(len(W), op.X.shape[1], len(op.X))
             return real["forward"](op, W, B)
 
-        def _mean_adjoint(op, r, l2, V, out, own=None):
+        def _mean_adjoint(op, r, l2, V, out):
             if op.G is None:
                 counter._tally(len(op.n), len(op.X), op.X.shape[1])
-            return real["_mean_adjoint"](op, r, l2, V, out, own)
+            return real["_mean_adjoint"](op, r, l2, V, out)
 
         def lift(op, V):
             if op.G is not None:

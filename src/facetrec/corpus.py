@@ -446,10 +446,7 @@ def build_documents(
 
     for rec in records:
         text = " ".join(rec.posts)
-        if not table.word_level:
-            tokens = tokenize(" ".join(normalize(post, table) for post in rec.posts))
-            tokens = tuple(map(shared.setdefault, tokens, tokens))
-        elif "$" in text:
+        if not table.word_level or "$" in text:
             tokens = tuple(map(share, tokenize(" ".join(normalize(post, table) for post in rec.posts))))
         else:
             ascii_text = text.isascii()

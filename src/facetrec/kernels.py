@@ -137,9 +137,11 @@ class _Operator:
     entry: each cell's own rows, then each cell's SMOTE rows. With
     Z = w X^T + B per cell, an own row's logit is in its cell's row of Z,
     and a SMOTE row's is z_s + g * (z_n - z_s). The adjoint is its
-    transpose: per-entry values scatter back onto the same rows, a SMOTE
-    row's onto s and n with weights 1 - g and g, and sum to coefficients
-    (R X in the weight basis, R itself in the document basis).
+    transpose, one scatter in both bases: per-entry values add back onto
+    the same rows, a SMOTE row's onto s and n with weights 1 - g and g,
+    into a (cells, docs) array R whose row sums are the cells' sums of the
+    values. The coefficients are R X in the weight basis and R itself in
+    the document basis.
 
     A row outside a cell enters the cell's products only times a zero
     coefficient, which leaves them as they are: X is finite in the weight
@@ -168,11 +170,10 @@ class _Operator:
         self.k = X.shape[1] if G is None else n_docs
         self.dim = self.k if G is None else 2 * n_docs
         self._entries, self._smote = np.empty(len(self.cell)), np.empty(len(self.g))
-        # Logits and then their scatter, and in the weight basis also l2 V;
-        # the Hessian product, and in the weight basis first its second scatter.
-        z_buf, h_buf = np.empty(width * max(n_docs, self.k)), np.empty(width * max(n_docs, self.dim))
+        # Logits, then their scatter, then l2 times a vector's coefficients.
+        z_buf = np.empty(width * max(n_docs, self.k))
         self._Z, self._l2v = _rows(z_buf, width, n_docs), _rows(z_buf, width, self.k)
-        self._own, self._H = _rows(h_buf, width, n_docs), _rows(h_buf, width, self.dim)
+        self._H = np.empty((width, self.dim))  # the Hessian product
 
     def forward(self, W, B):
         Z = self._Z
@@ -189,44 +190,30 @@ class _Operator:
         z[self.m:] += z_n
         return z
 
-    def _scatter(self, r, own=None):
+    def _scatter(self, r):
         """R, the (cells, docs) sums of per-entry values r onto their rows
         (a SMOTE row's onto s and n with weights 1 - g and g), and each
-        cell's sum of r. R is the logits' workspace; r is overwritten, and
-        so is ``own`` (a new array if None) in the weight basis."""
+        cell's sum of r, which is R's row sum as the weights 1 - g and g sum
+        to 1. R is the logits' workspace; r is overwritten."""
         k, m, R = len(self.cell), self.m, self._Z
         R.fill(0.0)
         np.add.at(R.reshape(-1), self.at[k:], np.multiply(r[m:], self.g, out=self._smote))
-        if self.G is not None:
-            r[m:] *= np.subtract(1.0, self.g, out=self._smote)
-            np.add.at(R.reshape(-1), self.at[:k], r)
-            return R, R.sum(axis=1)  # a SMOTE row's weights 1 - g and g sum to 1
-        # The weight basis adds and sums in np.bincount's order, as its fits
-        # always have: they, and the reports built on them, keep every bit.
-        sums = np.bincount(self.cell, r, minlength=len(self.n))
         r[m:] *= np.subtract(1.0, self.g, out=self._smote)
-        if own is None:
-            own = np.zeros_like(R)
-        else:
-            own.fill(0.0)
-        np.add.at(own.reshape(-1), self.at[:k], r)
-        R += own
-        return R, sums
+        np.add.at(R.reshape(-1), self.at[:k], r)
+        return R, R.sum(axis=1)
 
-    def _mean_adjoint(self, r, l2, V, out, own=None):
+    def _mean_adjoint(self, r, l2, V, out):
         """Each cell's mean of the adjoint of per-entry values r, plus l2
         times V's coefficients, as a vector in ``out``, and the per-cell
-        means of r (the bias part). Overwrites r, and ``own`` as
-        ``_scatter`` does."""
-        R, sums = self._scatter(r, own)
+        means of r (the bias part). Overwrites r."""
+        R, sums = self._scatter(r)
         coef = out[:, : self.k]
         if self.G is None:
             np.matmul(R, self.X, out=coef)
-            coef /= self.n[:, None]
-            coef += np.multiply(V, l2, out=self._l2v)
         else:
-            np.divide(R, self.n[:, None], out=coef)
-            coef += np.multiply(V[:, : self.k], l2, out=R)
+            np.copyto(coef, R)
+        coef /= self.n[:, None]
+        coef += np.multiply(V[:, : self.k], l2, out=self._l2v)
         return self.lift(out), sums / self.n
 
     def lift(self, V):
@@ -280,7 +267,7 @@ class _Operator:
         """The Hessian at ``curvature`` times each cell's direction (V, c)."""
         r = self.forward(V, c)
         r *= curvature
-        return self._mean_adjoint(r, l2, V, self._H, self._own)
+        return self._mean_adjoint(r, l2, V, self._H)
 
 
 def _exp_neg_abs(z):

@@ -208,6 +208,32 @@ def test_the_basis_follows_the_shape_and_a_finite_gram_matrix():
         assert kernels._gram(wide * 1e200) is None
 
 
+@pytest.mark.parametrize("n, d", [(30, 4), (20, 35)], ids=["weights", "documents"])
+def test_the_scatter_adds_each_entry_onto_its_rows_and_sums_each_cell(n, d):
+    # Both bases share one scatter: an own row's value with weight 1, a
+    # SMOTE row's onto s and n with weights 1 - g and g. Those sum to 1, so
+    # the row sums of R are each cell's sums of the values.
+    rng = np.random.default_rng(17)
+    X, y = _problem(17, n=n, d=d)
+    cells = _cells(X, y, rng, 5) + _cells(X, y, rng, 2, synthetic=False)
+    op = kernels._Operator(X, cells, kernels._gram(X))
+    assert (op.G is None) == (n > d)
+    r = rng.normal(size=len(op.cell))
+    expected, values = np.zeros((len(cells), n)), iter(r.tolist())
+    for i, cell in enumerate(cells):  # own rows of every cell, then SMOTE rows
+        for row in cell.rows.tolist():
+            expected[i, row] += next(values)
+    for i, cell in enumerate(cells):
+        for s, nbr, g in zip(cell.seeds.tolist(), cell.nbrs.tolist(), cell.gammas.tolist()):
+            v = next(values)
+            expected[i, s] += (1.0 - g) * v
+            expected[i, nbr] += g * v
+    cell_sums = np.bincount(op.cell, r, minlength=len(cells))
+    R, sums = op._scatter(r.copy())
+    assert np.allclose(R, expected, rtol=1e-12, atol=1e-14)
+    assert np.allclose(sums, cell_sums, rtol=1e-12, atol=1e-14)
+
+
 def test_document_basis_hessian_products_match_central_differences_of_the_gradient():
     # The twin of the weight-basis check over 20 rows x 35 columns: each
     # vector is (a, a G), its weights a X, and the gradient's weights are
