@@ -208,11 +208,9 @@ class _Operator:
         means of r (the bias part). Overwrites r."""
         R, sums = self._scatter(r)
         coef = out[:, : self.k]
-        if self.G is None:
-            np.matmul(R, self.X, out=coef)
-        else:
-            np.copyto(coef, R)
-        coef /= self.n[:, None]
+        if self.G is None:  # the weight basis's coefficients are R X
+            R = np.matmul(R, self.X, out=coef)
+        np.divide(R, self.n[:, None], out=coef)
         coef += np.multiply(V[:, : self.k], l2, out=self._l2v)
         return self.lift(out), sums / self.n
 
