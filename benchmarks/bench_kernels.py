@@ -1,4 +1,5 @@
-"""Two kernel cases, each timed against the per-cell way of doing it.
+"""Two kernel cases, each timed against the per-cell way of doing it, and
+one normalization case.
 
 Logistic regression: builds a bag-of-words-shaped case (300 documents x
 501 columns, 100 cells, each training on 270 of the rows plus about 130
@@ -21,8 +22,13 @@ neighbour_order over all 120 rows (one product or row loop, one sort) that
 knn_in_splits restricts to every fold in one pass. Prints the best-of wall
 times and exits 1 if any fold's neighbour lists differ between the two.
 
-Both cases run with numpy's OpenBLAS on one thread, as every facetrec
-command does (facetrec.blas). Run from the repository root:
+Normalization: corpus.normalize on long, laughter-heavy seeded posts, under
+the shipped table and under the same table plus a rule with a group that
+never matches, which should cost one search per post and change no text.
+Prints the best-of wall times and exits 1 if the two tables' texts differ.
+
+The kernel cases run with numpy's OpenBLAS on one thread, as every
+facetrec command does (facetrec.blas). Run from the repository root:
 
     PYTHONPATH=src python3 benchmarks/bench_kernels.py
 """
@@ -34,10 +40,14 @@ import time
 
 import numpy as np
 
-from facetrec import blas, kernels
+from facetrec import blas, corpus, kernels
+from facetrec.synth import LAUGH_LITERALS
 
 DOCS, DIM, CELLS, OWN, SYNTH = 300, 501, 100, 270, 130
 KNN_DOCS, KNN_MINORITY, KNN_FOLDS, KNN_K, EMBED_DIM = 600, 120, 10, 5, 50
+NORM_POSTS, NORM_WORDS, NORM_LAUGH = 200, 400, 0.3
+# Other words, among them near misses of the shipped rules.
+NORM_OTHER_WORDS = ("ok", "que", "bom", "Hoje", "demais", "khaki", "bahaha", "kk", "ha!", "jajaj_")
 
 
 def best_of(fn, repeat: int):
@@ -154,6 +164,28 @@ def knn_case(X, rng, repeat: int) -> bool:
     return same
 
 
+def normalize_case(rng, repeat: int) -> bool:
+    """Time corpus.normalize over seeded posts under the shipped table and
+    under it plus a rule that never matches; True if the texts are equal."""
+    posts = []
+    for _ in range(NORM_POSTS):
+        laugh = rng.random(NORM_WORDS) < NORM_LAUGH
+        words = np.where(laugh, rng.choice(LAUGH_LITERALS, NORM_WORDS), rng.choice(NORM_OTHER_WORDS, NORM_WORDS))
+        posts.append(" ".join(words.tolist()))
+    shipped = corpus.default_normalization_table()
+    quiet = corpus.NormalizationTable(rules=(*shipped.rules, corpus.NormRule(r"(x)yz\1", "$XYZ$")))
+    print(f"Normalization: {NORM_POSTS} posts of {NORM_WORDS} words, {NORM_LAUGH:.0%} laughter, "
+          f"{sum(map(len, posts)) / 1e3:.0f} KB")
+    texts = []
+    for name, table in (("shipped table", shipped), ("shipped + (x)yz\\1", quiet)):
+        t, out = best_of(lambda: [corpus.normalize(post, table) for post in posts], repeat)
+        texts.append(out)
+        print(f"{name:<26} {t * 1e3:>10.1f} ms  ({sum(o.count('$LAUGH$') for o in out)} replacements)")
+    same = texts[0] == texts[1]
+    print(f"normalized texts {'identical' if same else 'DIFFER'}")
+    return same
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--epochs", type=int, default=500, help="cap on Newton iterations (max_epochs)")
@@ -200,6 +232,8 @@ def run(args) -> int:
     for X in (counts, vectors):
         print()
         same &= knn_case(X, rng, args.repeat)
+    print()
+    same &= normalize_case(rng, args.repeat)
     return 0 if same else 1
 
 

@@ -8,13 +8,14 @@ strictly above the mean over all labeled authors (ties label negative).
 
 from __future__ import annotations
 
-import importlib.resources
+import heapq
 import json
 import logging
 import re
 from dataclasses import dataclass, field
 from itertools import repeat
 from operator import itemgetter
+from pathlib import Path
 
 import numpy as np
 
@@ -78,35 +79,13 @@ class NormalizationTable:
     """Ordered substitution rules applied before tokenization."""
 
     rules: tuple[NormRule, ...] = ()
-    # One regex over all rules; a text it cannot match is left as it is.
-    # None when the rules cannot be joined (see _union).
-    union: re.Pattern | None = field(init=False, repr=False, compare=False)
-    # Per rule, a one-character class of what its matches can start with;
-    # None unless the union is guarded by them (see _union).
-    firsts: tuple[re.Pattern, ...] | None = field(init=False, repr=False, compare=False)
     # Whether every match of every rule is one whole \w+ run, so
-    # that a text normalizes word by word (see _union).
+    # that a text normalizes word by word (see _is_word_level).
     word_level: bool = field(init=False, repr=False, compare=False)
-    # character -> the rules whose matches can start with it
-    _starting: dict = field(init=False, repr=False, compare=False, default_factory=dict)
 
     def __post_init__(self):
         object.__setattr__(self, "rules", tuple(self.rules))
-        union, firsts, word_level = _union(self.rules)
-        object.__setattr__(self, "union", union)
-        object.__setattr__(self, "firsts", firsts)
-        object.__setattr__(self, "word_level", word_level)
-
-    def _rules_starting_with(self, ch: str) -> tuple[NormRule, ...]:
-        """The rules whose matches can start with ``ch``; all of them
-        when the table has no first-character classes."""
-        if self.firsts is None:
-            return self.rules
-        rules = self._starting.get(ch)
-        if rules is None:
-            rules = tuple(r for r, first in zip(self.rules, self.firsts) if first.match(ch))
-            self._starting[ch] = rules
-        return rules
+        object.__setattr__(self, "word_level", all(map(_is_word_level, self.rules)))
 
 
 # Code points of the ASCII word characters [0-9A-Za-z_].
@@ -122,116 +101,32 @@ def _regex_parser():
     return parser
 
 
-def _union(rules) -> tuple[re.Pattern | None, tuple[re.Pattern, ...] | None, bool]:
-    """(union, firsts, word_level) of a table's rules.
+def _is_word_level(rule: NormRule) -> bool:
+    """Whether every match of ``rule`` is one whole ``\\w+`` run.
 
-    ``union`` is ``(?:r0)|(?:r1)|...`` with the rules' flags, or None if
-    not exact. It matches at a position exactly when some rule does, so its
-    search finds where the first rule match begins, and fails exactly when
-    every rule's search fails. Numbered groups after the first rule would
-    shift, which breaks a rule's own backreferences. A global inline flag
-    such as ``(?x)`` would reach the other rules (Python 3.10) or fail to
-    compile inside a group (3.11 on; also ``(?i)``, which leaves the flags
-    as they are). Such tables get no union.
-
-    When every rule has first characters (see ``_first_of``), the union is
-    guarded by the lookahead ``(?=[...])`` of all of them, which rejects
-    most positions with one class test instead of trying every rule there,
-    and ``firsts`` holds each rule's class; otherwise it is None.
-
-    ``word_level`` holds for an empty table, and for a table each of whose
-    rules is compiled with the table's own flags, has first characters,
-    begins and ends with ``\\b``, holds nothing but what ``_consumed``
-    allows, and consumes only characters of classes within ASCII
-    ``[0-9A-Za-z_]``. Such a rule consumes word characters
-    alone (case folding adds ``K``, ``ſ``, ``İ`` and ``ı``, which are word
-    characters too), between two word boundaries, so each of its matches is
-    one whole ``\\w+`` run, and whether it matches a run depends on that run
-    alone. A text then normalizes run by run, each run as it would on its
-    own: to the earliest rule's token among the rules matching it, or left
-    as it is.
+    That holds when the rule is compiled with the table's own flags, its
+    parse tree begins and ends with ``\\b``, holds nothing but what
+    ``_consumed`` allows, and consumes only characters of classes within
+    ASCII ``[0-9A-Za-z_]``. Such a rule consumes word characters alone
+    (case folding adds ``K``, ``ſ``, ``İ`` and ``ı``, which are word
+    characters too), at least one of them (``NormRule`` rejects a pattern
+    that can match empty), between two word boundaries, so each of its
+    matches is one whole ``\\w+`` run, and whether it matches a run depends
+    on that run alone. A text under a table of such rules (an empty table
+    included) normalizes run by run, each run as it would on its own: to
+    the earliest rule's token among the rules matching it, or left as it
+    is.
     """
-    if not rules:
-        return None, None, True
-    parser = _regex_parser()
-    # Each rule compiled, so it parses.
-    trees = [parser.parse(rule.pattern, _RULE_FLAGS) for rule in rules]
-    firsts = [_first_of(tree, parser) for tree in trees]
-    guarded = None not in firsts
-    word_level = guarded and all(
-        rule.regex.flags == _RULE_FLAGS and _is_word_level(tree, parser) for rule, tree in zip(rules, trees)
-    )
-    if any(rule.regex.groups for rule in rules[1:]) or any(rule.regex.flags != _RULE_FLAGS for rule in rules):
-        return None, None, word_level
-    body = "|".join(f"(?:{rule.pattern})" for rule in rules)
-    if guarded:
-        body = f"(?=[{''.join(dict.fromkeys(firsts))}])(?:{body})"
-    try:
-        union = re.compile(body, _RULE_FLAGS)
-    except re.error:
-        return None, None, word_level
-    if not guarded:
-        return union, None, word_level
-    return union, tuple(re.compile(f"[{f}]", _RULE_FLAGS) for f in firsts), word_level
-
-
-def _is_word_level(tree, p) -> bool:
-    """Whether the parsed rule ``tree`` begins and ends with ``\\b`` and
-    consumes only characters of literals and classes within ASCII
-    ``[0-9A-Za-z_]`` (see ``_union``)."""
+    if rule.regex.flags != _RULE_FLAGS:
+        return False
+    p = _regex_parser()
+    tree = p.parse(rule.pattern, _RULE_FLAGS)
     ranges = []
     return (
         all(op is p.AT and av is p.AT_BOUNDARY for op, av in (tree[0], tree[-1]))
         and _consumed(tree, p, ranges)
         and all(hi < 128 and _ASCII_WORD_CODES.issuperset(range(lo, hi + 1)) for lo, hi in ranges)
     )
-
-
-def _class_members(items, p) -> str | None:
-    """A parsed class's members as class text, or None for a negation or
-    a category such as \\w."""
-    members = []
-    for item, arg in items:
-        if item is p.LITERAL:
-            members.append(re.escape(chr(arg)))
-        elif item is p.RANGE:
-            members.append(f"{re.escape(chr(arg[0]))}-{re.escape(chr(arg[1]))}")
-        else:
-            return None
-    return "".join(members)
-
-
-def _first_of(items, p) -> str | None:
-    """Members of a character class (literals and ranges) that holds every
-    character a match of the parsed sequence ``items`` can start with, or
-    None; ``p`` is the parser module.
-
-    Zero-width anchors and lookarounds are skipped. The first node that
-    consumes must be a literal, a class of literals and ranges, a branch of
-    such sequences, or a group without flags or a repeat with minimum at
-    least 1 of one; otherwise, and whenever the sequence can match empty,
-    the result is None. Compiled with the rules' flags, the class folds
-    case (``K``, ``ſ``, ``İ``) exactly as the rule does.
-    """
-    for op, av in items:
-        if op in (p.AT, p.ASSERT, p.ASSERT_NOT):
-            continue
-        if op is p.LITERAL:
-            return re.escape(chr(av))
-        if op is p.IN:
-            return _class_members(av, p)
-        if op is p.BRANCH:
-            alternatives = [_first_of(alt, p) for alt in av[1]]
-            return None if None in alternatives else "".join(alternatives)
-        if op is p.SUBPATTERN:
-            _, add_flags, del_flags, sub = av
-            return None if add_flags or del_flags else _first_of(sub, p)
-        if op in (p.MAX_REPEAT, p.MIN_REPEAT, getattr(p, "POSSESSIVE_REPEAT", None)):
-            return _first_of(av[2], p) if av[0] >= 1 else None
-        if op is getattr(p, "ATOMIC_GROUP", None):
-            return _first_of(av, p)
-        return None
-    return None
 
 
 def _consumed(items, p, ranges: list[tuple[int, int]]) -> bool:
@@ -312,6 +207,8 @@ def normalize(text: str, table: NormalizationTable) -> str:
     matches (each the one its own regex finds there) wins, then the earlier
     rule. Replacements are inserted verbatim and never rescanned. No rule
     matches the empty string: ``NormRule`` rejects a pattern that can.
+    ``_replacements`` finds the steps, searching a rule again only when a
+    replacement ends past the match it holds.
     """
     parts = []
     pos = 0
@@ -325,60 +222,31 @@ def normalize(text: str, table: NormalizationTable) -> str:
 def _replacements(text: str, table: NormalizationTable) -> list[tuple[int, int, str]]:
     """(start, end, token) of each replacement ``normalize`` makes, in order.
 
-    With a union (see ``_union``) each step searches it once. No rule
-    matches before the union's match does, so the step replaces the
-    longest match at that start among the rules that can start with its
-    character, and a text the union cannot match needs nothing more.
-    Tables without a union search each rule at every step.
+    A heap holds each rule's first match at or after the current position
+    as (start, -end, rule index), so its top is the earliest match, then
+    the longest, then the earlier rule's. A rule is searched again only
+    when a replacement ends past its match's start, and leaves the heap
+    when it has no match left. The match a rule finds at a start does not
+    depend on where its search began (``pos`` moves neither ``^``, ``\\A``,
+    ``\\b`` nor a lookbehind), so a kept match is the one a search from the
+    current position would find.
     """
     hits = []
-    if not table.rules:
-        return hits
-    union = table.union
-    pos = 0
-    n = len(text)
-    while pos < n:
-        if union is None:
-            hit = _leftmost_longest(text, pos, table.rules)
-        else:
-            m = union.search(text, pos)
+    rules = table.rules
+    heap = [(m.start(), -m.end(), i) for i, rule in enumerate(rules) if (m := rule.regex.search(text))]
+    heapq.heapify(heap)
+    while heap:
+        start, neg_end, i = heap[0]
+        pos = -neg_end
+        hits.append((start, pos, rules[i].token))
+        while heap and heap[0][0] < pos:
+            i = heap[0][2]
+            m = rules[i].regex.search(text, pos)
             if m is None:
-                break
-            start = m.start()
-            rules = table._rules_starting_with(text[start])
-            # With one rule that can start here, the union's match is its.
-            hit = (start, m.end(), rules[0].token) if len(rules) == 1 else _longest_at(text, start, rules)
-        if hit is None:
-            break
-        hits.append(hit)
-        pos = hit[1]
+                heapq.heappop(heap)
+            else:
+                heapq.heapreplace(heap, (m.start(), -m.end(), i))
     return hits
-
-
-def _longest_at(text: str, start: int, rules) -> tuple[int, int, str] | None:
-    """The longest rule match at ``start``, the earlier rule on ties."""
-    end, token = start, None
-    for rule in rules:
-        m = rule.regex.match(text, start)
-        if m is not None and m.end() > end:
-            end, token = m.end(), rule.token
-    return None if token is None else (start, end, token)
-
-
-def _leftmost_longest(text: str, pos: int, rules) -> tuple[int, int, str] | None:
-    """Among each rule's first match from ``pos``, the earliest, then the
-    longest, then the earlier rule's."""
-    best = None
-    best_rule = None
-    for ridx, rule in enumerate(rules):
-        m = rule.regex.search(text, pos)
-        if m is None:
-            continue
-        cand = (m.start(), -(m.end() - m.start()), ridx)
-        if best is None or cand < best:
-            best = cand
-            best_rule = (m.start(), m.end(), rule.token)
-    return best_rule
 
 
 def tokenize(text: str) -> list[str]:
@@ -582,5 +450,5 @@ def load_normalization_table(path) -> NormalizationTable:
 
 def default_normalization_table() -> NormalizationTable:
     """The table shipped with the package (laugh variants to $LAUGH$)."""
-    text = importlib.resources.files("facetrec").joinpath("data/normalization.yaml").read_text("utf-8")
+    text = (Path(__file__).with_name("data") / "normalization.yaml").read_text("utf-8")
     return _table_from_mapping(yamlio.load(text), "builtin normalization table")

@@ -9,8 +9,8 @@ are configuration and come from the key file.
 
 from __future__ import annotations
 
-import importlib.resources
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -277,5 +277,5 @@ def load_scoring_key(path) -> ScoringKey:
 
 def default_scoring_key() -> ScoringKey:
     """The key shipped with the package (1-5 scale, editable copy in data/)."""
-    text = importlib.resources.files("facetrec").joinpath("data/scoring_key.yaml").read_text("utf-8")
+    text = (Path(__file__).with_name("data") / "scoring_key.yaml").read_text("utf-8")
     return _key_from_mapping(yamlio.load(text), "builtin scoring key")

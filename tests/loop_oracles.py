@@ -15,7 +15,8 @@ positives first, as ``eval.make_folds`` does in one vectorized step.
 
 ``normalize_loops`` searches every rule at every step, and
 ``tokenize_loops`` lowercases token by token. ``corpus.normalize``
-searches one union of the rules per step, and ``corpus.tokenize``
+keeps each rule's next match and searches a rule again only when a
+replacement passes that match, and ``corpus.tokenize``
 maps ASCII text between placeholders through one translate table;
 ``test_corpus.py`` requires equal output. ``build_documents_loops`` joins
 an author's posts normalized one by one by the loop and tokenizes the

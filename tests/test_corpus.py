@@ -24,7 +24,8 @@ from facetrec.corpus import (
     tokenize,
 )
 from facetrec.errors import ConfigError, ValidationError
-from facetrec.inventory import FACET_NAMES, FacetScores, InventoryResponse
+from facetrec.inventory import FACET_NAMES, FacetScores, InventoryResponse, default_scoring_key
+from facetrec.synth import SynthSpec, generate_records, make_latents, make_word_tables
 
 
 def rec(aid, posts):
@@ -185,23 +186,26 @@ def test_tokenize_keeps_non_ascii_on_the_loop():
     assert tokenize("İSTANBUL") == tokenize_loops("İSTANBUL")
 
 
-def test_default_table_is_gated_by_its_union():
+def test_default_table_is_word_level():
     t = default_normalization_table()
-    assert t.union is not None and t.firsts is not None and t.word_level
-    assert t.union.pattern.startswith("(?=[")
+    assert t.word_level
+    text = "Hahaha KKKK rsrs! jajaja hehe, bahaha khaki"
+    assert normalize(text, t) == normalize_loops(text, t) == "$LAUGH$ $LAUGH$ $LAUGH$! $LAUGH$ $LAUGH$, bahaha khaki"
 
 
-# Tables with the constructs the first-character guard must read: anchors,
-# lookarounds, a backreference in rule 0, classes, branches and repeats keep
-# it; a first node that can repeat zero times, an empty alternative, a
-# wildcard, scoped flags, a category or a negated class drop it; a global
-# inline flag leaves the table without any union.
-# The second item says whether the table is guarded, the third whether
-# normalizing an author's posts joined with single spaces gives the posts'
-# own normalizations joined: only literals, classes without a space,
-# branches, groups, repeats, \b and \B allow that. It is checked on pairs
-# of posts where it holds; test_tables_that_do_not_join_posts_normalize_each_post
-# shows posts where it fails.
+# Tables with anchors, lookarounds, a backreference in rule 0, classes,
+# branches and repeats, whose matches begin with one of a fixed set of
+# characters, and tables whose first node can repeat zero times, has an
+# empty alternative, a wildcard, scoped flags, a category, a negated class
+# or a global inline flag, whose matches need not.
+# The second item says whether every rule's matches begin with one of a
+# fixed set of characters; the search loop treats both kinds alike. The
+# third says whether normalizing an author's posts joined with single
+# spaces gives the posts' own normalizations joined: only literals, classes
+# without a space, branches, groups, repeats, \b and \B allow that. It is
+# checked on pairs of posts where it holds;
+# test_tables_that_do_not_join_posts_normalize_each_post shows posts where
+# it fails.
 _GUARD_CASES = [
     ([(r"\bk{2,}\b", "$K$"), ("(?:ha){2,}h?", "$LAUGH$")], True, True),
     ([("s+", "$S$"), ("i", "$I$"), ("k", "$K$")], True, True),
@@ -229,33 +233,32 @@ _GUARD_CASES = [
 _EDGE_POSTS = ["", " ", "!", "a", "k", "kk", "ka", "s", "as", "i", "ha", "hah", "haha", "ja", "aa", "x", "bs", "K"]
 
 
-@pytest.mark.parametrize("pairs, guarded, joins_posts", _GUARD_CASES)
-def test_guard_needs_first_characters_for_every_rule(pairs, guarded, joins_posts):
+@pytest.mark.parametrize("pairs, fixed_first, joins_posts", _GUARD_CASES)
+def test_guard_needs_first_characters_for_every_rule(pairs, fixed_first, joins_posts):
     t = table(*pairs)
-    assert (t.firsts is not None) == guarded
-    if not guarded and t.union is not None:
-        assert not t.union.pattern.startswith("(?=")
-    if joins_posts:
-        for a in _EDGE_POSTS:
-            for b in _EDGE_POSTS:
-                assert normalize(f"{a} {b}", t) == f"{normalize(a, t)} {normalize(b, t)}", (a, b)
+    for a in _EDGE_POSTS:
+        for b in _EDGE_POSTS:
+            text = f"{a} {b}"
+            assert normalize(text, t) == normalize_loops(text, t), text
+            if joins_posts:
+                assert normalize(text, t) == f"{normalize(a, t)} {normalize(b, t)}", (a, b)
 
 
 # Which tables normalize word by word: every rule starts and ends with \b,
 # consumes only ASCII [0-9A-Za-z_] through literals, classes, branches,
-# groups and repeats, has the table's flags and has first characters.
+# groups and repeats, and has the table's flags.
 _WORD_LEVEL_CASES = [
     ([], True),
     ([(r"\b(?:ha){2,}h?\b", "$LAUGH$"), (r"\bk{3,}\b", "$LAUGH$")], True),
     ([(r"\b(?:ha|he)+\b", "lol")], True),  # a word token
     ([(r"\b[a-z_0-9]+x\b", "$X$")], True),  # case folding adds K, ſ, İ and ı
     ([(r"\bk\Bk+\b", "$K$")], True),
-    ([(r"\bk+\b", "$K$"), (r"\b(ha)+\b", "$H$")], True),  # no union: a group after rule 0
+    ([(r"\bk+\b", "$K$"), (r"\b(ha)+\b", "$H$")], True),  # a group after rule 0
     ([(r"\b(?:ha){2,}h?\b", "$LAUGH$"), ("(?:ha){2,}h?", "$LAUGH$")], False),  # no \b
     ([(r"\bha", "$H$")], False),
     ([(r"\bha\B", "$H$")], False),
     ([(r"^ha\b", "$H$")], False),
-    ([(r"\b(?:ha)*k\b", "$H$")], False),  # no first characters
+    ([(r"\b(?:ha)*k\b", "$H$")], True),  # a first node that can repeat zero times
     ([(r"\b[a-zé]+\b", "$W$")], False),  # a non-ASCII class member
     ([(r"\b[a-~]+\b", "$W$")], False),  # a range past the word characters
     ([(r"\b\w+\b", "$W$")], False),
@@ -311,9 +314,9 @@ def test_tables_that_do_not_join_posts_normalize_each_post(pairs, posts):
     assert build_documents([rec("u", posts)], t) == [("u", tuple(tokenize(per_post)))]
 
 
-def test_guard_folds_case_as_the_rules_do():
+def test_normalize_folds_case_as_the_rules_do():
     # KELVIN SIGN, LONG S and capital I with dot match k, s and i under
-    # IGNORECASE; the guard and the per-character rule lists must agree.
+    # IGNORECASE.
     t = table(("k+", "$K$"), ("s", "$S$"), ("i", "$I$"))
     text = "\u212a\u212ak \u017f \u0130 K S I"
     assert normalize(text, t) == normalize_loops(text, t) == "$K$ $S$ $I$ $K$ $S$ $I$"
@@ -367,27 +370,70 @@ def test_build_documents_matches_the_loops(t, authors):
             assert normalize(post, t) == normalize_loops(post, t)
 
 
+# Rules that would change meaning joined into one alternation, and rules
+# whose matches may start before the characters they repeat. The third item
+# says whether the rules join: a later rule's groups would be renumbered,
+# and a global inline flag cannot sit inside a group. Each rule is searched
+# on its own, so both kinds normalize as the loop oracle does.
 @pytest.mark.parametrize(
-    "pairs, text, gated",
+    "pairs, text, joinable",
     [
-        # A later rule's own group: in the union, \1 would point at rule 0's.
+        # A later rule's own group: in an alternation, \1 would point at rule 0's.
         ([("(x)y", "$A$"), (r"(a)\1", "$B$")], "xy aa ab", False),
-        # A group in the first rule keeps its number in the union.
+        # A group in the first rule keeps its number.
         ([(r"(a)\1", "$B$"), ("k+", "$K$")], "aa kk ab", True),
-        # A global inline flag, first or later, cannot enter the union.
+        # A global inline flag, first or later.
         ([("(?x) h a", "$HA$"), ("b", "$B$")], "ha b h a", False),
         ([("b", "$B$"), ("(?x) h a", "$HA$")], "ha b h a", False),
-        # A rule whose first node can repeat zero times: an unguarded union,
-        # whose matches may start before the repeated characters.
+        # A rule whose first node can repeat zero times: its matches may
+        # start before the repeated characters.
         ([("x*b", "$X$")], "axxb", True),
         ([("q", "$Q$"), ("x*c", "$X$")], "abc", True),
         ([("x*a", "$X$"), ("b", "$B$")], "abxx", True),
     ],
 )
-def test_union_gate_on_groups_inline_flags_and_empty_matches(pairs, text, gated):
+def test_union_gate_on_groups_inline_flags_and_empty_matches(pairs, text, joinable):
     t = table(*pairs)
-    assert (t.union is not None) == gated
     assert normalize(text, t) == normalize_loops(text, t)
+
+
+class CountingSearches:
+    """A compiled rule that counts its ``search`` calls."""
+
+    def __init__(self, regex):
+        self.regex = regex
+        self.searches = 0
+
+    def search(self, *args):
+        self.searches += 1
+        return self.regex.search(*args)
+
+
+def test_a_rule_without_a_match_is_searched_once():
+    # The shipped rules plus one with a group after rule 0, which never
+    # matches here, over a text the shipped rules rewrite 6,000 times.
+    t = table(*((rule.pattern, rule.token) for rule in default_normalization_table().rules), (r"(x)yz\1", "$X$"))
+    quiet, laughs = CountingSearches(t.rules[-1].regex), CountingSearches(t.rules[0].regex)
+    object.__setattr__(t.rules[-1], "regex", quiet)
+    object.__setattr__(t.rules[0], "regex", laughs)
+    assert normalize("haha ok kkkk. rsrs yes " * 2000, t) == "$LAUGH$ ok $LAUGH$. $LAUGH$ yes " * 2000
+    assert quiet.searches == 1
+    # A rule that matches is searched once more for each of its own matches.
+    assert laughs.searches == 2001
+
+
+def test_build_documents_normalizes_each_post_of_a_synth_corpus():
+    # A table that is not word-level sends every author through normalize
+    # per post, join and tokenize.
+    spec = SynthSpec(seed=5, authors=60)
+    records = generate_records(spec, make_word_tables(spec.seed), make_latents(spec), default_scoring_key())
+    shipped = default_normalization_table()
+    t = NormalizationTable(rules=(*shipped.rules, NormRule(r"(\w)(\w)\1\2", "$TWICE$")))
+    assert not t.word_level
+    docs = build_documents(records, t)
+    assert docs == build_documents_loops(records, t)
+    every = [tok for _, tokens in docs for tok in tokens]
+    assert len(docs) == 60 and "$LAUGH$" in every and "$TWICE$" in every
 
 
 # --- documents -------------------------------------------------------------
