@@ -16,11 +16,12 @@ bytes, the Newton iterations, and the largest weight gap between the two.
 SMOTE's neighbours: one facet shaped like the smote-nb workload's (600
 documents, 120 minority rows, 10 folds), twice: on 501 count columns,
 whose distances take sq_distances' Gram product, and on 50 columns of
-averaged-word-vector-like floats, which take its row-by-row diff form. Per
-fold, minority_knn on the fold's own minority rows, against one
-neighbour_order over all 120 rows (one product or row loop, one sort) that
-knn_in_splits restricts to every fold in one pass. Prints the best-of wall
-times and exits 1 if any fold's neighbour lists differ between the two.
+averaged-word-vector-like floats, which take its row-by-row diff form. One
+order per fold (minority_knn: a neighbour_order of the fold's own minority
+rows, taken whole), against one neighbour_order over all 120 rows (one
+product or row loop, one sort) that knn_in_splits restricts to every fold
+in one pass. Prints the best-of wall times and exits 1 if any fold's
+neighbour lists differ between the two.
 
 Normalization: corpus.normalize on long, laughter-heavy seeded posts, under
 the shipped table and under the same table plus a rule with a group that
@@ -158,7 +159,7 @@ def knn_case(X, rng, repeat: int) -> bool:
     form = "Gram product" if kernels._gram_is_exact(M, np.einsum("ij,ij->i", M, M)) else "diff form"
     print(f"SMOTE neighbours: {KNN_MINORITY} minority rows of {KNN_DOCS} x {X.shape[1]} ({form}), "
           f"{KNN_FOLDS} folds, k={KNN_K}; order {KNN_MINORITY ** 2 * 8 / 1e3:.0f} KB")
-    print(f"{'per-fold minority_knn':<26} {t_fold * 1e3:>10.1f} ms")
+    print(f"{'one order per fold':<26} {t_fold * 1e3:>10.1f} ms")
     print(f"{'one order, restricted':<26} {t_order * 1e3:>10.1f} ms")
     print(f"speedup {t_fold / t_order:.1f}x; neighbour lists {'identical' if same else 'DIFFER'}")
     return same

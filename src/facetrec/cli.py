@@ -38,7 +38,6 @@ from .eval import (
     plan_cells,
     render_report,
     run_experiment,
-    smote_neighbours,
 )
 from .features import (
     DEFAULT_VOCAB_SIZE,
@@ -57,11 +56,10 @@ from .models import (
     ModelSpec,
     fit_cells,
     load_model,
-    plan_cell,
     predict,
     save_model,
 )
-from .resample import ResampleConfig
+from .resample import ResampleConfig, plan_cell, smote_neighbours
 from .seeding import STREAM_SMOTE, check_seed, derive_seed
 
 log = logging.getLogger(__name__)

@@ -2,20 +2,21 @@
 
 Fold plans are built per facet (stratification keeps each fold's class mix
 within one document of proportional). Given a realized feature matrix, each
-facet x fold cell is planned once (``plan_cells``): its training rows and
-SMOTE's rows as interpolation triples of rows of the matrix, whose
-neighbours come from one sorted neighbour order per facet and minority
-class, restricted to every fold at once. Every model kind on that matrix
-trains from the same cells without copying rows, and each held-out split
-is scored with macro-F1 over both classes, all folds of a facet from one
-count of its predictions. Reports aggregate fold scores into per-facet
-means, an overall mean and a wins count per system."""
+facet x fold cell is planned once (``plan_cells``, through ``resample``'s
+cell planner): its training rows and SMOTE's rows as interpolation triples
+of rows of the matrix, whose neighbours come from one sorted neighbour
+order per facet and minority class, restricted to every fold at once.
+Every model kind on that matrix trains from the same cells without copying
+rows, and each held-out split is scored with macro-F1 over both classes,
+all folds of a facet from one count of its predictions. Reports aggregate
+fold scores into per-facet means, an overall mean and a wins count per
+system."""
 
 from __future__ import annotations
 
 import logging
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
 
 import numpy as np
@@ -23,8 +24,8 @@ import numpy as np
 from . import kernels
 from .errors import ConfigError, FacetrecError, ValidationError
 from .inventory import FACET_NAMES
-from .models import ModelSpec, _as_labels, fit_cells, plan_cell, predict
-from .resample import ResampleConfig
+from .models import ModelSpec, fit_cells, predict
+from .resample import ResampleConfig, _as_labels, plan_cell, smote_neighbours
 from .seeding import STREAM_FOLDS, STREAM_SMOTE, check_seed, derive_seed, substream
 
 DEFAULT_FOLDS = 10
@@ -168,31 +169,6 @@ def _at(where):
         raise type(e)(f"{where}: {e}") from e
 
 
-def smote_neighbours(X, y, held=None):
-    """SMOTE's neighbour search over one facet's documents, labelled y, in
-    each of its training splits: row s of the (splits, documents) bool
-    array ``held`` marks the documents split s leaves out (by default one
-    split of every document). Returns a function from the ascending
-    indices ``docs`` of one class's documents in split s, k and s to each
-    one's k nearest others among them (``kernels.minority_knn`` of their
-    rows), as positions in ``docs``. Each class has one
-    ``kernels.neighbour_order`` of all its rows, sorted when the class is
-    first asked for, which ``kernels.knn_in_splits`` restricts to every
-    split at once."""
-    if held is None:
-        held = np.zeros((1, len(y)), dtype=bool)
-    by_class = {}
-
-    def neighbours(docs, k, split=0):
-        cls = int(y[docs[0]])
-        if (cls, k) not in by_class:
-            members = np.flatnonzero(y == cls)
-            by_class[cls, k] = kernels.knn_in_splits(kernels.neighbour_order(X[members]), held[:, members], k)
-        return by_class[cls, k][split]
-
-    return neighbours
-
-
 @dataclass(frozen=True)
 class CellPlan:
     """Every facet x fold training cell of one feature matrix, which every
@@ -207,7 +183,7 @@ class CellPlan:
 def plan_cells(corpus, X, resample_cfg: ResampleConfig, fold_plan: FoldPlan) -> CellPlan:
     """Plan every facet x fold cell of a realized feature matrix (one row per
     corpus document), skipping degenerate facets: each training split's rows
-    and SMOTE's triples (``models.plan_cell``, with ``smote_neighbours``
+    and SMOTE's triples (``resample.plan_cell``, with ``smote_neighbours``
     over the facet's folds and each cell's own seed). Labels are checked
     once per facet, and each cell as it is planned, so an error names its
     facet and fold before any model trains."""
@@ -232,8 +208,8 @@ def plan_cells(corpus, X, resample_cfg: ResampleConfig, fold_plan: FoldPlan) -> 
         for k in range(n_folds):
             seed = derive_seed(fold_plan.seed, STREAM_SMOTE, FACET_NAMES.index(facet), k)
             with _at(f"facet {facet}, fold {k}"):
-                facet_cells.append(plan_cell(y, np.flatnonzero(~held[k]), resample_cfg,
-                                             partial(neighbours, split=k), seed))
+                facet_cells.append(plan_cell(y, np.flatnonzero(~held[k]), replace(resample_cfg, seed=seed),
+                                             partial(neighbours, split=k)))
         labels.append(y)
         cells.append(tuple(facet_cells))
     return CellPlan(facets, fold_plan, tuple(labels), tuple(cells))

@@ -19,14 +19,14 @@ the kernels as reference implementations.
 SMOTE's neighbour search rests on ``sq_distances``, the exact
 squared-distance matrix of some rows: a Gram product on finite integer rows
 of bounded norm (bag-of-words counts), where it is exact, and the diff form
-one row at a time on any other rows. ``minority_knn`` takes the k nearest
-per row by a stable sort of that matrix. A caller that searches many
-overlapping sets of rows, as the folds of one facet are, sorts the matrix
-of all of them once (``neighbour_order``) and restricts that order to every
-set in one pass (``knn_in_splits``), which gives the same lists, ties
-included.
-``minority_knn``, ``knn_from_distances`` and ``interpolate_rows`` (SMOTE's
-rows from their triples) serve ``resample.smote`` and the tests alone.
+one row at a time on any other rows. ``neighbour_order`` sorts that matrix
+of all rows once, and ``knn_in_splits`` restricts the order to many
+overlapping sets of rows in one pass, as the training splits of one facet
+are; a set's lists are its own stable sort's, ties included. Every SMOTE
+draw takes its neighbours so, through ``resample``'s cell planner.
+``minority_knn`` is the same search on one set of all rows, and
+``interpolate_rows`` (SMOTE's rows from their triples) serves
+``resample.smote``.
 """
 
 from __future__ import annotations
@@ -479,20 +479,6 @@ def sq_distances(M):
     return out
 
 
-def knn_from_distances(D, k):
-    """Per row of the square distance block D: positions of its k nearest
-    other rows.
-
-    The diagonal is ignored (a copy of D gets inf there). Distance ties
-    break toward the lower row position (stable sort). k is clipped to
-    n-1. Returns an (n, k_eff) int64 array.
-    """
-    D = np.array(D, dtype=np.float64)
-    np.fill_diagonal(D, np.inf)
-    k_eff = min(int(k), D.shape[0] - 1)
-    return np.ascontiguousarray(np.argsort(D, axis=1, kind="stable")[:, :k_eff], dtype=np.int64)
-
-
 def neighbour_order(M):
     """Per row of M, every row position of M from nearest to farthest: the
     stable argsort of sq_distances(M) with inf on its diagonal, as an (n, n)
@@ -531,7 +517,8 @@ def knn_in_splits(order, held, k):
     ``order`` is neighbour_order of some rows. A split's columns are a
     subsequence of those rows, in ascending position, so a stable order
     restricted to them is the split's own stable order: the result equals
-    minority_knn of the split's rows, ties included. Each order[a] is a
+    the first k_eff columns of neighbour_order of the split's rows, ties
+    included. Each order[a] is a
     permutation, so a row of the split meets every row of the split once,
     itself last (at distance inf), and the first k_eff are its neighbours.
 
@@ -559,11 +546,11 @@ def knn_in_splits(order, held, k):
 def minority_knn(M, k):
     """Per row of M: positions of its k nearest other rows (Euclidean).
 
-    The composition knn_from_distances(sq_distances(M), k): distance ties
-    break toward the lower row position and k is clipped to n-1. Returns an
-    (n, k_eff) int64 array.
+    ``knn_in_splits`` of ``neighbour_order(M)`` in one split that holds
+    every row: distance ties break toward the lower row position and k is
+    clipped to n-1. Returns an (n, k_eff) int64 array.
     """
-    return knn_from_distances(sq_distances(M), k)
+    return knn_in_splits(neighbour_order(M), np.zeros((1, len(M)), dtype=bool), k)[0]
 
 
 def interpolate_rows(M, seed_pos, nbr_pos, gammas):

@@ -5,12 +5,13 @@ Bayes with Laplace smoothing over nonnegative count features, and binary
 logistic regression fit by truncated Newton (Newton-CG). All three are
 deterministic functions of their training data and hyperparameters.
 
-Every model trains through one path. ``plan_cell`` checks a training set
-of rows of one feature matrix and, with SMOTE, draws its synthetic rows as
-interpolation triples; ``fit_cells`` trains the models of many such cells
-without copying their rows. Every model kind trains from the same cells:
-`eval` plans each facet x fold cell of a matrix once, ``facetrec train``
-one cell of all rows with SMOTE, and ``train`` one without it.
+Every model trains through one path. ``resample.plan_cell`` checks a
+training set of rows of one feature matrix and, with SMOTE, draws its
+synthetic rows as interpolation triples; ``fit_cells`` trains the models of
+many such cells without copying their rows. Every model kind trains from
+the same cells: `eval` plans each facet x fold cell of a matrix once,
+``facetrec train`` one cell of all rows with SMOTE, and ``train`` one
+without it.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import numpy as np
 
 from . import kernels
 from .errors import ConfigError, TrainingError, ValidationError
-from .resample import _smote_triples
+from .resample import _as_labels, _as_rows, plan_cell
 
 MODEL_KINDS = ("majority", "naive_bayes", "logistic_regression")
 
@@ -114,15 +115,6 @@ class TrainedModel:
     feature_ref: dict | None = None
 
 
-def _as_labels(y) -> np.ndarray:
-    y = np.asarray(y)
-    if y.ndim != 1 or len(y) == 0:
-        raise ValidationError("labels must be a non-empty 1-d sequence")
-    if not np.all((y == 0) | (y == 1)):
-        raise ValidationError(f"labels must be binary 0/1, got values {sorted(set(y.tolist()))}")
-    return y.astype(np.int64)
-
-
 def train_majority(y, feature_dim: int | None = None) -> TrainedModel:
     """Record the most frequent training label; exact ties go negative."""
     y = _as_labels(y)
@@ -145,28 +137,6 @@ def unusable_rows(kind: str, X) -> tuple[np.ndarray, str]:
     if kind == "logistic_regression":
         return ~np.all(np.isfinite(X), axis=1), "features contain non-finite values"
     return np.zeros(len(X), dtype=bool), ""
-
-
-def plan_cell(y, rows, resample_cfg=None, neighbours=None, seed=None) -> kernels.LRCell:
-    """The training cell of ``rows`` of a feature matrix X, for any model kind.
-
-    y holds the int64 0/1 labels of all rows of X, which the caller checks
-    once, and ``rows`` is an int64 array of positions. A cell whose labels
-    are empty or hold a single class raises ValidationError. With
-    ``resample_cfg``, the cell also carries SMOTE's triples, drawn as
-    ``resample.smote_triples`` draws them but without its label check and
-    from ``seed`` (by default the config's), with ``neighbours(positions,
-    k)`` giving, per ascending position in X, its k nearest others among
-    them (``eval.smote_neighbours``).
-    """
-    labels = y[rows]
-    if not 0 < labels.sum() < len(labels):
-        raise ValidationError("training labels contain a single class" if len(labels) else "training split is empty")
-    if resample_cfg is None:
-        return kernels.LRCell(rows, labels)
-    seed = resample_cfg.seed if seed is None else seed
-    seeds, nbrs, gammas, y_aug = _smote_triples(labels, resample_cfg, lambda pos, k: neighbours(rows[pos], k), seed)
-    return kernels.LRCell(rows, labels, rows[seeds], rows[nbrs], gammas, int(y_aug[-1]))
 
 
 def _class_sums(X, cells):
@@ -265,9 +235,7 @@ def fit_cells(X, spec: ModelSpec, groups, name: str = "model", where=None):
 def train(spec: ModelSpec, X, y) -> TrainedModel:
     """Fit a ``spec`` model on all rows of (X, y), without SMOTE: the model
     ``fit_cells`` trains on the one cell ``plan_cell`` makes of them."""
-    X, y = np.asarray(X, dtype=np.float64), _as_labels(y)
-    if X.ndim != 2 or len(X) != len(y):
-        raise ValidationError("labels must be one per feature row")
+    X, y = _as_rows(X, y)
     return next(fit_cells(X, spec, [[plan_cell(y, np.arange(len(X)))]]))
 
 
@@ -356,8 +324,17 @@ def save_model(model: TrainedModel, path) -> None:
         fh.write("\n")
 
 
+def _array(raw, key, shape):
+    # A model file's float array ``raw[key]``, which must have ``shape``.
+    a = np.array(raw[key], dtype=np.float64)
+    if a.shape != shape:
+        raise ValueError(f"{key} has shape {a.shape}, feature_dim needs {shape}")
+    return a
+
+
 def load_model(path) -> TrainedModel:
-    """Read a model written by save_model."""
+    """Read a model written by save_model. feature_dim must be an integer
+    (or null for majority) that the parameters' shapes agree with."""
     try:
         with open(path, encoding="utf-8") as fh:
             payload = json.load(fh)
@@ -373,19 +350,22 @@ def load_model(path) -> TrainedModel:
     raw = payload.get("params")
     if kind not in MODEL_KINDS or not isinstance(raw, dict):
         raise ConfigError(f"{path}: malformed model file")
+    dim = payload.get("feature_dim")
     try:
+        if (type(dim) is not int or dim < 0) and not (dim is None and kind == "majority"):
+            raise ValueError(f"feature_dim must be a nonnegative integer, got {dim!r}")
         if kind == "majority":
             params = MajorityParams(label=raw["label"])
         elif kind == "naive_bayes":
             params = NaiveBayesParams(
                 alpha=float(raw["alpha"]),
-                log_priors=np.array(raw["log_priors"], dtype=np.float64),
-                log_likelihoods=np.array(raw["log_likelihoods"], dtype=np.float64),
+                log_priors=_array(raw, "log_priors", (2,)),
+                log_likelihoods=_array(raw, "log_likelihoods", (2, dim)),
             )
         else:
             h = raw["hyper"]
             params = LogisticRegressionParams(
-                weights=np.array(raw["weights"], dtype=np.float64),
+                weights=_array(raw, "weights", (dim,)),
                 bias=float(raw["bias"]),
                 hyper=LRHyperparams(
                     l2=float(h["l2"]),
@@ -395,11 +375,11 @@ def load_model(path) -> TrainedModel:
                 loss_history=tuple(float(v) for v in raw["loss_history"]),
                 converged=bool(raw["converged"]),
             )
-    except (KeyError, TypeError, ValueError) as e:
+    except (KeyError, TypeError, ValueError, ValidationError) as e:
         raise ConfigError(f"{path}: malformed model file: {e}") from e
     return TrainedModel(
         kind=kind,
-        feature_dim=payload.get("feature_dim"),
+        feature_dim=dim,
         params=params,
         feature_ref=payload.get("feature_ref"),
     )

@@ -38,8 +38,9 @@ hold every cell of the many-cell truncated-Newton fit to it, within the
 bound that both fits' final gradients give (``assert_near_newton_oracle``).
 
 ``train_materialized`` is the training path that every model left for one
-plan-and-fit path (``models.plan_cell`` and ``models.fit_cells``): SMOTE's
-rows built by ``resample.smote``, then one trainer per model kind on them.
+plan-and-fit path (``resample.plan_cell`` and ``models.fit_cells``):
+SMOTE's rows built by ``resample.smote``, which interpolates the same
+planned cell's triples, then one trainer per model kind on those rows.
 """
 
 from __future__ import annotations

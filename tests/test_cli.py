@@ -20,11 +20,11 @@ from loop_oracles import assert_near_newton_oracle, logreg_newton_numpy, train_m
 from facetrec import features, kernels, resample
 from facetrec.cli import build_parser, main, parse_experiment_config
 from facetrec.corpus import assign_labels, build_documents, default_normalization_table, load_corpus
-from facetrec.eval import make_folds
+from facetrec.eval import make_folds, plan_cells
 from facetrec.features import load_embeddings, write_embeddings
 from facetrec.inventory import FACET_NAMES, default_scoring_key, score_inventory
 from facetrec.models import ModelSpec, load_model, predict, save_model, train
-from facetrec.resample import ResampleConfig, resampled_labels
+from facetrec.resample import ResampleConfig
 from facetrec.seeding import STREAM_SMOTE, derive_seed
 
 
@@ -181,7 +181,8 @@ def test_rerun_is_byte_identical(bundle, run_dir, tmp_path, capsys):
 
 def _smote_rows(source: Path) -> int:
     # The rows SMOTE adds to one system's cells on a bundle, from its labels
-    # and fold plan alone.
+    # and fold plan alone: the cells `run` plans, over a matrix of zeros, as
+    # the count does not depend on the rows.
     config = yaml.safe_load((source / "config.yaml").read_text(encoding="utf-8"))
     records = load_corpus(source / "corpus.jsonl")
     scores = {r.author_id: score_inventory(r.inventory, default_scoring_key()) for r in records}
@@ -189,8 +190,8 @@ def _smote_rows(source: Path) -> int:
     labels = {f: corpus.labels(f) for f in corpus.active_facets}
     plan = make_folds(labels, n_folds=config["folds"], seed=config["seed"])
     cfg = ResampleConfig(k_neighbors=config["smote"]["k_neighbors"], target_ratio=config["smote"]["target_ratio"])
-    return sum(len(resampled_labels(y[plan.assignment[f] != k], cfg)) - int(np.sum(plan.assignment[f] != k))
-               for f, y in labels.items() for k in range(plan.n_folds))
+    cells = plan_cells(corpus, np.zeros((len(corpus.documents), 1)), cfg, plan).cells
+    return sum(len(cell.seeds) for facet in cells for cell in facet)
 
 
 def test_verbose_run_logs_lr_convergence_without_touching_artifacts(bundle, tmp_path, caplog, capsys):

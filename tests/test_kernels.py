@@ -339,10 +339,20 @@ def test_minority_knn_breaks_ties_toward_lower_index():
 def test_minority_knn_matches_loop_oracle_with_ties(seed, grid):
     # Duplicated rows tie at distance 0; small-integer coordinates ("grid")
     # also tie at equal nonzero distances. Ties must break the same way.
+    # Rows holding nan, +-inf or 1e200 give nan and inf distances, where two
+    # sorts could part: nan sorts after the inf diagonal. The search, the
+    # loop oracle and the order restricted to a split agree there too.
     rng = np.random.default_rng(seed)
     M = rng.integers(0, 3, size=(30, 7)).astype(np.float64) if grid else rng.normal(size=(30, 7))
     M[[4, 17, 23, 29]] = M[[9, 9, 2, 11]]
     assert np.array_equal(kernels.minority_knn(M, 5), minority_knn_loops(M, 5))
+    odd = M.copy()
+    odd[[1, 6, 12, 20, 26], rng.integers(0, 7, size=5)] = [np.nan, np.inf, -np.inf, 1e200, np.inf]
+    held = rng.random(30) < 0.3
+    with np.errstate(invalid="ignore", over="ignore"):
+        assert np.array_equal(kernels.minority_knn(odd, 5), minority_knn_loops(odd, 5))
+        restricted = kernels.knn_in_splits(kernels.neighbour_order(odd), held[None], 5)[0]
+        assert np.array_equal(restricted, minority_knn_loops(odd[~held], 5))
 
 
 def test_minority_knn_clips_k():
@@ -371,7 +381,9 @@ def test_a_sliced_distance_block_is_the_blocks_own_matrix(seed, kind):
         sub = np.sort(rng.choice(60, size=int(rng.integers(2, 60)), replace=False))
         block = D[np.ix_(sub, sub)]
         assert np.array_equal(block, kernels.sq_distances(M[sub]))
-        assert np.array_equal(kernels.knn_from_distances(block, 5), kernels.minority_knn(M[sub], 5))
+        np.fill_diagonal(block, np.inf)
+        nearest = np.argsort(block, axis=1, kind="stable")[:, : min(5, len(sub) - 1)]
+        assert np.array_equal(nearest, kernels.minority_knn(M[sub], 5))
 
 
 _BOUND = 2**51  # the squared row norm below which integer rows take the Gram form
@@ -502,14 +514,6 @@ def test_distances_too_large_for_int64_keys_take_the_stable_sort(monkeypatch):
     assert np.array_equal(kernels.neighbour_order(M), want) and sorts == [1]
     sorts.clear()
     assert np.array_equal(kernels.neighbour_order(small), want_small) and sorts == []
-
-
-def test_knn_from_distances_leaves_its_block_alone():
-    D = np.array([[0.0, 4.0, 1.0], [4.0, 0.0, 9.0], [1.0, 9.0, 0.0]])
-    before = D.copy()
-    nbrs = kernels.knn_from_distances(D, 10)
-    assert nbrs.dtype == np.int64 and nbrs.tolist() == [[2, 1], [0, 2], [0, 1]]
-    assert np.array_equal(D, before)
 
 
 def test_interpolate_rows_exact():

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import re
 from types import SimpleNamespace
 
 import numpy as np
@@ -391,6 +392,50 @@ def test_load_model_error_matrix(tmp_path):
         load_model(path)
     path.write_text(json.dumps({"format": "facetrec-model", "version": 2, "kind": "majority"}))
     with pytest.raises(ConfigError, match="malformed"):
+        load_model(path)
+
+
+@pytest.mark.parametrize(
+    "kind, key, edit, message",
+    [
+        ("logistic_regression", "weights", lambda v: v[:-1], "weights has shape"),
+        ("logistic_regression", "weights", lambda v: [v], "weights has shape"),
+        ("naive_bayes", "log_likelihoods", lambda v: [row[:-1] for row in v], "log_likelihoods has shape"),
+        ("naive_bayes", "log_likelihoods", lambda v: v[:1], "log_likelihoods has shape"),
+        ("naive_bayes", "log_priors", lambda v: v + [0.0], "log_priors has shape"),
+        ("naive_bayes", "log_likelihoods", lambda v: [[x + 1.0 for x in row] for row in v], "per-class likelihoods"),
+        ("majority", "label", lambda v: 2, "majority label must be 0 or 1"),
+    ],
+    ids=["lr-short", "lr-2d", "nb-narrow", "nb-one-class", "nb-three-priors", "nb-unnormalized", "majority-label"],
+)
+def test_load_model_rejects_parameters_that_do_not_fit(tmp_path, kind, key, edit, message):
+    # A parameter array whose shape disagrees with feature_dim, or a value
+    # no trained model holds, is a malformed file named by its path,
+    # caught at load rather than as a numpy error at predict.
+    _, _, models = _fit_all()
+    path = tmp_path / "m.json"
+    save_model(next(m for m in models if m.kind == kind), path)
+    payload = json.loads(path.read_text())
+    payload["params"][key] = edit(payload["params"][key])
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ConfigError, match=rf"^{re.escape(str(path))}: malformed model file: {message}"):
+        load_model(path)
+
+
+@pytest.mark.parametrize("kind", ["majority", "naive_bayes", "logistic_regression"])
+@pytest.mark.parametrize("dim", ["2", 2.0, True, -1, None])
+def test_load_model_needs_an_integer_feature_dim(tmp_path, kind, dim):
+    # Only a majority model may leave feature_dim null.
+    _, _, models = _fit_all()
+    path = tmp_path / "m.json"
+    save_model(next(m for m in models if m.kind == kind), path)
+    payload = json.loads(path.read_text())
+    payload["feature_dim"] = dim
+    path.write_text(json.dumps(payload))
+    if dim is None and kind == "majority":
+        assert load_model(path).feature_dim is None
+        return
+    with pytest.raises(ConfigError, match="malformed model file: feature_dim must be a nonnegative integer"):
         load_model(path)
 
 

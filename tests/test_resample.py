@@ -6,11 +6,11 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from loop_oracles import minority_knn_loops
 
 from facetrec import kernels
 from facetrec.errors import ConfigError, ValidationError
-from facetrec.eval import smote_neighbours
-from facetrec.resample import ResampleConfig, resampled_labels, smote, smote_triples
+from facetrec.resample import ResampleConfig, plan_cell, smote
 
 
 def make_data(n_min=4, n_maj=10, d=3, seed=0, minority_class=1):
@@ -78,21 +78,21 @@ def test_smote_synthetic_rows_match_replay():
 @pytest.mark.parametrize("ratio", [0.3, 0.6, 1.0])
 @pytest.mark.parametrize("seed", [0, 11, 2024])
 def test_smote_is_its_triples_interpolated(seed, ratio, k, minority_class):
-    # One set of draws: smote's rows are the triples' rows, bit for bit,
-    # and the triples name minority rows of X. The triples take their
-    # neighbours from the restricted class order `run` uses, smote from a
-    # search on its own minority rows.
+    # smote plans one cell of all rows, with neighbours from the restricted
+    # class order `run` uses. The same cell planned with neighbours from
+    # the loop oracle has the same triples: interpolated, they are smote's
+    # rows, bit for bit, and they name minority rows of X.
     X, y = make_data(n_min=7, n_maj=19, d=4, seed=seed, minority_class=minority_class)
     X = X[np.random.default_rng(seed).permutation(len(y))]
     y = y[np.random.default_rng(seed).permutation(len(y))]
     cfg = ResampleConfig(k_neighbors=k, target_ratio=ratio, seed=seed)
     X_aug, y_aug = smote(X, y, cfg)
-    seeds, nbrs, gammas, labels = smote_triples(y, cfg, smote_neighbours(X, y))
-    rows = kernels.interpolate_rows(X, seeds, nbrs, gammas)
+    cell = plan_cell(y, np.arange(len(y)), cfg, lambda at, kk: minority_knn_loops(X[at], kk))
+    rows = kernels.interpolate_rows(X, cell.seeds, cell.nbrs, cell.gammas)
     assert np.array_equal(X_aug, np.vstack([X, rows])) and len(rows) == len(y_aug) - len(y)
-    assert np.array_equal(labels, y_aug)
-    assert np.all(y[seeds] == minority_class) and np.all(y[nbrs] == minority_class)
-    assert np.all(seeds != nbrs)
+    assert np.array_equal(y_aug, np.concatenate([y, np.full(len(rows), minority_class)]))
+    assert np.all(y[cell.seeds] == minority_class) and np.all(y[cell.nbrs] == minority_class)
+    assert np.all(cell.seeds != cell.nbrs)
 
 
 def test_smote_interpolates_on_segments():
@@ -141,18 +141,6 @@ def test_smote_errors():
         smote(X, np.array([1, 0, 1]), ResampleConfig(seed=0))
 
 
-@pytest.mark.parametrize(
-    "labels, message",
-    [([1, 1, 1, 1], "degenerate"), ([1, 0, 0, 0], "at least 2"), ([1, 2, 0, 0], "binary")],
-)
-def test_resampled_labels_raise_what_smote_raises(labels, message):
-    cfg = ResampleConfig(seed=0)
-    with pytest.raises(ValidationError, match=message):
-        smote(np.zeros((4, 2)), np.array(labels), cfg)
-    with pytest.raises(ValidationError, match=message):
-        resampled_labels(np.array(labels), cfg)
-
-
 def test_smote_is_deterministic_and_seed_sensitive():
     X, y = make_data(n_min=4, n_maj=9, seed=2)
     a1, _ = smote(X, y, ResampleConfig(seed=5))
@@ -181,8 +169,7 @@ def test_smote_works_when_majority_is_class_one():
     X, y = make_data(n_min=3, n_maj=8, minority_class=0)
     X_aug, y_aug = smote(X, y, ResampleConfig(seed=4))
     assert int((y_aug == 0).sum()) == 8
-    assert np.all(y_aug[11:] == 0)
-    assert np.array_equal(resampled_labels(y, ResampleConfig(seed=4)), y_aug)
+    assert y_aug.dtype == np.int64 and np.array_equal(y_aug, np.concatenate([y, np.zeros(5, dtype=np.int64)]))
 
 
 @given(
@@ -199,8 +186,8 @@ def test_smote_count_arithmetic(n_min, extra, d, seed, ratio):
     X_aug, y_aug = smote(X, y, cfg)
     expected_min = max(n_min, math.floor(ratio * n_maj))
     assert int((y_aug == 1).sum()) == expected_min
-    labels = resampled_labels(y, cfg)
-    assert labels.dtype == y_aug.dtype and np.array_equal(labels, y_aug)
+    synthetic = np.ones(expected_min - n_min, dtype=np.int64)
+    assert y_aug.dtype == np.int64 and np.array_equal(y_aug, np.concatenate([y, synthetic]))
     assert int((y_aug == 0).sum()) == n_maj
     assert np.array_equal(X_aug[: len(y)], X)
 

@@ -1,12 +1,14 @@
 """SMOTE's neighbours from one sorted distance matrix per facet and class.
 
-`eval` computes the squared distances among a facet's rows of one class
-once and sorts each row of that matrix once; each fold restricts those
-orders to its own minority rows.
+`run`'s cell planner (`resample.plan_cell` with `resample.smote_neighbours`)
+computes the squared distances among a facet's rows of one class once and
+sorts each row of that matrix once; each fold restricts those orders to its
+own minority rows.
 These tests hold every fold to what a search on its own minority rows
 (`kernels.minority_knn`, the per-fold search) gives: the same neighbour
-lists and the same triples, bit for bit. `report.csv` cannot show this on
-the default corpora, where the trained systems score 1.00 whatever the
+lists and the same triples, bit for bit, whose rows are the ones
+`resample.smote` adds to the fold's own rows. `report.csv` cannot show this
+on the default corpora, where the trained systems score 1.00 whatever the
 neighbours are, so the lists are compared directly.
 """
 
@@ -18,14 +20,14 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from facetrec import kernels, models, resample
+from facetrec import kernels, resample
 from facetrec.corpus import assign_labels, build_documents, default_normalization_table, load_corpus
 from facetrec.errors import ValidationError
 from facetrec.eval import FoldPlan, make_folds, plan_cells, run_experiment
 from facetrec.features import BowSpec, EmbeddingSpec, realize_features
 from facetrec.inventory import FACET_NAMES, default_scoring_key, score_inventory
-from facetrec.models import LRHyperparams, ModelSpec, plan_cell
-from facetrec.resample import ResampleConfig
+from facetrec.models import LRHyperparams, ModelSpec
+from facetrec.resample import ResampleConfig, plan_cell
 from facetrec.seeding import STREAM_SMOTE, derive_seed
 from facetrec.synth import SynthSpec, write_bundle
 
@@ -34,25 +36,24 @@ LR = ModelSpec(kind="logistic_regression", lr=LRHyperparams(max_epochs=1))
 
 
 def _record_smote(monkeypatch):
-    """Record every SMOTE triple draw of a run's cell planner (smote_triples
-    without the label check), in call order: its inputs, the neighbour
-    lists its neighbour function gave and the triples it returned."""
+    """Record every cell a run plans (``plan_cell`` as `eval` calls it), in
+    call order: its inputs, the neighbour lists its neighbour function gave
+    (None if it drew no rows) and the cell it returned."""
     calls = []
-    real_triples = resample._smote_triples
+    real = resample.plan_cell
 
-    def recording(y, cfg, neighbours, seed):
-        # The cell's config, with the seed the planner passes beside it.
-        call = {"y": np.array(y), "cfg": replace(cfg, seed=seed), "knn": None}
+    def recording(y, rows, cfg, neighbours):
+        call = {"y": y, "rows": rows, "cfg": cfg, "knn": None}
         calls.append(call)
 
         def recorded(at, k):
             call["knn"] = neighbours(at, k)
             return call["knn"]
 
-        call["triples"] = real_triples(y, cfg, recorded, seed)
-        return call["triples"]
+        call["cell"] = real(y, rows, cfg, recorded)
+        return call["cell"]
 
-    monkeypatch.setattr(models, "_smote_triples", recording)  # the cell planner
+    monkeypatch.setattr("facetrec.eval.plan_cell", recording)
     return calls
 
 
@@ -70,26 +71,28 @@ def _count_matrices(monkeypatch):
 
 
 def _assert_matches_per_fold_search(calls, X, assignments):
-    """Each recorded call's neighbour lists and triples equal those of the
-    per-fold search on that call's own minority rows. The calls are a run's
-    over X, facet by facet and fold by fold, with the facets' fold
-    assignments in order. Returns how many calls drew synthetic rows."""
+    """Each recorded call's neighbour lists and cell equal those of the
+    per-fold search on that call's own minority rows, and the cell's
+    triples give the rows ``smote`` adds to the fold's own rows. The calls
+    are a run's over X, facet by facet and fold by fold, with the facets'
+    fold assignments in order. Returns how many calls drew synthetic rows."""
     n_folds = int(assignments[0].max()) + 1
     assert len(calls) == n_folds * len(assignments)
     drawn = 0
     for i, call in enumerate(calls):
-        rows = X[assignments[i // n_folds] != i % n_folds]
-        y, cfg = call["y"], call["cfg"]
-        assert len(y) == len(rows)
-        seeds, nbrs, gammas, y_aug = call["triples"]
-        if len(y_aug) == len(y):
-            assert call["knn"] is None and len(seeds) == 0
+        rows, cfg, cell = call["rows"], call["cfg"], call["cell"]
+        assert np.array_equal(rows, np.flatnonzero(assignments[i // n_folds] != i % n_folds))
+        if not len(cell.seeds):
+            assert call["knn"] is None
             continue
         drawn += 1
-        min_idx = np.flatnonzero(y == y_aug[-1])
-        assert np.array_equal(call["knn"], kernels.minority_knn(rows[min_idx], cfg.k_neighbors))
-        ref = resample.smote_triples(y, cfg, lambda at, k, rows=rows: kernels.minority_knn(rows[at], k))
-        assert all(np.array_equal(a, b) for a, b in zip((seeds, nbrs, gammas, y_aug), ref))
+        at = rows[cell.y == cell.minority]
+        assert np.array_equal(call["knn"], kernels.minority_knn(X[at], cfg.k_neighbors))
+        alone = plan_cell(call["y"], rows, cfg, lambda docs, k: kernels.minority_knn(X[docs], k))
+        assert all(np.array_equal(a, b) for a, b in zip(cell, alone))
+        X_aug, y_aug = resample.smote(X[rows], cell.y, cfg)
+        assert np.array_equal(X_aug[len(rows):], kernels.interpolate_rows(X, cell.seeds, cell.nbrs, cell.gammas))
+        assert np.array_equal(y_aug[len(rows):], np.full(len(cell.seeds), cell.minority))
     return drawn
 
 
@@ -172,7 +175,7 @@ def test_a_minority_that_flips_between_folds_gets_the_per_fold_neighbours(monkey
     calls = _record_smote(monkeypatch)
     _one_facet(X, y, folds, spec)
     assert _assert_matches_per_fold_search(calls, X, [folds]) == 4
-    assert [int(c["triples"][3][-1]) for c in calls] == [1, 1, 0, 0]
+    assert [c["cell"].minority for c in calls] == [1, 1, 0, 0]
 
 
 @pytest.mark.parametrize("data", [_flipping_minority, _duplicated_rows], ids=["flipping", "duplicated"])
@@ -230,7 +233,7 @@ def test_a_held_out_minority_row_never_reaches_its_folds_neighbours(monkeypatch)
     X_far = X.copy()
     X_far[far, 0] = 1e6
     _one_facet(X_far, y, folds, NB)
-    before, after = [c["triples"] for c in calls[:5]], [c["triples"] for c in calls[5:]]
+    before, after = [c["cell"] for c in calls[:5]], [c["cell"] for c in calls[5:]]
     assert all(np.array_equal(a, b) for a, b in zip(before[k], after[k]))
     moved = [j for j in range(5) if not all(np.array_equal(a, b) for a, b in zip(before[j], after[j]))]
     assert moved and k not in moved
@@ -272,7 +275,6 @@ def test_an_imbalanced_facet_builds_one_matrix_not_one_per_fold(monkeypatch):
     corpus = SimpleNamespace(active_facets=tuple(labels), documents=range(45), labels=labels.__getitem__)
     built, sorts = _count_matrices(monkeypatch), []
     monkeypatch.setattr(kernels, "minority_knn", no_search)
-    monkeypatch.setattr(kernels, "knn_from_distances", no_search)
     monkeypatch.setattr(np, "argsort", counting_argsort)
     for spec in (NB, LR):
         built.clear()
