@@ -39,16 +39,7 @@ from .eval import (
     render_report,
     run_experiment,
 )
-from .features import (
-    DEFAULT_VOCAB_SIZE,
-    BowSpec,
-    EmbeddingSpec,
-    Vocabulary,
-    bow_matrix,
-    embedding_matrix,
-    load_embeddings,
-    realize_features,
-)
+from .features import DEFAULT_VOCAB_SIZE, BowSpec, EmbeddingSpec, featurize, model_ref, realize_features
 from .inventory import FACET_NAMES, default_scoring_key, load_scoring_key, score_inventories
 from .models import (
     MODEL_KINDS,
@@ -77,7 +68,8 @@ _CONFIG_KEYS = {
     "smote",
     "systems",
 }
-_PATH_KEYS = {"corpus", "scoring_key", "normalization", "out"}
+_FILE_KEYS = {"corpus", "scoring_key", "normalization"}  # files that determine the results
+_PATH_KEYS = _FILE_KEYS | {"out"}
 
 
 @dataclass(frozen=True)
@@ -94,16 +86,9 @@ class ExperimentConfig:
     normalization: str | None
     seed: int
     folds: int
-    smote_k: int
-    smote_ratio: float
+    smote: ResampleConfig  # seeded with the run's seed
     out: str
     systems: tuple[SystemConfig, ...]
-
-
-def _require_int(value, name: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{name} must be an integer, got {value!r}")
-    return value
 
 
 def _require_number(value, name: str) -> float:
@@ -126,7 +111,7 @@ def _parse_model(raw) -> ModelSpec:
     default = LRHyperparams()
     lr = LRHyperparams(
         l2=_require_number(raw.get("l2", default.l2), "l2"),
-        max_epochs=_require_int(raw.get("max_epochs", default.max_epochs), "max_epochs"),
+        max_epochs=raw.get("max_epochs", default.max_epochs),
         tol=_require_number(raw.get("tol", default.tol), "tol"),
     )
     unknown = set(raw) - {"kind", "alpha", "l2", "max_epochs", "tol"}
@@ -143,23 +128,14 @@ def _parse_features(raw, base_dir: Path):
         unknown = set(raw) - {"kind", "vocab_size", "binary"}
         if unknown:
             raise ConfigError(f"unknown bow options: {', '.join(sorted(unknown))}")
-        binary = raw.get("binary", False)
-        if not isinstance(binary, bool):
-            raise ConfigError(f"binary must be true or false, got {binary!r}")
-        return BowSpec(
-            vocab_size=_require_int(raw.get("vocab_size", DEFAULT_VOCAB_SIZE), "vocab_size"),
-            binary=binary,
-        )
+        return BowSpec(vocab_size=raw.get("vocab_size", DEFAULT_VOCAB_SIZE), binary=raw.get("binary", False))
     if kind == "embeddings":
         unknown = set(raw) - {"kind", "path", "flavor"}
         if unknown:
             raise ConfigError(f"unknown embeddings options: {', '.join(sorted(unknown))}")
         if "path" not in raw:
             raise ConfigError("embeddings features need a 'path'")
-        return EmbeddingSpec(
-            path=str(base_dir / str(raw["path"])),
-            flavor=str(raw.get("flavor", "skip")),
-        )
+        return EmbeddingSpec(path=str(base_dir / str(raw["path"])), flavor=raw.get("flavor", "skip"))
     raise ConfigError(f"feature kind must be 'bow' or 'embeddings', got {kind!r}")
 
 
@@ -169,7 +145,9 @@ def parse_experiment_config(data: dict, base_dir: Path, flags: dict | None = Non
     Paths in the mapping resolve relative to ``base_dir``, the config
     file's directory; flag paths stay as given. Flags whose value is None
     were not set. ``smote_k`` and ``smote_ratio`` override the ``smote``
-    mapping's ``k_neighbors`` and ``target_ratio``.
+    mapping's ``k_neighbors`` and ``target_ratio``. Every value is checked
+    here, by the type that holds it, so that a bad one fails before a run
+    reads its corpus.
     """
     if not isinstance(data, dict):
         raise ConfigError("config must be a mapping")
@@ -202,6 +180,14 @@ def parse_experiment_config(data: dict, base_dir: Path, flags: dict | None = Non
     unknown = set(smote_raw) - {"k_neighbors", "target_ratio"}
     if unknown:
         raise ConfigError(f"unknown smote options: {', '.join(sorted(unknown))}")
+    smote = ResampleConfig(
+        k_neighbors=cfg.get("smote_k", smote_raw.get("k_neighbors", 5)),
+        target_ratio=_require_number(cfg.get("smote_ratio", smote_raw.get("target_ratio", 1.0)), "smote.target_ratio"),
+        seed=cfg["seed"],
+    )
+    folds = cfg.get("folds", 10)
+    if type(folds) is not int or folds < 2:
+        raise ConfigError(f"folds must be an integer of at least 2, got {folds!r}")
 
     raw_systems = cfg.get("systems")
     if not isinstance(raw_systems, list) or not raw_systems:
@@ -231,11 +217,8 @@ def parse_experiment_config(data: dict, base_dir: Path, flags: dict | None = Non
         scoring_key=cfg.get("scoring_key"),
         normalization=cfg.get("normalization"),
         seed=cfg["seed"],
-        folds=_require_int(cfg.get("folds", 10), "folds"),
-        smote_k=_require_int(cfg.get("smote_k", smote_raw.get("k_neighbors", 5)), "smote_k"),
-        smote_ratio=_require_number(
-            cfg.get("smote_ratio", smote_raw.get("target_ratio", 1.0)), "smote.target_ratio"
-        ),
+        folds=folds,
+        smote=smote,
         out=cfg["out"],
         systems=tuple(systems),
     )
@@ -272,24 +255,18 @@ def _file_sha256(path: str | None) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest() if path else "builtin-default"
 
 
-def _config_digest(cfg: ExperimentConfig, systems: list[dict]) -> str:
-    """sha256 over what determines a run's results.
+def _config_digest(config: dict, systems: list[dict]) -> str:
+    """sha256 over what determines a run's results: the settings ``config``
+    (the manifest's config section, with None for a built-in file) and the
+    systems.
 
     Files enter by content, so the working directory and the paths used to
     reach them do not matter, and neither does ``out``.
     """
-    determinants = {
-        "corpus": _file_sha256(cfg.corpus),
-        "scoring_key": _file_sha256(cfg.scoring_key),
-        "normalization": _file_sha256(cfg.normalization),
-        "seed": cfg.seed,
-        "folds": cfg.folds,
-        "smote": {"k_neighbors": cfg.smote_k, "target_ratio": cfg.smote_ratio},
-        "systems": [
-            dict(s, features={k: v for k, v in s["features"].items() if k != "path"})
-            for s in systems
-        ],
-    }
+    determinants = {k: _file_sha256(v) if k in _FILE_KEYS else v for k, v in config.items() if k != "out"}
+    determinants["systems"] = [
+        dict(s, features={k: v for k, v in s["features"].items() if k != "path"}) for s in systems
+    ]
     return hashlib.sha256(json.dumps(determinants, sort_keys=True).encode("utf-8")).hexdigest()
 
 
@@ -306,7 +283,6 @@ def cmd_run(args) -> int:
         n_folds=cfg.folds,
         seed=cfg.seed,
     )
-    rcfg = ResampleConfig(k_neighbors=cfg.smote_k, target_ratio=cfg.smote_ratio, seed=cfg.seed)
 
     # feature spec -> (X, ref, cells), realized and planned when a system
     # first needs it and dropped after the last system that uses it
@@ -319,7 +295,7 @@ def cmd_run(args) -> int:
         spec = system.feature_spec
         if spec not in spaces:
             X, ref = realize_features(spec, corpus)[:2]
-            spaces[spec] = X, ref, plan_cells(corpus, X, rcfg, plan)
+            spaces[spec] = X, ref, plan_cells(corpus, X, cfg.smote, plan)
         X, ref, cells = spaces.pop(spec) if last[spec] == i else spaces[spec]
         fold_f1 = run_experiment(X, system.model_spec, cells, system.name)
         del X, cells  # so that a dropped space is freed before the next is realized
@@ -333,21 +309,21 @@ def cmd_run(args) -> int:
         facets=corpus.active_facets, n_folds=plan.n_folds, systems=tuple(results)
     )
 
-    config_section = {
+    # The run's settings, None for a built-in file: the manifest's config
+    # section and what its digest covers besides the systems.
+    config = {
         "corpus": cfg.corpus,
-        "scoring_key": cfg.scoring_key or "builtin-default",
-        "normalization": cfg.normalization or "builtin-default",
+        "scoring_key": cfg.scoring_key,
+        "normalization": cfg.normalization,
         "seed": cfg.seed,
         "folds": cfg.folds,
-        "smote": {"k_neighbors": cfg.smote_k, "target_ratio": cfg.smote_ratio},
+        "smote": {"k_neighbors": cfg.smote.k_neighbors, "target_ratio": cfg.smote.target_ratio},
         "out": cfg.out,
     }
-    digest = _config_digest(cfg, systems)
-
     wins = report.wins()
     manifest = {
-        "config": config_section,
-        "config_digest": digest,
+        "config": {k: (v or "builtin-default") if k in _FILE_KEYS else v for k, v in config.items()},
+        "config_digest": _config_digest(config, systems),
         "corpus": {
             "authors": n_authors,
             "documents": len(corpus.documents),
@@ -456,33 +432,29 @@ def cmd_train(args) -> int:
     if args.facet not in FACET_NAMES:
         raise ConfigError(f"unknown facet {args.facet!r}; expected one of {', '.join(FACET_NAMES)}")
     check_seed(args.seed)
+    if args.features == "bow":
+        feature_spec = BowSpec(vocab_size=args.vocab_size)
+    elif args.embeddings:
+        feature_spec = EmbeddingSpec(path=str(Path(args.embeddings).resolve()), flavor=args.flavor)
+    else:
+        raise ConfigError("--embeddings is required with --features embeddings")
+    lr = LRHyperparams(l2=args.l2, max_epochs=args.max_epochs, tol=args.tol)
+    model_spec = ModelSpec(kind=args.model, alpha=args.alpha, lr=lr)
+    seed = derive_seed(args.seed, STREAM_SMOTE, FACET_NAMES.index(args.facet))
+    rcfg = ResampleConfig(k_neighbors=args.smote_k, target_ratio=args.smote_ratio, seed=seed) if args.smote else None
+
     key = _load_key(args.key)
     table = _load_table(args.normalization)
     corpus = _labeled_corpus(args.corpus, key, table)[2]
     if args.facet in corpus.degenerate:
         raise ValidationError(f"facet {args.facet} is degenerate in this corpus")
-
-    if args.features == "bow":
-        features = {"kind": "bow", "vocab_size": args.vocab_size}
-    else:
-        if not args.embeddings:
-            raise ConfigError("--embeddings is required with --features embeddings")
-        path = str(Path(args.embeddings).resolve())
-        features = {"kind": "embeddings", "path": path, "flavor": args.flavor}
-    feature_spec = _parse_features(features, Path("."))
-    hyper = ("alpha", "l2", "max_epochs", "tol")
-    model_spec = _parse_model({"kind": args.model, **{k: getattr(args, k) for k in hyper}})
-
     X, ref, space = realize_features(feature_spec, corpus)
-    if isinstance(feature_spec, BowSpec):
-        ref = {**ref, "vocab": [[t, f] for t, f in space.entries]}
+    ref = model_ref(ref, space)
     ref["facet"] = args.facet
     y = corpus.labels(args.facet)
-    seed = derive_seed(args.seed, STREAM_SMOTE, FACET_NAMES.index(args.facet))
     # One cell of all rows, planned and fitted as `run` plans and fits its
     # facet x fold cells.
     try:
-        rcfg = ResampleConfig(k_neighbors=args.smote_k, target_ratio=args.smote_ratio, seed=seed) if args.smote else None
         cell = plan_cell(y, np.arange(len(y)), rcfg, smote_neighbours(X, y))
         [model] = fit_cells(X, model_spec, [[cell]], f"facet {args.facet}")
     except FacetrecError as e:
@@ -495,35 +467,11 @@ def cmd_train(args) -> int:
 
 def cmd_predict(args) -> int:
     model = load_model(args.model)
-    ref = model.feature_ref
-    if not ref or "kind" not in ref:
-        raise ConfigError("model file lacks a feature reference; cannot vectorize input")
     table = _load_table(args.normalization)
-    records = load_corpus(args.corpus)
-    docs = build_documents(records, table)
-    token_seqs = [tokens for _, tokens in docs]
-
-    def ref_field(key):
-        if key not in ref:
-            raise ConfigError(f"model file's {ref['kind']} feature reference lacks {key!r}")
-        return ref[key]
-
-    if ref["kind"] == "bow":
-        vocab = Vocabulary(entries=tuple((str(t), int(f)) for t, f in ref_field("vocab")))
-        X = bow_matrix(token_seqs, vocab, binary=bool(ref.get("binary", False)))
-    elif ref["kind"] == "embeddings":
-        store = load_embeddings(ref_field("path"), ref_field("flavor"))
-        if store.fingerprint != ref.get("file_sha256"):
-            raise ConfigError(
-                f"embedding file {ref['path']} changed since training "
-                f"(checksum mismatch)"
-            )
-        X = embedding_matrix(token_seqs, store)
-    else:
-        raise ConfigError(f"unknown feature kind {ref['kind']!r} in model file")
-
+    docs = build_documents(load_corpus(args.corpus), table)
+    X = featurize(model.feature_ref, [tokens for _, tokens in docs])
     labels, scores = predict(model, X)
-    rows = [["author_id", ref.get("facet", "label"), "score"]]
+    rows = [["author_id", model.feature_ref.get("facet", "label"), "score"]]
     for (aid, _), lab, sc in zip(docs, labels, scores):
         rows.append([aid, int(lab), repr(float(sc))])
     _write_csv(rows, args.out)
@@ -628,4 +576,9 @@ def main(argv=None) -> int:
             return args.func(args)
     except FacetrecError as e:
         print(f"facetrec: {type(e).__name__}: {e}", file=sys.stderr)
-        return 1
+    except OSError as e:
+        # Every command reads its inputs through loaders that report an
+        # unreadable file as a ConfigError, so what reaches here is an
+        # output that cannot be written.
+        print(f"facetrec: ConfigError: cannot write output: {e}", file=sys.stderr)
+    return 1

@@ -38,7 +38,6 @@ class FoldPlan:
     """Per-facet assignment of every document to an evaluation fold."""
 
     n_folds: int
-    seed: int
     assignment: dict[str, np.ndarray]
 
 
@@ -76,7 +75,7 @@ def make_folds(labels: dict[str, np.ndarray], n_folds: int = DEFAULT_FOLDS, seed
         fold = np.empty(n_docs, dtype=np.int64)
         fold[order] = np.arange(n_docs) % n_folds
         assignment[facet] = fold
-    return FoldPlan(n_folds=n_folds, seed=seed, assignment=assignment)
+    return FoldPlan(n_folds=n_folds, assignment=assignment)
 
 
 def f1_binary(gold, predicted, positive_class: int) -> float:
@@ -184,7 +183,8 @@ def plan_cells(corpus, X, resample_cfg: ResampleConfig, fold_plan: FoldPlan) -> 
     """Plan every facet x fold cell of a realized feature matrix (one row per
     corpus document), skipping degenerate facets: each training split's rows
     and SMOTE's triples (``resample.plan_cell``, with ``smote_neighbours``
-    over the facet's folds and each cell's own seed). Labels are checked
+    over the facet's folds and each cell's own seed, derived from
+    ``resample_cfg.seed``, the facet and the fold). Labels are checked
     once per facet, and each cell as it is planned, so an error names its
     facet and fold before any model trains."""
     facets = corpus.active_facets
@@ -206,7 +206,7 @@ def plan_cells(corpus, X, resample_cfg: ResampleConfig, fold_plan: FoldPlan) -> 
         held = folds == np.arange(n_folds)[:, None]
         neighbours, facet_cells = smote_neighbours(X, y, held), []
         for k in range(n_folds):
-            seed = derive_seed(fold_plan.seed, STREAM_SMOTE, FACET_NAMES.index(facet), k)
+            seed = derive_seed(resample_cfg.seed, STREAM_SMOTE, FACET_NAMES.index(facet), k)
             with _at(f"facet {facet}, fold {k}"):
                 facet_cells.append(plan_cell(y, np.flatnonzero(~held[k]), replace(resample_cfg, seed=seed),
                                              partial(neighbours, split=k)))

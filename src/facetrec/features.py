@@ -58,7 +58,7 @@ class Vocabulary:
 
 def build_vocabulary(corpus, vocab_size: int = DEFAULT_VOCAB_SIZE) -> Vocabulary:
     """Top ``vocab_size`` tokens over all documents of a labeled corpus."""
-    _check_vocab_size(vocab_size)
+    BowSpec(vocab_size=vocab_size)  # checks vocab_size
     index, ids, _ = _token_ids(doc.tokens for doc in corpus.documents)
     return _vocabulary(index, ids, vocab_size)
 
@@ -66,11 +66,6 @@ def build_vocabulary(corpus, vocab_size: int = DEFAULT_VOCAB_SIZE) -> Vocabulary
 def bow_matrix(token_seqs, vocab: Vocabulary, binary: bool = False) -> np.ndarray:
     """Stacked bag-of-words rows for a sequence of token sequences."""
     return _bow_rows(*_token_ids(token_seqs), vocab, binary)
-
-
-def _check_vocab_size(vocab_size) -> None:
-    if not isinstance(vocab_size, int) or isinstance(vocab_size, bool) or vocab_size < 1:
-        raise ConfigError(f"vocab_size must be a positive integer, got {vocab_size!r}")
 
 
 class _Ids(dict):
@@ -149,20 +144,12 @@ class EmbeddingStore:
         return len(self.vectors)
 
 
-def _check_flavor(flavor: str) -> str:
-    if flavor not in EMBEDDING_FLAVORS:
-        raise ConfigError(
-            f"embedding flavor must be one of {', '.join(EMBEDDING_FLAVORS)}, got {flavor!r}"
-        )
-    return flavor
-
-
 def load_embeddings(path, expected_flavor: str = "skip") -> EmbeddingStore:
     """Parse a word2vec text file: optional "count dim" header, then one
     token and its components per line. The dimension is inferred from the
     first vector and enforced on every later line.
     """
-    _check_flavor(expected_flavor)
+    EmbeddingSpec(path, expected_flavor)  # checks the flavor
     try:
         with open(path, "rb") as fh:
             raw = fh.read()
@@ -285,6 +272,13 @@ class BowSpec:
     vocab_size: int = DEFAULT_VOCAB_SIZE
     binary: bool = False
 
+    def __post_init__(self):
+        size = self.vocab_size
+        if not isinstance(size, int) or isinstance(size, bool) or size < 1:
+            raise ConfigError(f"vocab_size must be a positive integer, got {size!r}")
+        if not isinstance(self.binary, bool):
+            raise ConfigError(f"binary must be true or false, got {self.binary!r}")
+
 
 @dataclass(frozen=True)
 class EmbeddingSpec:
@@ -292,6 +286,10 @@ class EmbeddingSpec:
 
     path: str
     flavor: str = "skip"
+
+    def __post_init__(self):
+        if self.flavor not in EMBEDDING_FLAVORS:
+            raise ConfigError(f"embedding flavor must be one of {', '.join(EMBEDDING_FLAVORS)}, got {self.flavor!r}")
 
 
 def realize_features(spec, corpus):
@@ -304,7 +302,6 @@ def realize_features(spec, corpus):
     docs = [doc.tokens for doc in corpus.documents]
     if isinstance(spec, BowSpec):
         # one id pass gives both the vocabulary and the rows
-        _check_vocab_size(spec.vocab_size)
         index, ids, lengths = _token_ids(docs)
         vocab = _vocabulary(index, ids, spec.vocab_size)
         X = _bow_rows(index, ids, lengths, vocab, spec.binary)
@@ -330,3 +327,40 @@ def realize_features(spec, corpus):
         }
         return X, ref, store
     raise ConfigError(f"unknown feature spec {spec!r}")
+
+
+def model_ref(ref: dict, space) -> dict:
+    """The feature reference a model file keeps: ``realize_features``' ref,
+    and for a bag of words its space's entries, which ``featurize`` reads."""
+    if ref["kind"] == "bow":
+        return {**ref, "vocab": [[t, f] for t, f in space.entries]}
+    return dict(ref)
+
+
+def featurize(ref, token_seqs) -> np.ndarray:
+    """Rows of token sequences in the feature space that a model file's
+    feature reference (``model_ref``) names. The reference is read from a
+    file, so each field it needs is checked: a malformed one, or an
+    embedding file that changed since training, is a ConfigError."""
+    if not ref:
+        raise ConfigError("model file lacks a feature reference; cannot vectorize input")
+    if not isinstance(ref, dict) or "kind" not in ref:
+        raise ConfigError(f"model file's feature reference is not a mapping with 'kind': {ref!r}")
+    kind = ref["kind"]
+    if kind not in ("bow", "embeddings"):
+        raise ConfigError(f"unknown feature kind {kind!r} in model file")
+    for key in ("vocab",) if kind == "bow" else ("path", "flavor"):
+        if key not in ref:
+            raise ConfigError(f"model file's {kind} feature reference lacks {key!r}")
+    if kind == "bow":
+        try:
+            vocab = Vocabulary(entries=tuple((str(t), int(f)) for t, f in ref["vocab"]))
+        except (TypeError, ValueError):
+            raise ConfigError("model file's bow feature reference has a malformed 'vocab'") from None
+        return bow_matrix(token_seqs, vocab, binary=bool(ref.get("binary", False)))
+    if not isinstance(ref["path"], str):
+        raise ConfigError(f"model file's embeddings feature reference has a malformed 'path': {ref['path']!r}")
+    store = load_embeddings(ref["path"], ref["flavor"])
+    if store.fingerprint != ref.get("file_sha256"):
+        raise ConfigError(f"embedding file {ref['path']} changed since training (checksum mismatch)")
+    return embedding_matrix(token_seqs, store)

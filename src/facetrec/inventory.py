@@ -238,18 +238,19 @@ def _parse_signed_items(owner: str, raw) -> tuple[Item, ...]:
     return tuple(items)
 
 
-def _key_from_mapping(data, origin: str) -> ScoringKey:
+def _key_from_mapping(data) -> ScoringKey:
+    # The key of a parsed YAML mapping; load_scoring_key names the file in an error.
     if not isinstance(data, dict):
-        raise ConfigError(f"{origin}: expected a mapping at top level")
+        raise ConfigError("expected a mapping at top level")
     for field_name in ("scale_min", "scale_max", "domains", "facets"):
         if field_name not in data:
-            raise ConfigError(f"{origin}: missing field {field_name!r}")
+            raise ConfigError(f"missing field {field_name!r}")
     domains_raw = data["domains"]
     facets_raw = data["facets"]
     if not isinstance(domains_raw, dict):
-        raise ConfigError(f"{origin}: domains must be a mapping")
+        raise ConfigError("domains must be a mapping")
     if not isinstance(facets_raw, dict):
-        raise ConfigError(f"{origin}: facets must be a mapping")
+        raise ConfigError("facets must be a mapping")
     domains = {
         str(dom): _parse_signed_items(f"domain {dom}", entry)
         for dom, entry in domains_raw.items()
@@ -270,7 +271,7 @@ def load_scoring_key(path) -> ScoringKey:
     """Load and validate a scoring key file (YAML, signed 1-based items)."""
     data = yamlio.load_file(path, "scoring key")
     try:
-        return _key_from_mapping(data, str(path))
+        return _key_from_mapping(data)
     except ConfigError as e:
         raise ConfigError(f"{path}: {e}") from e
 
@@ -278,4 +279,4 @@ def load_scoring_key(path) -> ScoringKey:
 def default_scoring_key() -> ScoringKey:
     """The key shipped with the package (1-5 scale, editable copy in data/)."""
     text = (Path(__file__).with_name("data") / "scoring_key.yaml").read_text("utf-8")
-    return _key_from_mapping(yamlio.load(text), "builtin scoring key")
+    return _key_from_mapping(yamlio.load(text))

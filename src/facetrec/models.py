@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -66,12 +67,12 @@ class LRHyperparams:
     tol: float = 1e-5
 
     def __post_init__(self):
-        if self.l2 < 0:
-            raise ConfigError(f"l2 must be nonnegative, got {self.l2}")
+        if not 0 <= self.l2 < math.inf:
+            raise ConfigError(f"l2 must be finite and nonnegative, got {self.l2}")
         if not isinstance(self.max_epochs, int) or isinstance(self.max_epochs, bool) or self.max_epochs < 1:
             raise ConfigError(f"max_epochs must be a positive integer, got {self.max_epochs!r}")
-        if self.tol < 0:
-            raise ConfigError(f"tol must be nonnegative, got {self.tol}")
+        if not 0 <= self.tol < math.inf:
+            raise ConfigError(f"tol must be finite and nonnegative, got {self.tol}")
 
 
 @dataclass(frozen=True)
@@ -96,8 +97,8 @@ class ModelSpec:
             raise ConfigError(
                 f"model kind must be one of {', '.join(MODEL_KINDS)}, got {self.kind!r}"
             )
-        if not self.alpha > 0:
-            raise ConfigError(f"alpha must be positive, got {self.alpha}")
+        if not 0 < self.alpha < math.inf:
+            raise ConfigError(f"alpha must be finite and positive, got {self.alpha}")
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,7 @@ import yaml
 
 from loop_oracles import assert_near_newton_oracle, logreg_newton_numpy, train_materialized
 
-from facetrec import features, kernels, resample
+from facetrec import cli, features, kernels, resample
 from facetrec.cli import build_parser, main, parse_experiment_config
 from facetrec.corpus import assign_labels, build_documents, default_normalization_table, load_corpus
 from facetrec.eval import make_folds, plan_cells
@@ -472,8 +472,8 @@ def test_config_has_no_implicit_system_list(bundle, tmp_path, capsys, key, value
 
 def test_every_run_flag_reaches_the_config(tmp_path):
     # cmd_run lays vars(args) over the config, so a flag the parser does not
-    # read would be ignored without a word. 2 is a valid value for each
-    # numeric flag and differs from every default; flag paths stay as given.
+    # read would be ignored without a word. Each value is valid for its flag
+    # and differs from every default; flag paths stay as given.
     system = {"model": "majority", "features": {"kind": "bow"}}
     data = {"corpus": "c.jsonl", "seed": 7, "out": "results", "systems": [system]}
     base = parse_experiment_config(data, tmp_path)
@@ -481,7 +481,8 @@ def test_every_run_flag_reaches_the_config(tmp_path):
     flags = set(args) - {"command", "config", "func", "verbose"}
     assert flags
     for dest in flags:
-        assert parse_experiment_config(data, tmp_path, {dest: 2}) != base, dest
+        value = 0.5 if dest == "smote_ratio" else 2
+        assert parse_experiment_config(data, tmp_path, {dest: value}) != base, dest
 
 
 def test_readme_configuration_block_parses(tmp_path):
@@ -550,8 +551,17 @@ def test_config_rejects_an_empty_system_list(bundle, tmp_path, capsys):
         ("model", "alpha", "fast", "alpha must be a number, got 'fast'"),
         ("smote", "target_ratio", "fast", "smote.target_ratio must be a number, got 'fast'"),
         ("features", "binary", "false", "binary must be true or false, got 'false'"),
+        # NaN fails every comparison, so each bound is also an upper one: a
+        # NaN l2 would stop LR with a non-finite loss, a NaN tol would run
+        # every cell to max_epochs, and an infinite alpha would score naive
+        # Bayes from NaN likelihoods.
+        ("model", "l2", float("nan"), "l2 must be finite and nonnegative, got nan"),
+        ("model", "l2", float("inf"), "l2 must be finite and nonnegative, got inf"),
+        ("model", "tol", float("nan"), "tol must be finite and nonnegative, got nan"),
+        ("model", "alpha", float("inf"), "alpha must be finite and positive, got inf"),
     ],
-    ids=["learning_rate", "l2", "tol", "tol-exponent", "alpha", "smote.target_ratio", "binary"],
+    ids=["learning_rate", "l2", "tol", "tol-exponent", "alpha", "smote.target_ratio", "binary",
+         "l2-nan", "l2-inf", "tol-nan", "alpha-inf"],
 )
 def test_config_values_of_the_wrong_type_name_their_key(bundle, tmp_path, capsys, section, key, value, message):
     data = yaml.safe_load((bundle / "config.yaml").read_text(encoding="utf-8"))
@@ -568,6 +578,52 @@ def test_config_values_of_the_wrong_type_name_their_key(bundle, tmp_path, capsys
     assert rc == 1
     assert err.startswith("facetrec: ConfigError:")
     assert message in err
+
+
+_LATE = {"name": "late", "model": "majority", "features": {"kind": "bow"}}
+
+
+@pytest.mark.parametrize(
+    "command, change, message",
+    [
+        ("run", {"smote": {"k_neighbors": 0}}, "k_neighbors must be at least 1, got 0"),
+        ("run", {"smote": {"target_ratio": 2.0}}, "target_ratio must be in (0, 1], got 2.0"),
+        ("run", {"folds": 1}, "folds must be an integer of at least 2, got 1"),
+        ("run", dict(_LATE, features={"kind": "bow", "vocab_size": 0}), "vocab_size must be a positive integer, got 0"),
+        ("run", dict(_LATE, features={"kind": "embeddings", "path": "embeddings-skip.vec", "flavor": "glove"}),
+         "embedding flavor must be one of skip, cbow, got 'glove'"),
+        ("run", dict(_LATE, model={"kind": "logistic_regression", "l2": float("nan")}),
+         "l2 must be finite and nonnegative, got nan"),
+        ("train", ["--smote-k", "0"], "k_neighbors must be at least 1, got 0"),
+        ("train", ["--smote-ratio", "2.0"], "target_ratio must be in (0, 1], got 2.0"),
+        ("train", ["--vocab-size", "0"], "vocab_size must be a positive integer, got 0"),
+        ("train", ["--model", "logistic_regression", "--l2", "nan"], "l2 must be finite and nonnegative, got nan"),
+    ],
+    ids=["run-k", "run-ratio", "run-folds", "run-vocab", "run-flavor", "run-l2",
+         "train-k", "train-ratio", "train-vocab", "train-l2"],
+)
+def test_bad_values_fail_before_the_corpus_is_read(bundle, tmp_path, monkeypatch, capsys, command, change, message):
+    # Every value is checked as the config or the flags are parsed, so a
+    # bad one, even in the last system, costs no loading, scoring or
+    # training of the systems before it.
+    def no_corpus(path):
+        raise AssertionError("the corpus was read before a bad value was rejected")
+
+    monkeypatch.setattr(cli, "load_corpus", no_corpus)
+    if command == "run":
+        data = yaml.safe_load((bundle / "config.yaml").read_text(encoding="utf-8"))
+        if "name" in change:
+            data["systems"].append(change)
+        else:
+            data.update(change)
+        config = tmp_path / "bad.yaml"
+        config.write_text(yaml.safe_dump(data), encoding="utf-8")
+        argv = ["run", "--config", str(config), "--out", str(tmp_path)]
+    else:
+        argv = ["train", "--corpus", str(bundle / "corpus.jsonl"), "--facet", "Anxiety", "--model", "naive_bayes",
+                "--seed", "1", "--out", str(tmp_path / "m.json"), *change]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"facetrec: ConfigError: {message}\n"
 
 
 def test_train_then_predict_round_trip(bundle, tmp_path, capsys):
@@ -712,7 +768,7 @@ def test_train_matches_the_materialized_path(imbalanced_bundle, tmp_path, capsys
 
 
 @pytest.mark.parametrize("kind", ["majority", "naive_bayes", "logistic_regression"])
-def test_train_builds_no_smote_row_and_majority_no_distances(imbalanced_bundle, tmp_path, monkeypatch, capsys, kind):
+def test_train_builds_no_smote_row_and_one_distance_matrix(imbalanced_bundle, tmp_path, monkeypatch, capsys, kind):
     # No model materializes SMOTE's rows. Every kind trains from the same
     # planned cell, so each builds one distance matrix, over the minority
     # rows.
@@ -780,6 +836,53 @@ def test_predict_names_a_missing_feature_reference_field(bundle, tmp_path, capsy
     err = capsys.readouterr().err
     assert rc == 1
     assert err.startswith(f"facetrec: ConfigError: model file's {features} feature reference lacks '{key}'")
+
+
+@pytest.mark.parametrize(
+    "ref, message",
+    [
+        (5, "model file's feature reference is not a mapping with 'kind': 5"),
+        ({"kind": "bow", "vocab": 5}, "model file's bow feature reference has a malformed 'vocab'"),
+        ({"kind": "bow", "vocab": [["a", "many"]]}, "model file's bow feature reference has a malformed 'vocab'"),
+        ({"kind": "embeddings", "path": 5, "flavor": "skip"},
+         "model file's embeddings feature reference has a malformed 'path': 5"),
+        ({"kind": "sparse"}, "unknown feature kind 'sparse' in model file"),
+    ],
+    ids=["not-a-mapping", "vocab-not-a-list", "count-not-a-number", "path-not-a-string", "unknown-kind"],
+)
+def test_predict_rejects_a_malformed_feature_reference(bundle, tmp_path, capsys, ref, message):
+    # A model file is outside input: a path of 5 must not open file
+    # descriptor 5.
+    model = train(ModelSpec(kind="majority"), np.zeros((4, 2)), np.array([0, 0, 1, 1]))
+    path = tmp_path / "m.json"
+    save_model(replace(model, feature_ref=ref), path)
+    rc = main(["predict", "--model", str(path), "--corpus", str(bundle / "corpus.jsonl")])
+    assert rc == 1
+    assert capsys.readouterr().err == f"facetrec: ConfigError: {message}\n"
+
+
+@pytest.mark.parametrize("command", ["score", "train", "predict", "run"])
+def test_an_output_that_cannot_be_written_is_a_config_error(bundle, tmp_path, capsys, command):
+    # score, train and predict write into a directory that does not exist;
+    # run's output directory is an existing file.
+    corpus = ["--corpus", str(bundle / "corpus.jsonl")]
+    model = tmp_path / "m.json"
+    train_args = ["train", *corpus, "--facet", "Anxiety", "--model", "majority", "--seed", "1"]
+    assert main([*train_args, "--out", str(model)]) == 0
+    missing = tmp_path / "missing" / "out"
+    blocked = tmp_path / "a-file"
+    blocked.write_text("", encoding="utf-8")
+    argv = {
+        "score": ["score", *corpus, "--out", str(missing)],
+        "train": [*train_args, "--out", str(missing)],
+        "predict": ["predict", *corpus, "--model", str(model), "--out", str(missing)],
+        "run": ["run", "--config", str(bundle / "config.yaml"), "--folds", "3", "--out", str(blocked)],
+    }[command]
+    capsys.readouterr()
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("facetrec: ConfigError: cannot write output: ")
+    assert str(blocked if command == "run" else missing) in err and "Traceback" not in err
 
 
 def test_bad_flag_choices_exit_2(run_dir):

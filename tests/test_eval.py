@@ -256,7 +256,7 @@ def test_run_experiment_validates_plan_and_jobs(corpus_factory, tmp_path):
     for bad in (-1, 2):
         assignment = dict(full.assignment, Anxiety=np.where(full.assignment["Anxiety"] == 1, bad, 0))
         with pytest.raises(ValidationError, match="facet Anxiety has folds outside 0..1"):
-            plan_cells(corpus, X, rcfg, FoldPlan(2, 2, assignment))
+            plan_cells(corpus, X, rcfg, FoldPlan(2, assignment))
     # Runs are single-process: a config may still say `jobs: 1`, nothing else.
     data = {"corpus": "c.jsonl", "seed": 2, "out": "o", "systems": [{"model": "majority", "features": {"kind": "bow"}}]}
     assert parse_experiment_config(dict(data, jobs=1), tmp_path) == parse_experiment_config(data, tmp_path)
@@ -397,7 +397,7 @@ def _record_descents(monkeypatch):
 def _evaluate(X, y, folds, model_spec, facet="Anxiety"):
     # One facet's fold scores, planned and run on a stand-in corpus.
     corpus = SimpleNamespace(active_facets=(facet,), documents=range(len(y)), labels=lambda f: y)
-    plan = FoldPlan(n_folds=int(folds.max()) + 1, seed=4, assignment={facet: folds})
+    plan = FoldPlan(n_folds=int(folds.max()) + 1, assignment={facet: folds})
     return run_experiment(X, model_spec, plan_cells(corpus, X, ResampleConfig(seed=4), plan))[facet]
 
 

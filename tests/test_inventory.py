@@ -332,6 +332,12 @@ def test_load_scoring_key_missing_file_and_bad_yaml(tmp_path):
     bad.write_text("scale_min: [unclosed\n")
     with pytest.raises(ConfigError, match="YAML"):
         load_scoring_key(bad)
+    # The scale is two top-level fields, and the error names the file once.
+    nested = tmp_path / "nested.yaml"
+    nested.write_text("scale: {min: 1, max: 5}\ndomains: {}\nfacets: {}\n")
+    with pytest.raises(ConfigError) as err:
+        load_scoring_key(nested)
+    assert str(err.value) == f"{nested}: missing field 'scale_min'"
 
 
 def test_facet_names_are_pinned():

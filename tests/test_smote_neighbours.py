@@ -99,7 +99,7 @@ def _assert_matches_per_fold_search(calls, X, assignments):
 def _one_facet(X, y, folds, spec, facet="Anxiety", seed=4):
     # One facet's fold scores, planned and run on a stand-in corpus.
     corpus = SimpleNamespace(active_facets=(facet,), documents=range(len(y)), labels=lambda f: y)
-    plan = FoldPlan(n_folds=int(folds.max()) + 1, seed=seed, assignment={facet: folds})
+    plan = FoldPlan(n_folds=int(folds.max()) + 1, assignment={facet: folds})
     return run_experiment(X, spec, plan_cells(corpus, X, ResampleConfig(seed=seed), plan))[facet]
 
 
@@ -189,7 +189,7 @@ def test_planned_cells_are_the_per_cell_loops(data):
     n_folds = int(folds.max()) + 1
     cfg = ResampleConfig(k_neighbors=3, seed=9)
     corpus = SimpleNamespace(active_facets=("Ideas",), documents=range(len(y)), labels=lambda f: y)
-    plan = FoldPlan(n_folds=n_folds, seed=9, assignment={"Ideas": folds})
+    plan = FoldPlan(n_folds=n_folds, assignment={"Ideas": folds})
     planned = plan_cells(corpus, X, cfg, plan).cells[0]
     minorities = set()
     for k, cell in enumerate(planned):
