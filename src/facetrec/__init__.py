@@ -46,7 +46,6 @@ from .features import (
     EmbeddingSpec,
     EmbeddingStore,
     Vocabulary,
-    avg_vectorize,
     bow_matrix,
     build_vocabulary,
     embedding_matrix,
@@ -62,7 +61,6 @@ from .inventory import (
     ScoringKey,
     default_scoring_key,
     load_scoring_key,
-    reverse_item,
     score_inventory,
 )
 from .models import (
@@ -107,7 +105,6 @@ __all__ = [
     "Vocabulary",
     "__version__",
     "assign_labels",
-    "avg_vectorize",
     "bow_matrix",
     "build_documents",
     "build_vocabulary",
@@ -128,7 +125,6 @@ __all__ = [
     "predict",
     "realize_features",
     "render_report",
-    "reverse_item",
     "run_experiment",
     "save_model",
     "score_inventory",

@@ -16,7 +16,7 @@ import json
 import logging
 import re
 import sys
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -106,18 +106,15 @@ def _parse_model(raw) -> ModelSpec:
         return ModelSpec(kind=raw)
     if not isinstance(raw, dict) or "kind" not in raw:
         raise ConfigError(f"model must be a kind name or a mapping with 'kind', got {raw!r}")
-    kind = raw["kind"]
-    alpha = _require_number(raw.get("alpha", 1.0), "alpha")
-    default = LRHyperparams()
-    lr = LRHyperparams(
-        l2=_require_number(raw.get("l2", default.l2), "l2"),
-        max_epochs=raw.get("max_epochs", default.max_epochs),
-        tol=_require_number(raw.get("tol", default.tol), "tol"),
-    )
-    unknown = set(raw) - {"kind", "alpha", "l2", "max_epochs", "tol"}
+    spec = ModelSpec(kind=raw["kind"])
+    options = spec.options()  # the kind's own, at their defaults
+    unknown = set(raw) - {"kind", *options}
     if unknown:
-        raise ConfigError(f"unknown model options: {', '.join(sorted(unknown))}")
-    return ModelSpec(kind=kind, alpha=alpha, lr=lr)
+        takes = ", ".join(options) or "none"
+        raise ConfigError(f"unknown model options: {', '.join(sorted(unknown))}; {spec.kind} takes {takes}")
+    # max_epochs is the one integer option, which LRHyperparams checks
+    values = {k: v if k == "max_epochs" else _require_number(v, k) for k, v in raw.items() if k != "kind"}
+    return spec.with_options(**values)
 
 
 def _parse_features(raw, base_dir: Path):
@@ -139,21 +136,40 @@ def _parse_features(raw, base_dir: Path):
     raise ConfigError(f"feature kind must be 'bow' or 'embeddings', got {kind!r}")
 
 
-def parse_experiment_config(data: dict, base_dir: Path, flags: dict | None = None) -> ExperimentConfig:
-    """Lay flag values over a config mapping (flags win) and check the result.
+def _parse_system(raw, base_dir: Path, names) -> SystemConfig:
+    if not isinstance(raw, dict):
+        raise ConfigError("expected a mapping")
+    unknown = set(raw) - {"name", "model", "features"}
+    if unknown:
+        raise ConfigError(f"unknown keys: {', '.join(sorted(unknown))}")
+    if "model" not in raw or "features" not in raw:
+        raise ConfigError("needs 'model' and 'features'")
+    model_spec = _parse_model(raw["model"])
+    name = str(raw.get("name") or model_spec.kind)
+    if not _NAME_RE.fullmatch(name):
+        raise ConfigError(f"invalid name {name!r}")
+    if name in names:
+        raise ConfigError(f"duplicate name {name!r}")
+    return SystemConfig(name=name, feature_spec=_parse_features(raw["features"], base_dir), model_spec=model_spec)
 
-    Paths in the mapping resolve relative to ``base_dir``, the config
-    file's directory; flag paths stay as given. Flags whose value is None
-    were not set. ``smote_k`` and ``smote_ratio`` override the ``smote``
-    mapping's ``k_neighbors`` and ``target_ratio``. Every value is checked
-    here, by the type that holds it, so that a bad one fails before a run
-    reads its corpus.
+
+def parse_experiment_config(data: dict, path: Path, flags: dict | None = None) -> ExperimentConfig:
+    """Lay flag values over a config mapping, read from the file ``path``
+    (flags win), and check the result.
+
+    Paths in the mapping resolve relative to the config file's directory;
+    flag paths stay as given. Flags whose value is None were not set.
+    ``smote_k`` and ``smote_ratio`` override the ``smote`` mapping's
+    ``k_neighbors`` and ``target_ratio``. Every value is checked here, by
+    the type that holds it, so that a bad one fails before a run reads its
+    corpus. An error inside a system names the file and the system's index.
     """
     if not isinstance(data, dict):
         raise ConfigError("config must be a mapping")
     unknown = set(data) - _CONFIG_KEYS
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(sorted(unknown))}")
+    base_dir = Path(path).parent
     cfg = {
         k: str(base_dir / str(v)) if k in _PATH_KEYS else v
         for k, v in data.items()
@@ -193,24 +209,11 @@ def parse_experiment_config(data: dict, base_dir: Path, flags: dict | None = Non
     if not isinstance(raw_systems, list) or not raw_systems:
         raise ConfigError("systems must be a non-empty list")
     systems = []
-    names = set()
     for i, raw in enumerate(raw_systems):
-        if not isinstance(raw, dict):
-            raise ConfigError(f"system {i}: expected a mapping")
-        unknown = set(raw) - {"name", "model", "features"}
-        if unknown:
-            raise ConfigError(f"system {i}: unknown keys: {', '.join(sorted(unknown))}")
-        if "model" not in raw or "features" not in raw:
-            raise ConfigError(f"system {i}: needs 'model' and 'features'")
-        model_spec = _parse_model(raw["model"])
-        name = str(raw.get("name") or model_spec.kind)
-        if not _NAME_RE.fullmatch(name):
-            raise ConfigError(f"system {i}: invalid name {name!r}")
-        if name in names:
-            raise ConfigError(f"system {i}: duplicate name {name!r}")
-        names.add(name)
-        feature_spec = _parse_features(raw["features"], base_dir)
-        systems.append(SystemConfig(name=name, feature_spec=feature_spec, model_spec=model_spec))
+        try:
+            systems.append(_parse_system(raw, base_dir, {system.name for system in systems}))
+        except ConfigError as e:
+            raise ConfigError(f"{path}: system {i}: {e}") from e
 
     return ExperimentConfig(
         corpus=cfg["corpus"],
@@ -242,15 +245,6 @@ def _labeled_corpus(corpus_path: str, key, table):
     return len(records), sum(len(rec.posts) for rec in records), assign_labels(docs, scores)
 
 
-def _model_desc(spec: ModelSpec) -> dict:
-    desc = {"kind": spec.kind}
-    if spec.kind == "naive_bayes":
-        desc["alpha"] = spec.alpha
-    elif spec.kind == "logistic_regression":
-        desc.update(asdict(spec.lr))
-    return desc
-
-
 def _file_sha256(path: str | None) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest() if path else "builtin-default"
 
@@ -273,7 +267,10 @@ def _config_digest(config: dict, systems: list[dict]) -> str:
 def cmd_run(args) -> int:
     config_path = Path(args.config)
     data = yamlio.load_file(config_path, "config")
-    cfg = parse_experiment_config(data or {}, config_path.parent, vars(args))
+    cfg = parse_experiment_config(data or {}, config_path, vars(args))
+    # Made first, so that an output that cannot be written costs no work.
+    out_dir = Path(cfg.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
 
     key = _load_key(cfg.scoring_key)
     table = _load_table(cfg.normalization)
@@ -302,9 +299,8 @@ def cmd_run(args) -> int:
         results.append(SystemResult(name=system.name, fold_f1=fold_f1))
         # Each entry gets its own mapping: a shared one would be written as
         # a YAML anchor and alias.
-        systems.append(
-            {"name": system.name, "model": _model_desc(system.model_spec), "features": dict(ref)}
-        )
+        model = {"kind": system.model_spec.kind, **system.model_spec.options()}
+        systems.append({"name": system.name, "model": model, "features": dict(ref)})
     report = EvaluationReport(
         facets=corpus.active_facets, n_folds=plan.n_folds, systems=tuple(results)
     )
@@ -339,8 +335,6 @@ def cmd_run(args) -> int:
         },
     }
 
-    out_dir = Path(cfg.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     text = render_report(report, "text")
     (out_dir / "report.txt").write_text(text, encoding="utf-8")
     (out_dir / "report.csv").write_text(render_report(report, "csv"), encoding="utf-8")

@@ -2,8 +2,9 @@
 
 Feature matrices keep one row per document, aligned with corpus document
 order, as dense float64 arrays. Bag-of-words rows hold raw counts over the
-most frequent tokens; embedding rows are averaged word vectors read from
-word2vec text files.
+most frequent tokens, counted from the same pass of token ids that builds
+the vocabulary; embedding rows (``embedding_matrix``) are occurrence-weighted
+means of word vectors read from word2vec text files.
 """
 
 from __future__ import annotations
@@ -43,10 +44,6 @@ class Vocabulary:
 
     def __len__(self) -> int:
         return len(self.entries)
-
-    @property
-    def tokens(self) -> tuple[str, ...]:
-        return tuple(t for t, _ in self.entries)
 
     def fingerprint(self) -> str:
         h = hashlib.sha256()
@@ -214,11 +211,10 @@ def load_embeddings(path, expected_flavor: str = "skip") -> EmbeddingStore:
     )
 
 
-def write_embeddings(store: EmbeddingStore, path, header: bool = True) -> None:
-    """Write the store in the same text format load_embeddings reads."""
+def write_embeddings(store: EmbeddingStore, path) -> None:
+    """Write the store in the text format load_embeddings reads, header first."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        if header:
-            fh.write(f"{len(store.vectors)} {store.dim}\n")
+        fh.write(f"{len(store.vectors)} {store.dim}\n")
         for token, vec in store.vectors.items():
             fh.write(token)
             for v in vec:
@@ -226,40 +222,25 @@ def write_embeddings(store: EmbeddingStore, path, header: bool = True) -> None:
             fh.write("\n")
 
 
-def avg_vectorize(tokens, store: EmbeddingStore) -> np.ndarray:
-    """Mean of stored vectors over the token stream, occurrence-weighted.
-
-    Tokens missing from the store are skipped; if nothing matches, the zero
-    vector is returned.
-    """
-    return _average(tokens, store)[0]
-
-
-def _average(tokens, store: EmbeddingStore) -> tuple[np.ndarray, int]:
-    """``avg_vectorize``'s row and the number of tokens found in the store."""
-    acc = np.zeros(store.dim, dtype=np.float64)
-    hits = 0
-    for tok in tokens:
-        vec = store.vectors.get(tok)
-        if vec is not None:
-            acc += vec
-            hits += 1
-    if hits:
-        acc /= hits
-    return acc, hits
-
-
 def embedding_matrix(token_seqs, store: EmbeddingStore) -> np.ndarray:
-    """Stacked averaged-vector rows; logs the aggregate OOV rate."""
-    rows = []
-    total = 0
-    misses = 0
-    for tokens in token_seqs:
-        row, hits = _average(tokens, store)
-        rows.append(row)
+    """One row per token sequence: the mean of the stored vectors of its
+    tokens, occurrence-weighted, added in token order. Tokens missing from
+    the store are skipped, and a row that matches none stays zero. Logs the
+    aggregate OOV rate."""
+    seqs = list(token_seqs)
+    X = np.zeros((len(seqs), store.dim))
+    total = misses = 0
+    for row, tokens in zip(X, seqs):
+        hits = 0
+        for tok in tokens:
+            vec = store.vectors.get(tok)
+            if vec is not None:
+                row += vec
+                hits += 1
+        if hits:
+            row /= hits
         total += len(tokens)
         misses += len(tokens) - hits
-    X = np.vstack(rows) if rows else np.zeros((0, store.dim))
     if total:
         log.debug("embedding OOV rate: %.4f (%d of %d tokens)", misses / total, misses, total)
     return X

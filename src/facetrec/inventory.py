@@ -1,10 +1,11 @@
 """BFI-44 inventory scoring against a configurable key.
 
 A scoring key maps five personality domains and ten fixed facets onto the 44
-inventory items. Reverse-keyed items are reflected about the scale midpoint
-before averaging. Facet names and the sibling structure (which facet pairs
-share a domain) are fixed; item assignments, scale bounds and domain names
-are configuration and come from the key file.
+inventory items; ``score_inventories`` scores every response in one
+integer product, reverse-keyed items reflected about the scale midpoint.
+Facet names and the sibling structure (which facet pairs share a domain)
+are fixed; item assignments, scale bounds and domain names are
+configuration and come from the key file.
 """
 
 from __future__ import annotations
@@ -156,26 +157,6 @@ class FacetScores:
     facets: dict[str, float]
 
 
-def _check_in_scale(response: int, key: ScoringKey, item: int | None = None) -> None:
-    if not isinstance(response, int) or isinstance(response, bool):
-        where = f"item {item}: " if item is not None else ""
-        raise ValidationError(f"{where}response {response!r} is not an integer")
-    if not key.scale_min <= response <= key.scale_max:
-        where = f"item {item}: " if item is not None else ""
-        raise ValidationError(
-            f"{where}response {response} outside scale {key.scale_min}..{key.scale_max}"
-        )
-
-
-def reverse_item(response: int, key: ScoringKey, item: int | None = None) -> int:
-    """Reflect a response about the scale midpoint.
-
-    ``item`` is an optional 1-based item number used only in error messages.
-    """
-    _check_in_scale(response, key, item)
-    return key.scale_min + key.scale_max - response
-
-
 def score_inventory(resp: InventoryResponse, key: ScoringKey) -> FacetScores:
     """Mean of reverse-corrected member items, per domain and per facet."""
     return score_inventories([resp], key)[0]
@@ -186,26 +167,21 @@ def score_inventories(responses, key: ScoringKey, authors=None) -> list[FacetSco
 
     The range is checked once over the matrix. Each domain or facet total
     is an integer product with +1 / -1 item weights, plus scale_min +
-    scale_max per reversed item, and its mean is that total over the item
-    count: the same float as a running float sum, because every partial
-    sum is an integer below 2**53. An out-of-scale response raises with
-    its 1-based item number, prefixed with ``author <id>:`` when
-    ``authors`` names the rows.
+    scale_max per reversed item, so that a reversed response r counts as
+    scale_min + scale_max - r. Its mean is that total over the item count:
+    the same float as a running float sum, because every partial sum is an
+    integer below 2**53. The first out-of-scale response, in row then item
+    order, raises with its 1-based item number, prefixed with ``author
+    <id>:`` when ``authors`` names the rows.
     """
     R = np.array([resp.items for resp in responses]).reshape(len(responses), N_ITEMS)
     lo, hi = key.scale_min, key.scale_max
-    bad = (R < lo) | (R > hi) if R.dtype.kind == "i" else None
-    if bad is None or bad.any():
-        # an integer too large for int64, or out of scale: find the first
-        # offending response, in row then item order
-        for row, resp in enumerate(responses):
-            try:
-                for pos, val in enumerate(resp.items, start=1):
-                    _check_in_scale(val, key, pos)
-            except ValidationError as e:
-                if authors is None:
-                    raise
-                raise ValidationError(f"author {authors[row]}: {e}") from e
+    # Whatever dtype R took: an integer past int64 makes it float or object.
+    bad = np.argwhere((R < lo) | (R > hi))
+    if len(bad):
+        row, pos = bad[0]
+        where = f"author {authors[row]}: " if authors is not None else ""
+        raise ValidationError(f"{where}item {pos + 1}: response {responses[row].items[pos]} outside scale {lo}..{hi}")
     entries = [*key.domains.values(), *(key.facets[fac] for fac in FACET_NAMES)]
     weights = np.zeros((N_ITEMS, len(entries)), dtype=np.int64)
     reversed_total = np.zeros(len(entries), dtype=np.int64)

@@ -3,7 +3,8 @@
 Majority baseline (constant prediction, ties negative), multinomial Naive
 Bayes with Laplace smoothing over nonnegative count features, and binary
 logistic regression fit by truncated Newton (Newton-CG). All three are
-deterministic functions of their training data and hyperparameters.
+deterministic functions of their training data and hyperparameters, which
+``ModelSpec.options`` names per kind for configs and manifests.
 
 Every model trains through one path. ``resample.plan_cell`` checks a
 training set of rows of one feature matrix and, with SMOTE, draws its
@@ -19,7 +20,7 @@ from __future__ import annotations
 import json
 import logging
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -100,6 +101,20 @@ class ModelSpec:
         if not 0 < self.alpha < math.inf:
             raise ConfigError(f"alpha must be finite and positive, got {self.alpha}")
 
+    def options(self) -> dict:
+        """This kind's options, which a config may set and a manifest records."""
+        if self.kind == "naive_bayes":
+            return {"alpha": self.alpha}
+        if self.kind == "logistic_regression":
+            return asdict(self.lr)
+        return {}
+
+    def with_options(self, **options) -> ModelSpec:
+        """This spec with some of its ``options()`` set, each checked."""
+        if self.kind == "logistic_regression":
+            return replace(self, lr=replace(self.lr, **options))
+        return replace(self, **options)
+
 
 @dataclass(frozen=True)
 class TrainedModel:
@@ -153,18 +168,11 @@ def _class_sums(X, cells):
     return (W @ X).reshape(len(cells), 2, -1), np.array(counts)
 
 
-def nb_model(class_sums, class_counts, alpha: float) -> TrainedModel:
-    """Naive Bayes from per-class feature sums (2, n_features) and row counts:
-    likelihood(j | c) = (sum of j-counts in c + alpha) / (all counts in c +
-    alpha * n_features), and priors are class fractions. Stored as logs.
-    The one-cell case of ``nb_models``."""
-    return nb_models(np.asarray(class_sums)[None], np.asarray(class_counts)[None], alpha)[0]
-
-
 def nb_models(class_sums, class_counts, alpha: float) -> list[TrainedModel]:
-    """``nb_model`` of every cell, from (cells, 2, n_features) class sums and
-    (cells, 2) row counts, in one pass. Each class's total is the sum of
-    its own row of sums, as one cell alone gives it."""
+    """Naive Bayes of every cell, from (cells, 2, n_features) class sums and
+    (cells, 2) row counts, in one pass: likelihood(j | c) = (sum of j-counts
+    in c + alpha) / (all counts in c + alpha * n_features), and priors are
+    class fractions, stored as logs. Each cell's model is the one it gives alone."""
     n_features = class_sums.shape[2]
     log_priors = np.log(class_counts / class_counts.sum(axis=1, keepdims=True))
     denom = class_sums.sum(axis=2, keepdims=True)

@@ -28,6 +28,11 @@ and must give the same tokens.
 maps each document's tokens through the vocabulary's index one by one;
 ``features.realize_features`` takes both from one pass of token ids.
 
+``embedding_average_loops`` adds each stored vector of a document's
+tokens to a list of float sums, one component at a time, and divides by
+the number of tokens found; ``features.embedding_matrix`` adds whole
+vectors into each row and must give the same floats.
+
 ``score_inventory_loops`` adds each reverse-corrected item to a float sum
 and divides by the item count; ``inventory.score_inventories`` takes the
 sums from one integer product and must give the same floats.
@@ -52,7 +57,7 @@ from collections import Counter
 import numpy as np
 
 from facetrec import kernels
-from facetrec.models import lr_model, nb_model, train_majority
+from facetrec.models import lr_model, nb_models, train_majority
 from facetrec.resample import smote
 
 
@@ -184,7 +189,8 @@ def train_materialized(spec, X, y, resample_cfg=None):
     if spec.kind == "majority":
         model = train_majority(y, X.shape[1])
     elif spec.kind == "naive_bayes":
-        model = nb_model(np.stack([X[y == c].sum(axis=0) for c in (0, 1)]), np.bincount(y, minlength=2), spec.alpha)
+        sums, counts = np.stack([X[y == c].sum(axis=0) for c in (0, 1)]), np.bincount(y, minlength=2)
+        model = nb_models(sums[None], counts[None], spec.alpha)[0]
     else:
         model = lr_model(spec.lr, *kernels.logreg_descent(X, y, spec.lr.l2, spec.lr.max_epochs, spec.lr.tol))
     return model, X, y
@@ -299,6 +305,17 @@ def score_inventory_loops(items, key):
         {dom: mean_of(entry) for dom, entry in key.domains.items()},
         {fac: mean_of(key.facets[fac]) for fac in FACET_NAMES},
     )
+
+
+def embedding_average_loops(tokens, store):
+    total = [0.0] * store.dim
+    hits = 0
+    for tok in tokens:
+        if tok in store.vectors:
+            hits += 1
+            for j, v in enumerate(store.vectors[tok].tolist()):
+                total[j] += v
+    return [t / hits for t in total] if hits else total
 
 
 def bow_loops(token_seqs, vocab_size, binary=False):

@@ -20,6 +20,7 @@ from loop_oracles import assert_near_newton_oracle, logreg_newton_numpy, train_m
 from facetrec import cli, features, kernels, resample
 from facetrec.cli import build_parser, main, parse_experiment_config
 from facetrec.corpus import assign_labels, build_documents, default_normalization_table, load_corpus
+from facetrec.errors import ConfigError
 from facetrec.eval import make_folds, plan_cells
 from facetrec.features import load_embeddings, write_embeddings
 from facetrec.inventory import FACET_NAMES, default_scoring_key, score_inventory
@@ -476,20 +477,20 @@ def test_every_run_flag_reaches_the_config(tmp_path):
     # and differs from every default; flag paths stay as given.
     system = {"model": "majority", "features": {"kind": "bow"}}
     data = {"corpus": "c.jsonl", "seed": 7, "out": "results", "systems": [system]}
-    base = parse_experiment_config(data, tmp_path)
+    base = parse_experiment_config(data, tmp_path / "c.yaml")
     args = vars(build_parser().parse_args(["run", "--config", "c.yaml"]))
     flags = set(args) - {"command", "config", "func", "verbose"}
     assert flags
     for dest in flags:
         value = 0.5 if dest == "smote_ratio" else 2
-        assert parse_experiment_config(data, tmp_path, {dest: value}) != base, dest
+        assert parse_experiment_config(data, tmp_path / "c.yaml", {dest: value}) != base, dest
 
 
 def test_readme_configuration_block_parses(tmp_path):
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     section = readme.split("\n## Configuration\n", 1)[1].split("\n## ", 1)[0]
     block = re.search(r"```yaml\n(.*?)```", section, re.S).group(1)
-    cfg = parse_experiment_config(yaml.safe_load(block), tmp_path)
+    cfg = parse_experiment_config(yaml.safe_load(block), tmp_path / "config.yaml")
     assert cfg.corpus == str(tmp_path / "corpus.jsonl") and cfg.seed == 7
     assert [s.name for s in cfg.systems] == ["baseline", "bow-nb", "skip-lr"]
     assert cfg.systems[2].feature_spec.path == str(tmp_path / "embeddings-skip.vec")
@@ -565,7 +566,8 @@ def test_config_rejects_an_empty_system_list(bundle, tmp_path, capsys):
 )
 def test_config_values_of_the_wrong_type_name_their_key(bundle, tmp_path, capsys, section, key, value, message):
     data = yaml.safe_load((bundle / "config.yaml").read_text(encoding="utf-8"))
-    system = {"name": "s", "model": {"kind": "logistic_regression"}, "features": {"kind": "bow"}}
+    kind = "naive_bayes" if key == "alpha" else "logistic_regression"
+    system = {"name": "s", "model": {"kind": kind}, "features": {"kind": "bow"}}
     if section == "smote":
         data["smote"] = {key: value}
     else:
@@ -623,7 +625,28 @@ def test_bad_values_fail_before_the_corpus_is_read(bundle, tmp_path, monkeypatch
         argv = ["train", "--corpus", str(bundle / "corpus.jsonl"), "--facet", "Anxiety", "--model", "naive_bayes",
                 "--seed", "1", "--out", str(tmp_path / "m.json"), *change]
     assert main(argv) == 1
-    assert capsys.readouterr().err == f"facetrec: ConfigError: {message}\n"
+    # An error inside a system names the config file and the system's index.
+    where = f"{config}: system {len(data['systems']) - 1}: " if command == "run" and "name" in change else ""
+    assert capsys.readouterr().err == f"facetrec: ConfigError: {where}{message}\n"
+
+
+@pytest.mark.parametrize(
+    "model, message",
+    [
+        ({"kind": "naive_bayes", "l2": 0.5}, "unknown model options: l2; naive_bayes takes alpha"),
+        ({"kind": "majority", "alpha": 2}, "unknown model options: alpha; majority takes none"),
+        ({"kind": "logistic_regression", "alpha": 2, "l2": 0.5},
+         "unknown model options: alpha; logistic_regression takes l2, max_epochs, tol"),
+    ],
+    ids=["nb-l2", "majority-alpha", "lr-alpha"],
+)
+def test_config_rejects_the_options_of_another_model_kind(tmp_path, model, message):
+    # Such an option would be accepted and ignored.
+    path = tmp_path / "c.yaml"
+    data = {"corpus": "c.jsonl", "seed": 7, "out": "o", "systems": [{"model": model, "features": {"kind": "bow"}}]}
+    with pytest.raises(ConfigError) as err:
+        parse_experiment_config(data, path)
+    assert str(err.value) == f"{path}: system 0: {message}"
 
 
 def test_train_then_predict_round_trip(bundle, tmp_path, capsys):
@@ -862,13 +885,19 @@ def test_predict_rejects_a_malformed_feature_reference(bundle, tmp_path, capsys,
 
 
 @pytest.mark.parametrize("command", ["score", "train", "predict", "run"])
-def test_an_output_that_cannot_be_written_is_a_config_error(bundle, tmp_path, capsys, command):
+def test_an_output_that_cannot_be_written_is_a_config_error(bundle, tmp_path, monkeypatch, capsys, command):
     # score, train and predict write into a directory that does not exist;
-    # run's output directory is an existing file.
+    # run's output directory is an existing file, which run makes before it
+    # reads the corpus.
     corpus = ["--corpus", str(bundle / "corpus.jsonl")]
     model = tmp_path / "m.json"
     train_args = ["train", *corpus, "--facet", "Anxiety", "--model", "majority", "--seed", "1"]
     assert main([*train_args, "--out", str(model)]) == 0
+    if command == "run":
+        def no_corpus(path):
+            raise AssertionError("the corpus was read before the output directory was made")
+
+        monkeypatch.setattr(cli, "load_corpus", no_corpus)
     missing = tmp_path / "missing" / "out"
     blocked = tmp_path / "a-file"
     blocked.write_text("", encoding="utf-8")

@@ -259,10 +259,11 @@ def test_run_experiment_validates_plan_and_jobs(corpus_factory, tmp_path):
             plan_cells(corpus, X, rcfg, FoldPlan(2, assignment))
     # Runs are single-process: a config may still say `jobs: 1`, nothing else.
     data = {"corpus": "c.jsonl", "seed": 2, "out": "o", "systems": [{"model": "majority", "features": {"kind": "bow"}}]}
-    assert parse_experiment_config(dict(data, jobs=1), tmp_path) == parse_experiment_config(data, tmp_path)
+    path = tmp_path / "config.yaml"
+    assert parse_experiment_config(dict(data, jobs=1), path) == parse_experiment_config(data, path)
     for jobs in (0, 2):
         with pytest.raises(ConfigError, match=r"jobs.*single-process"):
-            parse_experiment_config(dict(data, jobs=jobs), tmp_path)
+            parse_experiment_config(dict(data, jobs=jobs), path)
 
 
 # --- report aggregation -----------------------------------------------------
@@ -556,7 +557,7 @@ def test_naive_bayes_cells_score_as_materialized_smote(monkeypatch, minority):
 
     monkeypatch.setattr(models, "nb_models", recording)
     scores = _evaluate(X, y, folds, ModelSpec(kind="naive_bayes"))
-    monkeypatch.undo()  # the oracle's nb_model goes through nb_models too
+    monkeypatch.undo()  # the oracle goes through nb_models too
     assert len(planned) == 5
     for k, model in enumerate(planned):
         train = folds != k

@@ -15,7 +15,6 @@ from facetrec.features import (
     EmbeddingSpec,
     EmbeddingStore,
     Vocabulary,
-    avg_vectorize,
     bow_matrix,
     build_vocabulary,
     embedding_matrix,
@@ -26,7 +25,7 @@ from facetrec.features import (
 from facetrec.corpus import LabeledCorpus, build_documents, default_normalization_table, load_corpus
 from facetrec.inventory import FACET_NAMES
 from facetrec.synth import SynthSpec, write_bundle
-from loop_oracles import bow_loops
+from loop_oracles import bow_loops, embedding_average_loops
 
 
 def make_store(mapping, flavor="skip"):
@@ -42,7 +41,6 @@ def test_build_vocabulary_orders_by_frequency_then_token(corpus_factory):
     corpus = corpus_factory([["b", "b", "b", "a", "c"], ["a", "c", "d"]])
     vocab = build_vocabulary(corpus, vocab_size=10)
     assert vocab.entries == (("b", 3), ("a", 2), ("c", 2), ("d", 1))
-    assert vocab.tokens == ("b", "a", "c", "d")
     assert len(vocab) == 4
 
 
@@ -180,35 +178,38 @@ def test_load_embeddings_checks_flavor(tmp_path):
 # --- averaging -------------------------------------------------------------
 
 
-def test_avg_vectorize_is_occurrence_weighted():
+def test_embedding_rows_are_occurrence_weighted():
     store = make_store({"x": [1.0, 0.0], "y": [0.0, 1.0]})
-    assert np.array_equal(avg_vectorize(["x", "y"], store), [0.5, 0.5])
-    out = avg_vectorize(["x", "x", "y"], store)
-    assert np.allclose(out, [2 / 3, 1 / 3])
+    X = embedding_matrix([["x", "y"], ["x", "x", "y"]], store)
+    assert np.array_equal(X[0], [0.5, 0.5])
+    assert np.allclose(X[1], [2 / 3, 1 / 3])
 
 
-def test_avg_vectorize_ignores_oov_and_zeroes_all_oov():
+def test_embedding_rows_ignore_oov_and_zero_all_oov():
     store = make_store({"x": [1.0, 0.0]})
-    assert np.array_equal(avg_vectorize(["x", "zzz"], store), [1.0, 0.0])
-    assert np.array_equal(avg_vectorize(["zzz", "qqq"], store), [0.0, 0.0])
-    assert np.array_equal(avg_vectorize([], store), [0.0, 0.0])
+    X = embedding_matrix([["x", "zzz"], ["zzz", "qqq"], []], store)
+    assert np.array_equal(X, [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]])
+    assert embedding_matrix([], store).shape == (0, 2)
 
 
 @given(st.lists(st.sampled_from(["x", "y"]), min_size=1, max_size=12))
-def test_avg_vectorize_stays_in_convex_hull(tokens):
+def test_embedding_rows_stay_in_convex_hull(tokens):
     store = make_store({"x": [1.0, 0.0], "y": [0.0, 1.0]})
-    out = avg_vectorize(tokens, store)
-    assert out.sum() == pytest.approx(1.0)
-    assert np.all(out >= 0.0)
+    [row] = embedding_matrix([tokens], store)
+    assert row.sum() == pytest.approx(1.0)
+    assert np.all(row >= 0.0)
 
 
-def test_embedding_matrix_rows_match_avg_vectorize():
-    store = make_store({"x": [1.0, 0.0], "y": [0.0, 1.0]})
-    seqs = [["x"], ["x", "y"], ["zzz"]]
+def test_embedding_matrix_equals_the_loop_average():
+    # Bit for bit: repeated and missing tokens, empty and long documents.
+    rng = np.random.default_rng(5)
+    words = [f"w{i}" for i in range(40)]
+    store = make_store({w: rng.normal(size=7) for w in words[:30]})
+    seqs = [[str(w) for w in rng.choice(words, size=n)] for n in (0, 1, 5, 60, 400)] + [["w35", "w36"]]
     X = embedding_matrix(seqs, store)
-    assert X.shape == (3, 2)
-    for i, seq in enumerate(seqs):
-        assert np.array_equal(X[i], avg_vectorize(seq, store))
+    assert X.shape == (len(seqs), 7)
+    for row, seq in zip(X, seqs):
+        assert row.tolist() == embedding_average_loops(seq, store)
 
 
 # --- feature realization ----------------------------------------------------

@@ -13,7 +13,6 @@ from facetrec.inventory import (
     ScoringKey,
     default_scoring_key,
     load_scoring_key,
-    reverse_item,
     score_inventories,
     score_inventory,
 )
@@ -53,34 +52,35 @@ def make_response(fill=3, **at):
     return InventoryResponse(items=tuple(items))
 
 
+def _reflected(r, key):
+    # A reverse-keyed response r as scored: Assertiveness averages item 1,
+    # here at scale_min, and item 2, reverse-keyed.
+    score = score_inventory(make_response(fill=key.scale_min, i1=r), key).facets["Assertiveness"]
+    return 2 * score - key.scale_min
+
+
 def test_reverse_item_endpoints_on_1_to_5():
     key = make_key()
-    assert reverse_item(5, key) == 1
-    assert reverse_item(1, key) == 5
-    assert reverse_item(2, key) == 4
-    assert reverse_item(4, key) == 2
-    assert reverse_item(3, key) == 3
+    assert [_reflected(r, key) for r in (5, 1, 2, 4, 3)] == [1, 5, 4, 2, 3]
 
 
 def test_reverse_item_on_0_to_5_scale():
     key = make_key(scale_min=0, scale_max=5)
-    assert reverse_item(2, key) == 3
-    assert reverse_item(0, key) == 5
-    assert reverse_item(5, key) == 0
+    assert [_reflected(r, key) for r in (2, 0, 5)] == [3, 5, 0]
 
 
 @given(st.integers(1, 5))
 def test_reverse_is_an_involution(r):
     key = make_key()
-    assert reverse_item(reverse_item(r, key), key) == r
+    assert _reflected(int(_reflected(r, key)), key) == r
 
 
 def test_reverse_item_rejects_out_of_scale():
     key = make_key()
-    with pytest.raises(ValidationError, match="outside"):
-        reverse_item(6, key)
-    with pytest.raises(ValidationError, match="item 2"):
-        reverse_item(0, key, item=2)
+    with pytest.raises(ValidationError, match=r"^item 2: response 6 outside scale 1\.\.5$"):
+        score_inventory(make_response(i1=6), key)
+    with pytest.raises(ValidationError, match=r"^item 2: response 0 outside scale 1\.\.5$"):
+        score_inventory(make_response(i1=0), key)
 
 
 def test_score_inventory_means_and_reversal():
@@ -174,9 +174,11 @@ def test_matrix_scores_name_the_first_out_of_scale_author_and_item():
         score_inventories(responses, key, ["a", "b", "c"])
     with pytest.raises(ValidationError, match=r"^item 5: response 9 outside"):
         score_inventories(responses, key)
-    # Too large for an int64 matrix: the same check, one response at a time.
-    with pytest.raises(ValidationError, match=rf"^author c: item 4: response {2**70} outside"):
-        score_inventories([make_response(), make_response(), make_response(i3=2**70)], key, "abc")
+    # Too large for an int64 matrix, which is then float or object: the same
+    # check and the same message, with the response as given.
+    for big in (2**63, 2**70, -(2**70)):
+        with pytest.raises(ValidationError, match=rf"^author c: item 4: response {big} outside scale 1\.\.5$"):
+            score_inventories([make_response(), make_response(), make_response(i3=big)], key, "abc")
 
 
 def test_response_requires_44_integer_items():

@@ -18,7 +18,6 @@ from facetrec.models import (
     NaiveBayesParams,
     TrainedModel,
     load_model,
-    nb_model,
     nb_models,
     predict,
     save_model,
@@ -299,7 +298,7 @@ def test_majority_predicts_without_reading_rows():
 
 
 def _nb_per_class(class_sums, class_counts, alpha):
-    # nb_model's formula one class at a time, as its plain reading goes.
+    # nb_models' formula one class at a time, as its plain reading goes.
     n_features = class_sums.shape[1]
     log_priors, log_likelihoods = np.empty(2), np.empty((2, n_features))
     for c in (0, 1):
@@ -312,7 +311,7 @@ def _nb_per_class(class_sums, class_counts, alpha):
 def test_nb_models_fit_each_cell_as_one_cell_alone(alpha):
     # Fractional class sums (SMOTE rows weigh 1 - g and g), many cells and
     # a width past one pairwise-summation block: every cell's logs equal,
-    # bit for bit, those of the per-class formula and of nb_model alone.
+    # bit for bit, those of the per-class formula and of the cell alone.
     rng = np.random.default_rng(11)
     sums = rng.integers(0, 9, size=(13, 2, 301)) + rng.random((13, 2, 301)) * (rng.random((13, 2, 1)) < 0.5)
     counts = rng.integers(1, 60, size=(13, 2))
@@ -322,7 +321,7 @@ def test_nb_models_fit_each_cell_as_one_cell_alone(alpha):
         priors, likelihoods = _nb_per_class(cell_sums, cell_counts, alpha)
         assert np.array_equal(model.params.log_priors, priors)
         assert np.array_equal(model.params.log_likelihoods, likelihoods)
-        alone = nb_model(cell_sums, cell_counts, alpha).params
+        alone = nb_models(cell_sums[None], cell_counts[None], alpha)[0].params
         assert np.array_equal(alone.log_priors, priors) and np.array_equal(alone.log_likelihoods, likelihoods)
 
 
