@@ -16,7 +16,7 @@ import json
 import logging
 import re
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -31,6 +31,7 @@ from .corpus import (
 )
 from .errors import ConfigError, FacetrecError, ValidationError
 from .eval import (
+    DEFAULT_FOLDS,
     EvaluationReport,
     SystemResult,
     make_folds,
@@ -39,7 +40,7 @@ from .eval import (
     render_report,
     run_experiment,
 )
-from .features import DEFAULT_VOCAB_SIZE, BowSpec, EmbeddingSpec, featurize, model_ref, realize_features
+from .features import EMBEDDING_FLAVORS, BowSpec, EmbeddingSpec, featurize, model_ref, realize_features
 from .inventory import FACET_NAMES, default_scoring_key, load_scoring_key, score_inventories
 from .models import (
     MODEL_KINDS,
@@ -57,17 +58,6 @@ log = logging.getLogger(__name__)
 
 _NAME_RE = re.compile(r"[A-Za-z0-9][A-Za-z0-9_.-]*")
 
-_CONFIG_KEYS = {
-    "corpus",
-    "scoring_key",
-    "normalization",
-    "seed",
-    "folds",
-    "jobs",
-    "out",
-    "smote",
-    "systems",
-}
 _FILE_KEYS = {"corpus", "scoring_key", "normalization"}  # files that determine the results
 _PATH_KEYS = _FILE_KEYS | {"out"}
 
@@ -82,13 +72,17 @@ class SystemConfig:
 @dataclass(frozen=True)
 class ExperimentConfig:
     corpus: str
-    scoring_key: str | None
-    normalization: str | None
     seed: int
-    folds: int
     smote: ResampleConfig  # seeded with the run's seed
     out: str
     systems: tuple[SystemConfig, ...]
+    scoring_key: str | None = None
+    normalization: str | None = None
+    folds: int = DEFAULT_FOLDS
+
+    def __post_init__(self):
+        if type(self.folds) is not int or self.folds < 2:
+            raise ConfigError(f"folds must be an integer of at least 2, got {self.folds!r}")
 
 
 def _require_number(value, name: str) -> float:
@@ -101,38 +95,48 @@ def _require_number(value, name: str) -> float:
     return float(value)
 
 
+def _defaults(cls, *fixed) -> dict:
+    """Each field of the dataclass ``cls`` outside ``fixed``, with the
+    default it declares (``MISSING`` for none)."""
+    return {f.name: f.default for f in fields(cls) if f.name not in fixed}
+
+
+def _options(raw: dict, defaults: dict, what: str, owner: str, prefix: str = "") -> dict:
+    """The values the config mapping ``raw`` sets, read against a section's
+    ``defaults`` (``_defaults`` of the dataclass that holds it): a key
+    outside them is an unknown ``what``, which ``owner`` does not take, and
+    a value whose default is a float must be a number (named ``prefix`` and
+    its key), read as a float. A key left out takes its default when the
+    dataclass is built, which checks every value."""
+    unknown = set(raw) - set(defaults)
+    if unknown:
+        takes = ", ".join(defaults) or "none"
+        raise ConfigError(f"unknown {what}: {', '.join(sorted(unknown))}; {owner} takes {takes}")
+    return {k: _require_number(v, prefix + k) if isinstance(defaults[k], float) else v for k, v in raw.items()}
+
+
 def _parse_model(raw) -> ModelSpec:
     if isinstance(raw, str):
         return ModelSpec(kind=raw)
     if not isinstance(raw, dict) or "kind" not in raw:
         raise ConfigError(f"model must be a kind name or a mapping with 'kind', got {raw!r}")
     spec = ModelSpec(kind=raw["kind"])
-    options = spec.options()  # the kind's own, at their defaults
-    unknown = set(raw) - {"kind", *options}
-    if unknown:
-        takes = ", ".join(options) or "none"
-        raise ConfigError(f"unknown model options: {', '.join(sorted(unknown))}; {spec.kind} takes {takes}")
-    # max_epochs is the one integer option, which LRHyperparams checks
-    values = {k: v if k == "max_epochs" else _require_number(v, k) for k, v in raw.items() if k != "kind"}
-    return spec.with_options(**values)
+    options = {k: v for k, v in raw.items() if k != "kind"}
+    return spec.with_options(**_options(options, spec.options(), "model options", spec.kind))
 
 
 def _parse_features(raw, base_dir: Path):
     if not isinstance(raw, dict) or "kind" not in raw:
         raise ConfigError(f"features must be a mapping with 'kind', got {raw!r}")
     kind = raw["kind"]
+    options = {k: v for k, v in raw.items() if k != "kind"}
     if kind == "bow":
-        unknown = set(raw) - {"kind", "vocab_size", "binary"}
-        if unknown:
-            raise ConfigError(f"unknown bow options: {', '.join(sorted(unknown))}")
-        return BowSpec(vocab_size=raw.get("vocab_size", DEFAULT_VOCAB_SIZE), binary=raw.get("binary", False))
+        return BowSpec(**_options(options, _defaults(BowSpec), "bow options", "bow"))
     if kind == "embeddings":
-        unknown = set(raw) - {"kind", "path", "flavor"}
-        if unknown:
-            raise ConfigError(f"unknown embeddings options: {', '.join(sorted(unknown))}")
-        if "path" not in raw:
+        options = _options(options, _defaults(EmbeddingSpec), "embeddings options", "embeddings")
+        if "path" not in options:
             raise ConfigError("embeddings features need a 'path'")
-        return EmbeddingSpec(path=str(base_dir / str(raw["path"])), flavor=raw.get("flavor", "skip"))
+        return EmbeddingSpec(**dict(options, path=str(base_dir / str(options["path"]))))
     raise ConfigError(f"feature kind must be 'bow' or 'embeddings', got {kind!r}")
 
 
@@ -160,15 +164,15 @@ def parse_experiment_config(data: dict, path: Path, flags: dict | None = None) -
     Paths in the mapping resolve relative to the config file's directory;
     flag paths stay as given. Flags whose value is None were not set.
     ``smote_k`` and ``smote_ratio`` override the ``smote`` mapping's
-    ``k_neighbors`` and ``target_ratio``. Every value is checked here, by
-    the type that holds it, so that a bad one fails before a run reads its
-    corpus. An error inside a system names the file and the system's index.
+    ``k_neighbors`` and ``target_ratio``. Each section's keys and defaults
+    are its dataclass's fields (``ExperimentConfig``'s, plus the legacy
+    ``jobs``, at the top), and every value is checked here, by the type
+    that holds it, so that a bad one fails before a run reads its corpus.
+    An error inside a system names the file and the system's index.
     """
     if not isinstance(data, dict):
         raise ConfigError("config must be a mapping")
-    unknown = set(data) - _CONFIG_KEYS
-    if unknown:
-        raise ConfigError(f"unknown config keys: {', '.join(sorted(unknown))}")
+    data = _options(data, {**_defaults(ExperimentConfig), "jobs": 1}, "config keys", "a config")
     base_dir = Path(path).parent
     cfg = {
         k: str(base_dir / str(v)) if k in _PATH_KEYS else v
@@ -190,20 +194,14 @@ def parse_experiment_config(data: dict, path: Path, flags: dict | None = None) -
     if type(jobs) is not int or jobs != 1:
         raise ConfigError(f"jobs must be 1 if set, got {jobs!r}: runs are single-process")
 
-    smote_raw = cfg.get("smote") or {}
-    if not isinstance(smote_raw, dict):
+    section = cfg.get("smote") or {}
+    if not isinstance(section, dict):
         raise ConfigError("smote config must be a mapping")
-    unknown = set(smote_raw) - {"k_neighbors", "target_ratio"}
-    if unknown:
-        raise ConfigError(f"unknown smote options: {', '.join(sorted(unknown))}")
-    smote = ResampleConfig(
-        k_neighbors=cfg.get("smote_k", smote_raw.get("k_neighbors", 5)),
-        target_ratio=_require_number(cfg.get("smote_ratio", smote_raw.get("target_ratio", 1.0)), "smote.target_ratio"),
-        seed=cfg["seed"],
-    )
-    folds = cfg.get("folds", 10)
-    if type(folds) is not int or folds < 2:
-        raise ConfigError(f"folds must be an integer of at least 2, got {folds!r}")
+    flagged = {"k_neighbors": cfg.get("smote_k"), "target_ratio": cfg.get("smote_ratio")}
+    section = {**section, **{k: v for k, v in flagged.items() if v is not None}}
+    # the seed is the run's, not a key of the section
+    options = _options(section, _defaults(ResampleConfig, "seed"), "smote options", "smote", "smote.")
+    smote = ResampleConfig(**options, seed=cfg["seed"])
 
     raw_systems = cfg.get("systems")
     if not isinstance(raw_systems, list) or not raw_systems:
@@ -215,16 +213,11 @@ def parse_experiment_config(data: dict, path: Path, flags: dict | None = None) -
         except ConfigError as e:
             raise ConfigError(f"{path}: system {i}: {e}") from e
 
-    return ExperimentConfig(
-        corpus=cfg["corpus"],
-        scoring_key=cfg.get("scoring_key"),
-        normalization=cfg.get("normalization"),
-        seed=cfg["seed"],
-        folds=folds,
-        smote=smote,
-        out=cfg["out"],
-        systems=tuple(systems),
-    )
+    return ExperimentConfig(**{
+        **{f.name: cfg[f.name] for f in fields(ExperimentConfig) if f.name in cfg},
+        "smote": smote,
+        "systems": tuple(systems),
+    })
 
 
 def _load_key(path: str | None):
@@ -306,16 +299,10 @@ def cmd_run(args) -> int:
     )
 
     # The run's settings, None for a built-in file: the manifest's config
-    # section and what its digest covers besides the systems.
-    config = {
-        "corpus": cfg.corpus,
-        "scoring_key": cfg.scoring_key,
-        "normalization": cfg.normalization,
-        "seed": cfg.seed,
-        "folds": cfg.folds,
-        "smote": {"k_neighbors": cfg.smote.k_neighbors, "target_ratio": cfg.smote.target_ratio},
-        "out": cfg.out,
-    }
+    # section and what its digest covers besides the systems. SMOTE's seed
+    # is the run's.
+    config = asdict(cfg)
+    del config["systems"], config["smote"]["seed"]
     wins = report.wins()
     manifest = {
         "config": {k: (v or "builtin-default") if k in _FILE_KEYS else v for k, v in config.items()},
@@ -435,7 +422,7 @@ def cmd_train(args) -> int:
     lr = LRHyperparams(l2=args.l2, max_epochs=args.max_epochs, tol=args.tol)
     model_spec = ModelSpec(kind=args.model, alpha=args.alpha, lr=lr)
     seed = derive_seed(args.seed, STREAM_SMOTE, FACET_NAMES.index(args.facet))
-    rcfg = ResampleConfig(k_neighbors=args.smote_k, target_ratio=args.smote_ratio, seed=seed) if args.smote else None
+    smote = ResampleConfig(k_neighbors=args.smote_k, target_ratio=args.smote_ratio, seed=seed)
 
     key = _load_key(args.key)
     table = _load_table(args.normalization)
@@ -443,13 +430,13 @@ def cmd_train(args) -> int:
     if args.facet in corpus.degenerate:
         raise ValidationError(f"facet {args.facet} is degenerate in this corpus")
     X, ref, space = realize_features(feature_spec, corpus)
-    ref = model_ref(ref, space)
+    ref = model_ref(ref, space, table)
     ref["facet"] = args.facet
     y = corpus.labels(args.facet)
     # One cell of all rows, planned and fitted as `run` plans and fits its
     # facet x fold cells.
     try:
-        cell = plan_cell(y, np.arange(len(y)), rcfg, smote_neighbours(X, y))
+        cell = plan_cell(y, np.arange(len(y)), smote if args.smote else None, smote_neighbours(X, y))
         [model] = fit_cells(X, model_spec, [[cell]], f"facet {args.facet}")
     except FacetrecError as e:
         raise type(e)(f"facet {args.facet}: {e}") from e
@@ -461,12 +448,10 @@ def cmd_train(args) -> int:
 
 def cmd_predict(args) -> int:
     model = load_model(args.model)
-    table = _load_table(args.normalization)
-    docs = build_documents(load_corpus(args.corpus), table)
-    X = featurize(model.feature_ref, [tokens for _, tokens in docs])
+    authors, X = featurize(model.feature_ref, load_corpus(args.corpus, inventories=False))
     labels, scores = predict(model, X)
     rows = [["author_id", model.feature_ref.get("facet", "label"), "score"]]
-    for (aid, _), lab, sc in zip(docs, labels, scores):
+    for aid, lab, sc in zip(authors, labels, scores):
         rows.append([aid, int(lab), repr(float(sc))])
     _write_csv(rows, args.out)
     return 0
@@ -529,18 +514,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--facet", required=True)
     p.add_argument("--model", required=True, choices=MODEL_KINDS)
     p.add_argument("--features", choices=["bow", "embeddings"], default="bow")
-    p.add_argument("--vocab-size", type=int, default=DEFAULT_VOCAB_SIZE, dest="vocab_size")
+    # Each default is the one the dataclass that holds the value declares.
+    p.add_argument("--vocab-size", type=int, default=BowSpec.vocab_size, dest="vocab_size")
     p.add_argument("--embeddings")
-    p.add_argument("--flavor", choices=["skip", "cbow"], default="skip")
-    p.add_argument("--alpha", type=float, default=1.0)
-    lr = LRHyperparams()
-    p.add_argument("--l2", type=float, default=lr.l2)
-    p.add_argument("--max-epochs", type=int, default=lr.max_epochs, dest="max_epochs",
+    p.add_argument("--flavor", choices=EMBEDDING_FLAVORS, default=EmbeddingSpec.flavor)
+    p.add_argument("--alpha", type=float, default=ModelSpec.alpha)
+    p.add_argument("--l2", type=float, default=LRHyperparams.l2)
+    p.add_argument("--max-epochs", type=int, default=LRHyperparams.max_epochs, dest="max_epochs",
                    help="cap on logistic regression's Newton iterations")
-    p.add_argument("--tol", type=float, default=lr.tol)
+    p.add_argument("--tol", type=float, default=LRHyperparams.tol)
     p.add_argument("--smote", action=argparse.BooleanOptionalAction, default=True)
-    p.add_argument("--smote-k", type=int, default=5, dest="smote_k")
-    p.add_argument("--smote-ratio", type=float, default=1.0, dest="smote_ratio")
+    p.add_argument("--smote-k", type=int, default=ResampleConfig.k_neighbors, dest="smote_k")
+    p.add_argument("--smote-ratio", type=float, default=ResampleConfig.target_ratio, dest="smote_ratio")
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out", required=True, help="model file to write")
     p.set_defaults(func=cmd_train)
@@ -548,7 +533,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("predict", help="apply a saved model to a corpus")
     p.add_argument("--model", required=True)
     p.add_argument("--corpus", required=True)
-    p.add_argument("--normalization")
     p.add_argument("--out", help="output CSV path (default: stdout)")
     p.set_defaults(func=cmd_predict)
 

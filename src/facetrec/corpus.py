@@ -12,6 +12,7 @@ import heapq
 import json
 import logging
 import re
+import sys
 from dataclasses import dataclass, field
 from itertools import repeat
 from operator import itemgetter
@@ -38,11 +39,12 @@ _RULE_FLAGS = re.IGNORECASE | re.UNICODE
 
 @dataclass(frozen=True)
 class AuthorRecord:
-    """One corpus author: identifier, raw posts and inventory responses."""
+    """One corpus author: identifier, raw posts and inventory responses
+    (None when the corpus was read without them)."""
 
     author_id: str
     posts: tuple[str, ...]
-    inventory: InventoryResponse
+    inventory: InventoryResponse | None
 
     def __post_init__(self):
         object.__setattr__(self, "posts", tuple(self.posts))
@@ -274,9 +276,10 @@ def build_documents(
     """One (author_id, tokens) document per author.
 
     Posts are normalized, joined with single spaces in order, then tokenized.
-    Authors with no surviving tokens are excluded with a warning. Equal
-    tokens share one ``str`` object across the corpus, so a document holds
-    an 8-byte reference per occurrence, not a new string of ~64 bytes.
+    Authors with no surviving tokens are excluded with a warning. Every
+    token is interned (``sys.intern``), so equal tokens share one ``str``
+    object and a document holds an 8-byte reference per occurrence, not a
+    new string of ~64 bytes.
 
     Under a word-level table (``NormalizationTable.word_level``) a text
     without a ``$`` normalizes and tokenizes word by word: each ``\\w+``
@@ -291,31 +294,18 @@ def build_documents(
     """
     docs = []
     memo = {}  # word -> its token, under a word-level table
-    placeholders = {}  # "$NAME$" token -> its one str
-    shared = {}  # any other token -> its one str, unless memo maps it as a word to itself
-
-    def share(token):
-        if token[0] == "$":
-            return placeholders.setdefault(token, token)
-        found = memo.get(token)
-        return found if found == token else shared.setdefault(token, token)
 
     def label(words, lowercase):
-        # Each match is one whole run of the text. Its token is shared before
-        # any word of this batch enters the memo, and an unmatched word of
-        # ASCII text (``lowercase``) is its own token unless shared has it.
+        # Each match is one whole run of the text, and an unmatched word of
+        # ASCII text (``lowercase``) is its own token.
         text = " ".join(words)
-        hits = [(text[start:end], share(token)) for start, end, token in _replacements(text, table)]
-        if lowercase:
-            memo.update(zip(words, map(shared.get, words, words)) if shared else zip(words, words))
-        else:
-            memo.update(zip(words, map(share, map(str.lower, words))))
-        memo.update(hits)
+        memo.update(zip(words, map(sys.intern, words if lowercase else map(str.lower, words))))
+        memo.update((text[start:end], sys.intern(token)) for start, end, token in _replacements(text, table))
 
     for rec in records:
         text = " ".join(rec.posts)
         if not table.word_level or "$" in text:
-            tokens = tuple(map(share, tokenize(" ".join(normalize(post, table) for post in rec.posts))))
+            tokens = tuple(map(sys.intern, tokenize(" ".join(normalize(post, table) for post in rec.posts))))
         else:
             ascii_text = text.isascii()
             words = text.translate(_ASCII_WORDS).split() if ascii_text else _WORD_RE.findall(text)
@@ -382,12 +372,14 @@ def _field(obj, name, where):
     return obj[name]
 
 
-def load_corpus(path) -> list[AuthorRecord]:
+def load_corpus(path, inventories: bool = True) -> list[AuthorRecord]:
     """Read line-delimited author records (JSON object per line, UTF-8).
 
     Required fields: author_id (string), posts (array of strings),
-    bfi44 (array of 44 integers). Blank lines are skipped. Malformed lines
-    raise with their line number; duplicate author ids are a hard error.
+    bfi44 (array of 44 integers), unless ``inventories`` is False: then
+    bfi44 is not read, and every record's inventory is None. Blank lines
+    are skipped. Malformed lines raise with their line number; duplicate
+    author ids are a hard error.
     """
     records = []
     seen = set()
@@ -415,13 +407,15 @@ def load_corpus(path) -> list[AuthorRecord]:
             posts = _field(obj, "posts", where)
             if not isinstance(posts, list) or not all(map(isinstance, posts, repeat(str))):
                 raise ValidationError(f"{where}: posts must be an array of strings")
-            bfi = _field(obj, "bfi44", where)
-            if not isinstance(bfi, list) or len(bfi) != N_ITEMS:
-                raise ValidationError(f"{where}: bfi44 must be an array of {N_ITEMS} integers")
-            try:
-                inv = InventoryResponse(items=tuple(bfi))
-            except ValidationError as e:
-                raise ValidationError(f"{where}: {e}") from e
+            inv = None
+            if inventories:
+                bfi = _field(obj, "bfi44", where)
+                if not isinstance(bfi, list) or len(bfi) != N_ITEMS:
+                    raise ValidationError(f"{where}: bfi44 must be an array of {N_ITEMS} integers")
+                try:
+                    inv = InventoryResponse(items=tuple(bfi))
+                except ValidationError as e:
+                    raise ValidationError(f"{where}: {e}") from e
             records.append(AuthorRecord(author_id=aid, posts=tuple(posts), inventory=inv))
     return records
 

@@ -13,11 +13,12 @@ import array
 import hashlib
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from itertools import chain
 
 import numpy as np
 
+from .corpus import _table_from_mapping, build_documents
 from .errors import ConfigError, ValidationError
 
 log = logging.getLogger(__name__)
@@ -286,43 +287,34 @@ def realize_features(spec, corpus):
         index, ids, lengths = _token_ids(docs)
         vocab = _vocabulary(index, ids, spec.vocab_size)
         X = _bow_rows(index, ids, lengths, vocab, spec.binary)
-        ref = {
-            "kind": "bow",
-            "vocab_size": spec.vocab_size,
-            "binary": spec.binary,
-            "actual_size": len(vocab),
-            "vocab_sha256": vocab.fingerprint(),
-        }
+        ref = {"kind": "bow", **asdict(spec), "actual_size": len(vocab), "vocab_sha256": vocab.fingerprint()}
         return X, ref, vocab
     if isinstance(spec, EmbeddingSpec):
         store = load_embeddings(spec.path, spec.flavor)
         X = embedding_matrix(docs, store)
         if not np.all(np.isfinite(X)):
             raise ValidationError("embedding features contain non-finite values")
-        ref = {
-            "kind": "embeddings",
-            "path": str(spec.path),
-            "flavor": spec.flavor,
-            "dim": store.dim,
-            "file_sha256": store.fingerprint,
-        }
+        ref = {"kind": "embeddings", **asdict(spec), "dim": store.dim, "file_sha256": store.fingerprint}
         return X, ref, store
     raise ConfigError(f"unknown feature spec {spec!r}")
 
 
-def model_ref(ref: dict, space) -> dict:
+def model_ref(ref: dict, space, table) -> dict:
     """The feature reference a model file keeps: ``realize_features``' ref,
-    and for a bag of words its space's entries, which ``featurize`` reads."""
+    the rules of the normalization table the text went through, and for a
+    bag of words its space's entries, all of which ``featurize`` reads."""
+    ref = {**ref, "normalization": {"rules": [{"pattern": r.pattern, "token": r.token} for r in table.rules]}}
     if ref["kind"] == "bow":
-        return {**ref, "vocab": [[t, f] for t, f in space.entries]}
-    return dict(ref)
+        ref["vocab"] = [[t, f] for t, f in space.entries]
+    return ref
 
 
-def featurize(ref, token_seqs) -> np.ndarray:
-    """Rows of token sequences in the feature space that a model file's
-    feature reference (``model_ref``) names. The reference is read from a
-    file, so each field it needs is checked: a malformed one, or an
-    embedding file that changed since training, is a ConfigError."""
+def featurize(ref, records) -> tuple[list[str], np.ndarray]:
+    """(author ids, rows) of the documents of corpus records in the feature
+    space that a model file's feature reference (``model_ref``) names, their
+    posts normalized by its table. The reference is read from a file, so
+    each field it needs is checked: a malformed one, or an embedding file
+    that changed since training, is a ConfigError."""
     if not ref:
         raise ConfigError("model file lacks a feature reference; cannot vectorize input")
     if not isinstance(ref, dict) or "kind" not in ref:
@@ -338,10 +330,14 @@ def featurize(ref, token_seqs) -> np.ndarray:
             vocab = Vocabulary(entries=tuple((str(t), int(f)) for t, f in ref["vocab"]))
         except (TypeError, ValueError):
             raise ConfigError("model file's bow feature reference has a malformed 'vocab'") from None
-        return bow_matrix(token_seqs, vocab, binary=bool(ref.get("binary", False)))
-    if not isinstance(ref["path"], str):
-        raise ConfigError(f"model file's embeddings feature reference has a malformed 'path': {ref['path']!r}")
-    store = load_embeddings(ref["path"], ref["flavor"])
-    if store.fingerprint != ref.get("file_sha256"):
-        raise ConfigError(f"embedding file {ref['path']} changed since training (checksum mismatch)")
-    return embedding_matrix(token_seqs, store)
+    else:
+        if not isinstance(ref["path"], str):
+            raise ConfigError(f"model file's embeddings feature reference has a malformed 'path': {ref['path']!r}")
+        store = load_embeddings(ref["path"], ref["flavor"])
+        if store.fingerprint != ref.get("file_sha256"):
+            raise ConfigError(f"embedding file {ref['path']} changed since training (checksum mismatch)")
+    docs = build_documents(records, _table_from_mapping(ref.get("normalization"), "model file's normalization table"))
+    authors, tokens = [aid for aid, _ in docs], [tokens for _, tokens in docs]
+    if kind == "bow":
+        return authors, bow_matrix(tokens, vocab, binary=bool(ref.get("binary", False)))
+    return authors, embedding_matrix(tokens, store)

@@ -31,7 +31,7 @@ from .resample import _as_labels, _as_rows, plan_cell
 MODEL_KINDS = ("majority", "naive_bayes", "logistic_regression")
 
 _MODEL_FORMAT = "facetrec-model"
-_MODEL_VERSION = 2
+_MODEL_VERSION = 3
 
 log = logging.getLogger(__name__)
 
@@ -299,27 +299,9 @@ def predict(model: TrainedModel, X, rows=None):
 
 
 def save_model(model: TrainedModel, path) -> None:
-    """Write a model as JSON; floats round-trip exactly via repr."""
-    if model.kind == "majority":
-        params = {"label": model.params.label}
-    elif model.kind == "naive_bayes":
-        p = model.params
-        params = {
-            "alpha": p.alpha,
-            "log_priors": p.log_priors.tolist(),
-            "log_likelihoods": p.log_likelihoods.tolist(),
-        }
-    elif model.kind == "logistic_regression":
-        p = model.params
-        params = {
-            "weights": p.weights.tolist(),
-            "bias": p.bias,
-            "hyper": asdict(p.hyper),
-            "loss_history": list(p.loss_history),
-            "converged": p.converged,
-        }
-    else:
-        raise ConfigError(f"unknown model kind {model.kind!r}")
+    """Write a model as JSON, its params as the fields of their dataclass;
+    floats round-trip exactly via repr."""
+    params = {k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in asdict(model.params).items()}
     payload = {
         "format": _MODEL_FORMAT,
         "version": _MODEL_VERSION,

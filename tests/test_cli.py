@@ -8,7 +8,7 @@ import logging
 import re
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -19,12 +19,18 @@ from loop_oracles import assert_near_newton_oracle, logreg_newton_numpy, train_m
 
 from facetrec import cli, features, kernels, resample
 from facetrec.cli import build_parser, main, parse_experiment_config
-from facetrec.corpus import assign_labels, build_documents, default_normalization_table, load_corpus
+from facetrec.corpus import (
+    assign_labels,
+    build_documents,
+    default_normalization_table,
+    load_corpus,
+    load_normalization_table,
+)
 from facetrec.errors import ConfigError
 from facetrec.eval import make_folds, plan_cells
-from facetrec.features import load_embeddings, write_embeddings
+from facetrec.features import BowSpec, EmbeddingSpec, Vocabulary, bow_matrix, load_embeddings, write_embeddings
 from facetrec.inventory import FACET_NAMES, default_scoring_key, score_inventory
-from facetrec.models import ModelSpec, load_model, predict, save_model, train
+from facetrec.models import LRHyperparams, ModelSpec, load_model, predict, save_model, train
 from facetrec.resample import ResampleConfig
 from facetrec.seeding import STREAM_SMOTE, derive_seed
 
@@ -319,6 +325,28 @@ def test_config_digest_covers_the_system_list(bundle, tmp_path, capsys):
     assert len(digests) == 3
 
 
+def test_config_digest_covers_every_smote_setting(bundle, tmp_path, capsys):
+    # The manifest records SMOTE's config as the dataclass holds it, so a
+    # setting added to ResampleConfig is recorded and digested too. Its
+    # seed is the run's.
+    changed = {"k_neighbors": 3, "target_ratio": 0.5}
+    assert set(changed) == {f.name for f in fields(ResampleConfig)} - {"seed"}
+    defaults = {key: getattr(ResampleConfig(), key) for key in changed}
+    data = yaml.safe_load((bundle / "config.yaml").read_text(encoding="utf-8"))
+    data["systems"] = data["systems"][:1]
+    out = tmp_path / "run"
+    args = ["--corpus", str(bundle / "corpus.jsonl"), "--folds", "3", "--out", str(out)]
+    digests = set()
+    for smote in ({}, *({key: value} for key, value in changed.items())):
+        cfg = tmp_path / "smote.yaml"
+        cfg.write_text(yaml.safe_dump(dict(data, smote=smote)), encoding="utf-8")
+        assert main(["run", "--config", str(cfg), *args]) == 0
+        manifest = yaml.safe_load((out / "manifest.yaml").read_text(encoding="utf-8"))
+        assert manifest["config"]["smote"] == {**defaults, **smote}
+        digests.add(manifest["config_digest"])
+    assert len(digests) == 1 + len(changed)
+
+
 # Expected fold rows of report.csv, in report.csv's own format. A change
 # that moves one must say why in CHANGES.md. Only fold rows are pinned: the
 # other sections are computed from them.
@@ -597,12 +625,13 @@ _LATE = {"name": "late", "model": "majority", "features": {"kind": "bow"}}
         ("run", dict(_LATE, model={"kind": "logistic_regression", "l2": float("nan")}),
          "l2 must be finite and nonnegative, got nan"),
         ("train", ["--smote-k", "0"], "k_neighbors must be at least 1, got 0"),
+        ("train", ["--no-smote", "--smote-k", "0"], "k_neighbors must be at least 1, got 0"),
         ("train", ["--smote-ratio", "2.0"], "target_ratio must be in (0, 1], got 2.0"),
         ("train", ["--vocab-size", "0"], "vocab_size must be a positive integer, got 0"),
         ("train", ["--model", "logistic_regression", "--l2", "nan"], "l2 must be finite and nonnegative, got nan"),
     ],
     ids=["run-k", "run-ratio", "run-folds", "run-vocab", "run-flavor", "run-l2",
-         "train-k", "train-ratio", "train-vocab", "train-l2"],
+         "train-k", "train-no-smote-k", "train-ratio", "train-vocab", "train-l2"],
 )
 def test_bad_values_fail_before_the_corpus_is_read(bundle, tmp_path, monkeypatch, capsys, command, change, message):
     # Every value is checked as the config or the flags are parsed, so a
@@ -647,6 +676,18 @@ def test_config_rejects_the_options_of_another_model_kind(tmp_path, model, messa
     with pytest.raises(ConfigError) as err:
         parse_experiment_config(data, path)
     assert str(err.value) == f"{path}: system 0: {message}"
+
+
+def test_train_flag_defaults_are_the_dataclass_defaults():
+    args = build_parser().parse_args(
+        ["train", "--corpus", "c", "--facet", "Anxiety", "--model", "majority", "--seed", "1", "--out", "m"]
+    )
+    smote, lr = ResampleConfig(), LRHyperparams()
+    assert (args.smote_k, args.smote_ratio) == (smote.k_neighbors, smote.target_ratio)
+    assert (args.l2, args.max_epochs, args.tol) == (lr.l2, lr.max_epochs, lr.tol)
+    assert args.alpha == ModelSpec(kind="majority").alpha
+    assert args.flavor == EmbeddingSpec(path="v").flavor
+    assert args.vocab_size == BowSpec().vocab_size
 
 
 def test_train_then_predict_round_trip(bundle, tmp_path, capsys):
@@ -708,6 +749,60 @@ def test_predict_rejects_a_tampered_embedding_file(bundle, tmp_path, capsys):
     err = capsys.readouterr().err
     assert rc == 1
     assert "changed since training" in err
+
+
+def test_predict_reads_no_inventories(bundle, tmp_path, capsys):
+    # Text without an inventory, as a model trained elsewhere meets it.
+    full = bundle / "corpus.jsonl"
+    rows = [json.loads(line) for line in full.read_text(encoding="utf-8").splitlines()]
+    text = tmp_path / "text.jsonl"
+    text.write_text("".join(json.dumps({k: v for k, v in r.items() if k != "bfi44"}) + "\n" for r in rows),
+                    encoding="utf-8")
+    model = tmp_path / "m.json"
+    assert main(["train", "--corpus", str(full), "--facet", "Anxiety", "--model", "naive_bayes", "--seed", "3",
+                 "--out", str(model)]) == 0
+    for corpus in (full, text):
+        assert main(["predict", "--model", str(model), "--corpus", str(corpus),
+                     "--out", str(tmp_path / f"{corpus.stem}.csv")]) == 0
+    assert (tmp_path / "corpus.csv").read_bytes() == (tmp_path / "text.csv").read_bytes()
+    # Every other command that reads a corpus scores its inventories.
+    train_args = ["--facet", "Anxiety", "--model", "majority", "--seed", "1", "--out", str(model)]
+    for argv in (["validate"], ["score"], ["train", *train_args],
+                 ["run", "--config", str(bundle / "config.yaml"), "--out", str(tmp_path / "r")]):
+        capsys.readouterr()
+        assert main([*argv, "--corpus", str(text)]) == 1
+        assert capsys.readouterr().err == f"facetrec: ValidationError: {text}:1: missing field 'bfi44'\n"
+
+
+def test_predict_normalizes_by_the_table_of_training(bundle, tmp_path, capsys):
+    # Four-letter words become a placeholder that the built-in table never
+    # makes, so the model's vocabulary holds it, and only the model file can
+    # tell predict to make it again.
+    table = tmp_path / "four.yaml"
+    table.write_text(yaml.safe_dump({"rules": [{"pattern": r"\b[a-z]{4}\b", "token": "$FOUR$"}]}), encoding="utf-8")
+    corpus, model_path = bundle / "corpus.jsonl", tmp_path / "m.json"
+    assert main(["train", "--corpus", str(corpus), "--normalization", str(table), "--facet", "Anxiety",
+                 "--model", "naive_bayes", "--seed", "3", "--out", str(model_path)]) == 0
+    model = load_model(model_path)
+    assert model.feature_ref["normalization"] == yaml.safe_load(table.read_text(encoding="utf-8"))
+    vocab = Vocabulary(entries=tuple(map(tuple, model.feature_ref["vocab"])))
+    assert "$FOUR$" in vocab.index
+    records = load_corpus(corpus)
+
+    def expected(norm):
+        docs = build_documents(records, norm)
+        labels, scores = predict(model, bow_matrix([tokens for _, tokens in docs], vocab))
+        return "author_id,Anxiety,score\n" + "".join(
+            f"{aid},{label},{score!r}\n" for (aid, _), label, score in zip(docs, labels, scores.tolist())
+        )
+
+    capsys.readouterr()
+    assert main(["predict", "--model", str(model_path), "--corpus", str(corpus)]) == 0
+    out = capsys.readouterr().out
+    assert out == expected(load_normalization_table(table)) != expected(default_normalization_table())
+    # The table is the model's: predict takes no other.
+    with pytest.raises(SystemExit):
+        main(["predict", "--model", str(model_path), "--corpus", str(corpus), "--normalization", str(table)])
 
 
 def test_train_refuses_a_degenerate_facet(tmp_path, capsys):
@@ -870,8 +965,13 @@ def test_predict_names_a_missing_feature_reference_field(bundle, tmp_path, capsy
         ({"kind": "embeddings", "path": 5, "flavor": "skip"},
          "model file's embeddings feature reference has a malformed 'path': 5"),
         ({"kind": "sparse"}, "unknown feature kind 'sparse' in model file"),
+        ({"kind": "bow", "vocab": [["a", 1]]},
+         "model file's normalization table: expected a mapping with a 'rules' list"),
+        ({"kind": "bow", "vocab": [["a", 1]], "normalization": {"rules": [{"pattern": "a*", "token": "x"}]}},
+         "model file's normalization table: rule 0: pattern 'a*' can match the empty string"),
     ],
-    ids=["not-a-mapping", "vocab-not-a-list", "count-not-a-number", "path-not-a-string", "unknown-kind"],
+    ids=["not-a-mapping", "vocab-not-a-list", "count-not-a-number", "path-not-a-string", "unknown-kind",
+         "no-table", "empty-matching-rule"],
 )
 def test_predict_rejects_a_malformed_feature_reference(bundle, tmp_path, capsys, ref, message):
     # A model file is outside input: a path of 5 must not open file

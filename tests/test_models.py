@@ -369,7 +369,7 @@ def test_save_model_writes_stable_json(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
     payload = json.loads(p1.read_text())
     assert payload["format"] == "facetrec-model"
-    assert payload["version"] == 2
+    assert payload["version"] == 3
 
 
 def test_load_model_error_matrix(tmp_path):
@@ -385,11 +385,14 @@ def test_load_model_error_matrix(tmp_path):
     path.write_text(json.dumps({"format": "facetrec-model", "version": 9, "kind": "majority"}))
     with pytest.raises(ConfigError, match="version"):
         load_model(path)
-    # Version 1 files hold a gradient-descent learning rate; none loads.
-    path.write_text(json.dumps({"format": "facetrec-model", "version": 1, "kind": "majority", "params": {"label": 0}}))
-    with pytest.raises(ConfigError, match="unsupported model version 1"):
-        load_model(path)
-    path.write_text(json.dumps({"format": "facetrec-model", "version": 2, "kind": "majority"}))
+    # Version 1 files hold a gradient-descent learning rate, and version 2
+    # files lack the normalization table; neither loads.
+    for version in (1, 2):
+        path.write_text(json.dumps({"format": "facetrec-model", "version": version, "kind": "majority",
+                                    "params": {"label": 0}}))
+        with pytest.raises(ConfigError, match=f"unsupported model version {version}"):
+            load_model(path)
+    path.write_text(json.dumps({"format": "facetrec-model", "version": 3, "kind": "majority"}))
     with pytest.raises(ConfigError, match="malformed"):
         load_model(path)
 
