@@ -16,7 +16,7 @@ import json
 import logging
 import re
 import sys
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import MISSING, asdict, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -29,7 +29,7 @@ from .corpus import (
     load_corpus,
     load_normalization_table,
 )
-from .errors import ConfigError, FacetrecError, ValidationError
+from .errors import ConfigError, FacetrecError, ValidationError, config_fields, read_config
 from .eval import (
     DEFAULT_FOLDS,
     EvaluationReport,
@@ -40,7 +40,7 @@ from .eval import (
     render_report,
     run_experiment,
 )
-from .features import EMBEDDING_FLAVORS, BowSpec, EmbeddingSpec, featurize, model_ref, realize_features
+from .features import EMBEDDING_FLAVORS, FEATURE_SPECS, BowSpec, EmbeddingSpec, featurize, model_ref, realize_features
 from .inventory import FACET_NAMES, default_scoring_key, load_scoring_key, score_inventories
 from .models import (
     MODEL_KINDS,
@@ -85,36 +85,6 @@ class ExperimentConfig:
             raise ConfigError(f"folds must be an integer of at least 2, got {self.folds!r}")
 
 
-def _require_number(value, name: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        try:  # a number that YAML read as a string, such as a bare 1e-8
-            float(value if isinstance(value, str) else "")
-        except ValueError:
-            raise ConfigError(f"{name} must be a number, got {value!r}") from None
-        raise ConfigError(f"{name} must be a number, got {value!r}, a string to YAML: write 1.0e-8, not 1e-8")
-    return float(value)
-
-
-def _defaults(cls, *fixed) -> dict:
-    """Each field of the dataclass ``cls`` outside ``fixed``, with the
-    default it declares (``MISSING`` for none)."""
-    return {f.name: f.default for f in fields(cls) if f.name not in fixed}
-
-
-def _options(raw: dict, defaults: dict, what: str, owner: str, prefix: str = "") -> dict:
-    """The values the config mapping ``raw`` sets, read against a section's
-    ``defaults`` (``_defaults`` of the dataclass that holds it): a key
-    outside them is an unknown ``what``, which ``owner`` does not take, and
-    a value whose default is a float must be a number (named ``prefix`` and
-    its key), read as a float. A key left out takes its default when the
-    dataclass is built, which checks every value."""
-    unknown = set(raw) - set(defaults)
-    if unknown:
-        takes = ", ".join(defaults) or "none"
-        raise ConfigError(f"unknown {what}: {', '.join(sorted(unknown))}; {owner} takes {takes}")
-    return {k: _require_number(v, prefix + k) if isinstance(defaults[k], float) else v for k, v in raw.items()}
-
-
 def _parse_model(raw) -> ModelSpec:
     if isinstance(raw, str):
         return ModelSpec(kind=raw)
@@ -122,32 +92,21 @@ def _parse_model(raw) -> ModelSpec:
         raise ConfigError(f"model must be a kind name or a mapping with 'kind', got {raw!r}")
     spec = ModelSpec(kind=raw["kind"])
     options = {k: v for k, v in raw.items() if k != "kind"}
-    return spec.with_options(**_options(options, spec.options(), "model options", spec.kind))
+    return spec.with_options(**read_config(options, spec.options(), "model options", spec.kind))
 
 
 def _parse_features(raw, base_dir: Path):
-    if not isinstance(raw, dict) or "kind" not in raw:
-        raise ConfigError(f"features must be a mapping with 'kind', got {raw!r}")
-    kind = raw["kind"]
+    kind = raw.get("kind") if isinstance(raw, dict) else None
+    if kind not in FEATURE_SPECS:
+        raise ConfigError(f"features must be a mapping whose 'kind' is 'bow' or 'embeddings', got {raw!r}")
+    cls = FEATURE_SPECS[kind]
     options = {k: v for k, v in raw.items() if k != "kind"}
-    if kind == "bow":
-        return BowSpec(**_options(options, _defaults(BowSpec), "bow options", "bow"))
-    if kind == "embeddings":
-        options = _options(options, _defaults(EmbeddingSpec), "embeddings options", "embeddings")
-        if "path" not in options:
-            raise ConfigError("embeddings features need a 'path'")
-        return EmbeddingSpec(**dict(options, path=str(base_dir / str(options["path"]))))
-    raise ConfigError(f"feature kind must be 'bow' or 'embeddings', got {kind!r}")
+    spec = cls(**read_config(options, config_fields(cls), f"{kind} options", kind))
+    return replace(spec, path=str(base_dir / spec.path)) if kind == "embeddings" else spec
 
 
 def _parse_system(raw, base_dir: Path, names) -> SystemConfig:
-    if not isinstance(raw, dict):
-        raise ConfigError("expected a mapping")
-    unknown = set(raw) - {"name", "model", "features"}
-    if unknown:
-        raise ConfigError(f"unknown keys: {', '.join(sorted(unknown))}")
-    if "model" not in raw or "features" not in raw:
-        raise ConfigError("needs 'model' and 'features'")
+    raw = read_config(raw, {"name": None, "model": MISSING, "features": MISSING}, "system keys", "a system")
     model_spec = _parse_model(raw["model"])
     name = str(raw.get("name") or model_spec.kind)
     if not _NAME_RE.fullmatch(name):
@@ -170,15 +129,10 @@ def parse_experiment_config(data: dict, path: Path, flags: dict | None = None) -
     that holds it, so that a bad one fails before a run reads its corpus.
     An error inside a system names the file and the system's index.
     """
-    if not isinstance(data, dict):
-        raise ConfigError("config must be a mapping")
-    data = _options(data, {**_defaults(ExperimentConfig), "jobs": 1}, "config keys", "a config")
+    # Every key may be left out here: a flag may set it.
+    data = read_config(data, dict.fromkeys([*config_fields(ExperimentConfig), "jobs"]), "config keys", "a config")
     base_dir = Path(path).parent
-    cfg = {
-        k: str(base_dir / str(v)) if k in _PATH_KEYS else v
-        for k, v in data.items()
-        if v is not None
-    }
+    cfg = {k: str(base_dir / str(v)) if k in _PATH_KEYS else v for k, v in data.items() if v is not None}
     cfg.update((k, v) for k, v in (flags or {}).items() if v is not None)
 
     if "corpus" not in cfg:
@@ -195,12 +149,11 @@ def parse_experiment_config(data: dict, path: Path, flags: dict | None = None) -
         raise ConfigError(f"jobs must be 1 if set, got {jobs!r}: runs are single-process")
 
     section = cfg.get("smote") or {}
-    if not isinstance(section, dict):
-        raise ConfigError("smote config must be a mapping")
     flagged = {"k_neighbors": cfg.get("smote_k"), "target_ratio": cfg.get("smote_ratio")}
-    section = {**section, **{k: v for k, v in flagged.items() if v is not None}}
+    if isinstance(section, dict):  # else read_config rejects it
+        section = {**section, **{k: v for k, v in flagged.items() if v is not None}}
     # the seed is the run's, not a key of the section
-    options = _options(section, _defaults(ResampleConfig, "seed"), "smote options", "smote", "smote.")
+    options = read_config(section, config_fields(ResampleConfig, "seed"), "smote options", "smote", "smote.")
     smote = ResampleConfig(**options, seed=cfg["seed"])
 
     raw_systems = cfg.get("systems")
@@ -448,7 +401,11 @@ def cmd_train(args) -> int:
 
 def cmd_predict(args) -> int:
     model = load_model(args.model)
-    authors, X = featurize(model.feature_ref, load_corpus(args.corpus, inventories=False))
+    records = load_corpus(args.corpus, inventories=False)
+    try:
+        authors, X = featurize(model.feature_ref, records)
+    except ConfigError as e:  # the reference, or a file it names, is at fault
+        raise ConfigError(f"{args.model}: {e}") from e
     labels, scores = predict(model, X)
     rows = [["author_id", model.feature_ref.get("facet", "label"), "score"]]
     for aid, lab, sc in zip(authors, labels, scores):

@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import yamlio
-from .errors import ConfigError, ValidationError
+from .errors import ConfigError, ValidationError, config_fields, read_config
 from .inventory import FACET_NAMES, N_ITEMS, FacetScores, InventoryResponse
 
 log = logging.getLogger(__name__)
@@ -59,6 +59,8 @@ class NormRule:
     regex: re.Pattern = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if not isinstance(self.pattern, str) or not isinstance(self.token, str):
+            raise ConfigError(f"pattern and token must be strings, got {self.pattern!r} and {self.token!r}")
         try:
             compiled = re.compile(self.pattern, _RULE_FLAGS)
         except (re.error, ValueError, OverflowError) as e:
@@ -421,19 +423,17 @@ def load_corpus(path, inventories: bool = True) -> list[AuthorRecord]:
 
 
 def _table_from_mapping(data, origin: str) -> NormalizationTable:
-    if not isinstance(data, dict) or "rules" not in data:
-        raise ConfigError(f"{origin}: expected a mapping with a 'rules' list")
-    raw = data["rules"]
-    if not isinstance(raw, list):
-        raise ConfigError(f"{origin}: 'rules' must be a list")
-    rules = []
-    for i, entry in enumerate(raw):
-        if not isinstance(entry, dict) or "pattern" not in entry or "token" not in entry:
-            raise ConfigError(f"{origin}: rule {i}: expected fields 'pattern' and 'token'")
-        try:
-            rules.append(NormRule(pattern=str(entry["pattern"]), token=str(entry["token"])))
-        except ConfigError as e:
-            raise ConfigError(f"{origin}: rule {i}: {e}") from e
+    # The table of a parsed mapping; an error names ``origin`` and the rule.
+    where, rules = origin, []
+    try:
+        raw = read_config(data, config_fields(NormalizationTable, required=True), "table keys", "the table")["rules"]
+        if not isinstance(raw, list):
+            raise ConfigError(f"rules must be a list, got {raw!r}")
+        for i, entry in enumerate(raw):
+            where = f"{origin}: rule {i}"
+            rules.append(NormRule(**read_config(entry, config_fields(NormRule), "rule keys", "a rule")))
+    except ConfigError as e:
+        raise ConfigError(f"{where}: {e}") from e
     return NormalizationTable(rules=tuple(rules))
 
 

@@ -22,7 +22,7 @@ from functools import partial
 import numpy as np
 
 from . import kernels
-from .errors import ConfigError, FacetrecError, ValidationError
+from .errors import ConfigError, FacetrecError, ValidationError, is_int
 from .inventory import FACET_NAMES
 from .models import ModelSpec, fit_cells, predict
 from .resample import ResampleConfig, _as_labels, plan_cell, smote_neighbours
@@ -48,7 +48,7 @@ def make_folds(labels: dict[str, np.ndarray], n_folds: int = DEFAULT_FOLDS, seed
     over the folds first, negatives continue the same counter. Fold sizes
     therefore differ by at most one, and so do per-fold class counts.
     """
-    if not isinstance(n_folds, int) or isinstance(n_folds, bool) or n_folds < 2:
+    if not is_int(n_folds) or n_folds < 2:
         raise ConfigError(f"n_folds must be an integer of at least 2, got {n_folds!r}")
     check_seed(seed)
     if not labels:

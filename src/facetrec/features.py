@@ -13,13 +13,14 @@ import array
 import hashlib
 import logging
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import MISSING, asdict, dataclass, field
 from itertools import chain
 
 import numpy as np
 
 from .corpus import _table_from_mapping, build_documents
-from .errors import ConfigError, ValidationError
+from .errors import ConfigError, ValidationError, config_fields, is_int, read_config
+from .inventory import FACET_NAMES
 
 log = logging.getLogger(__name__)
 
@@ -35,12 +36,17 @@ class Vocabulary:
     index: dict[str, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "entries", tuple((t, int(f)) for t, f in self.entries))
+        if not isinstance(self.entries, (list, tuple)):
+            raise ValidationError(f"vocabulary must be a list of [token, count] pairs, got {self.entries!r}")
         idx = {}
-        for i, (token, _) in enumerate(self.entries):
-            if token in idx:
-                raise ValidationError(f"duplicate vocabulary token {token!r}")
-            idx[token] = i
+        for i, entry in enumerate(self.entries):
+            if not (isinstance(entry, (list, tuple)) and len(entry) == 2 and isinstance(entry[0], str)
+                    and is_int(entry[1])):
+                raise ValidationError(f"vocabulary entry {entry!r} is not a [token, count] pair")
+            if entry[0] in idx:
+                raise ValidationError(f"duplicate vocabulary token {entry[0]!r}")
+            idx[entry[0]] = i
+        object.__setattr__(self, "entries", tuple(map(tuple, self.entries)))
         object.__setattr__(self, "index", idx)
 
     def __len__(self) -> int:
@@ -147,7 +153,7 @@ def load_embeddings(path, expected_flavor: str = "skip") -> EmbeddingStore:
     token and its components per line. The dimension is inferred from the
     first vector and enforced on every later line.
     """
-    EmbeddingSpec(path, expected_flavor)  # checks the flavor
+    EmbeddingSpec(str(path), expected_flavor)  # checks the flavor
     try:
         with open(path, "rb") as fh:
             raw = fh.read()
@@ -255,9 +261,8 @@ class BowSpec:
     binary: bool = False
 
     def __post_init__(self):
-        size = self.vocab_size
-        if not isinstance(size, int) or isinstance(size, bool) or size < 1:
-            raise ConfigError(f"vocab_size must be a positive integer, got {size!r}")
+        if not is_int(self.vocab_size) or self.vocab_size < 1:
+            raise ConfigError(f"vocab_size must be a positive integer, got {self.vocab_size!r}")
         if not isinstance(self.binary, bool):
             raise ConfigError(f"binary must be true or false, got {self.binary!r}")
 
@@ -270,8 +275,15 @@ class EmbeddingSpec:
     flavor: str = "skip"
 
     def __post_init__(self):
+        if not isinstance(self.path, str):
+            raise ConfigError(f"path must be a string, got {self.path!r}")
         if self.flavor not in EMBEDDING_FLAVORS:
             raise ConfigError(f"embedding flavor must be one of {', '.join(EMBEDDING_FLAVORS)}, got {self.flavor!r}")
+
+
+FEATURE_SPECS = {"bow": BowSpec, "embeddings": EmbeddingSpec}  # by the kind a config or a model file names
+# The keys that realize_features and model_ref add to a spec's fields
+_REF_KEYS = {"bow": ("actual_size", "vocab_sha256", "vocab"), "embeddings": ("dim", "file_sha256")}
 
 
 def realize_features(spec, corpus):
@@ -312,32 +324,38 @@ def model_ref(ref: dict, space, table) -> dict:
 def featurize(ref, records) -> tuple[list[str], np.ndarray]:
     """(author ids, rows) of the documents of corpus records in the feature
     space that a model file's feature reference (``model_ref``) names, their
-    posts normalized by its table. The reference is read from a file, so
-    each field it needs is checked: a malformed one, or an embedding file
-    that changed since training, is a ConfigError."""
+    posts normalized by its table. The reference must hold each key that
+    ``model_ref`` writes and no other but ``train``'s ``facet``; its types
+    build and check its spec, vocabulary and table, and its checksums must
+    match. A malformed field, or an embedding file that changed since
+    training, is a ConfigError."""
     if not ref:
         raise ConfigError("model file lacks a feature reference; cannot vectorize input")
     if not isinstance(ref, dict) or "kind" not in ref:
         raise ConfigError(f"model file's feature reference is not a mapping with 'kind': {ref!r}")
     kind = ref["kind"]
-    if kind not in ("bow", "embeddings"):
+    if kind not in FEATURE_SPECS:
         raise ConfigError(f"unknown feature kind {kind!r} in model file")
-    for key in ("vocab",) if kind == "bow" else ("path", "flavor"):
-        if key not in ref:
-            raise ConfigError(f"model file's {kind} feature reference lacks {key!r}")
+    cls, where = FEATURE_SPECS[kind], f"model file's {kind} feature reference"
+    keys = dict.fromkeys(["kind", *config_fields(cls), *_REF_KEYS[kind], "normalization"], MISSING)
+    ref = read_config(ref, {**keys, "facet": None}, f"{kind} feature reference keys", where)
+    if "facet" in ref and ref["facet"] not in FACET_NAMES:  # predict's CSV header
+        raise ConfigError(f"{where}: unknown facet {ref['facet']!r}")
+    try:
+        spec = cls(**{k: ref[k] for k in config_fields(cls)})
+        vocab = Vocabulary(entries=ref["vocab"]) if kind == "bow" else None
+    except (ConfigError, ValidationError) as e:
+        raise ConfigError(f"{where}: {e}") from e
+    table = _table_from_mapping(ref["normalization"], "model file's normalization table")
     if kind == "bow":
-        try:
-            vocab = Vocabulary(entries=tuple((str(t), int(f)) for t, f in ref["vocab"]))
-        except (TypeError, ValueError):
-            raise ConfigError("model file's bow feature reference has a malformed 'vocab'") from None
+        if (vocab.fingerprint(), len(vocab)) != (ref["vocab_sha256"], ref["actual_size"]):
+            raise ConfigError(f"{where}: vocab does not match vocab_sha256 and actual_size")
     else:
-        if not isinstance(ref["path"], str):
-            raise ConfigError(f"model file's embeddings feature reference has a malformed 'path': {ref['path']!r}")
-        store = load_embeddings(ref["path"], ref["flavor"])
-        if store.fingerprint != ref.get("file_sha256"):
-            raise ConfigError(f"embedding file {ref['path']} changed since training (checksum mismatch)")
-    docs = build_documents(records, _table_from_mapping(ref.get("normalization"), "model file's normalization table"))
+        store = load_embeddings(spec.path, spec.flavor)
+        if (store.fingerprint, store.dim) != (ref["file_sha256"], ref["dim"]):
+            raise ConfigError(f"{where}: embedding file {spec.path} changed since training (file_sha256 or dim)")
+    docs = build_documents(records, table)
     authors, tokens = [aid for aid, _ in docs], [tokens for _, tokens in docs]
     if kind == "bow":
-        return authors, bow_matrix(tokens, vocab, binary=bool(ref.get("binary", False)))
+        return authors, bow_matrix(tokens, vocab, spec.binary)
     return authors, embedding_matrix(tokens, store)

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import yamlio
-from .errors import ConfigError, ValidationError
+from .errors import ConfigError, ValidationError, config_fields, is_int, read_config
 
 N_ITEMS = 44
 
@@ -51,7 +51,7 @@ def _validate_entry(owner: str, entry: tuple[Item, ...]) -> None:
         raise ConfigError(f"{owner}: empty item list")
     seen = set()
     for idx, rev in entry:
-        if not isinstance(idx, int) or isinstance(idx, bool):
+        if not is_int(idx):
             raise ConfigError(f"{owner}: item index {idx!r} is not an integer")
         if not 0 <= idx < N_ITEMS:
             raise ConfigError(f"{owner}: item {idx + 1} out of range 1..{N_ITEMS}")
@@ -79,7 +79,7 @@ class ScoringKey:
 
     def __post_init__(self):
         for name, val in (("scale_min", self.scale_min), ("scale_max", self.scale_max)):
-            if not isinstance(val, int) or isinstance(val, bool):
+            if not is_int(val):
                 raise ConfigError(f"{name} must be an integer, got {val!r}")
         if self.scale_min >= self.scale_max:
             raise ConfigError(
@@ -92,12 +92,9 @@ class ScoringKey:
                 raise ConfigError(f"domain name {dom!r} is not a non-empty string")
         if set(self.facets) != set(FACET_NAMES):
             missing = sorted(set(FACET_NAMES) - set(self.facets))
-            extra = sorted(set(self.facets) - set(FACET_NAMES))
-            parts = []
-            if missing:
-                parts.append("missing facets: " + ", ".join(missing))
-            if extra:
-                parts.append("unknown facets: " + ", ".join(extra))
+            extra = sorted(map(str, set(self.facets) - set(FACET_NAMES)))
+            parts = [f"{what} facets: {', '.join(names)}" for what, names in (("missing", missing), ("unknown", extra))
+                     if names]
             raise ConfigError("; ".join(parts))
         for dom, entry in self.domains.items():
             _validate_entry(f"domain {dom}", entry)
@@ -145,7 +142,7 @@ class InventoryResponse:
         if set(map(type, self.items)) <= {int}:  # the common case, checked at C speed
             return
         for pos, val in enumerate(self.items, start=1):
-            if not isinstance(val, int) or isinstance(val, bool):
+            if not is_int(val):
                 raise ValidationError(f"item {pos}: response {val!r} is not an integer")
 
 
@@ -200,47 +197,23 @@ def score_inventories(responses, key: ScoringKey, authors=None) -> list[FacetSco
     ]
 
 
-def _parse_signed_items(owner: str, raw) -> tuple[Item, ...]:
-    # File format: signed 1-based indices, negative sign = reversed item.
-    if not isinstance(raw, list):
-        raise ConfigError(f"{owner}: expected a list of signed item numbers")
-    items = []
-    for v in raw:
-        if not isinstance(v, int) or isinstance(v, bool):
-            raise ConfigError(f"{owner}: item number {v!r} is not an integer")
-        if v == 0:
-            raise ConfigError(f"{owner}: item number 0 is invalid (numbering is 1-based)")
-        items.append((abs(v) - 1, v < 0))
-    return tuple(items)
+def _parse_signed_items(kind: str, raw) -> dict[str, tuple[Item, ...]]:
+    # File format: each name's list of signed 1-based item numbers, a
+    # negative number marking a reversed item.
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{kind}s must be a mapping, got {raw!r}")
+    for name, entry in raw.items():
+        bad = [v for v in entry if not is_int(v) or v == 0] if isinstance(entry, list) else [entry]
+        if bad:
+            raise ConfigError(f"{kind} {name}: {bad[0]!r} is not a signed item number (numbering is 1-based)")
+    return {name: tuple((abs(v) - 1, v < 0) for v in entry) for name, entry in raw.items()}
 
 
 def _key_from_mapping(data) -> ScoringKey:
     # The key of a parsed YAML mapping; load_scoring_key names the file in an error.
-    if not isinstance(data, dict):
-        raise ConfigError("expected a mapping at top level")
-    for field_name in ("scale_min", "scale_max", "domains", "facets"):
-        if field_name not in data:
-            raise ConfigError(f"missing field {field_name!r}")
-    domains_raw = data["domains"]
-    facets_raw = data["facets"]
-    if not isinstance(domains_raw, dict):
-        raise ConfigError("domains must be a mapping")
-    if not isinstance(facets_raw, dict):
-        raise ConfigError("facets must be a mapping")
-    domains = {
-        str(dom): _parse_signed_items(f"domain {dom}", entry)
-        for dom, entry in domains_raw.items()
-    }
-    facets = {
-        str(fac): _parse_signed_items(f"facet {fac}", entry)
-        for fac, entry in facets_raw.items()
-    }
-    return ScoringKey(
-        scale_min=data["scale_min"],
-        scale_max=data["scale_max"],
-        domains=domains,
-        facets=facets,
-    )
+    data = read_config(data, config_fields(ScoringKey), "scoring key fields", "a scoring key")
+    return ScoringKey(**{**data, "domains": _parse_signed_items("domain", data["domains"]),
+                         "facets": _parse_signed_items("facet", data["facets"])})
 
 
 def load_scoring_key(path) -> ScoringKey:

@@ -20,15 +20,13 @@ from __future__ import annotations
 import json
 import logging
 import math
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import MISSING, asdict, dataclass, field, replace
 
 import numpy as np
 
 from . import kernels
-from .errors import ConfigError, TrainingError, ValidationError
+from .errors import ConfigError, TrainingError, ValidationError, config_fields, is_int, is_number, read_config
 from .resample import _as_labels, _as_rows, plan_cell
-
-MODEL_KINDS = ("majority", "naive_bayes", "logistic_regression")
 
 _MODEL_FORMAT = "facetrec-model"
 _MODEL_VERSION = 3
@@ -41,7 +39,7 @@ class MajorityParams:
     label: int  # most frequent training label; exact tie stores negative
 
     def __post_init__(self):
-        if self.label not in (0, 1):
+        if not is_int(self.label) or self.label not in (0, 1):
             raise ValidationError(f"majority label must be 0 or 1, got {self.label!r}")
 
 
@@ -54,6 +52,15 @@ class NaiveBayesParams:
     log_likelihoods: np.ndarray  # shape (2, n_features)
 
     def __post_init__(self):
+        if not (is_number(self.alpha) and 0 < self.alpha < math.inf):
+            raise ValidationError(f"alpha must be finite and positive, got {self.alpha!r}")
+        # The fractions of rows in each of two classes, both present: each
+        # prior is one minus the other, to a relative 1e-6, which a fit of
+        # fewer than 1e9 rows meets.
+        lp = np.asarray(self.log_priors)
+        p = np.exp(np.minimum(lp, 0.0))
+        if not (np.all((-math.inf < lp) & (lp < 0)) and np.all(np.abs(1 - p[::-1] - p) <= 1e-6 * p)):
+            raise ValidationError(f"log_priors must be the logs of two class fractions, got {lp.tolist()}")
         totals = np.exp(self.log_likelihoods).sum(axis=1)
         if np.any(np.abs(totals - 1.0) > 1e-9):
             raise ValidationError(
@@ -68,12 +75,12 @@ class LRHyperparams:
     tol: float = 1e-5
 
     def __post_init__(self):
-        if not 0 <= self.l2 < math.inf:
-            raise ConfigError(f"l2 must be finite and nonnegative, got {self.l2}")
-        if not isinstance(self.max_epochs, int) or isinstance(self.max_epochs, bool) or self.max_epochs < 1:
+        for name in ("l2", "tol"):
+            value = getattr(self, name)
+            if not (is_number(value) and 0 <= value < math.inf):
+                raise ConfigError(f"{name} must be finite and nonnegative, got {value!r}")
+        if not is_int(self.max_epochs) or self.max_epochs < 1:
             raise ConfigError(f"max_epochs must be a positive integer, got {self.max_epochs!r}")
-        if not 0 <= self.tol < math.inf:
-            raise ConfigError(f"tol must be finite and nonnegative, got {self.tol}")
 
 
 @dataclass(frozen=True)
@@ -83,6 +90,18 @@ class LogisticRegressionParams:
     hyper: LRHyperparams
     loss_history: tuple[float, ...]  # objective at every visited parameter state
     converged: bool  # stopped by the gradient tolerance
+
+    def __post_init__(self):
+        if not np.all(np.isfinite(self.weights)):
+            raise ValidationError("weights must be finite")
+        if not (is_number(self.bias) and math.isfinite(self.bias)):
+            raise ValidationError(f"bias must be a finite number, got {self.bias!r}")
+        history = self.loss_history
+        if not (isinstance(history, (list, tuple)) and all(map(is_number, history))):
+            raise ValidationError(f"loss_history must be a list of numbers, got {history!r}")
+        object.__setattr__(self, "loss_history", tuple(history))
+        if not isinstance(self.converged, bool):
+            raise ValidationError(f"converged must be true or false, got {self.converged!r}")
 
 
 @dataclass(frozen=True)
@@ -98,8 +117,8 @@ class ModelSpec:
             raise ConfigError(
                 f"model kind must be one of {', '.join(MODEL_KINDS)}, got {self.kind!r}"
             )
-        if not 0 < self.alpha < math.inf:
-            raise ConfigError(f"alpha must be finite and positive, got {self.alpha}")
+        if not (is_number(self.alpha) and 0 < self.alpha < math.inf):
+            raise ConfigError(f"alpha must be finite and positive, got {self.alpha!r}")
 
     def options(self) -> dict:
         """This kind's options, which a config may set and a manifest records."""
@@ -114,6 +133,10 @@ class ModelSpec:
         if self.kind == "logistic_regression":
             return replace(self, lr=replace(self.lr, **options))
         return replace(self, **options)
+
+
+_PARAMS = {"majority": MajorityParams, "naive_bayes": NaiveBayesParams, "logistic_regression": LogisticRegressionParams}
+MODEL_KINDS = tuple(_PARAMS)
 
 
 @dataclass(frozen=True)
@@ -316,16 +339,18 @@ def save_model(model: TrainedModel, path) -> None:
 
 
 def _array(raw, key, shape):
-    # A model file's float array ``raw[key]``, which must have ``shape``.
-    a = np.array(raw[key], dtype=np.float64)
-    if a.shape != shape:
-        raise ValueError(f"{key} has shape {a.shape}, feature_dim needs {shape}")
-    return a
+    # A model file's array of numbers ``raw[key]``, which must have ``shape``.
+    a = np.array(raw[key], dtype=object)
+    if a.shape != shape or not all(map(is_number, a.flat)):
+        raise ValueError(f"{key} has shape {a.shape}, feature_dim needs {shape}, of numbers (not bools or strings)")
+    return a.astype(np.float64)
 
 
 def load_model(path) -> TrainedModel:
-    """Read a model written by save_model. feature_dim must be an integer
-    (or null for majority) that the parameters' shapes agree with."""
+    """Read a model written by save_model. Its top level, its params and LR's
+    hyperparameters must each hold every field of their dataclass, which
+    checks them, and no other; the shapes of the params must agree with
+    feature_dim. ``features.featurize`` reads the feature reference."""
     try:
         with open(path, encoding="utf-8") as fh:
             payload = json.load(fh)
@@ -337,40 +362,22 @@ def load_model(path) -> TrainedModel:
         raise ConfigError(f"{path}: not a model file")
     if payload.get("version") != _MODEL_VERSION:
         raise ConfigError(f"{path}: unsupported model version {payload.get('version')!r}")
-    kind = payload.get("kind")
-    raw = payload.get("params")
-    if kind not in MODEL_KINDS or not isinstance(raw, dict):
-        raise ConfigError(f"{path}: malformed model file")
-    dim = payload.get("feature_dim")
     try:
-        if (type(dim) is not int or dim < 0) and not (dim is None and kind == "majority"):
+        keys = {"format": MISSING, "version": MISSING, **config_fields(TrainedModel, required=True)}
+        payload = read_config(payload, keys, "model file keys", "a model file")
+        kind, dim = payload["kind"], payload["feature_dim"]
+        cls = _PARAMS.get(kind)
+        if cls is None:
+            raise ValueError(f"unknown model kind {kind!r}")
+        if (not is_int(dim) or dim < 0) and not (dim is None and kind == "majority"):
             raise ValueError(f"feature_dim must be a nonnegative integer, got {dim!r}")
-        if kind == "majority":
-            params = MajorityParams(label=raw["label"])
-        elif kind == "naive_bayes":
-            params = NaiveBayesParams(
-                alpha=float(raw["alpha"]),
-                log_priors=_array(raw, "log_priors", (2,)),
-                log_likelihoods=_array(raw, "log_likelihoods", (2, dim)),
-            )
-        else:
-            h = raw["hyper"]
-            params = LogisticRegressionParams(
-                weights=_array(raw, "weights", (dim,)),
-                bias=float(raw["bias"]),
-                hyper=LRHyperparams(
-                    l2=float(h["l2"]),
-                    max_epochs=int(h["max_epochs"]),
-                    tol=float(h["tol"]),
-                ),
-                loss_history=tuple(float(v) for v in raw["loss_history"]),
-                converged=bool(raw["converged"]),
-            )
-    except (KeyError, TypeError, ValueError, ValidationError) as e:
+        raw = read_config(payload["params"], config_fields(cls, required=True), "params keys", f"{kind} params")
+        shapes = {"log_priors": (2,), "log_likelihoods": (2, dim), "weights": (dim,)}
+        raw.update({key: _array(raw, key, shape) for key, shape in shapes.items() if key in raw})
+        if kind == "logistic_regression":
+            hyper = config_fields(LRHyperparams, required=True)
+            raw["hyper"] = LRHyperparams(**read_config(raw["hyper"], hyper, "hyper keys", "hyper"))
+        params = cls(**raw)
+    except (ConfigError, TypeError, ValueError, ValidationError) as e:
         raise ConfigError(f"{path}: malformed model file: {e}") from e
-    return TrainedModel(
-        kind=kind,
-        feature_dim=dim,
-        params=params,
-        feature_ref=payload.get("feature_ref"),
-    )
+    return TrainedModel(kind=kind, feature_dim=dim, params=params, feature_ref=payload["feature_ref"])

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .errors import ConfigError, ValidationError
+from .errors import ConfigError, ValidationError, is_int, is_number
 from .seeding import check_seed
 
 
@@ -38,15 +38,14 @@ class ResampleConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not isinstance(self.k_neighbors, int) or isinstance(self.k_neighbors, bool):
+        if not is_int(self.k_neighbors):
             raise ConfigError(f"k_neighbors must be an integer, got {self.k_neighbors!r}")
         if self.k_neighbors < 1:
             raise ConfigError(f"k_neighbors must be at least 1, got {self.k_neighbors}")
-        ratio = self.target_ratio
-        if isinstance(ratio, bool) or not isinstance(ratio, (int, float)):
-            raise ConfigError(f"target_ratio must be a number, got {ratio!r}")
-        if not 0.0 < float(ratio) <= 1.0:
-            raise ConfigError(f"target_ratio must be in (0, 1], got {ratio}")
+        if not is_number(self.target_ratio):
+            raise ConfigError(f"target_ratio must be a number, got {self.target_ratio!r}")
+        if not 0.0 < self.target_ratio <= 1.0:
+            raise ConfigError(f"target_ratio must be in (0, 1], got {self.target_ratio}")
         check_seed(self.seed)
 
 

@@ -11,7 +11,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, is_int
 
 # Stream ids. Keep stable: they are part of the reproducibility contract.
 STREAM_FOLDS = 1
@@ -22,7 +22,7 @@ _MAX_SEED = 2**64 - 1
 
 
 def check_seed(seed: int) -> int:
-    if not isinstance(seed, int) or isinstance(seed, bool):
+    if not is_int(seed):
         raise ConfigError(f"seed must be an integer, got {type(seed).__name__}")
     if not 0 <= seed <= _MAX_SEED:
         raise ConfigError(f"seed must be in [0, 2^64), got {seed}")

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import yamlio
 from .corpus import AuthorRecord
-from .errors import ConfigError
+from .errors import ConfigError, is_int
 from .features import EmbeddingStore, write_embeddings
 from .inventory import FACET_NAMES, N_ITEMS, InventoryResponse, ScoringKey, default_scoring_key
 from .seeding import STREAM_SYNTH, check_seed, substream
@@ -46,13 +46,13 @@ class SynthSpec:
 
     def __post_init__(self):
         check_seed(self.seed)
-        if not isinstance(self.authors, int) or isinstance(self.authors, bool) or self.authors < 20:
+        if not is_int(self.authors) or self.authors < 20:
             raise ConfigError(f"authors must be an integer of at least 20, got {self.authors!r}")
         if not 0.0 <= self.signal < 1.0:
             raise ConfigError(f"signal must lie in [0, 1), got {self.signal}")
         if not 0.0 < self.pos_rate < 1.0:
             raise ConfigError(f"pos_rate must lie in (0, 1), got {self.pos_rate}")
-        if not isinstance(self.dim, int) or isinstance(self.dim, bool) or self.dim < 2:
+        if not is_int(self.dim) or self.dim < 2:
             raise ConfigError(f"dim must be an integer of at least 2, got {self.dim!r}")
         if not isinstance(self.tokens_per_author, int) or self.tokens_per_author < 10:
             raise ConfigError(

@@ -953,21 +953,31 @@ def test_predict_names_a_missing_feature_reference_field(bundle, tmp_path, capsy
     rc = main(["predict", "--model", str(model_path), "--corpus", str(bundle / "corpus.jsonl")])
     err = capsys.readouterr().err
     assert rc == 1
-    assert err.startswith(f"facetrec: ConfigError: model file's {features} feature reference lacks '{key}'")
+    where = f"{model_path}: model file's {features} feature reference"
+    assert err.startswith(f"facetrec: ConfigError: {where} lacks '{key}'")
+
+
+# Whole feature references that are sound but for the one field each case
+# below changes.
+_TABLE = {"rules": []}
+_BOW_REF = {"kind": "bow", "vocab_size": 3000, "binary": False, "actual_size": 1,
+            "vocab_sha256": Vocabulary(entries=(("a", 1),)).fingerprint(), "vocab": [["a", 1]], "normalization": _TABLE}
+_EMBEDDINGS_REF = {"kind": "embeddings", "path": "v.vec", "flavor": "skip", "dim": 2, "file_sha256": "0" * 64,
+                   "normalization": _TABLE}
 
 
 @pytest.mark.parametrize(
     "ref, message",
     [
         (5, "model file's feature reference is not a mapping with 'kind': 5"),
-        ({"kind": "bow", "vocab": 5}, "model file's bow feature reference has a malformed 'vocab'"),
-        ({"kind": "bow", "vocab": [["a", "many"]]}, "model file's bow feature reference has a malformed 'vocab'"),
-        ({"kind": "embeddings", "path": 5, "flavor": "skip"},
-         "model file's embeddings feature reference has a malformed 'path': 5"),
+        (dict(_BOW_REF, vocab=5),
+         "model file's bow feature reference: vocabulary must be a list of [token, count] pairs, got 5"),
+        (dict(_BOW_REF, vocab=[["a", "many"]]),
+         "model file's bow feature reference: vocabulary entry ['a', 'many'] is not a [token, count] pair"),
+        (dict(_EMBEDDINGS_REF, path=5), "model file's embeddings feature reference: path must be a string, got 5"),
         ({"kind": "sparse"}, "unknown feature kind 'sparse' in model file"),
-        ({"kind": "bow", "vocab": [["a", 1]]},
-         "model file's normalization table: expected a mapping with a 'rules' list"),
-        ({"kind": "bow", "vocab": [["a", 1]], "normalization": {"rules": [{"pattern": "a*", "token": "x"}]}},
+        (dict(_BOW_REF, normalization=None), "model file's normalization table: the table must be a mapping, got None"),
+        (dict(_BOW_REF, normalization={"rules": [{"pattern": "a*", "token": "x"}]}),
          "model file's normalization table: rule 0: pattern 'a*' can match the empty string"),
     ],
     ids=["not-a-mapping", "vocab-not-a-list", "count-not-a-number", "path-not-a-string", "unknown-kind",
@@ -981,7 +991,81 @@ def test_predict_rejects_a_malformed_feature_reference(bundle, tmp_path, capsys,
     save_model(replace(model, feature_ref=ref), path)
     rc = main(["predict", "--model", str(path), "--corpus", str(bundle / "corpus.jsonl")])
     assert rc == 1
-    assert capsys.readouterr().err == f"facetrec: ConfigError: {message}\n"
+    assert capsys.readouterr().err == f"facetrec: ConfigError: {path}: {message}\n"
+
+
+@pytest.fixture(scope="module")
+def trained_models(bundle, tmp_path_factory):
+    """Bag-of-words model files that `train` wrote on the bundle, by model kind."""
+    out = tmp_path_factory.mktemp("trained")
+    paths = {}
+    for kind in ("naive_bayes", "logistic_regression"):
+        paths[kind] = out / f"{kind}.json"
+        assert main(["train", "--corpus", str(bundle / "corpus.jsonl"), "--facet", "Anxiety", "--model", kind,
+                     "--seed", "3", "--out", str(paths[kind])]) == 0
+    return paths
+
+
+def _set(*path_and_value):
+    # An edit of a model file's payload that sets the field at a key path.
+    *path, value = path_and_value
+
+    def edit(payload):
+        *parents, last = path
+        for key in parents:
+            payload = payload[key]
+        payload[last] = value(payload[last]) if callable(value) else value
+
+    return edit
+
+
+# One field each, and the name the error gives it.
+_TAMPERED = {
+    "binary": ("naive_bayes", _set("feature_ref", "binary", "false"), "binary"),
+    "bias-string": ("logistic_regression", _set("params", "bias", "0.5"), "bias"),
+    "weight-nan": ("logistic_regression", _set("params", "weights", 0, float("nan")), "weights"),
+    "bias-inf": ("logistic_regression", _set("params", "bias", float("inf")), "bias"),
+    "priors-far": ("naive_bayes", _set("params", "log_priors", [-50.0, 0.0]), "log_priors"),
+    "priors-zero": ("naive_bayes", _set("params", "log_priors", [0.0, 0.0]), "log_priors"),
+    "converged-string": ("logistic_regression", _set("params", "converged", "false"), "converged"),
+    "max-epochs-float": ("logistic_regression", _set("params", "hyper", "max_epochs", 3.7), "max_epochs"),
+    "alpha-bool": ("naive_bayes", _set("params", "alpha", True), "alpha"),
+    "loss-history-string": ("logistic_regression", _set("params", "loss_history", "123"), "loss_history"),
+    "vocab-count-string": ("naive_bayes", _set("feature_ref", "vocab", 0, 1, "7"), "vocabulary"),
+    "unknown-params-key": ("naive_bayes", _set("params", "learning_rate", 0.1), "learning_rate"),
+    "vocab-reversed": ("naive_bayes", _set("feature_ref", "vocab", lambda v: v[::-1]), "vocab_sha256"),
+}
+
+
+@pytest.mark.parametrize("kind, edit, field", _TAMPERED.values(), ids=_TAMPERED)
+def test_predict_rejects_each_tampered_model_field(bundle, trained_models, tmp_path, capsys, kind, edit, field):
+    # Each edit once loaded with exit 0, and some moved predict's CSV. Now
+    # each is a ConfigError that names the model file and the field.
+    payload = json.loads(trained_models[kind].read_text(encoding="utf-8"))
+    edit(payload)
+    path = tmp_path / "tampered.json"
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["predict", "--model", str(path), "--corpus", str(bundle / "corpus.jsonl")]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"facetrec: ConfigError: {path}: ")
+    assert field in captured.err
+
+
+@pytest.mark.parametrize("features", ["bow", "embeddings"])
+@pytest.mark.parametrize("kind", ["naive_bayes", "logistic_regression"])
+def test_a_loaded_model_saves_to_the_bytes_train_wrote(bundle, tmp_path, kind, features):
+    # Model format version 3: load_model reads back every field save_model
+    # writes, as it was written. Naive Bayes needs nonnegative features, so
+    # the vectors are the bundle's absolute values.
+    written, saved, vec = tmp_path / "written.json", tmp_path / "saved.json", tmp_path / "abs.vec"
+    store = load_embeddings(bundle / "embeddings-skip.vec")
+    write_embeddings(replace(store, vectors={t: np.abs(v) for t, v in store.vectors.items()}), vec)
+    assert main(["train", "--corpus", str(bundle / "corpus.jsonl"), "--facet", "Anxiety", "--model", kind,
+                 "--features", features, "--embeddings", str(vec), "--seed", "3", "--out", str(written)]) == 0
+    save_model(load_model(written), saved)
+    assert saved.read_bytes() == written.read_bytes()
 
 
 @pytest.mark.parametrize("command", ["score", "train", "predict", "run"])

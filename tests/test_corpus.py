@@ -682,6 +682,41 @@ def test_load_normalization_table_errors(tmp_path):
         load_normalization_table(path)
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("rule:\n  - pattern: 'x+'\n    token: $X$\n", "unknown table keys: rule; the table takes rules"),
+        ("rules:\n  - pattern: 'x+'\n    token: $X$\n    flags: i\n",
+         "rule 0: unknown rule keys: flags; a rule takes pattern, token"),
+    ],
+    ids=["table", "rule"],
+)
+def test_load_normalization_table_rejects_an_unknown_key(tmp_path, text, message):
+    # A misspelt key would be ignored; the error lists the keys the part takes.
+    path = tmp_path / "norm.yaml"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ConfigError) as err:
+        load_normalization_table(path)
+    assert str(err.value) == f"{path}: {message}"
+
+
+@pytest.mark.parametrize(
+    "rule, message",
+    [
+        ("pattern: 123\n    token: $X$", "pattern and token must be strings, got 123 and '$X$'"),
+        ("pattern: 'x+'\n    token: 7", "pattern and token must be strings, got 'x+' and 7"),
+    ],
+    ids=["pattern", "token"],
+)
+def test_load_normalization_table_rejects_a_rule_that_is_not_text(tmp_path, rule, message):
+    # YAML reads both as integers; a rule takes them as written, not as str() of them.
+    path = tmp_path / "norm.yaml"
+    path.write_text(f"rules:\n  - pattern: 'k+'\n    token: $K$\n  - {rule}\n", encoding="utf-8")
+    with pytest.raises(ConfigError) as err:
+        load_normalization_table(path)
+    assert str(err.value) == f"{path}: rule 1: {message}"
+
+
 @pytest.mark.parametrize("pattern", [r"(?a)\bha\b", "a{99999999999}"])
 def test_load_normalization_table_names_a_rule_the_engine_rejects(tmp_path, pattern):
     # (?a) clashes with the rules' UNICODE flag (ValueError), and the repeat

@@ -18,11 +18,13 @@ from facetrec.features import (
     bow_matrix,
     build_vocabulary,
     embedding_matrix,
+    featurize,
     load_embeddings,
+    model_ref,
     realize_features,
     write_embeddings,
 )
-from facetrec.corpus import LabeledCorpus, build_documents, default_normalization_table, load_corpus
+from facetrec.corpus import AuthorRecord, LabeledCorpus, build_documents, default_normalization_table, load_corpus
 from facetrec.inventory import FACET_NAMES
 from facetrec.synth import SynthSpec, write_bundle
 from loop_oracles import bow_loops, embedding_average_loops
@@ -295,3 +297,46 @@ def test_realize_features_rejects_unknown_spec(corpus_factory):
     corpus = corpus_factory([["a"]])
     with pytest.raises(ConfigError, match="feature spec"):
         realize_features(object(), corpus)
+
+
+# --- a model file's feature reference ----------------------------------------
+
+
+# One field each, and what the error says of it.
+_TAMPERED_REFS = {
+    "binary": ("bow", "binary", "false", "binary must be true or false, got 'false'"),
+    "vocab-count": ("bow", "vocab", [["a", 2], ["b", "7"]],
+                    r"vocabulary entry \['b', '7'\] is not a \[token, count\] pair"),
+    "vocab-reversed": ("bow", "vocab", lambda v: v[::-1], "vocab does not match vocab_sha256 and actual_size"),
+    "actual-size": ("bow", "actual_size", 3, "vocab does not match vocab_sha256 and actual_size"),
+    "unknown-key": ("bow", "vocab_md5", "0", "unknown bow feature reference keys: vocab_md5;"),
+    "missing-key": ("bow", "vocab_sha256", None, "model file's bow feature reference lacks 'vocab_sha256'"),
+    "facet": ("bow", "facet", "Wit", "unknown facet 'Wit'"),
+    "flavor": ("embeddings", "flavor", "glove", "embedding flavor must be one of skip, cbow, got 'glove'"),
+    "dim": ("embeddings", "dim", 3, r"changed since training \(file_sha256 or dim\)"),
+    "file-sha256": ("embeddings", "file_sha256", "0" * 64, r"changed since training \(file_sha256 or dim\)"),
+}
+
+
+@pytest.mark.parametrize("kind, key, value, message", _TAMPERED_REFS.values(), ids=_TAMPERED_REFS)
+def test_featurize_rejects_each_tampered_field(tmp_path, corpus_factory, kind, key, value, message):
+    # The feature reference of a model file, tampered in one field: each
+    # edit is a ConfigError that names the model file's reference and the
+    # field, not a moved feature matrix.
+    corpus = corpus_factory([["a", "b"], ["a", "a"]])
+    if kind == "bow":
+        spec = BowSpec()
+    else:
+        spec = EmbeddingSpec(path=str(tmp_path / "v.vec"))
+        write_embeddings(make_store({"a": [1.0, 0.0], "b": [0.0, 1.0]}), spec.path)
+    _, ref, space = realize_features(spec, corpus)
+    ref = model_ref(ref, space, default_normalization_table())
+    records = [AuthorRecord(author_id="x", posts=("a b b",), inventory=None)]
+    assert featurize(ref, records)[0] == ["x"]
+    if value is None:
+        del ref[key]
+    else:  # a facet is new: train adds it, model_ref does not
+        ref[key] = value(ref[key]) if callable(value) else value
+    with pytest.raises(ConfigError, match=message) as err:
+        featurize(ref, records)
+    assert f"model file's {kind} feature reference" in str(err.value)

@@ -1,10 +1,13 @@
 from __future__ import annotations
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from facetrec import inventory
 from facetrec.errors import ConfigError, ValidationError
 from facetrec.inventory import (
     FACET_NAMES,
@@ -320,6 +323,19 @@ facets:
     assert key.domains["D0"][1] == (1, True)
 
 
+def test_load_scoring_key_rejects_an_unknown_field(tmp_path):
+    # A misspelt field in an otherwise valid key would be ignored; the
+    # error names the file and lists the fields a key takes.
+    shipped = (Path(inventory.__file__).with_name("data") / "scoring_key.yaml").read_text(encoding="utf-8")
+    path = tmp_path / "key.yaml"
+    path.write_text(shipped + "scale_mid: 3\n", encoding="utf-8")
+    with pytest.raises(ConfigError) as err:
+        load_scoring_key(path)
+    assert str(err.value) == (
+        f"{path}: unknown scoring key fields: scale_mid; a scoring key takes scale_min, scale_max, domains, facets"
+    )
+
+
 def test_load_scoring_key_rejects_zero_item(tmp_path):
     path = tmp_path / "key.yaml"
     path.write_text("scale_min: 1\nscale_max: 5\ndomains:\n  D0: [0]\nfacets: {}\n")
@@ -334,12 +350,19 @@ def test_load_scoring_key_missing_file_and_bad_yaml(tmp_path):
     bad.write_text("scale_min: [unclosed\n")
     with pytest.raises(ConfigError, match="YAML"):
         load_scoring_key(bad)
-    # The scale is two top-level fields, and the error names the file once.
+    # The scale is two top-level fields, and the error names the file once
+    # and the fields a key takes.
     nested = tmp_path / "nested.yaml"
     nested.write_text("scale: {min: 1, max: 5}\ndomains: {}\nfacets: {}\n")
     with pytest.raises(ConfigError) as err:
         load_scoring_key(nested)
-    assert str(err.value) == f"{nested}: missing field 'scale_min'"
+    assert str(err.value) == (
+        f"{nested}: unknown scoring key fields: scale; a scoring key takes scale_min, scale_max, domains, facets"
+    )
+    nested.write_text("scale_max: 5\ndomains: {}\nfacets: {}\n")
+    with pytest.raises(ConfigError) as err:
+        load_scoring_key(nested)
+    assert str(err.value) == f"{nested}: a scoring key lacks 'scale_min'"
 
 
 def test_facet_names_are_pinned():

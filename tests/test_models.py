@@ -407,18 +407,39 @@ def test_load_model_error_matrix(tmp_path):
         ("naive_bayes", "log_priors", lambda v: v + [0.0], "log_priors has shape"),
         ("naive_bayes", "log_likelihoods", lambda v: [[x + 1.0 for x in row] for row in v], "per-class likelihoods"),
         ("majority", "label", lambda v: 2, "majority label must be 0 or 1"),
+        ("logistic_regression", "bias", lambda v: "0.5", "bias must be a finite number, got '0.5'"),
+        ("logistic_regression", "weights", lambda v: [float("nan"), *v[1:]], "weights must be finite"),
+        ("logistic_regression", "bias", lambda v: float("inf"), "bias must be a finite number, got inf"),
+        ("naive_bayes", "log_priors", lambda v: [-50.0, 0.0], "log_priors must be the logs of two class fractions"),
+        ("naive_bayes", "log_priors", lambda v: [0.0, 0.0], "log_priors must be the logs of two class fractions"),
+        ("logistic_regression", "converged", lambda v: "false", "converged must be true or false, got 'false'"),
+        ("logistic_regression", "hyper", lambda h: {**h, "max_epochs": 3.7},
+         "max_epochs must be a positive integer, got 3.7"),
+        ("naive_bayes", "alpha", lambda v: True, "alpha must be finite and positive, got True"),
+        ("logistic_regression", "loss_history", lambda v: "123", "loss_history must be a list of numbers, got '123'"),
+        ("naive_bayes", "learning_rate", lambda v: 0.1,
+         "unknown params keys: learning_rate; naive_bayes params takes alpha, log_priors, log_likelihoods"),
+        ("logistic_regression", "hyper", lambda h: {k: v for k, v in h.items() if k != "tol"}, "hyper lacks 'tol'"),
+        ("naive_bayes", "log_priors", lambda v: ["-0.5", "-0.9"],
+         r"log_priors has shape \(2,\), feature_dim needs \(2,\), of numbers \(not bools or strings\)"),
+        ("logistic_regression", "weights", lambda v: [True, *v[1:]],
+         r"weights has shape \(2,\), feature_dim needs \(2,\), of numbers \(not bools or strings\)"),
     ],
-    ids=["lr-short", "lr-2d", "nb-narrow", "nb-one-class", "nb-three-priors", "nb-unnormalized", "majority-label"],
+    ids=["lr-short", "lr-2d", "nb-narrow", "nb-one-class", "nb-three-priors", "nb-unnormalized", "majority-label",
+         "lr-bias-string", "lr-weight-nan", "lr-bias-inf", "nb-priors-far", "nb-priors-zero", "lr-converged-string",
+         "lr-max-epochs-float", "nb-alpha-bool", "lr-loss-history-string", "nb-unknown-key", "lr-hyper-missing-key",
+         "nb-priors-strings", "lr-weight-bool"],
 )
 def test_load_model_rejects_parameters_that_do_not_fit(tmp_path, kind, key, edit, message):
-    # A parameter array whose shape disagrees with feature_dim, or a value
-    # no trained model holds, is a malformed file named by its path,
-    # caught at load rather than as a numpy error at predict.
+    # A parameter array whose shape disagrees with feature_dim, a value no
+    # trained model holds, or a key the params do not take, is a malformed
+    # file named by its path, with the field, caught at load rather than
+    # as a numpy error or a moved prediction at predict.
     _, _, models = _fit_all()
     path = tmp_path / "m.json"
     save_model(next(m for m in models if m.kind == kind), path)
     payload = json.loads(path.read_text())
-    payload["params"][key] = edit(payload["params"][key])
+    payload["params"][key] = edit(payload["params"].get(key))
     path.write_text(json.dumps(payload))
     with pytest.raises(ConfigError, match=rf"^{re.escape(str(path))}: malformed model file: {message}"):
         load_model(path)
